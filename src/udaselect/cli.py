@@ -27,8 +27,6 @@ from .errors import ConfigError, FeatureFileError, NumericError, UdaError
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-SCHEME_ABLATION = ("ours", "uan", "entropy", "ours_no_d", "ours_no_maxy")
-
 #: fraction of each scheme's score range used for the default thresholds,
 #: taken from the main scheme's defaults on [0, 2]
 _THRESHOLD_FRACTIONS = {"w0": 0.5, "w_beta": 0.4, "w_alpha_start": 0.75}
@@ -89,13 +87,13 @@ def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
     (out_dir / "eval.json").write_text(report.to_json() + "\n")
     (out_dir / "eval.txt").write_text(report.summary() + "\n")
 
-    score_records = (sc.score_batch(model, src.features, cfg.scheme)
-                     + sc.score_batch(model, tgt.features, cfg.scheme))
+    scores = sc.concat([sc.score_batch(model, src.features, cfg.scheme),
+                        sc.score_batch(model, tgt.features, cfg.scheme)])
     domains = ["source"] * src.n + ["target"] * tgt.n
-    labels = [int(y) for y in src.labels] + [int(y) for y in tgt.labels]
-    sc.write_score_dump(out_dir / "scores.tsv", score_records, domains, labels)
+    labels = np.concatenate([src.labels, tgt.labels]).tolist()
+    sc.write_score_dump(out_dir / "scores.tsv", scores, domains, labels)
     groups = [ev.group_of(d, y, spec) for d, y in zip(domains, labels)]
-    ev.export_score_distributions(out_dir / "score_hist.tsv", score_records,
+    ev.export_score_distributions(out_dir / "score_hist.tsv", scores,
                                   groups, cfg.scheme)
 
     artifacts = ["config.json", "metrics.jsonl", "checkpoint.txt", "eval.json",
@@ -114,46 +112,39 @@ def run_benchmark(cfg: tr.TrainConfig) -> ev.EvalReport:
     return ev.evaluate(model, tgt, spec, cfg.w0, cfg.scheme)
 
 
-def _seeded(cfg: tr.TrainConfig, reps: int) -> list[tr.TrainConfig]:
-    return [replace(cfg, seed=cfg.seed + i) for i in range(reps)]
-
-
-def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    print(path)
-    print("\n".join(lines))
-
-
-def _variant_rows(variants: list[tuple[str, tr.TrainConfig]], reps: int,
-                  out_dir: Path) -> list[list]:
-    rows = []
+def _run_grid(variants: list[tuple[str, tr.TrainConfig]], seed: int, reps: int,
+              table: Path) -> None:
+    """Run every variant on ``reps`` consecutive seeds from ``seed`` and
+    write their accuracies, mean and std as a table beside the runs."""
+    if reps < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {reps}")
+    table.parent.mkdir(parents=True, exist_ok=True)
+    lines = ["\t".join(["variant"] + [f"seed{seed + i}" for i in range(reps)]
+                       + ["mean", "std"])]
     for name, base in variants:
         accs = []
-        for cfg in _seeded(base, reps):
+        for i in range(reps):
+            cfg = replace(base, seed=base.seed + i)
             src, tgt, spec = make_benchmark(cfg)
             report = run_experiment(name, cfg, src, tgt, spec,
-                                    out_dir / f"{name}_seed{cfg.seed}")
+                                    table.parent / f"{name}_seed{cfg.seed}")
             accs.append(report.average_class_accuracy)
-        rows.append([name] + [f"{a:.4f}" for a in accs]
-                    + [f"{np.mean(accs):.4f}", f"{np.std(accs):.4f}"])
-    return rows
+        lines.append("\t".join([name] + [f"{a:.4f}" for a in accs]
+                               + [f"{np.mean(accs):.4f}", f"{np.std(accs):.4f}"]))
+    table.write_text("\n".join(lines) + "\n")
+    print(table)
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
 # verbs
 
 
-def _load_datasets(args) -> tuple[dt.DomainDataset, dt.DomainDataset, dt.LabelSetSpec]:
-    src = dt.load_features(args.source, "source", labeled=True)
-    tgt = dt.load_features(args.target, "target", labeled=True)
-    spec_dict = json.loads(Path(args.labelset).read_text())
-    spec = dt.LabelSetSpec(shared=tuple(spec_dict["shared"]),
-                           source_private=tuple(spec_dict["source_private"]),
-                           target_private=tuple(spec_dict["target_private"]))
-    return src, tgt, spec
+def _load_labelset(path) -> dt.LabelSetSpec:
+    spec = json.loads(Path(path).read_text())
+    return dt.LabelSetSpec(shared=tuple(spec["shared"]),
+                           source_private=tuple(spec["source_private"]),
+                           target_private=tuple(spec["target_private"]))
 
 
 def _build_config(args, preset: tr.TrainConfig | None = None) -> tr.TrainConfig:
@@ -208,7 +199,9 @@ def cmd_train(args) -> int:
     else:
         if not (args.source and args.target and args.labelset):
             raise ConfigError("need --synthetic or --source/--target/--labelset")
-        src, tgt, spec = _load_datasets(args)
+        src = dt.load_features(args.source, "source", labeled=True)
+        tgt = dt.load_features(args.target, "target", labeled=True)
+        spec = _load_labelset(args.labelset)
     out_dir = Path(args.out) if args.out else default_output_root() / args.name
     report = run_experiment(args.name, cfg, src, tgt, spec, out_dir)
     print(report.summary())
@@ -218,11 +211,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = md.load_checkpoint(args.checkpoint)
     tgt = dt.load_features(args.target, "target", labeled=True)
-    spec_dict = json.loads(Path(args.labelset).read_text())
-    spec = dt.LabelSetSpec(shared=tuple(spec_dict["shared"]),
-                           source_private=tuple(spec_dict["source_private"]),
-                           target_private=tuple(spec_dict["target_private"]))
-    report = ev.evaluate(model, tgt, spec, args.w0, args.scheme)
+    report = ev.evaluate(model, tgt, _load_labelset(args.labelset), args.w0, args.scheme)
     print(report.summary())
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -248,18 +237,14 @@ def cmd_sweep(args) -> int:
         else:
             variants.append((f"w0_{v:g}", replace(cfg, w0=v)))
     out_dir = Path(args.out) if args.out else default_output_root() / f"sweep_{args.param}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _variant_rows(variants, args.seeds, out_dir)
-    header = (["variant"] + [f"seed{cfg.seed + i}" for i in range(args.seeds)]
-              + ["mean", "std"])
-    _write_table(out_dir / "sweep.tsv", header, rows)
+    _run_grid(variants, cfg.seed, args.seeds, out_dir / "sweep.tsv")
     return 0
 
 
 def cmd_ablate(args) -> int:
     cfg = _build_config(args, benchmark_config())
     if args.ablation == "scoring":
-        variants = [(f"scheme_{s}", scheme_defaults(cfg, s)) for s in SCHEME_ABLATION]
+        variants = [(f"scheme_{s}", scheme_defaults(cfg, s)) for s in sc.SCHEMES]
     elif args.ablation == "pseudo":
         variants = [
             ("full", cfg),
@@ -274,11 +259,7 @@ def cmd_ablate(args) -> int:
             ("diversity_both", replace(cfg, diversity_mode="both")),
         ]
     out_dir = Path(args.out) if args.out else default_output_root() / f"ablate_{args.ablation}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _variant_rows(variants, args.seeds, out_dir)
-    header = (["variant"] + [f"seed{cfg.seed + i}" for i in range(args.seeds)]
-              + ["mean", "std"])
-    _write_table(out_dir / "ablation.tsv", header, rows)
+    _run_grid(variants, cfg.seed, args.seeds, out_dir / "ablation.tsv")
     return 0
 
 

@@ -64,10 +64,6 @@ class ShiftConfig:
     scale: float = 1.0
     noise: float = 1.0      # multiplier on the target sampling noise
 
-    @classmethod
-    def identity(cls) -> "ShiftConfig":
-        return cls()
-
 
 @dataclass(frozen=True)
 class DomainDataset:
@@ -191,8 +187,8 @@ def load_features(path, domain: str, labeled: bool) -> DomainDataset:
     header = lines[0]
     if not header.startswith("#"):
         raise FeatureFileError(f"{path}:1: missing header line")
-    fields = dict(kv.split("=") for kv in header.lstrip("#").split())
     try:
+        fields = dict(kv.split("=") for kv in header.lstrip("#").split())
         dim, count = int(fields["dim"]), int(fields["count"])
         file_labeled = bool(int(fields.get("labeled", "1")))
     except (KeyError, ValueError) as exc:

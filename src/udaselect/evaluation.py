@@ -19,20 +19,11 @@ from . import scoring as sc
 from .data import TAU, DomainDataset, LabelSetSpec
 from .errors import ContractError
 from .model import ModelBundle
-from .scoring import ScoreRecord
+from .scoring import ScoreTable
 
 HIST_BINS = 50
 
 SCORE_GROUPS = ("source-shared", "source-private", "target-shared", "target-private")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Decision for one sample: its argmax class or the unknown symbol."""
-
-    raw_argmax: int
-    w: float
-    decision: int
 
 
 @dataclass
@@ -67,13 +58,12 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def decide(record: ScoreRecord, w0: float,
-           class_ids: tuple[int, ...]) -> Prediction:
-    """Apply the rejection rule: argmax class iff the score exceeds w0."""
-    idx = int(np.argmax(record.y_bar))  # ties -> lowest index
-    cls = int(class_ids[idx])
-    decision = cls if record.w > w0 else TAU
-    return Prediction(raw_argmax=cls, w=record.w, decision=decision)
+def decide(w: np.ndarray, y_bar: np.ndarray, w0: float,
+           class_ids: tuple[int, ...]) -> np.ndarray:
+    """Apply the rejection rule per sample: the argmax class of its row of
+    ``y_bar`` (ties -> lowest index) iff its score in ``w`` exceeds w0,
+    else the unknown symbol."""
+    return np.where(w > w0, np.asarray(class_ids)[np.argmax(y_bar, axis=-1)], TAU)
 
 
 def evaluate(m: ModelBundle, tgt: DomainDataset, spec: LabelSetSpec,
@@ -81,9 +71,9 @@ def evaluate(m: ModelBundle, tgt: DomainDataset, spec: LabelSetSpec,
     """Score, decide and compute macro recall over shared classes plus unknown."""
     if tgt.n == 0:
         raise ContractError("cannot evaluate on an empty target set")
-    records = sc.score_batch(m, tgt.features, scheme)
-    decisions = np.array([decide(r, w0, m.class_ids).decision for r in records])
-    truth = np.array([y if y in spec.shared else TAU for y in tgt.labels])
+    scores = sc.score_batch(m, tgt.features, scheme)
+    decisions = decide(scores.w, scores.y_bar, w0, m.class_ids)
+    truth = np.where(np.isin(tgt.labels, spec.shared), tgt.labels, TAU)
 
     eval_classes = [*spec.shared, TAU]
     per_class: dict = {}
@@ -114,7 +104,7 @@ def group_of(domain: str, label: int, spec: LabelSetSpec) -> str:
     return "target-shared" if shared else "target-private"
 
 
-def export_score_distributions(path, records: list[ScoreRecord],
+def export_score_distributions(path, scores: ScoreTable,
                                groups: list[str], scheme: str = "ours") -> None:
     """Fixed-bin histograms of d, max prob and w for each sample group.
 
@@ -127,9 +117,7 @@ def export_score_distributions(path, records: list[ScoreRecord],
             raise ContractError(f"unknown score group {g!r}")
     lo, hi = sc.SCHEME_RANGES[scheme]
     ranges = {"d": (0.0, 1.0), "max_prob": (0.0, 1.0), "w": (lo, hi)}
-    values = {"d": np.array([r.d for r in records]),
-              "max_prob": np.array([r.max_prob for r in records]),
-              "w": np.array([r.w for r in records])}
+    values = {"d": scores.d, "max_prob": scores.max_prob, "w": scores.w}
     groups_arr = np.array(groups)
     with open(path, "w") as fh:
         fh.write("group\tquantity\tbin_lo\tbin_hi\tcount\n")

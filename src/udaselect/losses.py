@@ -36,31 +36,10 @@ class LossBreakdown:
     n_diversity_selected: int
 
 
-def cross_entropy(y_bar: Node | np.ndarray, label: int) -> Node:
-    """-ln of the labeled probability, floored at 1e-12."""
-    if not isinstance(y_bar, Node):
-        y_bar = Node(y_bar)
-    if y_bar.value.ndim != 1:
-        raise ContractError("cross_entropy expects a 1-d probability vector")
-    k = y_bar.value.shape[0]
-    if not 0 <= int(label) < k:
-        raise ContractError(f"label {label} out of range for {k} classes")
-    label = int(label)
-    p = float(y_bar.value[label])
-    out = Node(-np.log(max(p, PROB_FLOOR)), (y_bar,), "cross_entropy")
-
-    def _bw(g):
-        if p > PROB_FLOOR:
-            y_bar.grad[label] += -g / p
-
-    out._backward = _bw
-    return out
-
-
-def _mean_ce(probs: Node, labels: np.ndarray) -> Node:
-    """Mean cross-entropy of probability rows against integer labels."""
-    rows = np.arange(len(labels))
-    picked = ad.gather(probs, rows, np.asarray(labels, dtype=np.intp))
+def _mean_ce(probs: Node, rows: np.ndarray, cols: np.ndarray) -> Node:
+    """Mean cross-entropy of the given rows of ``probs`` against the
+    integer labels ``cols``, each probability floored at 1e-12."""
+    picked = ad.gather(probs, rows, cols)
     return ad.mean_all(ad.affine(ad.log(ad.clamp_min(picked, PROB_FLOOR)), -1.0))
 
 
@@ -80,13 +59,14 @@ def loss_classification(source_probs: Node, source_labels: np.ndarray,
         raise ContractError(f"gamma must be >= 0, got {gamma}")
     if len(target_scores) != target_probs.shape[0]:
         raise ContractError("target_scores must align with target_probs rows")
-    loss = _mean_ce(source_probs, np.asarray(source_labels))
+    labels = np.asarray(source_labels, dtype=np.intp)
+    if np.any((labels < 0) | (labels >= source_probs.shape[1])):
+        raise ContractError(f"source labels must lie in [0, {source_probs.shape[1]})")
+    loss = _mean_ce(source_probs, np.arange(len(labels)), labels)
     selected = np.nonzero(np.asarray(target_scores) > w_alpha)[0]
     if len(selected) > 0:
         pseudo = target_probs.value[selected].argmax(axis=1)  # ties -> lowest index
-        picked = ad.gather(target_probs, selected, pseudo)
-        tgt = ad.mean_all(ad.affine(ad.log(ad.clamp_min(picked, PROB_FLOOR)), -1.0))
-        loss = ad.add(loss, ad.affine(tgt, gamma))
+        loss = ad.add(loss, ad.affine(_mean_ce(target_probs, selected, pseudo), gamma))
     return loss, int(len(selected))
 
 

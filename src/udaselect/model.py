@@ -166,14 +166,6 @@ def domain_prob(m: ModelBundle, feats: Node, lam: float) -> Node:
     return m.d.forward(ad.grad_reverse(feats, lam))
 
 
-def forward_label(m: ModelBundle, x: np.ndarray) -> Node:
-    return label_probs(m, features(m, x))
-
-
-def forward_domain(m: ModelBundle, x: np.ndarray, lam: float) -> Node:
-    return domain_prob(m, features(m, x), lam)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint io: textual, hex-encoded floats, bit-exact round trip
 
@@ -200,8 +192,13 @@ def save_checkpoint(m: ModelBundle, path) -> None:
 
 
 def load_checkpoint(path) -> ModelBundle:
+    """Read a ``save_checkpoint`` file; each parameter must appear exactly
+    once with its declared shape and value count, or ``ConfigError``
+    names the offending line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
+    if not lines:
+        raise ConfigError(f"{path}:1: empty checkpoint")
     meta = json.loads(lines[0])
     specs = {
         name: MlpSpec(input_dim=s["input_dim"], hidden_dims=tuple(s["hidden_dims"]),
@@ -211,11 +208,27 @@ def load_checkpoint(path) -> ModelBundle:
     m = init(specs["f"], specs["c"], specs["d"], seed=0,
              class_ids=tuple(meta["class_ids"]))
     params = dict(m.parameters())
-    i = 1
-    while i < len(lines):
-        header = lines[i].split()
-        name, shape = header[0], tuple(int(s) for s in header[1:])
-        vals = np.array([float.fromhex(t) for t in lines[i + 1].split()])
-        params[name].value[...] = vals.reshape(shape)
-        i += 2
+    loaded = set()
+    for i in range(1, len(lines), 2):
+        name, *shape = lines[i].split() or [""]
+        if name not in params:
+            raise ConfigError(f"{path}:{i + 1}: unknown parameter {name!r}")
+        if name in loaded:
+            raise ConfigError(f"{path}:{i + 1}: duplicate parameter {name!r}")
+        value = params[name].value
+        if shape != [str(n) for n in value.shape]:
+            raise ConfigError(f"{path}:{i + 1}: {name} shape {shape}, "
+                              f"expected {value.shape}")
+        tokens = lines[i + 1].split() if i + 1 < len(lines) else []
+        if len(tokens) != value.size:
+            raise ConfigError(f"{path}:{i + 2}: {name} has {len(tokens)} values, "
+                              f"expected {value.size}")
+        try:
+            value[...] = np.array([float.fromhex(t) for t in tokens]).reshape(value.shape)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{i + 2}: bad hex float: {exc}") from exc
+        loaded.add(name)
+    missing = [name for name in params if name not in loaded]
+    if missing:
+        raise ConfigError(f"{path}:{len(lines)}: truncated, missing parameters {missing}")
     return m

@@ -8,7 +8,7 @@ component ablations are exposed under the same interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,102 +30,85 @@ SCHEME_RANGES = {
 
 
 @dataclass(frozen=True)
-class ScoreRecord:
-    """Per-sample score bundle: domain prob, class probs and derived stats."""
+class ScoreTable:
+    """Score columns of a batch, one entry (``y_bar``: one row) per sample."""
 
-    d: float
+    d: np.ndarray
     y_bar: np.ndarray
-    max_prob: float
-    entropy: float
-    w: float
+    max_prob: np.ndarray
+    entropy: np.ndarray
+    w: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.d)
 
 
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats with the 0*log(0) = 0 convention."""
+def entropy(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats along the last axis, with 0*log(0) = 0."""
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0):
         raise ContractError("entropy requires nonnegative entries")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ContractError(f"entropy requires a probability vector, sum={p.sum()}")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    off = np.abs(p.sum(axis=-1) - 1.0)
+    if np.any(off > 1e-9):
+        raise ContractError(f"entropy requires probability vectors, |sum-1|={off.max()}")
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
 
 
-def score_ours(d: float, y_bar: np.ndarray) -> float:
-    """d + max prob, in [0, 2]."""
-    if not 0.0 <= d <= 1.0:
-        raise ContractError(f"d must be in [0,1], got {d}")
-    return float(d + np.max(y_bar))
+def score_for_scheme(scheme: str, d, y_bar: np.ndarray) -> np.ndarray:
+    """The scheme's score for each domain probability in ``d`` and the
+    matching probability row (last axis) of ``y_bar``.
 
-
-def score_uan(d: float, y_bar: np.ndarray) -> float:
-    """d - H(y_bar)/ln(K), in [-1, 1]; requires at least two classes."""
-    if not 0.0 <= d <= 1.0:
-        raise ContractError(f"d must be in [0,1], got {d}")
-    k = len(y_bar)
-    if k < 2:
-        raise ContractError("uan score needs at least 2 classes")
-    return float(d - entropy(y_bar) / np.log(k))
-
-
-def score_uan_source(d: float, y_bar: np.ndarray) -> float:
-    """Negated target score, as applied to source samples by that scheme."""
-    return -score_uan(d, y_bar)
-
-
-def score_entropy(y_bar: np.ndarray) -> float:
-    """1 - H(y_bar)/ln(K): 1 for one-hot, 0 for uniform."""
-    k = len(y_bar)
-    if k < 2:
-        raise ContractError("entropy score needs at least 2 classes")
-    return float(1.0 - entropy(y_bar) / np.log(k))
-
-
-def score_for_scheme(scheme: str, d: float, y_bar: np.ndarray) -> float:
+    ``ours`` is d + max prob in [0, 2], ``uan`` is d - H/ln(K) in
+    [-1, 1], ``entropy`` is 1 - H/ln(K) in [0, 1] (1 for one-hot, 0 for
+    uniform), and the two ablations keep one summand of ``ours``.
+    """
+    if scheme not in SCHEMES:
+        raise ContractError(f"unknown scheme {scheme!r}")
+    d = np.asarray(d, dtype=np.float64)
+    y_bar = np.asarray(y_bar, dtype=np.float64)
+    outside = ~((d >= 0.0) & (d <= 1.0))
+    if scheme in ("ours", "uan", "ours_no_maxy") and np.any(outside):
+        raise ContractError(f"d must be in [0,1], got {d[outside].flat[0]}")
+    if scheme in ("uan", "entropy") and y_bar.shape[-1] < 2:
+        raise ContractError(f"{scheme} score needs at least 2 classes")
     if scheme == "ours":
-        return score_ours(d, y_bar)
+        return d + y_bar.max(axis=-1)
     if scheme == "uan":
-        return score_uan(d, y_bar)
+        return d - entropy(y_bar) / np.log(y_bar.shape[-1])
     if scheme == "entropy":
-        return score_entropy(y_bar)
+        return 1.0 - entropy(y_bar) / np.log(y_bar.shape[-1])
     if scheme == "ours_no_d":
-        return float(np.max(y_bar))
-    if scheme == "ours_no_maxy":
-        if not 0.0 <= d <= 1.0:
-            raise ContractError(f"d must be in [0,1], got {d}")
-        return float(d)
-    raise ContractError(f"unknown scheme {scheme!r}")
+        return y_bar.max(axis=-1)
+    return d.copy()
 
 
 def scores_from_outputs(d: np.ndarray, probs: np.ndarray, scheme: str) -> np.ndarray:
-    """Vectorized scheme score for aligned d values and probability rows."""
-    if scheme not in SCHEMES:
-        raise ContractError(f"unknown scheme {scheme!r}")
-    return np.array([score_for_scheme(scheme, float(di), row)
-                     for di, row in zip(d, probs)])
+    """``score_for_scheme`` with the training step's argument order."""
+    return score_for_scheme(scheme, d, probs)
 
 
-def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> list[ScoreRecord]:
+def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
     """Score every row of ``x`` under a no-gradient forward pass."""
-    if scheme not in SCHEMES:
-        raise ContractError(f"unknown scheme {scheme!r}")
     feats = md.features(m, x)
     probs = md.label_probs(m, feats).value
     d = md.domain_prob(m, feats, lam=0.0).value[:, 0]
-    records = []
-    for di, row in zip(d, probs):
-        records.append(ScoreRecord(
-            d=float(di), y_bar=row.copy(), max_prob=float(row.max()),
-            entropy=entropy(row), w=score_for_scheme(scheme, float(di), row)))
-    return records
+    return ScoreTable(d=d, y_bar=probs, max_prob=probs.max(axis=-1),
+                      entropy=entropy(probs), w=score_for_scheme(scheme, d, probs))
 
 
-def write_score_dump(path, records: list[ScoreRecord], domains: list[str],
+def concat(tables: list[ScoreTable]) -> ScoreTable:
+    """The tables' rows, in order, as one table."""
+    return ScoreTable(**{f.name: np.concatenate([getattr(t, f.name) for t in tables])
+                         for f in fields(ScoreTable)})
+
+
+def write_score_dump(path, scores: ScoreTable, domains: list[str],
                      labels: list[int | None]) -> None:
     """One tab-delimited row per sample, for external density plots."""
+    rows = zip(domains, labels, scores.d.tolist(), scores.max_prob.tolist(),
+               scores.entropy.tolist(), scores.w.tolist())
     with open(path, "w") as fh:
         fh.write("id\tdomain\tlabel\td\tmax_prob\tentropy\tw\n")
-        for i, (r, dom, y) in enumerate(zip(records, domains, labels)):
+        for i, (dom, y, d, mp, h, w) in enumerate(rows):
             lab = "" if y is None else str(int(y))
-            fh.write(f"{i}\t{dom}\t{lab}\t{float(r.d)!r}\t{float(r.max_prob)!r}\t"
-                     f"{float(r.entropy)!r}\t{float(r.w)!r}\n")
+            fh.write(f"{i}\t{dom}\t{lab}\t{d!r}\t{mp!r}\t{h!r}\t{w!r}\n")

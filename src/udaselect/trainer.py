@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +22,10 @@ from .errors import ConfigError, ContractError, NumericError
 from .model import MlpSpec, ModelBundle
 
 GRL_MODES = ("constant", "ramp")
+
+#: the value types ``TrainConfig.from_dict`` accepts per field annotation
+_FIELD_TYPES = {"float": (int, float), "float | None": (int, float, type(None)),
+                "int": int, "str": str, "bool": bool, "tuple[int, ...]": (list, tuple)}
 
 
 @dataclass(frozen=True)
@@ -72,9 +76,13 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        for key in ("f_hidden", "d_hidden"):
-            if key in d:
-                d[key] = tuple(d[key])
+        for f in fields(cls):
+            v = d.get(f.name, f.default)
+            ints = not isinstance(v, (list, tuple)) or all(isinstance(n, int) for n in v)
+            if not (isinstance(v, _FIELD_TYPES[f.type]) and ints):
+                raise ConfigError(f"config field {f.name} must be {f.type}, got {v!r}")
+            if isinstance(v, list):
+                d[f.name] = tuple(v)
         return cls(**d)
 
 

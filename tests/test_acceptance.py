@@ -72,8 +72,8 @@ def well_conditioned_batch(m, rng):
         mdt, _ = relu_margin(m.d, feats_t)
         if min(mf, mf2, mds, mdt) < MARGIN:
             continue
-        probs_t = md.forward_label(m, xt).value
-        d_t = md.forward_domain(m, xt, 0.0).value[:, 0]
+        probs_t = md.label_probs(m, md.features(m, xt)).value
+        d_t = md.domain_prob(m, md.features(m, xt), 0.0).value[:, 0]
         scores = sc.scores_from_outputs(d_t, probs_t, "ours")
         if (np.abs(scores - W_ALPHA).min() < MARGIN
                 or np.abs(scores - W_BETA).min() < MARGIN):
@@ -81,7 +81,7 @@ def well_conditioned_batch(m, rng):
         top2 = np.sort(probs_t, axis=1)[:, -2:]
         if np.min(top2[:, 1] - top2[:, 0]) < MARGIN:
             continue
-        if md.forward_label(m, xs).value.min() < 1e-4:
+        if md.label_probs(m, md.features(m, xs)).value.min() < 1e-4:
             continue
         return xs, ys, xt
     raise RuntimeError("could not draw a well-conditioned batch")
@@ -221,9 +221,9 @@ class TestCriterion3:
         d = rng.uniform(0, 1, 10_000)
         for i in range(10_000):
             p = rng.dirichlet(np.ones(rng.integers(2, 6)))
-            ok &= 0.0 <= sc.score_ours(d[i], p) <= 2.0
-            ok &= -1.0 - 1e-12 <= sc.score_uan(d[i], p) <= 1.0 + 1e-12
-            ok &= -1e-12 <= sc.score_entropy(p) <= 1.0 + 1e-12
+            ok &= 0.0 <= sc.score_for_scheme("ours", d[i], p) <= 2.0
+            ok &= -1.0 - 1e-12 <= sc.score_for_scheme("uan", d[i], p) <= 1.0 + 1e-12
+            ok &= -1e-12 <= sc.score_for_scheme("entropy", d[i], p) <= 1.0 + 1e-12
         report(3, ok, "diversity in [1/K, 1] with exact extremes (10k batches); "
                       "w in [0,2], w_t in [-1,1], w_h in [0,1] (10k inputs)")
 
@@ -247,8 +247,8 @@ class TestCriterion5:
             m = tiny_net(seed)
             rng = np.random.default_rng(seed)
             xs, ys, xt = well_conditioned_batch(m, rng)
-            probs_t = md.forward_label(m, xt).value
-            d_t = md.forward_domain(m, xt, 0.0).value[:, 0]
+            probs_t = md.label_probs(m, md.features(m, xt)).value
+            d_t = md.domain_prob(m, md.features(m, xt), 0.0).value[:, 0]
             pre = sc.scores_from_outputs(d_t, probs_t, "ours") > W_ALPHA
             if 0 < pre.sum() < len(pre):
                 break
@@ -256,9 +256,9 @@ class TestCriterion5:
             raise RuntimeError("no mixed-selection batch found")
 
         def lc_grads(xt_now):
-            probs_s = md.forward_label(m, xs)
-            probs_t = md.forward_label(m, xt_now)
-            d_t = md.forward_domain(m, xt_now, 0.0).value[:, 0]
+            probs_s = md.label_probs(m, md.features(m, xs))
+            probs_t = md.label_probs(m, md.features(m, xt_now))
+            d_t = md.domain_prob(m, md.features(m, xt_now), 0.0).value[:, 0]
             scores = sc.scores_from_outputs(d_t, probs_t.value, "ours")
             loss, _ = ls.loss_classification(probs_s, ys, probs_t, scores,
                                              W_ALPHA, GAMMA)
@@ -338,10 +338,9 @@ class TestCriterion7:
         _, full_runs = benchmark_grid
         seps = []
         for model, tgt, spec in full_runs:
-            records = sc.score_batch(model, tgt.features, "ours")
-            shared = np.array([y in spec.shared for y in tgt.labels])
-            mp = np.array([r.max_prob for r in records])
-            w = np.array([r.w for r in records])
+            scores = sc.score_batch(model, tgt.features, "ours")
+            shared = np.isin(tgt.labels, spec.shared)
+            mp, w = scores.max_prob, scores.w
             seps.append((mp[shared].mean() - mp[~shared].mean(),
                          w[shared].mean() - w[~shared].mean()))
         hits = sum(1 for dm, dw in seps if dm > 0 and dw > 0)

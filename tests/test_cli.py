@@ -84,6 +84,14 @@ class TestTrain:
         assert main(["train", "--synthetic", "--config", str(bad),
                      "--out", str(tmp_path / "run")]) == EXIT_CONFIG
 
+    def test_mistyped_config_field_rejected(self, tmp_path):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps({"f_hidden": 5}))
+        out = tmp_path / "run"
+        assert main(["train", "--synthetic", "--config", str(bad),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_config_file_feeds_training(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"total_steps": 3, "gamma": 0.25}))
@@ -175,6 +183,13 @@ class TestSweep:
         assert main(["sweep", "--param", "w0", "--values", "",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("verb", [["sweep", "--param", "w0", "--values", "1.0"],
+                                      ["ablate", "--ablation", "pseudo"]])
+    def test_seeds_below_one_rejected(self, tmp_path, verb):
+        out = tmp_path / "grid"
+        assert main(verb + ["--seeds", "0", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_value_outside_scheme_range_rejected(self, tmp_path):
         assert main(["sweep", "--param", "w0", "--values", "2.5",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -207,7 +222,7 @@ class TestAblate:
                      "--steps", "4", "--out", str(out)])
         assert code == 0
         header, rows = read_table(out / "ablation.tsv")
-        assert [r[0] for r in rows] == [f"scheme_{s}" for s in cli.SCHEME_ABLATION]
+        assert [r[0] for r in rows] == [f"scheme_{s}" for s in sc.SCHEMES]
 
     def test_scheme_variants_use_native_threshold_ranges(self):
         cfg = cli.benchmark_config()

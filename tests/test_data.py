@@ -51,7 +51,7 @@ class TestGenSynthetic:
 
     def test_identity_shift_closed_set_means_agree(self):
         spec = LabelSetSpec(shared=(0, 1, 2))
-        src, tgt = dt.gen_synthetic(spec, 6, 400, ShiftConfig.identity(), seed=0)
+        src, tgt = dt.gen_synthetic(spec, 6, 400, ShiftConfig(), seed=0)
         for y in spec.shared:
             mu_s = src.features[src.labels == y].mean(axis=0)
             mu_t = tgt.features[tgt.labels == y].mean(axis=0)
@@ -59,7 +59,7 @@ class TestGenSynthetic:
 
     def test_partial_set_geometry(self):
         spec = LabelSetSpec(shared=(0, 1), source_private=(2, 3))
-        src, tgt = dt.gen_synthetic(spec, 4, 5, ShiftConfig.identity(), seed=1)
+        src, tgt = dt.gen_synthetic(spec, 4, 5, ShiftConfig(), seed=1)
         assert set(src.labels) == {0, 1, 2, 3}
         assert set(tgt.labels) == {0, 1}
 
@@ -72,13 +72,13 @@ class TestGenSynthetic:
     def test_degenerate_dim_rejected(self):
         with pytest.raises(ConfigError):
             dt.gen_synthetic(dt.benchmark_label_spec(), 1, 5,
-                             ShiftConfig.identity(), seed=0)
+                             ShiftConfig(), seed=0)
 
 
 class TestSampleBatch:
     def _pair(self):
         spec = LabelSetSpec(shared=(0, 1))
-        return dt.gen_synthetic(spec, 4, 5, ShiftConfig.identity(), seed=0)
+        return dt.gen_synthetic(spec, 4, 5, ShiftConfig(), seed=0)
 
     def test_halves(self):
         src, tgt = self._pair()
@@ -119,7 +119,7 @@ class TestSampleBatch:
 class TestFeatureFiles:
     def _dataset(self):
         spec = LabelSetSpec(shared=(0, 1), target_private=(2,))
-        return dt.gen_synthetic(spec, 3, 4, ShiftConfig.identity(), seed=7)[1]
+        return dt.gen_synthetic(spec, 3, 4, ShiftConfig(), seed=7)[1]
 
     def test_round_trip_bit_exact(self, tmp_path):
         ds = self._dataset()
@@ -148,6 +148,15 @@ class TestFeatureFiles:
         path = tmp_path / "empty.txt"
         path.write_text("")
         with pytest.raises(FeatureFileError, match="empty"):
+            dt.load_features(path, "source", labeled=True)
+
+    @pytest.mark.parametrize("header", [
+        "1.0\t2.0\t0", "# count=1 labeled=1", "# dim=two count=1 labeled=1",
+        "# dim=2 count=1 labeled"])
+    def test_bad_header_reports_line_one(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n1.0\t2.0\t0\n")
+        with pytest.raises(FeatureFileError, match=":1:"):
             dt.load_features(path, "source", labeled=True)
 
     def test_ragged_row_reports_line_number(self, tmp_path):

@@ -13,13 +13,21 @@ from udaselect import scoring as sc
 from udaselect.data import TAU, DomainDataset, LabelSetSpec
 from udaselect.errors import ContractError
 from udaselect.model import MlpSpec
-from udaselect.scoring import ScoreRecord
+from udaselect.scoring import ScoreTable
+
+import reference_scoring as ref
 
 
-def rec(w, y_bar):
-    y_bar = np.asarray(y_bar, dtype=float)
-    return ScoreRecord(d=0.5, y_bar=y_bar, max_prob=float(y_bar.max()),
-                       entropy=0.0, w=w)
+def table(w, y_bars, d=0.5):
+    """A score table with the given scores and probability rows."""
+    y_bars = np.asarray(y_bars, dtype=float)
+    n = len(y_bars)
+    return ScoreTable(d=np.full(n, d), y_bar=y_bars, max_prob=y_bars.max(axis=1),
+                      entropy=sc.entropy(y_bars), w=np.asarray(w, dtype=float))
+
+
+def decide_one(w, y_bar, w0, class_ids):
+    return int(ev.decide(np.array([w]), np.array([y_bar]), w0, class_ids)[0])
 
 
 def oracle_bundle():
@@ -50,35 +58,39 @@ ORACLE_SPEC = LabelSetSpec(shared=(0, 1), target_private=(7,))
 
 class TestDecide:
     def test_score_above_threshold_keeps_argmax(self):
-        p = ev.decide(rec(1.2, [0.1, 0.7, 0.2]), 1.0, (0, 1, 2))
-        assert p.decision == p.raw_argmax == 1
+        assert decide_one(1.2, [0.1, 0.7, 0.2], 1.0, (0, 1, 2)) == 1
 
     def test_score_below_threshold_rejects(self):
-        p = ev.decide(rec(0.5, [0.1, 0.7, 0.2]), 1.0, (0, 1, 2))
-        assert p.raw_argmax == 1
-        assert p.decision == TAU
+        assert decide_one(0.5, [0.1, 0.7, 0.2], 1.0, (0, 1, 2)) == TAU
 
     def test_threshold_equality_rejects(self):
-        assert ev.decide(rec(1.0, [1.0, 0.0]), 1.0, (0, 1)).decision == TAU
+        assert decide_one(1.0, [1.0, 0.0], 1.0, (0, 1)) == TAU
 
     def test_argmax_tie_takes_lowest_index(self):
-        p = ev.decide(rec(1.5, [0.4, 0.4, 0.2]), 1.0, (3, 5, 9))
-        assert p.raw_argmax == 3
+        assert decide_one(1.5, [0.4, 0.4, 0.2], 1.0, (3, 5, 9)) == 3
 
     def test_class_id_mapping(self):
-        p = ev.decide(rec(1.5, [0.1, 0.9]), 1.0, (4, 8))
-        assert p.decision == 8
+        assert decide_one(1.5, [0.1, 0.9], 1.0, (4, 8)) == 8
 
     def test_monotone_in_w0(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            y = rng.dirichlet(np.ones(3))
-            w = rng.uniform(0.0, 2.0)
-            lo = ev.decide(rec(w, y), rng.uniform(0.0, 1.0), (0, 1, 2))
-            hi = ev.decide(rec(w, y), 2.0, (0, 1, 2))
-            # raising w0 can only move decisions toward rejection
-            if lo.decision == TAU:
-                assert hi.decision == TAU
+        y = rng.dirichlet(np.ones(3), size=100)
+        w = rng.uniform(0.0, 2.0, size=100)
+        lo = ev.decide(w, y, rng.uniform(0.0, 1.0), (0, 1, 2))
+        hi = ev.decide(w, y, 2.0, (0, 1, 2))
+        # raising w0 can only move decisions toward rejection
+        assert np.all(hi[lo == TAU] == TAU)
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("k", ref.KS)
+    def test_matches_per_row_reference(self, k, zeros):
+        d, p = ref.softmax_inputs(k, zeros)
+        w = sc.score_for_scheme("ours", d, p)
+        p[0, :2] = p[0, :2].mean()  # an argmax tie
+        class_ids = tuple(range(10, 10 + 3 * k, 3))
+        for w0 in (0.0, float(w[1]), float(np.median(w)), 2.0):
+            want = [ref.decide(wi, row, w0, class_ids) for wi, row in zip(w, p)]
+            assert np.array_equal(ev.decide(w, p, w0, class_ids), want)
 
 
 class TestEvaluate:
@@ -154,11 +166,10 @@ def read_hist(path):
 class TestExportScoreDistributions:
     def test_counts_sum_to_group_sizes(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = [rec(rng.uniform(0, 2), rng.dirichlet(np.ones(3)))
-                   for _ in range(40)]
+        scores = table(rng.uniform(0, 2, size=40), rng.dirichlet(np.ones(3), size=40))
         groups = ["target-shared"] * 25 + ["target-private"] * 15
         path = tmp_path / "hist.tsv"
-        ev.export_score_distributions(path, records, groups)
+        ev.export_score_distributions(path, scores, groups)
         rows = read_hist(path)
         for group, size in (("target-shared", 25), ("target-private", 15)):
             for qty in ("d", "max_prob", "w"):
@@ -166,17 +177,16 @@ class TestExportScoreDistributions:
                 assert total == size
 
     def test_identical_scores_occupy_single_bin(self, tmp_path):
-        records = [rec(1.0, [0.5, 0.5]) for _ in range(6)]
+        scores = table([1.0] * 6, [[0.5, 0.5]] * 6)
         path = tmp_path / "hist.tsv"
-        ev.export_score_distributions(path, records, ["source-shared"] * 6)
+        ev.export_score_distributions(path, scores, ["source-shared"] * 6)
         occupied = [(q, c) for g, q, lo, hi, c in read_hist(path) if c > 0]
         for qty in ("d", "max_prob", "w"):
             assert [c for q, c in occupied if q == qty] == [6]
 
     def test_bin_edges_span_theoretical_ranges(self, tmp_path):
-        records = [rec(0.3, [0.9, 0.1])]
         path = tmp_path / "hist.tsv"
-        ev.export_score_distributions(path, records, ["target-shared"])
+        ev.export_score_distributions(path, table([0.3], [[0.9, 0.1]]), ["target-shared"])
         rows = read_hist(path)
         w_rows = [r for r in rows if r[1] == "w"]
         assert w_rows[0][2] == 0.0 and w_rows[-1][3] == 2.0
@@ -185,13 +195,12 @@ class TestExportScoreDistributions:
     def test_unknown_group_rejected(self, tmp_path):
         with pytest.raises(ContractError):
             ev.export_score_distributions(tmp_path / "h.tsv",
-                                          [rec(1.0, [1.0, 0.0])], ["elsewhere"])
+                                          table([1.0], [[1.0, 0.0]]), ["elsewhere"])
 
     def test_uan_scheme_uses_signed_range(self, tmp_path):
-        records = [ScoreRecord(d=0.5, y_bar=np.array([0.5, 0.5]), max_prob=0.5,
-                               entropy=np.log(2), w=-0.2)]
         path = tmp_path / "hist.tsv"
-        ev.export_score_distributions(path, records, ["target-private"], "uan")
+        ev.export_score_distributions(path, table([-0.2], [[0.5, 0.5]]),
+                                      ["target-private"], "uan")
         w_rows = [r for r in read_hist(path) if r[1] == "w"]
         assert w_rows[0][2] == -1.0 and w_rows[-1][3] == 1.0
         assert sum(c for *_, c in w_rows) == 1
@@ -201,9 +210,7 @@ class TestScoreOrderingOnOracle:
     def test_shared_targets_outscore_private_targets(self):
         m = oracle_bundle()
         tgt = oracle_target()
-        records = sc.score_batch(m, tgt.features, "ours")
-        shared = np.array([y in ORACLE_SPEC.shared for y in tgt.labels])
-        w = np.array([r.w for r in records])
-        mp = np.array([r.max_prob for r in records])
-        assert w[shared].mean() > w[~shared].mean()
-        assert mp[shared].mean() > mp[~shared].mean()
+        scores = sc.score_batch(m, tgt.features, "ours")
+        shared = np.isin(tgt.labels, ORACLE_SPEC.shared)
+        assert scores.w[shared].mean() > scores.w[~shared].mean()
+        assert scores.max_prob[shared].mean() > scores.max_prob[~shared].mean()

@@ -64,35 +64,35 @@ class TestForwardLabel:
     def test_rows_sum_to_one(self):
         m = small_bundle()
         x = np.random.default_rng(0).normal(size=(7, 4))
-        probs = md.forward_label(m, x).value
+        probs = md.label_probs(m, md.features(m, x)).value
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_zero_weight_classifier_is_uniform(self):
         m = small_bundle()
         m.c.weights[0].value[...] = 0.0
         x = np.random.default_rng(1).normal(size=(4, 4))
-        np.testing.assert_allclose(md.forward_label(m, x).value, 1.0 / 3.0)
+        np.testing.assert_allclose(md.label_probs(m, md.features(m, x)).value, 1.0 / 3.0)
 
     def test_batch_independence(self):
         m = small_bundle()
         x = np.random.default_rng(2).normal(size=(6, 4))
-        full = md.forward_label(m, x).value
-        single = md.forward_label(m, x[3:4]).value
+        full = md.label_probs(m, md.features(m, x)).value
+        single = md.label_probs(m, md.features(m, x[3:4])).value
         np.testing.assert_array_equal(full[3], single[0])
 
     def test_row_permutation_permutes_outputs(self):
         m = small_bundle()
         x = np.random.default_rng(3).normal(size=(5, 4))
         perm = np.array([4, 2, 0, 1, 3])
-        np.testing.assert_array_equal(md.forward_label(m, x).value[perm],
-                                      md.forward_label(m, x[perm]).value)
+        np.testing.assert_array_equal(md.label_probs(m, md.features(m, x)).value[perm],
+                                      md.label_probs(m, md.features(m, x[perm])).value)
 
 
 class TestForwardDomain:
     def test_outputs_in_open_unit_interval(self):
         m = small_bundle()
         x = np.random.default_rng(4).normal(size=(10, 4)) * 5
-        d = md.forward_domain(m, x, 1.0).value
+        d = md.domain_prob(m, md.features(m, x), 1.0).value
         assert np.all(d > 0.0) and np.all(d < 1.0)
 
     def _domain_loss_grads(self, m, x, lam, use_grl=True):
@@ -140,6 +140,24 @@ class TestCheckpoint:
             assert n1 == n2
             np.testing.assert_array_equal(p1.value, p2.value)
         assert loaded.class_ids == m.class_ids
+
+    @pytest.mark.parametrize("corrupt, where", [
+        (lambda ls: ls[:3], "missing parameters"),
+        (lambda ls: ls[:4], ":5: f.b0 has 0 values"),
+        (lambda ls: ls[:2] + [ls[2].rsplit(" ", 1)[0] + " 0xzz"] + ls[3:],
+         ":3: bad hex float"),
+        (lambda ls: ls[:2] + [ls[2] + " 0x0p+0"] + ls[3:], ":3: f.w0 has"),
+        (lambda ls: ls[:3] + ["f.b9 " + ls[3].split()[1]] + ls[4:],
+         ":4: unknown parameter"),
+        (lambda ls: ls[:3] + ls[1:3] + ls[5:], ":4: duplicate parameter"),
+        (lambda ls: ls[:1] + ["f.w0 1 1"] + ls[2:], ":2: f.w0 shape"),
+    ])
+    def test_malformed_checkpoint_names_the_line(self, tmp_path, corrupt, where):
+        path = tmp_path / "ckpt.txt"
+        md.save_checkpoint(small_bundle(), path)
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ConfigError, match=where):
+            md.load_checkpoint(path)
 
     def test_save_is_deterministic(self, tmp_path):
         m = small_bundle(2)

@@ -7,8 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_scoring as ref
 from udaselect import scoring as sc
 from udaselect.errors import ContractError
+
+
+def score_ours(d, y_bar):
+    return sc.score_for_scheme("ours", d, y_bar)
+
+
+def score_uan(d, y_bar):
+    return sc.score_for_scheme("uan", d, y_bar)
+
+
+def score_entropy(y_bar):
+    return sc.score_for_scheme("entropy", 0.0, y_bar)
 
 
 def prob_vectors(min_size=2, max_size=8):
@@ -58,64 +71,60 @@ class TestEntropy:
 
 class TestScoreOurs:
     def test_maximum(self):
-        assert sc.score_ours(1.0, np.array([0.0, 1.0])) == 2.0
+        assert score_ours(1.0, np.array([0.0, 1.0])) == 2.0
 
     def test_minimum_for_uniform(self):
-        assert sc.score_ours(0.0, np.full(4, 0.25)) == pytest.approx(0.25)
+        assert score_ours(0.0, np.full(4, 0.25)) == pytest.approx(0.25)
 
     def test_direct_sum(self):
-        assert sc.score_ours(0.7, np.array([0.6, 0.3, 0.1])) == pytest.approx(1.3)
+        assert score_ours(0.7, np.array([0.6, 0.3, 0.1])) == pytest.approx(1.3)
 
     def test_d_out_of_range(self):
         with pytest.raises(ContractError):
-            sc.score_ours(1.2, np.array([1.0, 0.0]))
+            score_ours(1.2, np.array([1.0, 0.0]))
 
     @given(st.floats(0.0, 1.0), prob_vectors())
     @settings(max_examples=200, deadline=None)
     def test_range_property(self, d, p):
-        assert 0.0 <= sc.score_ours(d, p) <= 2.0
+        assert 0.0 <= score_ours(d, p) <= 2.0
 
     def test_monotonic_in_d_and_max_prob(self):
         p = np.array([0.6, 0.4])
-        assert sc.score_ours(0.8, p) > sc.score_ours(0.5, p)
-        assert sc.score_ours(0.5, np.array([0.9, 0.1])) > sc.score_ours(0.5, p)
+        assert score_ours(0.8, p) > score_ours(0.5, p)
+        assert score_ours(0.5, np.array([0.9, 0.1])) > score_ours(0.5, p)
 
 
 class TestScoreUan:
     def test_uniform(self):
-        assert sc.score_uan(0.5, np.full(3, 1 / 3)) == pytest.approx(-0.5)
+        assert score_uan(0.5, np.full(3, 1 / 3)) == pytest.approx(-0.5)
 
     def test_one_hot(self):
-        assert sc.score_uan(1.0, np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
-
-    def test_source_variant_is_negation(self):
-        p = np.array([0.3, 0.3, 0.4])
-        assert sc.score_uan_source(0.7, p) == -sc.score_uan(0.7, p)
+        assert score_uan(1.0, np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
 
     def test_single_class_rejected(self):
         with pytest.raises(ContractError):
-            sc.score_uan(0.5, np.array([1.0]))
+            score_uan(0.5, np.array([1.0]))
 
     @given(st.floats(0.0, 1.0), prob_vectors())
     @settings(max_examples=200, deadline=None)
     def test_range_property(self, d, p):
-        assert -1.0 - 1e-12 <= sc.score_uan(d, p) <= 1.0 + 1e-12
+        assert -1.0 - 1e-12 <= score_uan(d, p) <= 1.0 + 1e-12
 
 
 class TestScoreEntropy:
     def test_one_hot(self):
-        assert sc.score_entropy(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
+        assert score_entropy(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
 
     def test_uniform(self):
-        assert sc.score_entropy(np.full(5, 0.2)) == pytest.approx(0.0)
+        assert score_entropy(np.full(5, 0.2)) == pytest.approx(0.0)
 
     def test_half_split_of_four(self):
-        assert sc.score_entropy(np.array([0.5, 0.5, 0.0, 0.0])) == pytest.approx(0.5)
+        assert score_entropy(np.array([0.5, 0.5, 0.0, 0.0])) == pytest.approx(0.5)
 
     @given(prob_vectors())
     @settings(max_examples=200, deadline=None)
     def test_range_property(self, p):
-        assert -1e-12 <= sc.score_entropy(p) <= 1.0 + 1e-12
+        assert -1e-12 <= score_entropy(p) <= 1.0 + 1e-12
 
 
 class TestScoreBatch:
@@ -123,11 +132,12 @@ class TestScoreBatch:
         from test_model import small_bundle
         m = small_bundle()
         x = np.random.default_rng(0).normal(size=(6, 4))
-        records = sc.score_batch(m, x, "ours")
-        for r in records:
-            assert r.w == pytest.approx(sc.score_ours(r.d, r.y_bar))
-            assert r.max_prob == pytest.approx(r.y_bar.max())
-            assert r.entropy == pytest.approx(sc.entropy(r.y_bar))
+        scores = sc.score_batch(m, x, "ours")
+        assert len(scores) == len(x)
+        for i in range(len(x)):
+            assert scores.w[i] == pytest.approx(score_ours(scores.d[i], scores.y_bar[i]))
+            assert scores.max_prob[i] == pytest.approx(scores.y_bar[i].max())
+            assert scores.entropy[i] == pytest.approx(sc.entropy(scores.y_bar[i]))
 
     def test_component_schemes(self):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
@@ -157,13 +167,46 @@ class TestScoreBatch:
 
 class TestScoreDump:
     def test_round_trip_columns(self, tmp_path):
-        recs = [sc.ScoreRecord(d=0.5, y_bar=np.array([0.5, 0.5]), max_prob=0.5,
-                               entropy=math.log(2), w=1.0)]
+        scores = sc.ScoreTable(d=np.array([0.5]), y_bar=np.array([[0.5, 0.5]]),
+                               max_prob=np.array([0.5]), entropy=np.array([math.log(2)]),
+                               w=np.array([1.0]))
         path = tmp_path / "scores.tsv"
-        sc.write_score_dump(path, recs, ["target"], [None])
+        sc.write_score_dump(path, scores, ["target"], [None])
         lines = path.read_text().splitlines()
         assert lines[0].split("\t") == ["id", "domain", "label", "d",
                                         "max_prob", "entropy", "w"]
         fields = lines[1].split("\t")
         assert fields[1] == "target" and fields[2] == ""
         assert float(fields[6]) == 1.0
+
+
+class TestAgainstPerRowReference:
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("k", ref.KS)
+    def test_entropy(self, k, zeros):
+        _, p = ref.softmax_inputs(k, zeros)
+        ref.assert_matches(sc.entropy(p), [ref.entropy(row) for row in p], k, zeros)
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("k", ref.KS)
+    @pytest.mark.parametrize("scheme", sc.SCHEMES)
+    def test_scheme(self, scheme, k, zeros):
+        d, p = ref.softmax_inputs(k, zeros)
+        want = [ref.score_for_scheme(scheme, float(di), row) for di, row in zip(d, p)]
+        ref.assert_matches(sc.score_for_scheme(scheme, d, p), want, k, zeros)
+        ref.assert_matches(sc.scores_from_outputs(d, p, scheme), want, k, zeros)
+
+    @pytest.mark.parametrize("scheme", sc.SCHEMES)
+    def test_same_errors_as_reference(self, scheme):
+        bad = [(np.array([1.5]), np.array([[0.5, 0.5]])),
+               (np.array([0.5]), np.array([[1.0]])),
+               (np.array([0.5]), np.array([[-0.1, 1.1]])),
+               (np.array([0.5]), np.array([[0.5, 0.4]]))]
+        for d, p in bad:
+            try:
+                ref.score_for_scheme(scheme, float(d[0]), p[0])
+            except ContractError:
+                with pytest.raises(ContractError):
+                    sc.score_for_scheme(scheme, d, p)
+            else:
+                sc.score_for_scheme(scheme, d, p)
