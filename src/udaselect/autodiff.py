@@ -1,10 +1,13 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Every differentiable quantity is a :class:`Node` wrapping a numpy array.
-Operations build an acyclic graph; :func:`backward` walks it once in
-reverse topological order and accumulates gradients into each node's
-``grad`` buffer.  Gradients accumulate across calls, so callers zero
-parameter grads between optimization steps.
+An op is its output value, its parents and a vector-Jacobian product
+(VJP): a pure function from the upstream gradient to one gradient per
+parent, each of that parent's shape.  Ops never touch ``grad``.
+:func:`backward` walks the graph once in reverse topological order,
+keeps interior gradients in a local table and accumulates into the
+``grad`` buffers of leaves only.  Gradients accumulate across calls, so
+callers zero parameter grads between optimization steps.
 """
 
 from __future__ import annotations
@@ -15,27 +18,29 @@ import numpy as np
 
 from .errors import ContractError, NumericError
 
+Vjp = Callable[[np.ndarray], Sequence[np.ndarray]]
+
 
 class Node:
-    """A value in the computation graph plus its gradient slot.
+    """A value in the computation graph.
 
-    ``grad`` always has the same shape as ``value``.  Leaf nodes (op
-    ``"leaf"``) are parameters or inputs; interior nodes carry a closure
-    that pushes the upstream gradient into their parents.
+    Leaves (parameters, inputs, constants) have no VJP and own a
+    ``grad`` buffer of the value's shape.  An op's output holds its
+    parents and ``vjp``; its ``grad`` stays None.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "_backward")
+    __slots__ = ("value", "grad", "op", "parents", "vjp")
 
     def __init__(self, value, parents: Sequence["Node"] = (), op: str = "leaf",
-                 backward: Callable[[np.ndarray], None] | None = None):
+                 backward: Vjp | None = None):
         value = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(value)):
             raise NumericError(f"non-finite values produced by op '{op}'")
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = np.zeros_like(value) if backward is None else None
         self.op = op
         self.parents = tuple(parents)
-        self._backward = backward
+        self.vjp = backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -74,17 +79,26 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) into every node reachable from ``loss``.
+    """Accumulate d(loss)/d(leaf) into every leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar (size-1) node.
+    ``loss`` must be a scalar (size-1) node; a leaf ``loss`` gets grad 1.
     """
     if loss.value.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    order = _topo_order(loss)
-    loss.grad = np.ones_like(loss.value)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+    if loss.vjp is None:
+        loss.grad = np.ones_like(loss.value)
+        return
+    grads = {id(loss): np.ones_like(loss.value)}
+    for node in reversed(_topo_order(loss)):
+        if node.vjp is None:
+            continue
+        for p, g in zip(node.parents, node.vjp(grads.pop(id(node)))):
+            if p.vjp is None:
+                p.grad += g
+            elif id(p) in grads:
+                grads[id(p)] = grads[id(p)] + g
+            else:
+                grads[id(p)] = g
 
 
 # ---------------------------------------------------------------------------
@@ -96,63 +110,32 @@ def matmul(a: Node, b: Node) -> Node:
         raise ContractError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         prod = a.value @ b.value
-    out = Node(prod, (a, b), "matmul")
-
-    def _bw(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
-
-    out._backward = _bw
-    return out
+    return Node(prod, (a, b), "matmul",
+                lambda g: (g @ b.value.T, a.value.T @ g))
 
 
 def add(a: Node, b: Node) -> Node:
     if a.shape != b.shape:
         raise ContractError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Node(a.value + b.value, (a, b), "add")
-
-    def _bw(g):
-        a.grad += g
-        b.grad += g
-
-    out._backward = _bw
-    return out
+    return Node(a.value + b.value, (a, b), "add", lambda g: (g, g))
 
 
 def add_bias(m: Node, bias: Node) -> Node:
     """Row-wise bias addition: (n, k) + (k,)."""
     if m.value.ndim != 2 or bias.value.ndim != 1 or m.shape[1] != bias.shape[0]:
         raise ContractError(f"add_bias shape mismatch: {m.shape} + {bias.shape}")
-    out = Node(m.value + bias.value, (m, bias), "add_bias")
-
-    def _bw(g):
-        m.grad += g
-        bias.grad += g.sum(axis=0)
-
-    out._backward = _bw
-    return out
+    return Node(m.value + bias.value, (m, bias), "add_bias",
+                lambda g: (g, g.sum(axis=0)))
 
 
 def affine(a: Node, scale: float = 1.0, shift: float = 0.0) -> Node:
     """Elementwise scale * a + shift with constant coefficients."""
-    out = Node(scale * a.value + shift, (a,), "affine")
-
-    def _bw(g):
-        a.grad += scale * g
-
-    out._backward = _bw
-    return out
+    return Node(scale * a.value + shift, (a,), "affine", lambda g: (scale * g,))
 
 
 def relu(a: Node) -> Node:
-    out = Node(np.maximum(a.value, 0.0), (a,), "relu")
     mask = a.value > 0.0  # subgradient at 0 is 0
-
-    def _bw(g):
-        a.grad += g * mask
-
-    out._backward = _bw
-    return out
+    return Node(np.maximum(a.value, 0.0), (a,), "relu", lambda g: (g * mask,))
 
 
 def sigmoid(a: Node) -> Node:
@@ -163,13 +146,7 @@ def sigmoid(a: Node) -> Node:
     val[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     val[~pos] = ex / (1.0 + ex)
-    out = Node(val, (a,), "sigmoid")
-
-    def _bw(g):
-        a.grad += g * val * (1.0 - val)
-
-    out._backward = _bw
-    return out
+    return Node(val, (a,), "sigmoid", lambda g: (g * val * (1.0 - val),))
 
 
 def softmax_rows(a: Node) -> Node:
@@ -179,93 +156,58 @@ def softmax_rows(a: Node) -> Node:
     z = a.value - a.value.max(axis=1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=1, keepdims=True)
-    out = Node(s, (a,), "softmax")
-
-    def _bw(g):
-        # J^T g = s * (g - <g, s> per row)
-        dot = (g * s).sum(axis=1, keepdims=True)
-        a.grad += s * (g - dot)
-
-    out._backward = _bw
-    return out
+    # J^T g = s * (g - <g, s> per row)
+    return Node(s, (a,), "softmax",
+                lambda g: (s * (g - (g * s).sum(axis=1, keepdims=True)),))
 
 
 def grad_reverse(a: Node, lam: float) -> Node:
     """Identity forward; backward multiplies the upstream gradient by -lam."""
     if lam < 0:
         raise ContractError(f"grad_reverse lambda must be >= 0, got {lam}")
-    out = Node(a.value, (a,), "grad_reverse")
-
-    def _bw(g):
-        a.grad += -lam * g
-
-    out._backward = _bw
-    return out
+    return Node(a.value, (a,), "grad_reverse", lambda g: (-lam * g,))
 
 
 def log(a: Node) -> Node:
     """Natural log; pair with clamp_min to keep inputs positive."""
     with np.errstate(invalid="ignore", divide="ignore"):
         val = np.log(a.value)
-    out = Node(val, (a,), "log")
-
-    def _bw(g):
-        a.grad += g / a.value
-
-    out._backward = _bw
-    return out
+    return Node(val, (a,), "log", lambda g: (g / a.value,))
 
 
 def clamp_min(a: Node, lo: float) -> Node:
-    out = Node(np.maximum(a.value, lo), (a,), "clamp_min")
     mask = a.value > lo
+    return Node(np.maximum(a.value, lo), (a,), "clamp_min", lambda g: (g * mask,))
 
-    def _bw(g):
-        a.grad += g * mask
 
-    out._backward = _bw
+def _scatter(shape: tuple[int, ...], index, g: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with ``g`` added at ``index`` (repeats add up)."""
+    out = np.zeros(shape)
+    np.add.at(out, index, g)
     return out
 
 
 def take_rows(a: Node, idx: np.ndarray) -> Node:
     """Select rows by index; backward scatters gradients back."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = Node(a.value[idx], (a,), "take_rows")
-
-    def _bw(g):
-        np.add.at(a.grad, idx, g)
-
-    out._backward = _bw
-    return out
+    return Node(a.value[idx], (a,), "take_rows",
+                lambda g: (_scatter(a.shape, idx, g),))
 
 
 def concat_rows(nodes: Sequence[Node]) -> Node:
     if not nodes:
         raise ContractError("concat_rows requires at least one node")
-    out = Node(np.concatenate([n.value for n in nodes], axis=0), tuple(nodes), "concat")
-    sizes = [n.shape[0] for n in nodes]
-
-    def _bw(g):
-        off = 0
-        for n, sz in zip(nodes, sizes):
-            n.grad += g[off:off + sz]
-            off += sz
-
-    out._backward = _bw
-    return out
+    cuts = np.cumsum([n.shape[0] for n in nodes])[:-1]
+    return Node(np.concatenate([n.value for n in nodes], axis=0), tuple(nodes),
+                "concat", lambda g: np.split(g, cuts))
 
 
 def gather(a: Node, rows: np.ndarray, cols: np.ndarray) -> Node:
     """Pick one entry per (row, col) pair into a 1-d node."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    out = Node(a.value[rows, cols], (a,), "gather")
-
-    def _bw(g):
-        np.add.at(a.grad, (rows, cols), g)
-
-    out._backward = _bw
-    return out
+    return Node(a.value[rows, cols], (a,), "gather",
+                lambda g: (_scatter(a.shape, (rows, cols), g),))
 
 
 def mean_rows(a: Node) -> Node:
@@ -273,43 +215,22 @@ def mean_rows(a: Node) -> Node:
     if a.value.ndim != 2 or a.shape[0] == 0:
         raise ContractError("mean_rows expects a non-empty 2-d node")
     n = a.shape[0]
-    out = Node(a.value.mean(axis=0), (a,), "mean_rows")
-
-    def _bw(g):
-        a.grad += g[None, :] / n
-
-    out._backward = _bw
-    return out
+    return Node(a.value.mean(axis=0), (a,), "mean_rows",
+                lambda g: (np.broadcast_to(g / n, a.shape),))
 
 
 def square(a: Node) -> Node:
-    out = Node(a.value * a.value, (a,), "square")
-
-    def _bw(g):
-        a.grad += 2.0 * a.value * g
-
-    out._backward = _bw
-    return out
+    return Node(a.value * a.value, (a,), "square", lambda g: (2.0 * a.value * g,))
 
 
 def sum_all(a: Node) -> Node:
-    out = Node(np.asarray(a.value.sum()), (a,), "sum")
-
-    def _bw(g):
-        a.grad += g
-
-    out._backward = _bw
-    return out
+    return Node(np.asarray(a.value.sum()), (a,), "sum",
+                lambda g: (np.broadcast_to(g, a.shape),))
 
 
 def mean_all(a: Node) -> Node:
     if a.value.size == 0:
         raise ContractError("mean_all of an empty node")
     n = a.value.size
-    out = Node(np.asarray(a.value.mean()), (a,), "mean")
-
-    def _bw(g):
-        a.grad += g / n
-
-    out._backward = _bw
-    return out
+    return Node(np.asarray(a.value.mean()), (a,), "mean",
+                lambda g: (np.broadcast_to(g / n, a.shape),))

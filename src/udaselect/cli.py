@@ -105,13 +105,6 @@ def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
     return report
 
 
-def run_benchmark(cfg: tr.TrainConfig) -> ev.EvalReport:
-    """Train and evaluate on the synthetic benchmark without writing files."""
-    src, tgt, spec = make_benchmark(cfg)
-    model, _ = tr.train(src, tgt, cfg)
-    return ev.evaluate(model, tgt, spec, cfg.w0, cfg.scheme)
-
-
 def _run_grid(variants: list[tuple[str, tr.TrainConfig]], seed: int, reps: int,
               table: Path) -> None:
     """Run every variant on ``reps`` consecutive seeds from ``seed`` and
@@ -141,10 +134,16 @@ def _run_grid(variants: list[tuple[str, tr.TrainConfig]], seed: int, reps: int,
 
 
 def _load_labelset(path) -> dt.LabelSetSpec:
+    """A label-set JSON object of class-id lists; the two private lists
+    default to empty."""
     spec = json.loads(Path(path).read_text())
-    return dt.LabelSetSpec(shared=tuple(spec["shared"]),
-                           source_private=tuple(spec["source_private"]),
-                           target_private=tuple(spec["target_private"]))
+    if not isinstance(spec, dict) or "shared" not in spec:
+        raise ConfigError(f"{path}: label set must be a JSON object with a 'shared' list")
+    sets = {k: spec.get(k, []) for k in ("shared", "source_private", "target_private")}
+    if not all(isinstance(ids, list) and all(type(c) is int for c in ids)
+               for ids in sets.values()):
+        raise ConfigError(f"{path}: label sets must be lists of integer class ids")
+    return dt.LabelSetSpec(**{k: tuple(ids) for k, ids in sets.items()})
 
 
 def _build_config(args, preset: tr.TrainConfig | None = None) -> tr.TrainConfig:
@@ -209,6 +208,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    sc.check_in_range(args.scheme, "--w0", args.w0)
     model = md.load_checkpoint(args.checkpoint)
     tgt = dt.load_features(args.target, "target", labeled=True)
     report = ev.evaluate(model, tgt, _load_labelset(args.labelset), args.w0, args.scheme)
@@ -224,12 +224,9 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v != ""]
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    lo, hi = sc.SCHEME_RANGES[cfg.scheme]
-    for v in values:
-        if not lo <= v <= hi:
-            raise ConfigError(f"value {v} outside scheme range [{lo}, {hi}]")
     variants = []
     for v in values:
+        sc.check_in_range(cfg.scheme, args.param, v)
         if args.param == "w_alpha_static":
             variants.append((f"w_alpha_static_{v:g}", replace(cfg, static_w_alpha=v)))
         elif args.param == "w_beta":

@@ -36,11 +36,9 @@ class LossBreakdown:
     n_diversity_selected: int
 
 
-def _mean_ce(probs: Node, rows: np.ndarray, cols: np.ndarray) -> Node:
-    """Mean cross-entropy of the given rows of ``probs`` against the
-    integer labels ``cols``, each probability floored at 1e-12."""
-    picked = ad.gather(probs, rows, cols)
-    return ad.mean_all(ad.affine(ad.log(ad.clamp_min(picked, PROB_FLOOR)), -1.0))
+def _mean_nll(p: Node) -> Node:
+    """Mean of -log(p) over every entry, each probability floored at 1e-12."""
+    return ad.mean_all(ad.affine(ad.log(ad.clamp_min(p, PROB_FLOOR)), -1.0))
 
 
 def loss_classification(source_probs: Node, source_labels: np.ndarray,
@@ -62,11 +60,12 @@ def loss_classification(source_probs: Node, source_labels: np.ndarray,
     labels = np.asarray(source_labels, dtype=np.intp)
     if np.any((labels < 0) | (labels >= source_probs.shape[1])):
         raise ContractError(f"source labels must lie in [0, {source_probs.shape[1]})")
-    loss = _mean_ce(source_probs, np.arange(len(labels)), labels)
+    loss = _mean_nll(ad.gather(source_probs, np.arange(len(labels)), labels))
     selected = np.nonzero(np.asarray(target_scores) > w_alpha)[0]
     if len(selected) > 0:
         pseudo = target_probs.value[selected].argmax(axis=1)  # ties -> lowest index
-        loss = ad.add(loss, ad.affine(_mean_ce(target_probs, selected, pseudo), gamma))
+        pseudo_ce = _mean_nll(ad.gather(target_probs, selected, pseudo))
+        loss = ad.add(loss, ad.affine(pseudo_ce, gamma))
     return loss, int(len(selected))
 
 
@@ -104,10 +103,7 @@ def loss_domain(d_source: Node, d_target: Node) -> Node:
     """Binary cross-entropy with label 1 for source and 0 for target."""
     if d_source.value.size == 0 or d_target.value.size == 0:
         raise ContractError("domain loss requires non-empty batches")
-    src = ad.mean_all(ad.affine(ad.log(ad.clamp_min(d_source, PROB_FLOOR)), -1.0))
-    one_minus = ad.affine(d_target, -1.0, 1.0)
-    tgt = ad.mean_all(ad.affine(ad.log(ad.clamp_min(one_minus, PROB_FLOOR)), -1.0))
-    return ad.add(src, tgt)
+    return ad.add(_mean_nll(d_source), _mean_nll(ad.affine(d_target, -1.0, 1.0)))
 
 
 def loss_compound(l_c: Node, l_bd: Node, l_d: Node,

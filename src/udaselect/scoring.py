@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import model as md
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .model import ModelBundle
 
 SCHEMES = ("ours", "uan", "entropy", "ours_no_d", "ours_no_maxy")
@@ -27,6 +27,13 @@ SCHEME_RANGES = {
     "ours_no_d": (0.0, 1.0),
     "ours_no_maxy": (0.0, 1.0),
 }
+
+
+def check_in_range(scheme: str, name: str, value: float) -> None:
+    """Raise ``ConfigError`` unless ``value`` lies in the scheme's score range."""
+    lo, hi = SCHEME_RANGES[scheme]
+    if not lo <= value <= hi:
+        raise ConfigError(f"{name}={value} outside [{lo}, {hi}] for scheme {scheme!r}")
 
 
 @dataclass(frozen=True)

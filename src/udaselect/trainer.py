@@ -54,10 +54,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.scheme not in sc.SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        lo, hi = sc.SCHEME_RANGES[self.scheme]
-        if not lo <= self.w0 <= hi:
-            raise ConfigError(
-                f"w0={self.w0} outside [{lo}, {hi}] for scheme {self.scheme!r}")
+        sc.check_in_range(self.scheme, "w0", self.w0)
         if self.total_steps < 0:
             raise ConfigError("total_steps must be >= 0")
         if self.lr <= 0:

@@ -168,3 +168,87 @@ class TestFiniteness:
     def test_inf_raises(self):
         with pytest.raises(NumericError):
             Node([np.inf])
+
+
+def _leaf(rng, *shape):
+    return Node(rng.uniform(0.5, 1.5, size=shape))
+
+
+#: one small instance of every op, built from fresh leaves
+OP_CASES = {
+    "matmul": lambda r: ad.matmul(_leaf(r, 3, 2), _leaf(r, 2, 4)),
+    "add": lambda r: ad.add(_leaf(r, 3, 2), _leaf(r, 3, 2)),
+    "add_bias": lambda r: ad.add_bias(_leaf(r, 3, 2), _leaf(r, 2)),
+    "affine": lambda r: ad.affine(_leaf(r, 3, 2), -2.0, 1.0),
+    "relu": lambda r: ad.relu(_leaf(r, 3, 2)),
+    "sigmoid": lambda r: ad.sigmoid(_leaf(r, 3, 2)),
+    "softmax_rows": lambda r: ad.softmax_rows(_leaf(r, 3, 2)),
+    "grad_reverse": lambda r: ad.grad_reverse(_leaf(r, 3, 2), 0.5),
+    "log": lambda r: ad.log(_leaf(r, 3, 2)),
+    "clamp_min": lambda r: ad.clamp_min(_leaf(r, 3, 2), 1.0),
+    "take_rows": lambda r: ad.take_rows(_leaf(r, 4, 2), [2, 0, 2]),
+    "concat_rows": lambda r: ad.concat_rows([_leaf(r, 1, 2), _leaf(r, 3, 2)]),
+    "gather": lambda r: ad.gather(_leaf(r, 3, 2), [0, 2, 2], [1, 0, 0]),
+    "mean_rows": lambda r: ad.mean_rows(_leaf(r, 3, 2)),
+    "square": lambda r: ad.square(_leaf(r, 3, 2)),
+    "sum_all": lambda r: ad.sum_all(_leaf(r, 3, 2)),
+    "mean_all": lambda r: ad.mean_all(_leaf(r, 3, 2)),
+}
+
+
+class TestVjpContract:
+    def test_every_op_has_a_case(self):
+        public = {name for name, obj in vars(ad).items()
+                  if callable(obj) and getattr(obj, "__module__", None) == ad.__name__
+                  and not name.startswith("_")}
+        assert public - {"Node", "constant", "backward"} == set(OP_CASES)
+
+    @pytest.mark.parametrize("op", sorted(OP_CASES))
+    def test_one_gradient_per_parent_with_its_shape(self, op):
+        rng = np.random.default_rng(0)
+        out = OP_CASES[op](rng)
+        assert out.grad is None
+        grads = out.vjp(rng.normal(size=out.shape))
+        assert len(grads) == len(out.parents)
+        assert [g.shape for g in grads] == [p.shape for p in out.parents]
+
+    @pytest.mark.parametrize("op", sorted(OP_CASES))
+    def test_vjp_leaves_parent_grads_untouched(self, op):
+        rng = np.random.default_rng(0)
+        out = OP_CASES[op](rng)
+        out.vjp(rng.normal(size=out.shape))
+        for p in out.parents:
+            assert np.array_equal(p.grad, np.zeros(p.shape))
+
+    def test_mean_rows_below_concat_rows(self):
+        # concat_rows splits its upstream gradient by rows, so it needs
+        # mean_rows to hand back a full (n, k) gradient
+        a, b = Node(np.arange(6.0).reshape(2, 3)), Node(np.ones((4, 3)))
+        backward(ad.sum_all(ad.square(ad.mean_rows(ad.concat_rows([a, b])))))
+        col_means = np.concatenate([a.value, b.value]).mean(axis=0)
+        np.testing.assert_allclose(a.grad, np.tile(2.0 * col_means / 6, (2, 1)))
+        np.testing.assert_allclose(b.grad, np.tile(2.0 * col_means / 6, (4, 1)))
+
+
+class TestGradStorage:
+    def test_interior_nodes_hold_no_grad_after_backward(self):
+        w, b = Node([[1.0, -2.0], [0.5, 3.0]]), Node([0.1, -0.2])
+        x = ad.constant([[1.0, 2.0]])
+        pre = ad.matmul(x, w)
+        biased = ad.add_bias(pre, b)
+        hidden = ad.relu(biased)
+        squared = ad.square(hidden)
+        loss = ad.sum_all(squared)
+        backward(loss)
+        for node in (pre, biased, hidden, squared, loss):
+            assert node.grad is None
+        upstream = 2.0 * hidden.value * (biased.value > 0)
+        np.testing.assert_array_equal(w.grad, x.value.T @ upstream)
+        np.testing.assert_array_equal(b.grad, upstream.sum(axis=0))
+        np.testing.assert_array_equal(x.grad, upstream @ w.value.T)
+
+    def test_leaf_root_grad_is_ones(self):
+        a = Node([[3.0]])
+        a.grad += 5.0
+        backward(a)
+        np.testing.assert_array_equal(a.grad, [[1.0]])

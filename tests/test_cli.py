@@ -173,6 +173,60 @@ class TestEvalVerb:
                      ]) == EXIT_CONFIG
 
 
+def train_small(tmp_path):
+    """A 5-step checkpoint trained on a generated pair under ``tmp_path``."""
+    main(gen_args(tmp_path / "data"))
+    run = tmp_path / "run"
+    main(["train",
+          "--source", str(tmp_path / "data/source.features.txt"),
+          "--target", str(tmp_path / "data/target.features.txt"),
+          "--labelset", str(tmp_path / "data/labelset.json"),
+          "--steps", "5", "--batch-size", "4", "--out", str(run)])
+    return run / "checkpoint.txt"
+
+
+def eval_args(tmp_path, checkpoint, labelset, *extra):
+    return ["eval", "--checkpoint", str(checkpoint),
+            "--target", str(tmp_path / "data/target.features.txt"),
+            "--labelset", str(labelset), *extra]
+
+
+class TestEvalInputs:
+    @pytest.mark.parametrize("scheme, w0", [("ours", "7"), ("uan", "-3")])
+    def test_w0_outside_scheme_range_exits_2(self, tmp_path, capsys, scheme, w0):
+        ckpt = train_small(tmp_path)
+        code = main(eval_args(tmp_path, ckpt, tmp_path / "data/labelset.json",
+                              "--scheme", scheme, "--w0", w0))
+        assert code == EXIT_CONFIG
+        assert f"--w0={float(w0)} outside" in capsys.readouterr().err
+
+    def test_labelset_private_sets_default_to_empty(self, tmp_path):
+        ckpt = train_small(tmp_path)
+        labelset = tmp_path / "shared_only.json"
+        labelset.write_text(json.dumps({"shared": [0, 1], "target_private": [3]}))
+        assert cli._load_labelset(labelset) == dt.LabelSetSpec(
+            shared=(0, 1), target_private=(3,))
+        assert main(eval_args(tmp_path, ckpt, labelset)) == 0
+
+    @pytest.mark.parametrize("payload", [{"source_private": [2]}, [1, 2]])
+    def test_labelset_without_shared_object_exits_2(self, tmp_path, capsys, payload):
+        ckpt = train_small(tmp_path)
+        labelset = tmp_path / "bad.json"
+        labelset.write_text(json.dumps(payload))
+        assert main(eval_args(tmp_path, ckpt, labelset)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(labelset) in err and "'shared'" in err
+
+    @pytest.mark.parametrize("payload", [{"shared": 5}, {"shared": ["a"]},
+                                         {"shared": [0], "target_private": [3.0]}])
+    def test_labelset_entries_must_be_integer_lists(self, tmp_path, capsys, payload):
+        ckpt = train_small(tmp_path)
+        labelset = tmp_path / "bad.json"
+        labelset.write_text(json.dumps(payload))
+        assert main(eval_args(tmp_path, ckpt, labelset)) == EXIT_CONFIG
+        assert "integer class ids" in capsys.readouterr().err
+
+
 def read_table(path):
     lines = path.read_text().splitlines()
     return lines[0].split("\t"), [ln.split("\t") for ln in lines[1:]]
