@@ -4,7 +4,8 @@ Every differentiable quantity is a :class:`Node` wrapping a numpy array.
 An op is its output value, its parents and a vector-Jacobian product
 (VJP): a pure function from the upstream gradient to one gradient per
 parent, each of that parent's shape.  Ops never touch ``grad``.
-:func:`backward` walks the graph once in reverse topological order,
+:func:`backward` visits the nodes reachable from the loss once each, in
+reverse creation order (a node is always created after its parents),
 keeps interior gradients in a local table and accumulates into the
 ``grad`` buffers of leaves only.  Gradients accumulate across calls, so
 callers zero parameter grads between optimization steps.
@@ -12,6 +13,8 @@ callers zero parameter grads between optimization steps.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,27 +23,32 @@ from .errors import ContractError, NumericError
 
 Vjp = Callable[[np.ndarray], Sequence[np.ndarray]]
 
+#: creation sequence numbers; a node's parents always have smaller ones
+_creation = itertools.count()
+
 
 class Node:
     """A value in the computation graph.
 
     Leaves (parameters, inputs, constants) have no VJP and own a
     ``grad`` buffer of the value's shape.  An op's output holds its
-    parents and ``vjp``; its ``grad`` stays None.
+    parents and ``vjp``; its ``grad`` stays None.  ``seq`` orders nodes
+    by creation.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "vjp")
+    __slots__ = ("value", "grad", "op", "parents", "vjp", "seq")
 
     def __init__(self, value, parents: Sequence["Node"] = (), op: str = "leaf",
                  backward: Vjp | None = None):
         value = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise NumericError(f"non-finite values produced by op '{op}'")
         self.value = value
         self.grad = np.zeros_like(value) if backward is None else None
         self.op = op
         self.parents = tuple(parents)
         self.vjp = backward
+        self.seq = next(_creation)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,26 +66,6 @@ def constant(value) -> Node:
     return Node(value, op="const")
 
 
-def _topo_order(root: Node) -> list[Node]:
-    """Iterative post-order DFS; each node appears exactly once."""
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order
-
-
 def backward(loss: Node) -> None:
     """Accumulate d(loss)/d(leaf) into every leaf reachable from ``loss``.
 
@@ -86,19 +74,22 @@ def backward(loss: Node) -> None:
     if loss.value.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss.vjp is None:
-        loss.grad = np.ones_like(loss.value)
+        loss.grad[...] = 1.0
         return
-    grads = {id(loss): np.ones_like(loss.value)}
-    for node in reversed(_topo_order(loss)):
-        if node.vjp is None:
-            continue
-        for p, g in zip(node.parents, node.vjp(grads.pop(id(node)))):
+    # A node pops only after every consumer it has, since consumers are
+    # created later; the heap holds interior nodes that have a gradient.
+    grads = {loss: np.ones_like(loss.value)}
+    heap = [(-loss.seq, loss)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        for p, g in zip(node.parents, node.vjp(grads.pop(node))):
             if p.vjp is None:
                 p.grad += g
-            elif id(p) in grads:
-                grads[id(p)] = grads[id(p)] + g
+            elif p in grads:
+                grads[p] = grads[p] + g
             else:
-                grads[id(p)] = g
+                grads[p] = g
+                heapq.heappush(heap, (-p.seq, p))
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +130,10 @@ def relu(a: Node) -> Node:
 
 
 def sigmoid(a: Node) -> Node:
-    """Logistic function, branch-wise for stability; output in (0, 1)."""
+    """Logistic function from exp(-|x|), which cannot overflow; output in (0, 1)."""
     x = a.value
-    val = np.empty_like(x)
-    pos = x >= 0
-    val[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    val[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return Node(val, (a,), "sigmoid", lambda g: (g * val * (1.0 - val),))
 
 
@@ -215,7 +203,7 @@ def mean_rows(a: Node) -> Node:
     if a.value.ndim != 2 or a.shape[0] == 0:
         raise ContractError("mean_rows expects a non-empty 2-d node")
     n = a.shape[0]
-    return Node(a.value.mean(axis=0), (a,), "mean_rows",
+    return Node(a.value.sum(axis=0) / n, (a,), "mean_rows",
                 lambda g: (np.broadcast_to(g / n, a.shape),))
 
 
@@ -232,5 +220,5 @@ def mean_all(a: Node) -> Node:
     if a.value.size == 0:
         raise ContractError("mean_all of an empty node")
     n = a.value.size
-    return Node(np.asarray(a.value.mean()), (a,), "mean",
+    return Node(np.asarray(a.value.sum() / n), (a,), "mean",
                 lambda g: (np.broadcast_to(g / n, a.shape),))

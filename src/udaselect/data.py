@@ -191,6 +191,8 @@ def load_features(path, domain: str, labeled: bool) -> DomainDataset:
         fields = dict(kv.split("=") for kv in header.lstrip("#").split())
         dim, count = int(fields["dim"]), int(fields["count"])
         file_labeled = bool(int(fields.get("labeled", "1")))
+        if dim < 0 or count < 0:
+            raise ValueError(f"negative dim={dim} or count={count}")
     except (KeyError, ValueError) as exc:
         raise FeatureFileError(f"{path}:1: bad header: {exc}") from exc
     if labeled and not file_labeled:

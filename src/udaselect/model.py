@@ -96,6 +96,8 @@ class ModelBundle:
 
     ``class_ids[j]`` is the dataset class id that classifier output j
     stands for; the classifier always works in index space 0..K-1.
+    Every parameter's ``value`` and ``grad`` are views into the flat
+    buffers ``values`` and ``grads``, in ``parameters()`` order.
     """
 
     f: Mlp
@@ -104,20 +106,34 @@ class ModelBundle:
     feature_dim: int
     num_source_classes: int
     class_ids: tuple[int, ...] = field(default=())
+    values: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.class_ids:
             self.class_ids = tuple(range(self.num_source_classes))
         if len(self.class_ids) != self.num_source_classes:
             raise ConfigError("class_ids length must equal num_source_classes")
+        self.values = np.concatenate([p.value.ravel() for _, p in self.parameters()])
+        self.grads = np.zeros_like(self.values)
+        values, grads = self.views(self.values), self.views(self.grads)
+        for name, p in self.parameters():
+            p.value, p.grad = values[name], grads[name]
 
     def parameters(self) -> list[tuple[str, Node]]:
         return (self.f.parameters("f") + self.c.parameters("c")
                 + self.d.parameters("d"))
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's name mapped to its part of ``flat``, shaped like it."""
+        out, start = {}, 0
+        for name, p in self.parameters():
+            out[name] = flat[start:start + p.value.size].reshape(p.shape)
+            start += p.value.size
+        return out
+
     def zero_grads(self) -> None:
-        for _, p in self.parameters():
-            p.zero_grad()
+        self.grads.fill(0.0)
 
 
 def init(spec_f: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int,
@@ -199,14 +215,17 @@ def load_checkpoint(path) -> ModelBundle:
         lines = fh.read().splitlines()
     if not lines:
         raise ConfigError(f"{path}:1: empty checkpoint")
-    meta = json.loads(lines[0])
-    specs = {
-        name: MlpSpec(input_dim=s["input_dim"], hidden_dims=tuple(s["hidden_dims"]),
-                      output_dim=s["output_dim"], final_activation=s["final_activation"])
-        for name, s in meta["specs"].items()
-    }
-    m = init(specs["f"], specs["c"], specs["d"], seed=0,
-             class_ids=tuple(meta["class_ids"]))
+    try:
+        meta = json.loads(lines[0])
+        specs = {
+            name: MlpSpec(input_dim=s["input_dim"], hidden_dims=tuple(s["hidden_dims"]),
+                          output_dim=s["output_dim"], final_activation=s["final_activation"])
+            for name, s in meta["specs"].items()
+        }
+        m = init(specs["f"], specs["c"], specs["d"], seed=0,
+                 class_ids=tuple(meta["class_ids"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}:1: bad checkpoint header: {exc!r}") from exc
     params = dict(m.parameters())
     loaded = set()
     for i in range(1, len(lines), 2):

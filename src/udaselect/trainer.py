@@ -99,10 +99,18 @@ class StepRecord:
 
 @dataclass
 class TrainState:
+    """``velocity`` maps each parameter name to its view of the flat
+    momentum buffer ``v``, laid out like ``model.values``."""
+
     model: ModelBundle
     t: int = 0
-    velocity: dict = field(default_factory=dict)
+    velocity: dict = field(init=False)
     records: list = field(default_factory=list)
+    v: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.v = np.zeros_like(self.model.values)
+        self.velocity = self.model.views(self.v)
 
 
 def w_alpha(t: int, total_steps: int, w0: float, start: float = 1.5) -> float:
@@ -173,16 +181,11 @@ def train_step(state: TrainState, batch: DomainBatch,
         ad.backward(total)
     except NumericError as exc:
         raise NumericError(f"step {state.t}: {exc}") from exc
-    if any(not np.all(np.isfinite(p.grad)) for _, p in m.parameters()):
+    if not np.isfinite(m.grads).all():
         raise NumericError(f"step {state.t}: non-finite gradient")
-    for name, p in m.parameters():
-        v = state.velocity.get(name)
-        if v is None:
-            v = np.zeros_like(p.value)
-            state.velocity[name] = v
-        v *= cfg.momentum
-        v += p.grad
-        p.value -= cfg.lr * v
+    state.v *= cfg.momentum
+    state.v += m.grads
+    m.values -= cfg.lr * state.v
 
     state.records.append(StepRecord(
         step=state.t, l_c=breakdown.l_c, l_bd=breakdown.l_bd,

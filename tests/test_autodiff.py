@@ -7,7 +7,13 @@ from udaselect import autodiff as ad
 from udaselect.autodiff import Node, backward
 from udaselect.errors import ContractError, NumericError
 
+import reference_autodiff as ref
 from fdcheck import assert_grads_close
+
+
+def bits(a) -> np.ndarray:
+    """The float64 array ``a`` as raw 64-bit patterns, for bitwise comparison."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 class TestMatmul:
@@ -252,3 +258,23 @@ class TestGradStorage:
         a.grad += 5.0
         backward(a)
         np.testing.assert_array_equal(a.grad, [[1.0]])
+
+
+class TestReferenceForms:
+    """The closed forms that replaced masked and wrapped numpy calls."""
+
+    def test_sigmoid_equals_masked_reference_bitwise(self):
+        edges = [0.0, -0.0, 700.0, -700.0, 1e300, -1e300, 1e-300, -1e-300, 36.0, -36.0]
+        x = np.concatenate([edges, np.random.default_rng(0).normal(scale=20.0, size=997)])
+        for shaped in (x, x.reshape(-1, 1)):
+            np.testing.assert_array_equal(bits(ad.sigmoid(Node(shaped)).value),
+                                          bits(ref.sigmoid_value(shaped)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (64, 1), (64, 12), (33, 130),
+                                       (1000, 3)])
+    def test_means_equal_np_mean_bitwise(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        np.testing.assert_array_equal(bits(ad.mean_all(Node(x)).value), bits(np.mean(x)))
+        np.testing.assert_array_equal(bits(ad.mean_rows(Node(x)).value),
+                                      bits(np.mean(x, axis=0)))

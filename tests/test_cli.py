@@ -227,6 +227,24 @@ class TestEvalInputs:
         assert "integer class ids" in capsys.readouterr().err
 
 
+class TestEvalFileErrors:
+    @pytest.mark.parametrize("header", ["not json", json.dumps({"class_ids": [0, 1]})])
+    def test_bad_checkpoint_header_names_the_file(self, tmp_path, capsys, header):
+        ckpt = train_small(tmp_path)
+        ckpt.write_text("\n".join([header, *ckpt.read_text().splitlines()[1:]]) + "\n")
+        assert main(eval_args(tmp_path, ckpt, tmp_path / "data/labelset.json")) == EXIT_CONFIG
+        assert f"{ckpt}:1: bad checkpoint header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["# dim=3 count=-3 labeled=1",
+                                        "# dim=-1 count=2 labeled=1"])
+    def test_negative_feature_header_exits_2(self, tmp_path, capsys, header):
+        ckpt = train_small(tmp_path)
+        target = tmp_path / "data/target.features.txt"
+        target.write_text(header + "\n")
+        assert main(eval_args(tmp_path, ckpt, tmp_path / "data/labelset.json")) == EXIT_CONFIG
+        assert f"{target}:1: bad header" in capsys.readouterr().err
+
+
 def read_table(path):
     lines = path.read_text().splitlines()
     return lines[0].split("\t"), [ln.split("\t") for ln in lines[1:]]

@@ -164,3 +164,40 @@ class TestCheckpoint:
         md.save_checkpoint(m, tmp_path / "a.txt")
         md.save_checkpoint(m, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+def assert_packed(m: md.ModelBundle) -> None:
+    """Every parameter's value and grad are views into the flat buffers."""
+    params = [p for _, p in m.parameters()]
+    assert m.values.size == m.grads.size == sum(p.value.size for p in params)
+    for p in params:
+        assert np.shares_memory(p.value, m.values)
+        assert np.shares_memory(p.grad, m.grads)
+
+
+class TestFlatBuffers:
+    def test_init_packs_parameters(self):
+        assert_packed(small_bundle(3))
+
+    def test_load_checkpoint_packs_parameters(self, tmp_path):
+        m = small_bundle(3)
+        md.save_checkpoint(m, tmp_path / "ckpt.txt")
+        loaded = md.load_checkpoint(tmp_path / "ckpt.txt")
+        assert_packed(loaded)
+        np.testing.assert_array_equal(loaded.values, m.values)
+
+    def test_backward_from_a_parameter_keeps_its_grad_packed(self):
+        m = small_bundle()
+        bias = m.d.biases[-1]  # the only size-1 parameter
+        backward(bias)
+        assert_packed(m)
+        np.testing.assert_array_equal(bias.grad, [1.0])
+
+    def test_zero_grads_clears_every_parameter(self):
+        m = small_bundle()
+        x = np.random.default_rng(0).normal(size=(5, 4))
+        backward(ad.sum_all(md.label_probs(m, md.features(m, x))))
+        assert np.any(m.grads != 0.0)
+        m.zero_grads()
+        for _, p in m.parameters():
+            assert np.array_equal(p.grad, np.zeros(p.shape))

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from udaselect import autodiff as ad
+from udaselect import cli
 from udaselect import data as dt
+from udaselect import losses as ls
+from udaselect import scoring as sc
 from udaselect import trainer as tr
 from udaselect.errors import ConfigError, ContractError, NumericError
 from udaselect.trainer import TrainConfig
+
+import reference_autodiff as ref
 
 
 def tiny_data(seed=0):
@@ -136,6 +141,71 @@ class TestOptimizerContract:
                                               diversity_mode="off"))
         assert all(r.l_bd == 0.0 and r.n_pseudo_selected == 0 for r in recs)
         assert all(r.w_alpha is None for r in recs)
+
+
+class TestFlatMomentum:
+    def test_velocity_entries_are_views_of_one_buffer(self):
+        src, _ = tiny_data()
+        state = tr.init_state(src, tiny_cfg())
+        assert state.v.size == state.model.values.size
+        assert list(state.velocity) == [n for n, _ in state.model.parameters()]
+        for name, p in state.model.parameters():
+            assert state.velocity[name].shape == p.shape
+            assert np.shares_memory(state.velocity[name], state.v)
+
+    def test_train_equals_per_parameter_momentum_loop_bitwise(self):
+        src, tgt = tiny_data()
+        cfg = tiny_cfg(total_steps=20)
+        trained, _ = tr.train(src, tgt, cfg)
+
+        # the same steps, each update undone and redone one parameter at a time
+        state = tr.init_state(src, cfg)
+        m = state.model
+        rng = np.random.default_rng([cfg.seed, 1])
+        velocity = {name: np.zeros_like(p.value) for name, p in m.parameters()}
+        for _ in range(cfg.total_steps):
+            before = m.values.copy()
+            tr.train_step(state, dt.sample_batch(src, tgt, cfg.batch_size, rng), cfg)
+            m.values[...] = before
+            for name, p in m.parameters():
+                v = velocity[name]
+                v *= cfg.momentum
+                v += p.grad
+                p.value -= cfg.lr * v
+        for (name, a), (_, b) in zip(trained.parameters(), m.parameters()):
+            np.testing.assert_array_equal(a.value.view(np.uint64),
+                                          b.value.view(np.uint64), err_msg=name)
+
+
+class TestBackwardOracle:
+    """The engine's ``backward`` against the DFS reference on real step graphs."""
+
+    @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
+    @pytest.mark.parametrize("scheme", sc.SCHEMES)
+    def test_leaf_grads_equal_reference_bitwise(self, monkeypatch, scheme, mode):
+        engine, checked = ad.backward, []
+
+        def both(loss):
+            leaves = [n for n in ref.topo_order(loss) if n.vjp is None]
+            ref.backward(loss)
+            expected = [n.grad.copy() for n in leaves]
+            for n in leaves:
+                n.grad[...] = 0.0
+            engine(loss)
+            for n, e in zip(leaves, expected):
+                np.testing.assert_array_equal(n.grad.view(np.uint64), e.view(np.uint64))
+            checked.append(sum(n.op == "leaf" for n in leaves))
+
+        monkeypatch.setattr(ad, "backward", both)
+        cfg = cli.scheme_defaults(
+            cli.benchmark_config(total_steps=5, diversity_mode=mode), scheme)
+        src, tgt, _ = cli.make_benchmark(cfg)
+        _, recs = tr.train(src, tgt, cfg)
+        # every step's graph reaches all 10 parameters
+        assert checked == [10] * cfg.total_steps
+        if mode == "both":
+            assert any(r.n_pseudo_selected for r in recs)
+            assert any(r.n_diversity_selected for r in recs)
 
 
 class TestSelectionAtStartup:

@@ -1,0 +1,88 @@
+"""Digest every benchmark run artifact, to check that a change keeps them byte-identical.
+
+Run from the root of a checkout:
+
+    python3 tools/artifact_digests.py [--src path/to/other/checkout/src]
+
+It trains and evaluates, in a temporary directory, with the ``udaselect``
+found in ``--src`` (default: this checkout's ``src/``), and prints one
+``name<TAB>sha256`` line per artifact, sorted by name, then the sha256
+of those lines.  Running it on two commits and comparing the last line
+is the byte-identity check.  The 93 artifacts are:
+
+- ``<scheme>_s<seed>/<file>``: the 8 files of
+  ``run_experiment`` for ``scheme_defaults(benchmark_config(seed=seed,
+  total_steps=300), scheme)``, for every scheme and seeds 0 and 1;
+- ``full/<file>``: the 8 files of the 3000-step
+  ``benchmark_config(seed=0)`` run;
+- ``eval_large/<scheme>``: ``evaluate(...).to_json()`` of the ``full``
+  checkpoint on a 20k-row target (``per_class=2000``, seed 0) with each
+  scheme's default ``w0``.
+
+Every run is named ``r``, because ``manifest.json`` records the name.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SEEDS = (0, 1)
+SHORT_STEPS = 300
+EVAL_PER_CLASS = 2000
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(work: Path) -> dict[str, str]:
+    from udaselect import cli, data as dt, evaluation as ev, model as md, scoring as sc
+
+    out: dict[str, str] = {}
+
+    def run(key: str, cfg) -> Path:
+        src, tgt, spec = cli.make_benchmark(cfg)
+        run_dir = work / key
+        cli.run_experiment("r", cfg, src, tgt, spec, run_dir)
+        for path in sorted(run_dir.iterdir()):
+            out[f"{key}/{path.name}"] = sha256(path.read_bytes())
+        return run_dir
+
+    for scheme in sc.SCHEMES:
+        for seed in SEEDS:
+            cfg = cli.benchmark_config(seed=seed, total_steps=SHORT_STEPS)
+            run(f"{scheme}_s{seed}", cli.scheme_defaults(cfg, scheme))
+    full = cli.benchmark_config(seed=0)
+    model = md.load_checkpoint(run("full", full) / "checkpoint.txt")
+    spec = dt.benchmark_label_spec()
+    _, tgt = dt.gen_synthetic(spec, dim=8, per_class=EVAL_PER_CLASS,
+                              shift=dt.benchmark_shift(), seed=0)
+    for scheme in sc.SCHEMES:
+        w0 = cli.scheme_defaults(full, scheme).w0
+        report = ev.evaluate(model, tgt, spec, w0, scheme)
+        out[f"eval_large/{scheme}"] = sha256(report.to_json().encode())
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the udaselect package to run")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        table = digests(Path(tmp))
+    lines = "".join(f"{name}\t{table[name]}\n" for name in sorted(table))
+    print(lines, end="")
+    print(f"{len(table)} artifacts, list sha256 {sha256(lines.encode())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
