@@ -54,9 +54,6 @@ class Node:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 

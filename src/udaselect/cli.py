@@ -211,6 +211,9 @@ def cmd_eval(args) -> int:
     sc.check_in_range(args.scheme, "--w0", args.w0)
     model = md.load_checkpoint(args.checkpoint)
     tgt = dt.load_features(args.target, "target", labeled=True)
+    if tgt.dim != model.f.spec.input_dim:
+        raise ConfigError(f"{args.target}: feature dim {tgt.dim}, but checkpoint "
+                          f"{args.checkpoint} expects {model.f.spec.input_dim}")
     report = ev.evaluate(model, tgt, _load_labelset(args.labelset), args.w0, args.scheme)
     print(report.summary())
     if args.out:

@@ -7,11 +7,17 @@ gradient through the label choice.  The domain term is added, not
 subtracted: the reversal layer upstream of the domain net realizes the
 adversarial sign for the feature extractor while the domain net itself
 descends on its own loss.
+
+Each loss exists twice: on autodiff nodes (the engine graph, which is
+the gradient oracle and the replay path) and on arrays, as the value
+plus a VJP written with the engine's expressions, so that the training
+step's hand-derived backward has the engine's bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,15 +57,8 @@ def loss_classification(source_probs: Node, source_labels: np.ndarray,
     as a constant.  With nothing selected the second term is zero.
     Returns the loss node and the selection count.
     """
-    if source_probs.shape[0] == 0:
-        raise ContractError("source batch must be non-empty")
-    if gamma < 0:
-        raise ContractError(f"gamma must be >= 0, got {gamma}")
-    if len(target_scores) != target_probs.shape[0]:
-        raise ContractError("target_scores must align with target_probs rows")
-    labels = np.asarray(source_labels, dtype=np.intp)
-    if np.any((labels < 0) | (labels >= source_probs.shape[1])):
-        raise ContractError(f"source labels must lie in [0, {source_probs.shape[1]})")
+    labels = _checked_labels(source_probs.shape, source_labels, target_probs.shape[0],
+                             target_scores, gamma)
     loss = _mean_nll(ad.gather(source_probs, np.arange(len(labels)), labels))
     selected = np.nonzero(np.asarray(target_scores) > w_alpha)[0]
     if len(selected) > 0:
@@ -67,6 +66,21 @@ def loss_classification(source_probs: Node, source_labels: np.ndarray,
         pseudo_ce = _mean_nll(ad.gather(target_probs, selected, pseudo))
         loss = ad.add(loss, ad.affine(pseudo_ce, gamma))
     return loss, int(len(selected))
+
+
+def _checked_labels(source_shape: tuple[int, int], source_labels: np.ndarray,
+                    n_target: int, target_scores: np.ndarray, gamma: float) -> np.ndarray:
+    """``loss_classification``'s argument checks; the labels as indices."""
+    if source_shape[0] == 0:
+        raise ContractError("source batch must be non-empty")
+    if gamma < 0:
+        raise ContractError(f"gamma must be >= 0, got {gamma}")
+    if len(target_scores) != n_target:
+        raise ContractError("target_scores must align with target_probs rows")
+    labels = np.asarray(source_labels, dtype=np.intp)
+    if ((labels < 0) | (labels >= source_shape[1])).any():
+        raise ContractError(f"source labels must lie in [0, {source_shape[1]})")
+    return labels
 
 
 def diversity_term(y_bars: Node) -> Node:
@@ -116,3 +130,87 @@ def loss_compound(l_c: Node, l_bd: Node, l_d: Node,
         total=float(total.value), n_pseudo_selected=n_pseudo_selected,
         n_diversity_selected=n_diversity_selected)
     return total, breakdown
+
+
+# ---------------------------------------------------------------------------
+# the same losses on arrays: value, selection count and VJP, where a VJP
+# maps the loss gradient to the gradients of the probability arrays
+
+
+def _mean_nll_array(p: np.ndarray) -> tuple[float, Callable]:
+    """``_mean_nll`` of an array: its value and its VJP."""
+    mask = p > PROB_FLOOR
+    clamped = np.maximum(p, PROB_FLOOR)
+    n = p.size
+    return ((-1.0 * np.log(clamped) + 0.0).sum() / n,
+            lambda g: -1.0 * (g / n) / clamped * mask)
+
+
+def _scatter(shape: tuple[int, ...], index, g) -> np.ndarray:
+    """Zeros of ``shape`` holding ``0.0 + g`` at ``index``: the engine's
+    ``np.add.at`` scatter, for an index without repeats."""
+    out = np.zeros(shape)
+    out[index] = 0.0 + g
+    return out
+
+
+def classification_array(source_probs: np.ndarray, source_labels: np.ndarray,
+                         target_probs: np.ndarray, target_scores: np.ndarray,
+                         w_alpha: float, gamma: float) -> tuple[float, int, Callable]:
+    """``loss_classification`` on arrays.  The VJP returns the gradients of
+    the source and target probabilities; the latter is None when no target
+    is selected."""
+    labels = _checked_labels(source_probs.shape, source_labels, target_probs.shape[0],
+                             target_scores, gamma)
+    rows = np.arange(len(labels))
+    ce, ce_vjp = _mean_nll_array(source_probs[rows, labels])
+    selected = np.nonzero(np.asarray(target_scores) > w_alpha)[0]
+    if len(selected) == 0:
+        return ce, 0, lambda g: (_scatter(source_probs.shape, (rows, labels), ce_vjp(g)),
+                                 None)
+    pseudo = target_probs[selected].argmax(axis=1)  # ties -> lowest index
+    pseudo_ce, pseudo_vjp = _mean_nll_array(target_probs[selected, pseudo])
+
+    def vjp(g):
+        return (_scatter(source_probs.shape, (rows, labels), ce_vjp(g)),
+                _scatter(target_probs.shape, (selected, pseudo), pseudo_vjp(gamma * g)))
+
+    return ce + (gamma * pseudo_ce + 0.0), int(len(selected)), vjp
+
+
+def batch_diversity_array(source_probs: np.ndarray, target_probs: np.ndarray,
+                          target_scores: np.ndarray, w_beta: float,
+                          mode: str = "both") -> tuple[float, int, Callable | None]:
+    """``loss_batch_diversity`` on arrays.  The VJP is None when the term is
+    the constant 0; otherwise it returns the source gradient as one row
+    that broadcasts over the source rows (None for ``target_only``) and
+    the target gradient (None when no target is selected)."""
+    if mode not in DIVERSITY_MODES:
+        raise ContractError(f"unknown diversity mode {mode!r}")
+    if mode == "off":
+        return 0.0, 0, None
+    selected = np.nonzero(np.asarray(target_scores) > w_beta)[0]
+    parts = [source_probs] if mode == "both" else []
+    if len(selected) > 0:
+        parts.append(target_probs[selected])
+    if not parts:
+        return 0.0, 0, None
+    y_bars = np.concatenate(parts, axis=0)
+    n = y_bars.shape[0]
+    means = y_bars.sum(axis=0) / n
+
+    def vjp(g):
+        row = 2.0 * means * g / n
+        return (row if mode == "both" else None,
+                _scatter(target_probs.shape, selected, row) if len(selected) > 0 else None)
+
+    return (means * means).sum(), int(len(selected)), vjp
+
+
+def domain_array(d_source: np.ndarray, d_target: np.ndarray) -> tuple[float, Callable]:
+    """``loss_domain`` on arrays; the VJP returns both inputs' gradients."""
+    if d_source.size == 0 or d_target.size == 0:
+        raise ContractError("domain loss requires non-empty batches")
+    l_s, vjp_s = _mean_nll_array(d_source)
+    l_t, vjp_t = _mean_nll_array(-1.0 * d_target + 1.0)
+    return l_s + l_t, lambda g: (vjp_s(g), -1.0 * vjp_t(g))

@@ -1,9 +1,16 @@
 """Feature extractor, label classifier and domain classifier networks.
 
-All three are plain fully connected nets over the autodiff engine.  The
-label classifier ends in a row-wise softmax, the domain classifier in a
-sigmoid, and the domain head is reached through a gradient reversal
-layer so that one backward pass trains the extractor adversarially.
+All three are plain fully connected nets.  The label classifier ends in
+a row-wise softmax, the domain classifier in a sigmoid, and the domain
+head is reached through a gradient reversal layer so that one backward
+pass trains the extractor adversarially.
+
+Each network runs two ways.  ``Mlp.forward`` builds autodiff nodes, one
+per op: the engine is the gradient oracle and the replay that names the
+op behind a non-finite value.  ``Mlp.forward_array`` and
+``Mlp.vjp_array`` are the same ops on plain numpy arrays, with the
+engine's expressions and so its bits; the training step and scoring run
+on them.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import ConfigError
+from .errors import ConfigError, ContractError, NumericError
 
 FINAL_ACTIVATIONS = ("none", "softmax", "sigmoid")
 
@@ -46,6 +53,18 @@ class MlpSpec:
 # classifier emits near-uniform probabilities (and hence low transfer
 # scores: nothing gets pseudo-labeled before training has begun).
 SOFTMAX_HEAD_GAIN = 0.01
+
+
+class NonFinite(NumericError):
+    """An array forward met a non-finite value.  The engine replays the
+    same computation, and its ``NumericError`` names the op."""
+
+
+def check_finite(*arrays: np.ndarray) -> None:
+    """Raise ``NonFinite`` unless every entry of every array is finite."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFinite("non-finite value in an array forward")
 
 
 class Mlp:
@@ -82,6 +101,64 @@ class Mlp:
             h = ad.sigmoid(h)
         return h
 
+    def forward_array(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """``forward`` on arrays: the same ops and expressions, so the same bits.
+
+        Each layer's pre-activation ``h @ W + b`` is checked with
+        ``check_finite``: ReLU, softmax and sigmoid map finite values to
+        finite values, so it is the only place a finite input can turn
+        non-finite.  With ``tape``, appends each layer's input and ReLU
+        mask and then the output, which ``vjp_array`` reads.
+        """
+        w0 = self.weights[0].value
+        if x.ndim != 2 or x.shape[1] != w0.shape[0]:
+            raise ContractError(f"matmul shape mismatch: {x.shape} x {w0.shape}")
+        h = x
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            a = h @ w.value + b.value
+            check_finite(a)
+            if tape is not None:
+                tape.append(h)
+            if i < last:
+                if tape is not None:
+                    tape.append(a > 0.0)
+                a = np.maximum(a, 0.0)
+            h = a
+        if self.spec.final_activation == "softmax":
+            e = np.exp(h - h.max(axis=1, keepdims=True))
+            h = e / e.sum(axis=1, keepdims=True)
+        elif self.spec.final_activation == "sigmoid":
+            e = np.exp(-np.abs(h))
+            h = np.where(h >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        if tape is not None:
+            tape.append(h)
+        return h
+
+    def vjp_array(self, tape: list, g: np.ndarray, input_grad: bool = True
+                  ) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """The engine's backward through ``forward_array``'s ``tape``.
+
+        ``g`` is the gradient of the output.  Returns the gradient of the
+        input (None without ``input_grad``) and the gradients of
+        ``parameters()`` in their order.
+        """
+        out = tape[-1]
+        if self.spec.final_activation == "softmax":
+            g = out * (g - (g * out).sum(axis=1, keepdims=True))
+        elif self.spec.final_activation == "sigmoid":
+            g = g * out * (1.0 - out)
+        grads = []
+        for i in reversed(range(len(self.weights))):
+            h = tape[2 * i]
+            grads += [g.sum(axis=0), h.T @ g]
+            if i == 0 and not input_grad:
+                return None, grads[::-1]
+            g = g @ self.weights[i].value.T
+            if i > 0:
+                g = g * tape[2 * i - 1]
+        return g, grads[::-1]
+
     def parameters(self, prefix: str) -> list[tuple[str, Node]]:
         out = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -108,12 +185,16 @@ class ModelBundle:
     class_ids: tuple[int, ...] = field(default=())
     values: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
+    _id_order: np.ndarray = field(init=False, repr=False)
+    _sorted_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.class_ids:
             self.class_ids = tuple(range(self.num_source_classes))
         if len(self.class_ids) != self.num_source_classes:
             raise ConfigError("class_ids length must equal num_source_classes")
+        self._id_order = np.argsort(self.class_ids, kind="stable")
+        self._sorted_ids = np.asarray(self.class_ids)[self._id_order]
         self.values = np.concatenate([p.value.ravel() for _, p in self.parameters()])
         self.grads = np.zeros_like(self.values)
         values, grads = self.views(self.values), self.views(self.grads)
@@ -134,6 +215,16 @@ class ModelBundle:
 
     def zero_grads(self) -> None:
         self.grads.fill(0.0)
+
+    def class_index(self, labels: np.ndarray) -> np.ndarray:
+        """The classifier output index of each dataset class id in ``labels``."""
+        labels = np.asarray(labels)
+        pos = np.searchsorted(self._sorted_ids, labels)
+        unknown = self._sorted_ids.take(pos, mode="clip") != labels
+        if unknown.any():
+            raise ContractError(f"label {labels[unknown][0]} is not one of the "
+                                f"model's class ids {list(self.class_ids)}")
+        return self._id_order[pos]
 
 
 def init(spec_f: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int,
@@ -180,6 +271,17 @@ def domain_prob(m: ModelBundle, feats: Node, lam: float) -> Node:
     flowing back into the extractor are negated and scaled by ``lam``.
     """
     return m.d.forward(ad.grad_reverse(feats, lam))
+
+
+def predict(m: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``label_probs`` and ``domain_prob`` values for the rows of ``x`` by
+    the array forward (the reversal layer is the identity forward).
+    Raises ``NonFinite`` where the engine would raise ``NumericError``."""
+    x = np.asarray(x, dtype=np.float64)
+    check_finite(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats = m.f.forward_array(x)
+        return m.c.forward_array(feats), m.d.forward_array(feats)
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,13 @@ def scores_from_outputs(d: np.ndarray, probs: np.ndarray, scheme: str) -> np.nda
 
 
 def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
-    """Score every row of ``x`` under a no-gradient forward pass."""
-    feats = md.features(m, x)
-    probs = md.label_probs(m, feats).value
-    d = md.domain_prob(m, feats, lam=0.0).value[:, 0]
+    """Score every row of ``x`` under the array forward (no gradients)."""
+    try:
+        probs, d = md.predict(m, x)
+    except md.NonFinite:  # the engine forward raises the NumericError naming the op
+        feats = md.features(m, x)
+        probs, d = md.label_probs(m, feats).value, md.domain_prob(m, feats, 0.0).value
+    d = d[:, 0]
     return ScoreTable(d=d, y_bar=probs, max_prob=probs.max(axis=-1),
                       entropy=entropy(probs), w=score_for_scheme(scheme, d, probs))
 

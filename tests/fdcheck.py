@@ -25,9 +25,14 @@ def numeric_grad(loss_fn, param, h=1e-5):
     return grad
 
 
+def zero_grad(leaf):
+    """Clear a leaf's accumulated gradient in place."""
+    leaf.grad[...] = 0.0
+
+
 def analytic_grads(loss_fn, params):
     for p in params:
-        p.zero_grad()
+        zero_grad(p)
     backward(loss_fn())
     return [p.grad.copy() for p in params]
 

@@ -8,7 +8,7 @@ from udaselect.autodiff import Node, backward
 from udaselect.errors import ContractError, NumericError
 
 import reference_autodiff as ref
-from fdcheck import assert_grads_close
+from fdcheck import assert_grads_close, zero_grad
 
 
 def bits(a) -> np.ndarray:
@@ -83,7 +83,7 @@ class TestSoftmax:
         p = ad.softmax_rows(Node(logits.value)).value[0]
         onehot = np.eye(4)[2]
         np.testing.assert_allclose(logits.grad[0], p - onehot, atol=1e-8)
-        logits.zero_grad()
+        zero_grad(logits)
         assert_grads_close(loss_fn, [logits], atol=1e-8)
 
 

@@ -235,6 +235,15 @@ class TestEvalFileErrors:
         assert main(eval_args(tmp_path, ckpt, tmp_path / "data/labelset.json")) == EXIT_CONFIG
         assert f"{ckpt}:1: bad checkpoint header" in capsys.readouterr().err
 
+    def test_target_dim_differing_from_checkpoint_exits_2(self, tmp_path, capsys):
+        ckpt = train_small(tmp_path)  # trained on gen --dim 3
+        main(gen_args(tmp_path / "wide", dim=4))
+        target = tmp_path / "wide/target.features.txt"
+        assert main(["eval", "--checkpoint", str(ckpt), "--target", str(target),
+                     "--labelset", str(tmp_path / "wide/labelset.json")]) == EXIT_CONFIG
+        assert (f"{target}: feature dim 4, but checkpoint {ckpt} expects 3"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("header", ["# dim=3 count=-3 labeled=1",
                                         "# dim=-1 count=2 labeled=1"])
     def test_negative_feature_header_exits_2(self, tmp_path, capsys, header):

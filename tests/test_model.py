@@ -6,7 +6,7 @@ import pytest
 from udaselect import autodiff as ad
 from udaselect import model as md
 from udaselect.autodiff import Node, backward
-from udaselect.errors import ConfigError
+from udaselect.errors import ConfigError, ContractError
 from udaselect.model import MlpSpec
 
 
@@ -201,3 +201,63 @@ class TestFlatBuffers:
         m.zero_grads()
         for _, p in m.parameters():
             assert np.array_equal(p.grad, np.zeros(p.shape))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestArrayForward:
+    """``Mlp.forward_array`` and ``Mlp.vjp_array`` against the engine's ops."""
+
+    @pytest.mark.parametrize("net", ["f", "c", "d"])
+    def test_forward_and_vjp_equal_engine_bitwise(self, net):
+        rng = np.random.default_rng(4)
+        mlp = getattr(small_bundle(), net)
+        x = rng.normal(size=(7, mlp.spec.input_dim)) * 2
+        g = rng.normal(size=(7, mlp.spec.output_dim))
+        tape = []
+        out = mlp.forward_array(x, tape)
+        g_x, grads = mlp.vjp_array(tape, g)
+
+        leaf = Node(x)
+        node = mlp.forward(leaf)
+        np.testing.assert_array_equal(bits(out), bits(node.value))
+        # a scalar op whose VJP hands g to the network's output
+        backward(Node(0.0, (node,), "probe", lambda _: (g,)))
+        np.testing.assert_array_equal(bits(g_x), bits(leaf.grad))
+        for (name, p), got in zip(mlp.parameters(net), grads):
+            np.testing.assert_array_equal(bits(got), bits(p.grad), err_msg=name)
+
+    def test_input_grad_can_be_skipped(self):
+        m = small_bundle()
+        tape = []
+        m.f.forward_array(np.ones((2, 4)), tape)
+        g_x, grads = m.f.vjp_array(tape, np.ones((2, 6)), input_grad=False)
+        assert g_x is None and [g.shape for g in grads] == [(4, 8), (8,), (8, 6), (6,)]
+
+    def test_wrong_input_dim_is_the_engine_contract_error(self):
+        with pytest.raises(ContractError, match=r"matmul shape mismatch: \(2, 3\) x \(4, 8\)"):
+            small_bundle().f.forward_array(np.ones((2, 3)))
+
+    def test_non_finite_pre_activation_raises(self):
+        m = small_bundle()
+        m.d.weights[1].value[...] = -np.finfo(float).max
+        # the hidden ReLU would map the -inf pre-activation to 0
+        with pytest.raises(md.NonFinite):
+            md.predict(m, np.ones((2, 4)))
+
+
+class TestClassIndex:
+    def test_maps_ids_in_any_order(self):
+        m = md.init(MlpSpec(4, (), 6), MlpSpec(6, (), 3, "softmax"),
+                    MlpSpec(6, (), 1, "sigmoid"), seed=0, class_ids=(5, 2, 9))
+        np.testing.assert_array_equal(m.class_index(np.array([9, 5, 2, 2, 9])),
+                                      [2, 0, 1, 1, 2])
+
+    @pytest.mark.parametrize("label", [7, -1, 11])
+    def test_unknown_label_is_named(self, label):
+        m = md.init(MlpSpec(4, (), 6), MlpSpec(6, (), 3, "softmax"),
+                    MlpSpec(6, (), 1, "sigmoid"), seed=0, class_ids=(5, 2, 9))
+        with pytest.raises(ContractError, match=f"label {label} is not one of"):
+            m.class_index(np.array([2, label, 5]))

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scoring as ref
+from udaselect import model as md
 from udaselect import scoring as sc
-from udaselect.errors import ContractError
+from udaselect.errors import ContractError, NumericError
 
 
 def score_ours(d, y_bar):
@@ -155,6 +156,34 @@ class TestScoreBatch:
     def test_unknown_scheme(self):
         with pytest.raises(ContractError):
             sc.scores_from_outputs(np.array([0.5]), np.array([[1.0, 0.0]]), "bogus")
+
+    def test_equals_engine_forward_bitwise(self):
+        from test_model import small_bundle
+        m = small_bundle()
+        x = np.random.default_rng(2).normal(size=(9, 4)) * 3
+        scores = sc.score_batch(m, x, "uan")
+        feats = md.features(m, x)
+        probs = md.label_probs(m, feats).value
+        d = md.domain_prob(m, feats, 0.0).value[:, 0]
+        np.testing.assert_array_equal(scores.y_bar.view(np.uint64), probs.view(np.uint64))
+        np.testing.assert_array_equal(scores.d.view(np.uint64), d.view(np.uint64))
+
+    def test_wrong_feature_dim_is_a_contract_error(self):
+        from test_model import small_bundle
+        with pytest.raises(ContractError, match=r"matmul shape mismatch: \(2, 5\) x \(4, 8\)"):
+            sc.score_batch(small_bundle(), np.ones((2, 5)), "ours")
+
+    @pytest.mark.parametrize("where", ["input", "matmul"])
+    def test_non_finite_names_the_engine_op(self, where):
+        from test_model import small_bundle
+        m = small_bundle()
+        x = np.ones((3, 4))
+        if where == "input":
+            x[1, 2] = np.nan
+        else:
+            m.f.weights[0].value[...] = np.finfo(float).max
+        with pytest.raises(NumericError, match=f"op '{where}'"):
+            sc.score_batch(m, x, "ours")
 
     def test_no_gradient_side_effects(self):
         from test_model import small_bundle

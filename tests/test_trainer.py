@@ -208,6 +208,135 @@ class TestBackwardOracle:
             assert any(r.n_diversity_selected for r in recs)
 
 
+class TestBackwardOracleOnEngineGraph(TestBackwardOracle):
+    """``TestBackwardOracle`` with each step's loss built as the engine
+    graph, one node per op, instead of the one-node step op."""
+
+    @pytest.fixture(autouse=True)
+    def engine_graph(self, monkeypatch):
+        def loss(*args):
+            total, breakdown = tr.engine_loss(*args)
+            assert total.op == "add" and len(ref.topo_order(total)) > 40
+            return total, breakdown
+
+        monkeypatch.setattr(tr, "step_op", loss)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+STEP_OP_CASES = [
+    *[dict(scheme=s, diversity_mode=d, pseudo_labels=p)
+      for s in sc.SCHEMES for d in ls.DIVERSITY_MODES for p in (True, False)],
+    dict(f_hidden=(64, 64)),
+    dict(grl_mode="ramp"),
+    dict(static_w_alpha=0.0),
+]
+
+
+class TestStepOpOracle:
+    """The step op against the engine graph of the same step, bit for bit."""
+
+    @pytest.mark.parametrize("case", STEP_OP_CASES, ids=lambda c: ",".join(
+        f"{k}={v}" for k, v in c.items()))
+    def test_value_and_parameter_grads_equal_engine_bitwise(self, monkeypatch, case):
+        step_op, seen = tr.step_op, []
+
+        def both(m, *rest):
+            engine_total, engine_breakdown = tr.engine_loss(m, *rest)
+            m.zero_grads()
+            ad.backward(engine_total)
+            expected = m.grads.copy()
+            total, breakdown = step_op(m, *rest)
+            assert total.op == "train_step" and len(total.parents) == len(m.parameters())
+            m.zero_grads()
+            ad.backward(total)
+            np.testing.assert_array_equal(bits(m.grads), bits(expected))
+            np.testing.assert_array_equal(bits(total.value), bits(engine_total.value))
+            assert breakdown == engine_breakdown
+            seen.append(breakdown)
+            return total, breakdown
+
+        monkeypatch.setattr(tr, "step_op", both)
+        scheme = case.get("scheme", "ours")
+        cfg = cli.scheme_defaults(cli.benchmark_config(total_steps=6), scheme)
+        cfg = replace(cfg, **{k: v for k, v in case.items() if k != "scheme"})
+        src, tgt, _ = cli.make_benchmark(cfg)
+        tr.train(src, tgt, cfg)
+        assert len(seen) == cfg.total_steps
+        if cfg.pseudo_labels and cfg.diversity_mode == "both":
+            assert any(b.n_pseudo_selected for b in seen)
+            assert any(b.n_diversity_selected for b in seen)
+
+
+class TestNonFiniteReplay:
+    """A non-finite value in the step op replays the step on the engine
+    graph: the same ``NumericError`` as the engine step, and no state change."""
+
+    def setup(self, **kw):
+        cfg = cli.benchmark_config(total_steps=4, **kw)
+        src, tgt, _ = cli.make_benchmark(cfg)
+        state = tr.init_state(src, cfg)
+        rng = np.random.default_rng([cfg.seed, 1])
+        return cfg, state, [dt.sample_batch(src, tgt, cfg.batch_size, rng) for _ in range(2)]
+
+    def check(self, monkeypatch, state, batch, cfg):
+        m = state.model
+        before = (state.t, m.values.copy(), state.v.copy(), list(state.records))
+        with pytest.raises(NumericError) as fused:
+            tr.train_step(state, batch, cfg)
+        assert state.t == before[0] and state.records == before[3]
+        np.testing.assert_array_equal(bits(m.values), bits(before[1]))
+        np.testing.assert_array_equal(bits(state.v), bits(before[2]))
+        with monkeypatch.context() as mp:
+            mp.setattr(tr, "step_op", tr.engine_loss)
+            with pytest.raises(NumericError) as engine:
+                tr.train_step(state, batch, cfg)
+        assert str(fused.value) == str(engine.value)
+        return str(fused.value)
+
+    @pytest.mark.parametrize("net", ["f", "c", "d"])
+    def test_matmul_overflow(self, monkeypatch, net):
+        cfg, state, batches = self.setup()
+        getattr(state.model, net).weights[0].value[...] = np.finfo(float).max
+        assert self.check(monkeypatch, state, batches[0], cfg) == (
+            "step 0: non-finite values produced by op 'matmul'")
+
+    def test_nan_input(self, monkeypatch):
+        cfg, state, batches = self.setup()
+        batches[0].target_x[3, 1] = np.nan
+        assert self.check(monkeypatch, state, batches[0], cfg) == (
+            "step 0: non-finite values produced by op 'input'")
+
+    def test_gamma_overflow(self, monkeypatch):
+        cfg, state, batches = self.setup(gamma=1.7e308, static_w_alpha=0.0)
+        assert self.check(monkeypatch, state, batches[0], cfg) == (
+            "step 0: non-finite values produced by op 'affine'")
+
+    def test_huge_learning_rate(self, monkeypatch):
+        cfg, state, batches = self.setup(lr=1e200)
+        tr.train_step(state, batches[0], cfg)
+        assert self.check(monkeypatch, state, batches[1], cfg) == (
+            "step 1: non-finite values produced by op 'matmul'")
+
+
+class TestLabels:
+    def test_unknown_source_label_is_named(self):
+        src, tgt = tiny_data()
+        cfg = tiny_cfg()
+        state = tr.init_state(src, cfg)
+        batch = dt.sample_batch(src, tgt, 8, np.random.default_rng(0))
+        batch.source_y[2] = 42
+        with pytest.raises(ContractError, match="label 42 is not one of"):
+            tr.train_step(state, batch, cfg)
+        assert state.t == 0
+
+    def test_negative_grl_lambda_rejected_by_config(self):
+        with pytest.raises(ConfigError, match="grl_lambda"):
+            tiny_cfg(grl_lambda=-0.5)
+
+
 class TestSelectionAtStartup:
     def test_nothing_selected_at_step_zero_on_benchmark(self):
         from udaselect.cli import benchmark_config, make_benchmark
