@@ -12,17 +12,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as dt
 from . import evaluation as ev
+from . import losses as ls
 from . import model as md
 from . import scoring as sc
 from . import trainer as tr
-from .errors import ConfigError, FeatureFileError, NumericError, UdaError
+from .errors import ConfigError, NumericError, UdaError
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -63,11 +64,11 @@ def benchmark_config(**overrides) -> tr.TrainConfig:
     return tr.TrainConfig(**base)
 
 
-def make_benchmark(cfg: tr.TrainConfig, dim: int = 8, per_class: int = 60
+def make_benchmark(cfg: tr.TrainConfig
                    ) -> tuple[dt.DomainDataset, dt.DomainDataset, dt.LabelSetSpec]:
-    """The seed-pinned synthetic benchmark tied to the run seed."""
+    """The seed-pinned synthetic benchmark (8-d, 60 per class) of the run seed."""
     spec = dt.benchmark_label_spec()
-    src, tgt = dt.gen_synthetic(spec, dim=dim, per_class=per_class,
+    src, tgt = dt.gen_synthetic(spec, dim=8, per_class=60,
                                 shift=dt.benchmark_shift(), seed=cfg.seed)
     return src, tgt, spec
 
@@ -153,20 +154,11 @@ def _build_config(args, preset: tr.TrainConfig | None = None) -> tr.TrainConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         file_cfg = json.loads(path.read_text())
-        unknown = set(file_cfg) - set(tr.TrainConfig().__dict__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
         base = {**base, **file_cfg}
-    overrides = {k: v for k, v in {
-        "gamma": args.gamma, "w0": args.w0, "w_beta": args.w_beta,
-        "total_steps": args.steps, "batch_size": args.batch_size,
-        "lr": args.lr, "momentum": args.momentum, "scheme": args.scheme,
-        "static_w_alpha": args.static_w_alpha,
-        "diversity_mode": args.diversity_mode, "seed": args.seed,
-        "grl_mode": args.grl_mode, "grl_lambda": args.grl_lambda,
-    }.items() if v is not None}
-    if args.no_pseudo_labels:
-        overrides["pseudo_labels"] = False
+    overrides = {f.name: getattr(args, f.name) for f in fields(tr.TrainConfig)
+                 if getattr(args, f.name, None) is not None}
     return tr.TrainConfig.from_dict({**base, **overrides})
 
 
@@ -198,8 +190,8 @@ def cmd_train(args) -> int:
     else:
         if not (args.source and args.target and args.labelset):
             raise ConfigError("need --synthetic or --source/--target/--labelset")
-        src = dt.load_features(args.source, "source", labeled=True)
-        tgt = dt.load_features(args.target, "target", labeled=True)
+        src = dt.load_features(args.source, labeled=True)
+        tgt = dt.load_features(args.target, labeled=True)
         spec = _load_labelset(args.labelset)
     out_dir = Path(args.out) if args.out else default_output_root() / args.name
     report = run_experiment(args.name, cfg, src, tgt, spec, out_dir)
@@ -210,7 +202,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     sc.check_in_range(args.scheme, "--w0", args.w0)
     model = md.load_checkpoint(args.checkpoint)
-    tgt = dt.load_features(args.target, "target", labeled=True)
+    tgt = dt.load_features(args.target, labeled=True)
     if tgt.dim != model.f.spec.input_dim:
         raise ConfigError(f"{args.target}: feature dim {tgt.dim}, but checkpoint "
                           f"{args.checkpoint} expects {model.f.spec.input_dim}")
@@ -224,7 +216,10 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _build_config(args, benchmark_config())
-    values = [float(v) for v in args.values.split(",") if v != ""]
+    try:
+        values = [float(v) for v in args.values.split(",") if v != ""]
+    except ValueError as exc:  # "could not convert string to float: 'a'"
+        raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     variants = []
@@ -272,15 +267,16 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float)
     p.add_argument("--w0", type=float)
     p.add_argument("--w-beta", dest="w_beta", type=float)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", dest="total_steps", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--momentum", type=float)
     p.add_argument("--scheme", choices=sc.SCHEMES)
     p.add_argument("--static-w-alpha", dest="static_w_alpha", type=float)
-    p.add_argument("--diversity-mode", choices=["off", "target_only", "both"])
-    p.add_argument("--no-pseudo-labels", action="store_true")
-    p.add_argument("--grl-mode", choices=["constant", "ramp"])
+    p.add_argument("--diversity-mode", choices=ls.DIVERSITY_MODES)
+    p.add_argument("--no-pseudo-labels", dest="pseudo_labels", action="store_false",
+                   default=None)
+    p.add_argument("--grl-mode", choices=tr.GRL_MODES)
     p.add_argument("--grl-lambda", dest="grl_lambda", type=float)
     p.add_argument("--seed", type=int)
 
@@ -351,8 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, FeatureFileError, UdaError, json.JSONDecodeError,
-            FileNotFoundError, KeyError) as exc:
+    except (UdaError, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

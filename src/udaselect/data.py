@@ -8,7 +8,7 @@ partition deciding which ids appear in which domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +16,6 @@ from .errors import ConfigError, ContractError, FeatureFileError
 
 #: reserved "unknown" class symbol, distinct from every real class id
 TAU = -1
-
-DOMAINS = ("source", "target")
 
 
 @dataclass(frozen=True)
@@ -40,10 +38,6 @@ class LabelSetSpec:
     @property
     def source_labels(self) -> tuple[int, ...]:
         return (*self.shared, *self.source_private)
-
-    @property
-    def target_labels(self) -> tuple[int, ...]:
-        return (*self.shared, *self.target_private)
 
     @property
     def all_labels(self) -> tuple[int, ...]:
@@ -71,11 +65,8 @@ class DomainDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    domain: str
 
     def __post_init__(self):
-        if self.domain not in DOMAINS:
-            raise ConfigError(f"unknown domain {self.domain!r}")
         if len(self.features) != len(self.labels):
             raise ConfigError("features and labels must align")
 
@@ -108,20 +99,21 @@ def _rotation_matrix(dim: int, angle: float, rng: np.random.Generator) -> np.nda
 
 
 def gen_synthetic(spec: LabelSetSpec, dim: int, per_class: int,
-                  shift: ShiftConfig, seed: int, blob_std: float = 1.0,
-                  center_scale: float = 3.0) -> tuple[DomainDataset, DomainDataset]:
+                  shift: ShiftConfig, seed: int) -> tuple[DomainDataset, DomainDataset]:
     """Gaussian-blob source/target pair with the given label-set geometry.
 
-    Shared-class target blobs are the source blobs pushed through the
-    affine shift; private classes get fresh centers.  Identical seeds
-    reproduce identical datasets bit-for-bit.
+    Class centers are drawn with std 3; source blobs have unit std and
+    target blobs std ``shift.noise``.  Shared-class target blobs are the
+    source blobs pushed through the affine shift; private classes get
+    fresh centers.  Identical seeds reproduce identical datasets
+    bit-for-bit.
     """
     if dim < 2:
         raise ConfigError(f"dim must be >= 2, got {dim}")
     if per_class < 1:
         raise ConfigError(f"per_class must be >= 1, got {per_class}")
     rng = np.random.default_rng(seed)
-    centers = {y: rng.normal(0.0, center_scale, size=dim) for y in spec.all_labels}
+    centers = {y: rng.normal(0.0, 3.0, size=dim) for y in spec.all_labels}
     rot = _rotation_matrix(dim, shift.rotation, rng)
     direction = rng.normal(size=dim)
     direction /= np.linalg.norm(direction)
@@ -132,20 +124,20 @@ def gen_synthetic(spec: LabelSetSpec, dim: int, per_class: int,
 
     src_x, src_y = [], []
     for y in spec.source_labels:
-        src_x.append(_sample(centers[y], per_class, blob_std))
+        src_x.append(_sample(centers[y], per_class, 1.0))
         src_y.append(np.full(per_class, y))
 
     tgt_x, tgt_y = [], []
     for y in spec.shared:
-        raw = _sample(centers[y], per_class, blob_std * shift.noise)
+        raw = _sample(centers[y], per_class, shift.noise)
         tgt_x.append(shift.scale * raw @ rot.T + offset)
         tgt_y.append(np.full(per_class, y))
     for y in spec.target_private:
-        tgt_x.append(_sample(centers[y], per_class, blob_std * shift.noise))
+        tgt_x.append(_sample(centers[y], per_class, shift.noise))
         tgt_y.append(np.full(per_class, y))
 
-    source = DomainDataset(np.concatenate(src_x), np.concatenate(src_y), "source")
-    target = DomainDataset(np.concatenate(tgt_x), np.concatenate(tgt_y), "target")
+    source = DomainDataset(np.concatenate(src_x), np.concatenate(src_y))
+    target = DomainDataset(np.concatenate(tgt_x), np.concatenate(tgt_y))
     return source, target
 
 
@@ -178,7 +170,7 @@ def save_features(path, dataset: DomainDataset, labeled: bool = True) -> None:
             fh.write(row + "\n")
 
 
-def load_features(path, domain: str, labeled: bool) -> DomainDataset:
+def load_features(path, labeled: bool) -> DomainDataset:
     """Parse a feature file; any malformed line aborts with its line number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -217,7 +209,7 @@ def load_features(path, domain: str, labeled: bool) -> DomainDataset:
             raise FeatureFileError(f"{path}:{i + 2}: non-numeric field: {exc}") from exc
     if not labeled:
         labels = np.full(count, TAU)
-    return DomainDataset(feats, labels, domain)
+    return DomainDataset(feats, labels)
 
 
 # ---------------------------------------------------------------------------

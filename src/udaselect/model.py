@@ -107,8 +107,8 @@ class Mlp:
         Each layer's pre-activation ``h @ W + b`` is checked with
         ``check_finite``: ReLU, softmax and sigmoid map finite values to
         finite values, so it is the only place a finite input can turn
-        non-finite.  With ``tape``, appends each layer's input and ReLU
-        mask and then the output, which ``vjp_array`` reads.
+        non-finite.  With ``tape``, appends each layer's input and then
+        the output, which ``vjp_array`` reads.
         """
         w0 = self.weights[0].value
         if x.ndim != 2 or x.shape[1] != w0.shape[0]:
@@ -116,15 +116,12 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = h @ w.value + b.value
-            check_finite(a)
             if tape is not None:
                 tape.append(h)
+            h = h @ w.value + b.value
+            check_finite(h)
             if i < last:
-                if tape is not None:
-                    tape.append(a > 0.0)
-                a = np.maximum(a, 0.0)
-            h = a
+                h = np.maximum(h, 0.0)
         if self.spec.final_activation == "softmax":
             e = np.exp(h - h.max(axis=1, keepdims=True))
             h = e / e.sum(axis=1, keepdims=True)
@@ -141,7 +138,9 @@ class Mlp:
 
         ``g`` is the gradient of the output.  Returns the gradient of the
         input (None without ``input_grad``) and the gradients of
-        ``parameters()`` in their order.
+        ``parameters()`` in their order.  A hidden ReLU's mask is
+        ``h > 0.0`` of the next layer's input ``h = max(a, 0)``, which
+        equals the engine's ``a > 0.0``: ``a`` passed ``check_finite``.
         """
         out = tape[-1]
         if self.spec.final_activation == "softmax":
@@ -150,13 +149,13 @@ class Mlp:
             g = g * out * (1.0 - out)
         grads = []
         for i in reversed(range(len(self.weights))):
-            h = tape[2 * i]
+            h = tape[i]
             grads += [g.sum(axis=0), h.T @ g]
             if i == 0 and not input_grad:
                 return None, grads[::-1]
             g = g @ self.weights[i].value.T
             if i > 0:
-                g = g * tape[2 * i - 1]
+                g = g * (h > 0.0)
         return g, grads[::-1]
 
     def parameters(self, prefix: str) -> list[tuple[str, Node]]:
@@ -180,8 +179,6 @@ class ModelBundle:
     f: Mlp
     c: Mlp
     d: Mlp
-    feature_dim: int
-    num_source_classes: int
     class_ids: tuple[int, ...] = field(default=())
     values: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
@@ -190,9 +187,9 @@ class ModelBundle:
 
     def __post_init__(self):
         if not self.class_ids:
-            self.class_ids = tuple(range(self.num_source_classes))
-        if len(self.class_ids) != self.num_source_classes:
-            raise ConfigError("class_ids length must equal num_source_classes")
+            self.class_ids = tuple(range(self.c.spec.output_dim))
+        if len(self.class_ids) != self.c.spec.output_dim:
+            raise ConfigError("class_ids length must equal the classifier's output_dim")
         self._id_order = np.argsort(self.class_ids, kind="stable")
         self._sorted_ids = np.asarray(self.class_ids)[self._id_order]
         self.values = np.concatenate([p.value.ravel() for _, p in self.parameters()])
@@ -247,9 +244,7 @@ def init(spec_f: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int,
     f = Mlp(spec_f, rng)
     c = Mlp(spec_c, rng)
     d = Mlp(spec_d, rng)
-    return ModelBundle(f=f, c=c, d=d, feature_dim=spec_f.output_dim,
-                       num_source_classes=spec_c.output_dim,
-                       class_ids=tuple(class_ids or ()))
+    return ModelBundle(f=f, c=c, d=d, class_ids=tuple(class_ids or ()))
 
 
 def features(m: ModelBundle, x: np.ndarray | Node) -> Node:
@@ -291,8 +286,8 @@ def predict(m: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def save_checkpoint(m: ModelBundle, path) -> None:
     """Write a deterministic text checkpoint (hex floats, named arrays)."""
     meta = {
-        "feature_dim": m.feature_dim,
-        "num_source_classes": m.num_source_classes,
+        "feature_dim": m.f.spec.output_dim,
+        "num_source_classes": m.c.spec.output_dim,
         "class_ids": list(m.class_ids),
         "specs": {
             name: {"input_dim": s.input_dim, "hidden_dims": list(s.hidden_dims),

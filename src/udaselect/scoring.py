@@ -16,8 +16,6 @@ from . import model as md
 from .errors import ConfigError, ContractError
 from .model import ModelBundle
 
-SCHEMES = ("ours", "uan", "entropy", "ours_no_d", "ours_no_maxy")
-
 # theoretical score range per scheme, used for threshold validation and
 # histogram bin edges
 SCHEME_RANGES = {
@@ -27,6 +25,7 @@ SCHEME_RANGES = {
     "ours_no_d": (0.0, 1.0),
     "ours_no_maxy": (0.0, 1.0),
 }
+SCHEMES = tuple(SCHEME_RANGES)
 
 
 def check_in_range(scheme: str, name: str, value: float) -> None:
@@ -99,8 +98,9 @@ def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
     try:
         probs, d = md.predict(m, x)
     except md.NonFinite:  # the engine forward raises the NumericError naming the op
-        feats = md.features(m, x)
-        probs, d = md.label_probs(m, feats).value, md.domain_prob(m, feats, 0.0).value
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats = md.features(m, x)
+            probs, d = md.label_probs(m, feats).value, md.domain_prob(m, feats, 0.0).value
     d = d[:, 0]
     return ScoreTable(d=d, y_bar=probs, max_prob=probs.max(axis=-1),
                       entropy=entropy(probs), w=score_for_scheme(scheme, d, probs))

@@ -83,6 +83,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Check each field's type and reject unknown keys."""
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
         for f in fields(cls):
             v = d.get(f.name, f.default)
@@ -94,34 +98,30 @@ class TrainConfig:
         return cls(**d)
 
 
-@dataclass
-class StepRecord:
-    """One metrics-log line: losses, selection counts, applied threshold."""
+@dataclass(frozen=True)
+class StepRecord(ls.LossBreakdown):
+    """One metrics-log line: a step's ``LossBreakdown``, index and applied threshold."""
 
     step: int
-    l_c: float
-    l_bd: float
-    l_d: float
-    total: float
-    n_pseudo_selected: int
-    n_diversity_selected: int
     w_alpha: float | None
 
 
 @dataclass
 class TrainState:
-    """``velocity`` maps each parameter name to its view of the flat
-    momentum buffer ``v``, laid out like ``model.values``."""
+    """The model, the flat momentum buffer ``v`` (laid out like
+    ``model.values``) and one record per step taken."""
 
     model: ModelBundle
-    t: int = 0
-    velocity: dict = field(init=False)
     records: list = field(default_factory=list)
     v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.v = np.zeros_like(self.model.values)
-        self.velocity = self.model.views(self.v)
+
+    @property
+    def t(self) -> int:
+        """The index of the next step."""
+        return len(self.records)
 
 
 def w_alpha(t: int, total_steps: int, w0: float, start: float = 1.5) -> float:
@@ -262,7 +262,8 @@ def train_step(state: TrainState, batch: DomainBatch,
         try:
             total, breakdown = step_op(*args)
         except md.NonFinite:
-            total, breakdown = engine_loss(*args)
+            with np.errstate(over="ignore", invalid="ignore"):
+                total, breakdown = engine_loss(*args)
         m.zero_grads()
         ad.backward(total)
     except NumericError as exc:
@@ -273,12 +274,7 @@ def train_step(state: TrainState, batch: DomainBatch,
     state.v += m.grads
     m.values -= cfg.lr * state.v
 
-    state.records.append(StepRecord(
-        step=state.t, l_c=breakdown.l_c, l_bd=breakdown.l_bd,
-        l_d=breakdown.l_d, total=breakdown.total,
-        n_pseudo_selected=breakdown.n_pseudo_selected,
-        n_diversity_selected=breakdown.n_diversity_selected, w_alpha=w_a))
-    state.t += 1
+    state.records.append(StepRecord(**breakdown.__dict__, step=state.t, w_alpha=w_a))
     return breakdown
 
 

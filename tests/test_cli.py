@@ -1,6 +1,7 @@
 """End-to-end tests of the command line verbs."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -28,10 +29,8 @@ def gen_args(out, **kw):
 class TestGen:
     def test_writes_loadable_domain_pair(self, tmp_path):
         assert main(gen_args(tmp_path)) == 0
-        src = dt.load_features(tmp_path / "source.features.txt", "source",
-                               labeled=True)
-        tgt = dt.load_features(tmp_path / "target.features.txt", "target",
-                               labeled=True)
+        src = dt.load_features(tmp_path / "source.features.txt", labeled=True)
+        tgt = dt.load_features(tmp_path / "target.features.txt", labeled=True)
         assert src.n == 3 * 6 and src.dim == 3  # shared + source-private
         assert tgt.n == 3 * 6
         spec = json.loads((tmp_path / "labelset.json").read_text())
@@ -83,6 +82,25 @@ class TestTrain:
         bad.write_text(json.dumps({"learning_rate": 0.1}))
         assert main(["train", "--synthetic", "--config", str(bad),
                      "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("payload", ["5", '["gamma"]'])
+    def test_non_object_config_file_exits_2(self, tmp_path, capsys, payload):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(payload)
+        out = tmp_path / "run"
+        assert main(["train", "--synthetic", "--config", str(bad),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {bad}: config must be a JSON object\n"
+        assert not out.exists()
+
+    def test_numeric_abort_prints_one_line_and_no_warnings(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--synthetic", "--steps", "2", "--gamma", "1.7e308",
+                         "--static-w-alpha", "0", "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric abort: step 0: non-finite values produced by op 'affine'\n")
 
     def test_mistyped_config_field_rejected(self, tmp_path):
         bad = tmp_path / "cfg.json"
@@ -269,6 +287,14 @@ class TestSweep:
     def test_seeds_below_one_rejected(self, tmp_path, verb):
         out = tmp_path / "grid"
         assert main(verb + ["--seeds", "0", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_non_numeric_value_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--param", "w0", "--values", "1.0,a,b",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --values: could not convert string to float: 'a'\n")
         assert not out.exists()
 
     def test_value_outside_scheme_range_rejected(self, tmp_path):

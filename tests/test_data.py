@@ -67,7 +67,7 @@ class TestGenSynthetic:
         spec = dt.benchmark_label_spec()
         src, tgt = dt.gen_synthetic(spec, 8, 3, dt.benchmark_shift(), seed=2)
         assert set(src.labels) <= set(spec.source_labels)
-        assert set(tgt.labels) <= set(spec.target_labels)
+        assert set(tgt.labels) <= set((*spec.shared, *spec.target_private))
 
     def test_degenerate_dim_rejected(self):
         with pytest.raises(ConfigError):
@@ -125,7 +125,7 @@ class TestFeatureFiles:
         ds = self._dataset()
         path = tmp_path / "feat.txt"
         dt.save_features(path, ds)
-        loaded = dt.load_features(path, "target", labeled=True)
+        loaded = dt.load_features(path, labeled=True)
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
 
@@ -133,7 +133,7 @@ class TestFeatureFiles:
         ds = self._dataset()
         path = tmp_path / "feat.txt"
         dt.save_features(path, ds, labeled=False)
-        loaded = dt.load_features(path, "target", labeled=False)
+        loaded = dt.load_features(path, labeled=False)
         np.testing.assert_array_equal(loaded.features, ds.features)
         assert np.all(loaded.labels == dt.TAU)
 
@@ -142,13 +142,13 @@ class TestFeatureFiles:
         path = tmp_path / "feat.txt"
         dt.save_features(path, ds, labeled=False)
         with pytest.raises(FeatureFileError):
-            dt.load_features(path, "target", labeled=True)
+            dt.load_features(path, labeled=True)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
         with pytest.raises(FeatureFileError, match="empty"):
-            dt.load_features(path, "source", labeled=True)
+            dt.load_features(path, labeled=True)
 
     @pytest.mark.parametrize("header", [
         "1.0\t2.0\t0", "# count=1 labeled=1", "# dim=two count=1 labeled=1",
@@ -157,7 +157,7 @@ class TestFeatureFiles:
         path = tmp_path / "bad.txt"
         path.write_text(header + "\n1.0\t2.0\t0\n")
         with pytest.raises(FeatureFileError, match=":1:"):
-            dt.load_features(path, "source", labeled=True)
+            dt.load_features(path, labeled=True)
 
     def test_ragged_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -165,17 +165,17 @@ class TestFeatureFiles:
                         "1.0\t2.0\t0\n"
                         "1.0\t0\n")
         with pytest.raises(FeatureFileError, match=":3:"):
-            dt.load_features(path, "source", labeled=True)
+            dt.load_features(path, labeled=True)
 
     def test_non_numeric_field_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# dim=2 count=1 labeled=1\n"
                         "1.0\tx\t0\n")
         with pytest.raises(FeatureFileError, match=":2:"):
-            dt.load_features(path, "source", labeled=True)
+            dt.load_features(path, labeled=True)
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# dim=2 count=3 labeled=1\n1.0\t2.0\t0\n")
         with pytest.raises(FeatureFileError, match="promises 3"):
-            dt.load_features(path, "source", labeled=True)
+            dt.load_features(path, labeled=True)

@@ -50,7 +50,7 @@ def oracle_target():
     feats = np.array([[10.0, 0.0], [10.0, 0.0], [-10.0, 0.0],
                       [0.0, 10.0], [0.0, 10.0]])
     labels = np.array([0, 0, 1, 7, 7])
-    return DomainDataset(feats, labels, "target")
+    return DomainDataset(feats, labels)
 
 
 ORACLE_SPEC = LabelSetSpec(shared=(0, 1), target_private=(7,))
@@ -122,7 +122,7 @@ class TestEvaluate:
         assert report.counts == {0: 2, 1: 1, TAU: 2}
 
     def test_zero_sample_class_warns_and_is_excluded(self):
-        tgt = DomainDataset(np.array([[10.0, 0.0]]), np.array([0]), "target")
+        tgt = DomainDataset(np.array([[10.0, 0.0]]), np.array([0]))
         with pytest.warns(UserWarning, match="no test samples"):
             report = ev.evaluate(oracle_bundle(), tgt, ORACLE_SPEC, 1.0)
         assert report.per_class_recall[1] is None
@@ -131,7 +131,7 @@ class TestEvaluate:
         assert report.average_class_accuracy == 1.0
 
     def test_empty_target_rejected(self):
-        tgt = DomainDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), "target")
+        tgt = DomainDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(ContractError):
             ev.evaluate(oracle_bundle(), tgt, ORACLE_SPEC, 1.0)
 

@@ -1,11 +1,14 @@
-"""The package names the benchmark harness wraps still exist.
+"""The package names the benchmark harness wraps still exist, and the
+harness's own self-test passes.
 
 ``perfbench`` replaces module attributes of ``udaselect`` with timing
-wrappers, so renaming or deleting one of them breaks the benchmark only
-when it runs.  These checks fail at test time instead.
+wrappers and calls package functions by name and keyword, so renaming
+or deleting one of them, or one of its parameters, breaks the benchmark
+only when it runs.  These checks fail at test time instead.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +18,8 @@ import pytest
 from udaselect import scoring as sc
 from udaselect.autodiff import Node
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 calibrate = pytest.importorskip("calibrate")
 tracing = pytest.importorskip("tracing")
 
@@ -39,3 +43,12 @@ def test_score_batch_length_counts_rows(scheme):
     from test_model import small_bundle
     x = np.random.default_rng(0).normal(size=(7, 4))
     assert len(sc.score_batch(small_bundle(), x, scheme)) == len(x)
+
+
+def test_benchmark_selftest_passes():
+    # the harness calls make_benchmark, gen_synthetic and the eval verb's
+    # load_features with fixed signatures; its own self-test runs them all
+    # (output goes to .bench_out/selftest)
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr

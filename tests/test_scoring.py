@@ -1,6 +1,7 @@
 """Unit and property tests for the transfer-score schemes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,17 +174,22 @@ class TestScoreBatch:
         with pytest.raises(ContractError, match=r"matmul shape mismatch: \(2, 5\) x \(4, 8\)"):
             sc.score_batch(small_bundle(), np.ones((2, 5)), "ours")
 
-    @pytest.mark.parametrize("where", ["input", "matmul"])
+    @pytest.mark.parametrize("where", ["input", "matmul", "add_bias"])
     def test_non_finite_names_the_engine_op(self, where):
         from test_model import small_bundle
         m = small_bundle()
         x = np.ones((3, 4))
         if where == "input":
             x[1, 2] = np.nan
-        else:
+        elif where == "matmul":
             m.f.weights[0].value[...] = np.finfo(float).max
-        with pytest.raises(NumericError, match=f"op '{where}'"):
-            sc.score_batch(m, x, "ours")
+        else:  # finite matmul, overflowing bias add
+            m.f.weights[0].value[...] = np.finfo(float).max / 8
+            m.f.biases[0].value[...] = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the replay warns of nothing
+            with pytest.raises(NumericError, match=f"op '{where}'"):
+                sc.score_batch(m, x, "ours")
 
     def test_no_gradient_side_effects(self):
         from test_model import small_bundle

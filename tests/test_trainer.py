@@ -66,6 +66,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(scheme="magic")
 
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ConfigError, match=r"keys: \['learning_rate'\]"):
+            TrainConfig.from_dict({"gamma": 0.3, "learning_rate": 0.1})
+
 
 class TestTrain:
     def test_zero_steps_returns_initialized_model(self):
@@ -119,7 +123,7 @@ class TestOptimizerContract:
         for name, p in state.model.parameters():
             # with mu = 0 the velocity buffer is exactly the raw gradient,
             # and the update is exactly value - lr * grad
-            np.testing.assert_array_equal(state.velocity[name], p.grad)
+            np.testing.assert_array_equal(state.model.views(state.v)[name], p.grad)
             np.testing.assert_array_equal(
                 p.value, before[name] - cfg.lr * p.grad)
 
@@ -148,10 +152,11 @@ class TestFlatMomentum:
         src, _ = tiny_data()
         state = tr.init_state(src, tiny_cfg())
         assert state.v.size == state.model.values.size
-        assert list(state.velocity) == [n for n, _ in state.model.parameters()]
+        assert list(state.model.views(state.v)) == [
+            n for n, _ in state.model.parameters()]
         for name, p in state.model.parameters():
-            assert state.velocity[name].shape == p.shape
-            assert np.shares_memory(state.velocity[name], state.v)
+            assert state.model.views(state.v)[name].shape == p.shape
+            assert np.shares_memory(state.model.views(state.v)[name], state.v)
 
     def test_train_equals_per_parameter_momentum_loop_bitwise(self):
         src, tgt = tiny_data()
