@@ -192,6 +192,9 @@ def cmd_train(args) -> int:
             raise ConfigError("need --synthetic or --source/--target/--labelset")
         src = dt.load_features(args.source, labeled=True)
         tgt = dt.load_features(args.target, labeled=True)
+        if src.dim != tgt.dim:
+            raise ConfigError(f"{args.source}: feature dim {src.dim}, but "
+                              f"{args.target} has {tgt.dim}")
         spec = _load_labelset(args.labelset)
     out_dir = Path(args.out) if args.out else default_output_root() / args.name
     report = run_experiment(args.name, cfg, src, tgt, spec, out_dir)

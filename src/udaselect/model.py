@@ -10,7 +10,9 @@ per op: the engine is the gradient oracle and the replay that names the
 op behind a non-finite value.  ``Mlp.forward_array`` and
 ``Mlp.vjp_array`` are the same ops on plain numpy arrays, with the
 engine's expressions and so its bits; the training step and scoring run
-on them.
+on them.  They take rows on the last two axes and stack independent
+batches on any axes before them: the training step stacks its source
+and target halves on a leading domain axis of 2.
 """
 
 from __future__ import annotations
@@ -104,6 +106,9 @@ class Mlp:
     def forward_array(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         """``forward`` on arrays: the same ops and expressions, so the same bits.
 
+        ``x`` holds rows on its last two axes; any axes before them stack
+        independent batches (the training step stacks source over
+        target), and every slice gets the bits of its own 2-D call.
         Each layer's pre-activation ``h @ W + b`` is checked with
         ``check_finite``: ReLU, softmax and sigmoid map finite values to
         finite values, so it is the only place a finite input can turn
@@ -111,8 +116,8 @@ class Mlp:
         the output, which ``vjp_array`` reads.
         """
         w0 = self.weights[0].value
-        if x.ndim != 2 or x.shape[1] != w0.shape[0]:
-            raise ContractError(f"matmul shape mismatch: {x.shape} x {w0.shape}")
+        if x.ndim < 2 or x.shape[-1] != w0.shape[0]:
+            raise ContractError(f"matmul shape mismatch: {x.shape[-2:]} x {w0.shape}")
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -123,8 +128,8 @@ class Mlp:
             if i < last:
                 h = np.maximum(h, 0.0)
         if self.spec.final_activation == "softmax":
-            e = np.exp(h - h.max(axis=1, keepdims=True))
-            h = e / e.sum(axis=1, keepdims=True)
+            e = np.exp(h - h.max(axis=-1, keepdims=True))
+            h = e / e.sum(axis=-1, keepdims=True)
         elif self.spec.final_activation == "sigmoid":
             e = np.exp(-np.abs(h))
             h = np.where(h >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -136,21 +141,22 @@ class Mlp:
                   ) -> tuple[np.ndarray | None, list[np.ndarray]]:
         """The engine's backward through ``forward_array``'s ``tape``.
 
-        ``g`` is the gradient of the output.  Returns the gradient of the
-        input (None without ``input_grad``) and the gradients of
-        ``parameters()`` in their order.  A hidden ReLU's mask is
+        ``g`` is the gradient of the output, stacked like it.  Returns the
+        gradient of the input (None without ``input_grad``) and the
+        gradients of ``parameters()`` in their order, one per stacked
+        slice (shape ``lead + param.shape``).  A hidden ReLU's mask is
         ``h > 0.0`` of the next layer's input ``h = max(a, 0)``, which
         equals the engine's ``a > 0.0``: ``a`` passed ``check_finite``.
         """
         out = tape[-1]
         if self.spec.final_activation == "softmax":
-            g = out * (g - (g * out).sum(axis=1, keepdims=True))
+            g = out * (g - (g * out).sum(axis=-1, keepdims=True))
         elif self.spec.final_activation == "sigmoid":
             g = g * out * (1.0 - out)
         grads = []
         for i in reversed(range(len(self.weights))):
             h = tape[i]
-            grads += [g.sum(axis=0), h.T @ g]
+            grads += [g.sum(axis=-2), h.swapaxes(-1, -2) @ g]
             if i == 0 and not input_grad:
                 return None, grads[::-1]
             g = g @ self.weights[i].value.T

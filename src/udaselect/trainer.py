@@ -6,7 +6,9 @@ that single step adversarial for the feature extractor.
 
 A step's loss is one autodiff op (``step_op``) whose parents are the
 parameters: its value comes from the networks' array forwards and its
-VJP chains their hand-derived backwards with those of the losses.
+VJP chains their hand-derived backwards with those of the losses.  The
+source and target halves share every network, so they run stacked on a
+leading domain axis: one forward and one backward per network per step.
 ``autodiff.backward`` accumulates its gradients into the parameters.
 ``engine_loss`` builds the same loss from one node per op; it is the
 oracle the step op is tested against bit for bit, and the replay that
@@ -66,6 +68,8 @@ class TrainConfig:
         sc.check_in_range(self.scheme, "w0", self.w0)
         if self.total_steps < 0:
             raise ConfigError("total_steps must be >= 0")
+        if self.batch_size < 2 or self.batch_size % 2 != 0:
+            raise ConfigError(f"batch_size must be even and >= 2, got {self.batch_size}")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
         if self.grl_mode not in GRL_MODES:
@@ -83,15 +87,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Check each field's type and reject unknown keys."""
+        """Check each field's type and reject unknown keys.  A JSON boolean
+        is only a ``bool`` field's value, though ``bool`` subclasses ``int``."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
         for f in fields(cls):
             v = d.get(f.name, f.default)
-            ints = not isinstance(v, (list, tuple)) or all(isinstance(n, int) for n in v)
-            if not (isinstance(v, _FIELD_TYPES[f.type]) and ints):
+            items = v if isinstance(v, (list, tuple)) else ()
+            if (not isinstance(v, _FIELD_TYPES[f.type])
+                    or isinstance(v, bool) != (f.type == "bool")
+                    or any(type(n) is not int for n in items)):
                 raise ConfigError(f"config field {f.name} must be {f.type}, got {v!r}")
             if isinstance(v, list):
                 d[f.name] = tuple(v)
@@ -179,40 +186,35 @@ def engine_loss(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: flo
     return ls.loss_compound(l_c, l_bd, l_d, n_pl, n_div)
 
 
-def _sum(a: list, b: list) -> list:
-    """Gradients of a parameter list used by two branches, entry by entry."""
-    return [x + y for x, y in zip(a, b)]
-
-
 def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
             threshold: float, cfg: TrainConfig) -> tuple[Node, ls.LossBreakdown]:
     """``engine_loss`` as one op over the parameters, with its value and
     parameter gradients bit for bit.
 
-    The VJP keeps the engine's op order: a tensor used twice gets the sum
-    of its two gradients where the engine sums them.  Raises
-    ``model.NonFinite`` where ``engine_loss`` raises ``NumericError``: a
-    non-finite input, layer pre-activation or total.  ``lam`` must be
-    >= 0, which ``TrainConfig`` ensures.
+    Source and target run as one ``(2, half, dim)`` stack, so each
+    network has one forward and one VJP; slice 0 is the source half and
+    slice 1 the target half.  The VJP keeps the engine's op order: a
+    tensor used twice gets the sum of its two gradients where the engine
+    sums them, and a parameter's gradient is its source slice plus its
+    target slice.  Raises ``model.NonFinite`` where ``engine_loss``
+    raises ``NumericError``: a non-finite input, layer pre-activation or
+    total.  ``lam`` must be >= 0, which ``TrainConfig`` ensures.
     """
-    x_s = np.asarray(batch.source_x, dtype=np.float64)
-    x_t = np.asarray(batch.target_x, dtype=np.float64)
-    md.check_finite(x_s, x_t)
-    tape_fs, tape_ft, tape_cs, tape_ct, tape_ds, tape_dt = [], [], [], [], [], []
+    x = np.array((batch.source_x, batch.target_x), dtype=np.float64)
+    md.check_finite(x)
+    tape_f, tape_c, tape_d = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        feats_s = m.f.forward_array(x_s, tape_fs)
-        feats_t = m.f.forward_array(x_t, tape_ft)
-        probs_s = m.c.forward_array(feats_s, tape_cs)
-        probs_t = m.c.forward_array(feats_t, tape_ct)
-        d_s = m.d.forward_array(feats_s, tape_ds)
-        d_t = m.d.forward_array(feats_t, tape_dt)
+        feats = m.f.forward_array(x, tape_f)
+        probs = m.c.forward_array(feats, tape_c)
+        d = m.d.forward_array(feats, tape_d)
+        probs_s, probs_t = probs
 
-        scores = sc.scores_from_outputs(d_t[:, 0], probs_t, cfg.scheme)
+        scores = sc.scores_from_outputs(d[1, :, 0], probs_t, cfg.scheme)
         l_c, n_pl, vjp_c = ls.classification_array(probs_s, labels, probs_t, scores,
                                                    threshold, cfg.gamma)
         l_bd, n_div, vjp_bd = ls.batch_diversity_array(probs_s, probs_t, scores,
                                                        cfg.w_beta, cfg.diversity_mode)
-        l_d, vjp_d = ls.domain_array(d_s, d_t)
+        l_d, vjp_d = ls.domain_array(d[0], d[1])
         total = l_c + l_bd + l_d
     md.check_finite(total)
 
@@ -224,19 +226,12 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
                 g_ps = g_ps + g_bs
             if g_bt is not None:
                 g_pt = g_bt if g_pt is None else g_pt + g_bt
-        g_ds, g_dt = vjp_d(g)
-        g_fs, c_grads = m.c.vjp_array(tape_cs, g_ps)
-        g_rs, d_grads = m.d.vjp_array(tape_ds, g_ds)
-        g_fs = g_fs + -lam * g_rs
-        g_rt, d_grads_t = m.d.vjp_array(tape_dt, g_dt)
-        g_ft = -lam * g_rt
-        if g_pt is not None:  # the target classifier branch is in the graph
-            g_ct, c_grads_t = m.c.vjp_array(tape_ct, g_pt)
-            g_ft = g_ct + g_ft
-            c_grads = _sum(c_grads, c_grads_t)
-        _, f_grads = m.f.vjp_array(tape_fs, g_fs, input_grad=False)
-        _, f_grads_t = m.f.vjp_array(tape_ft, g_ft, input_grad=False)
-        return _sum(f_grads, f_grads_t) + c_grads + _sum(d_grads, d_grads_t)
+        g_r, d_grads = m.d.vjp_array(tape_d, np.array(vjp_d(g)))
+        if g_pt is None:  # the target classifier branch is not in the graph
+            g_pt = np.zeros_like(g_ps)
+        g_fc, c_grads = m.c.vjp_array(tape_c, np.array((g_ps, g_pt)))
+        _, f_grads = m.f.vjp_array(tape_f, g_fc + -lam * g_r, input_grad=False)
+        return [a[0] + a[1] for a in f_grads + c_grads + d_grads]
 
     total_node = Node(total, [p for _, p in m.parameters()], "train_step", vjp)
     return total_node, ls.LossBreakdown(

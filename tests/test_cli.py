@@ -110,6 +110,36 @@ class TestTrain:
                      "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload", [{"total_steps": True}, {"lr": True}])
+    def test_boolean_for_number_field_exits_2(self, tmp_path, capsys, payload):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert main(["train", "--synthetic", "--config", str(bad),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "got True" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_odd_batch_size_exits_2_without_run_dir(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--synthetic", "--steps", "2", "--batch-size", "3",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: batch_size must be even and >= 2, got 3\n"
+        assert not out.exists()
+
+    def test_source_target_dim_mismatch_exits_2_without_run_dir(self, tmp_path, capsys):
+        assert main(gen_args(tmp_path / "d3")) == 0
+        assert main(gen_args(tmp_path / "d4", dim=4)) == 0
+        src = tmp_path / "d3" / "source.features.txt"
+        tgt = tmp_path / "d4" / "target.features.txt"
+        out = tmp_path / "run"
+        assert main(["train", "--source", str(src), "--target", str(tgt),
+                     "--labelset", str(tmp_path / "d3" / "labelset.json"),
+                     "--steps", "2", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {src}: feature dim 3, but {tgt} has 4\n")
+        assert not out.exists()
+
     def test_config_file_feeds_training(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"total_steps": 3, "gamma": 0.25}))

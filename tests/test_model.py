@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from udaselect import autodiff as ad
+from udaselect import cli
 from udaselect import model as md
+from udaselect import trainer as tr
 from udaselect.autodiff import Node, backward
 from udaselect.errors import ConfigError, ContractError
 from udaselect.model import MlpSpec
@@ -246,6 +248,40 @@ class TestArrayForward:
         # the hidden ReLU would map the -inf pre-activation to 0
         with pytest.raises(md.NonFinite):
             md.predict(m, np.ones((2, 4)))
+
+
+class TestStackedArrays:
+    """A leading axis stacks independent batches, as the training step
+    stacks source over target: each slice of the stacked forward and VJP
+    has the bits of its own 2-D call."""
+
+    @pytest.mark.parametrize("n", [1, 25, 32])
+    @pytest.mark.parametrize("arch", ["default", "benchmark"])
+    def test_stack_of_two_equals_two_calls_bitwise(self, arch, n):
+        cfg = cli.benchmark_config(seed=n)
+        if arch == "default":
+            cfg = tr.TrainConfig(seed=n)
+        m = tr.init_state(cli.make_benchmark(cfg)[0], cfg).model
+        rng = np.random.default_rng(n)
+        for net in (m.f, m.c, m.d):
+            x = rng.normal(size=(2, n, net.spec.input_dim)) * 2
+            g = rng.normal(size=(2, n, net.spec.output_dim))
+            tape = []
+            out = net.forward_array(x, tape)
+            g_x, grads = net.vjp_array(tape, g)
+            for k in range(2):
+                tape_k = []
+                np.testing.assert_array_equal(bits(out[k]),
+                                              bits(net.forward_array(x[k], tape_k)))
+                g_xk, grads_k = net.vjp_array(tape_k, g[k])
+                np.testing.assert_array_equal(bits(g_x[k]), bits(g_xk))
+                assert len(grads) == len(grads_k)
+                for got, want in zip(grads, grads_k):
+                    np.testing.assert_array_equal(bits(got[k]), bits(want))
+
+    def test_wrong_input_dim_of_a_stack_quotes_one_slice(self):
+        with pytest.raises(ContractError, match=r"matmul shape mismatch: \(2, 3\) x \(4, 8\)"):
+            small_bundle().f.forward_array(np.ones((2, 2, 3)))
 
 
 class TestClassIndex:

@@ -70,6 +70,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"keys: \['learning_rate'\]"):
             TrainConfig.from_dict({"gamma": 0.3, "learning_rate": 0.1})
 
+    @pytest.mark.parametrize("key, value", [
+        ("total_steps", True), ("lr", False), ("static_w_alpha", True),
+        ("f_hidden", [64, True]), ("d_hidden", [False]), ("pseudo_labels", 1)])
+    def test_from_dict_takes_booleans_for_bool_fields_only(self, key, value):
+        with pytest.raises(ConfigError, match=f"config field {key} must be"):
+            TrainConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("batch_size", [-2, 0, 1, 3, 63])
+    def test_batch_size_must_be_even_and_at_least_two(self, batch_size):
+        with pytest.raises(ConfigError,
+                           match=f"batch_size must be even and >= 2, got {batch_size}"):
+            TrainConfig(batch_size=batch_size)
+
 
 class TestTrain:
     def test_zero_steps_returns_initialized_model(self):
@@ -237,6 +250,9 @@ STEP_OP_CASES = [
     dict(f_hidden=(64, 64)),
     dict(grl_mode="ramp"),
     dict(static_w_alpha=0.0),
+    dict(batch_size=50),
+    dict(batch_size=2),
+    dict(batch_size=50, f_hidden=(64, 64), pseudo_labels=False, diversity_mode="off"),
 ]
 
 

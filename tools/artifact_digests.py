@@ -8,11 +8,15 @@ It trains and evaluates, in a temporary directory, with the ``udaselect``
 found in ``--src`` (default: this checkout's ``src/``), and prints one
 ``name<TAB>sha256`` line per artifact, sorted by name, then the sha256
 of those lines.  Running it on two commits and comparing the last line
-is the byte-identity check.  The 93 artifacts are:
+is the byte-identity check.  The 109 artifacts are:
 
 - ``<scheme>_s<seed>/<file>``: the 8 files of
   ``run_experiment`` for ``scheme_defaults(benchmark_config(seed=seed,
   total_steps=300), scheme)``, for every scheme and seeds 0 and 1;
+- ``<variant>/<file>``: the 8 files of ``run_experiment`` for
+  ``benchmark_config(seed=0, total_steps=300, **VARIANTS[variant])``:
+  25-row halves through a hidden extractor, and a step whose target
+  half never reaches the classifier's loss;
 - ``full/<file>``: the 8 files of the 3000-step
   ``benchmark_config(seed=0)`` run;
 - ``eval_large/<scheme>``: ``evaluate(...).to_json()`` of the ``full``
@@ -20,6 +24,9 @@ is the byte-identity check.  The 93 artifacts are:
   scheme's default ``w0``.
 
 Every run is named ``r``, because ``manifest.json`` records the name.
+The last line reads ``109 artifacts, list sha256 02d7794f…cda2``; before
+the two variants were added it read ``93 artifacts, list sha256
+be11c31f…e8c``.
 """
 
 from __future__ import annotations
@@ -34,6 +41,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SEEDS = (0, 1)
 SHORT_STEPS = 300
+VARIANTS = {
+    "b50_f64x64_fd32": dict(batch_size=50, f_hidden=(64, 64), feature_dim=32),
+    "nopl_divoff": dict(pseudo_labels=False, diversity_mode="off"),
+}
 EVAL_PER_CLASS = 2000
 
 
@@ -58,6 +69,8 @@ def digests(work: Path) -> dict[str, str]:
         for seed in SEEDS:
             cfg = cli.benchmark_config(seed=seed, total_steps=SHORT_STEPS)
             run(f"{scheme}_s{seed}", cli.scheme_defaults(cfg, scheme))
+    for key, overrides in VARIANTS.items():
+        run(key, cli.benchmark_config(seed=0, total_steps=SHORT_STEPS, **overrides))
     full = cli.benchmark_config(seed=0)
     model = md.load_checkpoint(run("full", full) / "checkpoint.txt")
     spec = dt.benchmark_label_spec()
