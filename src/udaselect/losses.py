@@ -11,7 +11,10 @@ descends on its own loss.
 Each loss exists twice: on autodiff nodes (the engine graph, which is
 the gradient oracle and the replay path) and on arrays, as the value
 plus a VJP written with the engine's expressions, so that the training
-step's hand-derived backward has the engine's bits.
+step's hand-derived backward has the engine's bits.  The array losses
+take the training step's domain stack, ``(2, half, ·)`` with slice 0
+the source and slice 1 the target, and each VJP returns one gradient
+shaped like that stack, zero where its term does not reach.
 """
 
 from __future__ import annotations
@@ -134,83 +137,72 @@ def loss_compound(l_c: Node, l_bd: Node, l_d: Node,
 
 # ---------------------------------------------------------------------------
 # the same losses on arrays: value, selection count and VJP, where a VJP
-# maps the loss gradient to the gradients of the probability arrays
+# maps the loss gradient to the gradient of the domain stack it takes
 
 
 def _mean_nll_array(p: np.ndarray) -> tuple[float, Callable]:
-    """``_mean_nll`` of an array: its value and its VJP."""
+    """``_mean_nll`` of an array: its value and its VJP.  The mean of no
+    entries is 0, which adds nothing to a sum of finite losses."""
     mask = p > PROB_FLOOR
     clamped = np.maximum(p, PROB_FLOOR)
-    n = p.size
+    n = max(p.size, 1)
     return ((-1.0 * np.log(clamped) + 0.0).sum() / n,
             lambda g: -1.0 * (g / n) / clamped * mask)
 
 
-def _scatter(shape: tuple[int, ...], index, g) -> np.ndarray:
-    """Zeros of ``shape`` holding ``0.0 + g`` at ``index``: the engine's
-    ``np.add.at`` scatter, for an index without repeats."""
-    out = np.zeros(shape)
-    out[index] = 0.0 + g
-    return out
-
-
-def classification_array(source_probs: np.ndarray, source_labels: np.ndarray,
-                         target_probs: np.ndarray, target_scores: np.ndarray,
-                         w_alpha: float, gamma: float) -> tuple[float, int, Callable]:
-    """``loss_classification`` on arrays.  The VJP returns the gradients of
-    the source and target probabilities; the latter is None when no target
-    is selected."""
-    labels = _checked_labels(source_probs.shape, source_labels, target_probs.shape[0],
+def classification_array(probs: np.ndarray, source_labels: np.ndarray,
+                         target_scores: np.ndarray, w_alpha: float,
+                         gamma: float) -> tuple[float, int, Callable]:
+    """``loss_classification`` on the domain stack ``probs`` (slice 0 the
+    source, slice 1 the target).  The VJP returns the gradient of
+    ``probs``, zero outside the labelled and the selected entries."""
+    labels = _checked_labels(probs.shape[1:], source_labels, probs.shape[1],
                              target_scores, gamma)
     rows = np.arange(len(labels))
-    ce, ce_vjp = _mean_nll_array(source_probs[rows, labels])
+    ce, ce_vjp = _mean_nll_array(probs[0, rows, labels])
     selected = np.nonzero(np.asarray(target_scores) > w_alpha)[0]
-    if len(selected) == 0:
-        return ce, 0, lambda g: (_scatter(source_probs.shape, (rows, labels), ce_vjp(g)),
-                                 None)
-    pseudo = target_probs[selected].argmax(axis=1)  # ties -> lowest index
-    pseudo_ce, pseudo_vjp = _mean_nll_array(target_probs[selected, pseudo])
+    pseudo = probs[1, selected].argmax(axis=1)  # ties -> lowest index
+    pseudo_ce, pseudo_vjp = _mean_nll_array(probs[1, selected, pseudo])
 
     def vjp(g):
-        return (_scatter(source_probs.shape, (rows, labels), ce_vjp(g)),
-                _scatter(target_probs.shape, (selected, pseudo), pseudo_vjp(gamma * g)))
+        # ``0.0 + g`` into zeros: the engine's ``np.add.at`` scatter
+        out = np.zeros(probs.shape)
+        out[0, rows, labels] = 0.0 + ce_vjp(g)
+        out[1, selected, pseudo] = 0.0 + pseudo_vjp(gamma * g)
+        return out
 
     return ce + (gamma * pseudo_ce + 0.0), int(len(selected)), vjp
 
 
-def batch_diversity_array(source_probs: np.ndarray, target_probs: np.ndarray,
-                          target_scores: np.ndarray, w_beta: float,
-                          mode: str = "both") -> tuple[float, int, Callable | None]:
-    """``loss_batch_diversity`` on arrays.  The VJP is None when the term is
-    the constant 0; otherwise it returns the source gradient as one row
-    that broadcasts over the source rows (None for ``target_only``) and
-    the target gradient (None when no target is selected)."""
+def batch_diversity_array(probs: np.ndarray, target_scores: np.ndarray, w_beta: float,
+                          mode: str = "both") -> tuple[float, int, Callable]:
+    """``loss_batch_diversity`` on the domain stack ``probs``.  The VJP
+    returns the gradient of ``probs``, zero in the rows the term leaves
+    out: all of them under ``off``, the source under ``target_only``."""
     if mode not in DIVERSITY_MODES:
         raise ContractError(f"unknown diversity mode {mode!r}")
-    if mode == "off":
-        return 0.0, 0, None
     selected = np.nonzero(np.asarray(target_scores) > w_beta)[0]
-    parts = [source_probs] if mode == "both" else []
-    if len(selected) > 0:
-        parts.append(target_probs[selected])
-    if not parts:
-        return 0.0, 0, None
-    y_bars = np.concatenate(parts, axis=0)
-    n = y_bars.shape[0]
+    if mode == "off":
+        selected = selected[:0]
+    source = probs[0] if mode == "both" else probs[0, :0]
+    y_bars = np.concatenate((source, probs[1, selected]))
+    n = max(len(y_bars), 1)  # with no rows the term is 0
     means = y_bars.sum(axis=0) / n
 
     def vjp(g):
         row = 2.0 * means * g / n
-        return (row if mode == "both" else None,
-                _scatter(target_probs.shape, selected, row) if len(selected) > 0 else None)
+        out = np.zeros(probs.shape)
+        out[0, :len(source)] = row
+        out[1, selected] = 0.0 + row
+        return out
 
     return (means * means).sum(), int(len(selected)), vjp
 
 
-def domain_array(d_source: np.ndarray, d_target: np.ndarray) -> tuple[float, Callable]:
-    """``loss_domain`` on arrays; the VJP returns both inputs' gradients."""
-    if d_source.size == 0 or d_target.size == 0:
+def domain_array(d: np.ndarray) -> tuple[float, Callable]:
+    """``loss_domain`` on the domain stack ``d``; the VJP returns its gradient."""
+    if d.size == 0:
         raise ContractError("domain loss requires non-empty batches")
-    l_s, vjp_s = _mean_nll_array(d_source)
-    l_t, vjp_t = _mean_nll_array(-1.0 * d_target + 1.0)
-    return l_s + l_t, lambda g: (vjp_s(g), -1.0 * vjp_t(g))
+    l_s, vjp_s = _mean_nll_array(d[0])
+    l_t, vjp_t = _mean_nll_array(-1.0 * d[1] + 1.0)
+    return l_s + l_t, lambda g: np.array((vjp_s(g), -1.0 * vjp_t(g)))

@@ -188,6 +188,7 @@ class ModelBundle:
     class_ids: tuple[int, ...] = field(default=())
     values: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
+    _parameters: tuple = field(init=False, repr=False)
     _id_order: np.ndarray = field(init=False, repr=False)
     _sorted_ids: np.ndarray = field(init=False, repr=False)
 
@@ -198,15 +199,17 @@ class ModelBundle:
             raise ConfigError("class_ids length must equal the classifier's output_dim")
         self._id_order = np.argsort(self.class_ids, kind="stable")
         self._sorted_ids = np.asarray(self.class_ids)[self._id_order]
+        self._parameters = tuple(self.f.parameters("f") + self.c.parameters("c")
+                                 + self.d.parameters("d"))
         self.values = np.concatenate([p.value.ravel() for _, p in self.parameters()])
         self.grads = np.zeros_like(self.values)
         values, grads = self.views(self.values), self.views(self.grads)
         for name, p in self.parameters():
             p.value, p.grad = values[name], grads[name]
 
-    def parameters(self) -> list[tuple[str, Node]]:
-        return (self.f.parameters("f") + self.c.parameters("c")
-                + self.d.parameters("d"))
+    def parameters(self) -> tuple[tuple[str, Node], ...]:
+        """Each parameter with its name, built once at construction."""
+        return self._parameters
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's name mapped to its part of ``flat``, shaped like it."""

@@ -70,6 +70,8 @@ class TrainConfig:
             raise ConfigError("total_steps must be >= 0")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise ConfigError(f"batch_size must be even and >= 2, got {self.batch_size}")
+        if self.gamma < 0:
+            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
         if self.grl_mode not in GRL_MODES:
@@ -193,12 +195,15 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
 
     Source and target run as one ``(2, half, dim)`` stack, so each
     network has one forward and one VJP; slice 0 is the source half and
-    slice 1 the target half.  The VJP keeps the engine's op order: a
-    tensor used twice gets the sum of its two gradients where the engine
-    sums them, and a parameter's gradient is its source slice plus its
-    target slice.  Raises ``model.NonFinite`` where ``engine_loss``
-    raises ``NumericError``: a non-finite input, layer pre-activation or
-    total.  ``lam`` must be >= 0, which ``TrainConfig`` ensures.
+    slice 1 the target half.  The array losses take the stacks of
+    probabilities and domain outputs, and each loss's VJP returns one
+    gradient shaped like its stack, zero where its term does not reach.
+    The VJP keeps the engine's op order: a tensor used twice gets the
+    sum of its two gradients where the engine sums them, and a
+    parameter's gradient is its source slice plus its target slice.
+    Raises ``model.NonFinite`` where ``engine_loss`` raises
+    ``NumericError``: a non-finite input, layer pre-activation or total.
+    ``lam`` must be >= 0, which ``TrainConfig`` ensures.
     """
     x = np.array((batch.source_x, batch.target_x), dtype=np.float64)
     md.check_finite(x)
@@ -207,33 +212,23 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
         feats = m.f.forward_array(x, tape_f)
         probs = m.c.forward_array(feats, tape_c)
         d = m.d.forward_array(feats, tape_d)
-        probs_s, probs_t = probs
 
-        scores = sc.scores_from_outputs(d[1, :, 0], probs_t, cfg.scheme)
-        l_c, n_pl, vjp_c = ls.classification_array(probs_s, labels, probs_t, scores,
-                                                   threshold, cfg.gamma)
-        l_bd, n_div, vjp_bd = ls.batch_diversity_array(probs_s, probs_t, scores,
-                                                       cfg.w_beta, cfg.diversity_mode)
-        l_d, vjp_d = ls.domain_array(d[0], d[1])
+        scores = sc.scores_from_outputs(d[1, :, 0], probs[1], cfg.scheme)
+        l_c, n_pl, vjp_c = ls.classification_array(probs, labels, scores, threshold,
+                                                   cfg.gamma)
+        l_bd, n_div, vjp_bd = ls.batch_diversity_array(probs, scores, cfg.w_beta,
+                                                       cfg.diversity_mode)
+        l_d, vjp_d = ls.domain_array(d)
         total = l_c + l_bd + l_d
     md.check_finite(total)
 
     def vjp(g):
-        g_ps, g_pt = vjp_c(g)
-        if vjp_bd is not None:
-            g_bs, g_bt = vjp_bd(g)
-            if g_bs is not None:
-                g_ps = g_ps + g_bs
-            if g_bt is not None:
-                g_pt = g_bt if g_pt is None else g_pt + g_bt
-        g_r, d_grads = m.d.vjp_array(tape_d, np.array(vjp_d(g)))
-        if g_pt is None:  # the target classifier branch is not in the graph
-            g_pt = np.zeros_like(g_ps)
-        g_fc, c_grads = m.c.vjp_array(tape_c, np.array((g_ps, g_pt)))
+        g_r, d_grads = m.d.vjp_array(tape_d, vjp_d(g))
+        g_fc, c_grads = m.c.vjp_array(tape_c, vjp_c(g) + vjp_bd(g))
         _, f_grads = m.f.vjp_array(tape_f, g_fc + -lam * g_r, input_grad=False)
         return [a[0] + a[1] for a in f_grads + c_grads + d_grads]
 
-    total_node = Node(total, [p for _, p in m.parameters()], "train_step", vjp)
+    total_node = Node(total, (p for _, p in m.parameters()), "train_step", vjp)
     return total_node, ls.LossBreakdown(
         l_c=float(l_c), l_bd=float(l_bd), l_d=float(l_d), total=float(total),
         n_pseudo_selected=n_pl, n_diversity_selected=n_div)

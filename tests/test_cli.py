@@ -120,11 +120,15 @@ class TestTrain:
         assert "got True" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_odd_batch_size_exits_2_without_run_dir(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--batch-size", "3", "batch_size must be even and >= 2, got 3"),
+        ("--gamma", "-1", "gamma must be >= 0, got -1.0")])
+    def test_odd_batch_size_exits_2_without_run_dir(self, tmp_path, capsys,
+                                                    flag, value, message):
         out = tmp_path / "run"
-        assert main(["train", "--synthetic", "--steps", "2", "--batch-size", "3",
+        assert main(["train", "--synthetic", "--steps", "2", flag, value,
                      "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: batch_size must be even and >= 2, got 3\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_source_target_dim_mismatch_exits_2_without_run_dir(self, tmp_path, capsys):

@@ -229,3 +229,63 @@ class TestLossCompound:
         m2.zero_grads()
         backward(l_d2)
         np.testing.assert_allclose(g_with, -m2.f.weights[0].grad, atol=1e-12)
+
+
+class TestArrayLossesOnTheDomainStack:
+    """Each array loss takes the ``(2, half, ·)`` stack (slice 0 the source,
+    slice 1 the target) and its VJP returns one gradient of the stack's
+    shape, equal to the node loss's gradients and zero where its term
+    does not reach."""
+
+    def _stack(self, half=6):
+        rng = np.random.default_rng(0)
+        probs = rng.dirichlet(np.ones(3), size=(2, half))
+        d = rng.uniform(0.05, 0.95, size=(2, half, 1))
+        return probs, d, rng.integers(0, 3, size=half), rng.uniform(0.0, 2.0, size=half)
+
+    def _node_grads(self, build, stack):
+        """The node loss built on the stack's two slices, and their gradients."""
+        halves = Node(stack[0]), Node(stack[1])
+        loss, *count = build(*halves)
+        backward(loss)
+        return float(loss.value), count, np.array([h.grad for h in halves])
+
+    @pytest.mark.parametrize("w_alpha", [0.0, 1.0, math.inf])
+    def test_classification(self, w_alpha):
+        probs, _, labels, scores = self._stack()
+        value, n, vjp = ls.classification_array(probs, labels, scores, w_alpha, 0.6)
+        node_value, node_count, node_grad = self._node_grads(
+            lambda s, t: ls.loss_classification(s, labels, t, scores, w_alpha, 0.6),
+            probs)
+        grad = vjp(np.ones(()))
+        assert grad.shape == probs.shape
+        assert (value, [n]) == (node_value, node_count)
+        np.testing.assert_array_equal(grad, node_grad)
+        assert n == (scores > w_alpha).sum()
+        assert (grad[1] == 0.0).all() == (n == 0)
+
+    @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
+    @pytest.mark.parametrize("w_beta", [0.5, math.inf])
+    def test_batch_diversity(self, mode, w_beta):
+        probs, _, _, scores = self._stack()
+        value, n, vjp = ls.batch_diversity_array(probs, scores, w_beta, mode)
+        node_value, node_count, node_grad = self._node_grads(
+            lambda s, t: ls.loss_batch_diversity(s, t, scores, w_beta, mode), probs)
+        grad = vjp(np.ones(()))
+        assert grad.shape == probs.shape
+        assert (value, [n]) == (node_value, node_count)
+        np.testing.assert_array_equal(grad, node_grad)
+        assert (grad[0] == 0.0).all() == (mode != "both")
+        assert (grad[1] == 0.0).all() == (n == 0)
+        if mode == "off":
+            assert value == 0.0 and n == 0
+
+    def test_domain(self):
+        _, d, _, _ = self._stack()
+        value, vjp = ls.domain_array(d)
+        node_value, _, node_grad = self._node_grads(
+            lambda s, t: (ls.loss_domain(s, t),), d)
+        grad = vjp(np.ones(()))
+        assert grad.shape == d.shape
+        assert value == node_value
+        np.testing.assert_array_equal(grad, node_grad)

@@ -83,6 +83,11 @@ class TestConfig:
                            match=f"batch_size must be even and >= 2, got {batch_size}"):
             TrainConfig(batch_size=batch_size)
 
+    def test_negative_gamma_rejected(self):
+        with pytest.raises(ConfigError, match=r"gamma must be >= 0, got -0.1"):
+            TrainConfig(gamma=-0.1)
+        TrainConfig(gamma=0.0)
+
 
 class TestTrain:
     def test_zero_steps_returns_initialized_model(self):

@@ -68,6 +68,9 @@ def commit(checkout: Path) -> str:
 
 def record(checkouts: dict[str, Path], plan: dict[str, list[int]],
            seconds: float) -> dict:
+    """Run ``plan`` on both checkouts.  Their commits are read first, so a
+    checkout that is not a git checkout fails before any run."""
+    commits = {side: commit(path) for side, path in checkouts.items()}
     workloads = {}
     envs: dict[str, dict] = {}
     for workload, seed_list in plan.items():
@@ -95,9 +98,7 @@ def record(checkouts: dict[str, Path], plan: dict[str, list[int]],
                            "lower": sum(a < b for a, b in zip(after, before)),
                            "higher": sum(a > b for a, b in zip(after, before))}
         workloads[workload] = {"seeds": seed_list, "sides": sides, "pairs": pairs}
-    return {"seconds": seconds,
-            "commits": {side: commit(path) for side, path in checkouts.items()},
-            "env": envs, "workloads": workloads}
+    return {"seconds": seconds, "commits": commits, "env": envs, "workloads": workloads}
 
 
 def main(argv: list[str] | None = None) -> int:
