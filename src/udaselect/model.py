@@ -12,7 +12,9 @@ op behind a non-finite value.  ``Mlp.forward_array`` and
 engine's expressions and so its bits; the training step and scoring run
 on them.  They take rows on the last two axes and stack independent
 batches on any axes before them: the training step stacks its source
-and target halves on a leading domain axis of 2.
+and target halves on a leading domain axis of 2, and its VJPs write
+their parameter gradients into the bundle's per-domain buffer
+``halves``.
 """
 
 from __future__ import annotations
@@ -137,32 +139,33 @@ class Mlp:
             tape.append(h)
         return h
 
-    def vjp_array(self, tape: list, g: np.ndarray, input_grad: bool = True
-                  ) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    def vjp_array(self, tape: list, g: np.ndarray, out: list[np.ndarray],
+                  input_grad: bool = True) -> np.ndarray | None:
         """The engine's backward through ``forward_array``'s ``tape``.
 
-        ``g`` is the gradient of the output, stacked like it.  Returns the
-        gradient of the input (None without ``input_grad``) and the
-        gradients of ``parameters()`` in their order, one per stacked
-        slice (shape ``lead + param.shape``).  A hidden ReLU's mask is
-        ``h > 0.0`` of the next layer's input ``h = max(a, 0)``, which
-        equals the engine's ``a > 0.0``: ``a`` passed ``check_finite``.
+        ``g`` is the gradient of the output, stacked like it.  Writes the
+        gradients of ``parameters()`` into ``out``, one array each in
+        their order, one per stacked slice (shape ``lead + param.shape``),
+        and returns the gradient of the input (None without
+        ``input_grad``).  A hidden ReLU's mask is ``h > 0.0`` of the next
+        layer's input ``h = max(a, 0)``, which equals the engine's
+        ``a > 0.0``: ``a`` passed ``check_finite``.
         """
-        out = tape[-1]
+        y = tape[-1]
         if self.spec.final_activation == "softmax":
-            g = out * (g - (g * out).sum(axis=-1, keepdims=True))
+            g = y * (g - (g * y).sum(axis=-1, keepdims=True))
         elif self.spec.final_activation == "sigmoid":
-            g = g * out * (1.0 - out)
-        grads = []
+            g = g * y * (1.0 - y)
         for i in reversed(range(len(self.weights))):
             h = tape[i]
-            grads += [g.sum(axis=-2), h.swapaxes(-1, -2) @ g]
+            g.sum(axis=-2, out=out[2 * i + 1])
+            np.matmul(h.swapaxes(-1, -2), g, out=out[2 * i])
             if i == 0 and not input_grad:
-                return None, grads[::-1]
+                return None
             g = g @ self.weights[i].value.T
             if i > 0:
                 g = g * (h > 0.0)
-        return g, grads[::-1]
+        return g
 
     def parameters(self, prefix: str) -> list[tuple[str, Node]]:
         out = []
@@ -179,7 +182,14 @@ class ModelBundle:
     ``class_ids[j]`` is the dataset class id that classifier output j
     stands for; the classifier always works in index space 0..K-1.
     Every parameter's ``value`` and ``grad`` are views into the flat
-    buffers ``values`` and ``grads``, in ``parameters()`` order.
+    buffers ``values`` and ``grads``, in ``parameters()`` order, and
+    ``flat`` is one leaf over the whole of them (value ``values``, grad
+    ``grads``): the training step's op has it as its only parent.
+    ``halves`` holds the training step's parameter gradients per domain,
+    laid out like ``grads``: row 0 the source half, row 1 the target
+    half.  ``half_views[net]`` lists the ``(2, *shape)`` view of each of
+    that network's parameters, the ``out`` of its ``vjp_array``; each
+    slice of a view is C-contiguous.
     """
 
     f: Mlp
@@ -188,6 +198,9 @@ class ModelBundle:
     class_ids: tuple[int, ...] = field(default=())
     values: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
+    flat: Node = field(init=False, repr=False)
+    halves: np.ndarray = field(init=False, repr=False)
+    half_views: dict[str, list[np.ndarray]] = field(init=False, repr=False)
     _parameters: tuple = field(init=False, repr=False)
     _id_order: np.ndarray = field(init=False, repr=False)
     _sorted_ids: np.ndarray = field(init=False, repr=False)
@@ -203,19 +216,27 @@ class ModelBundle:
                                  + self.d.parameters("d"))
         self.values = np.concatenate([p.value.ravel() for _, p in self.parameters()])
         self.grads = np.zeros_like(self.values)
+        self.halves = np.zeros((2, self.values.size))
         values, grads = self.views(self.values), self.views(self.grads)
+        halves = self.views(self.halves)
         for name, p in self.parameters():
             p.value, p.grad = values[name], grads[name]
+        self.flat = Node(self.values)
+        self.flat.grad = self.grads
+        self.half_views = {net: [halves[name] for name, _ in mlp.parameters(net)]
+                           for net, mlp in (("f", self.f), ("c", self.c), ("d", self.d))}
 
     def parameters(self) -> tuple[tuple[str, Node], ...]:
         """Each parameter with its name, built once at construction."""
         return self._parameters
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each parameter's name mapped to its part of ``flat``, shaped like it."""
+        """Each parameter's name mapped to its part of the last axis of
+        ``flat``, shaped like it after ``flat``'s leading axes."""
         out, start = {}, 0
         for name, p in self.parameters():
-            out[name] = flat[start:start + p.value.size].reshape(p.shape)
+            part = flat[..., start:start + p.value.size]
+            out[name] = part.reshape(flat.shape[:-1] + p.shape)
             start += p.value.size
         return out
 

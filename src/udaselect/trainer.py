@@ -4,15 +4,16 @@ The compound loss is minimized with SGD-plus-momentum over all
 parameters at once; the reversal layer inside the domain branch makes
 that single step adversarial for the feature extractor.
 
-A step's loss is one autodiff op (``step_op``) whose parents are the
-parameters: its value comes from the networks' array forwards and its
-VJP chains their hand-derived backwards with those of the losses.  The
-source and target halves share every network, so they run stacked on a
-leading domain axis: one forward and one backward per network per step.
-``autodiff.backward`` accumulates its gradients into the parameters.
-``engine_loss`` builds the same loss from one node per op; it is the
-oracle the step op is tested against bit for bit, and the replay that
-names the op when a step meets a non-finite value.
+A step's loss is one autodiff op (``step_op``) whose one parent is the
+model's flat parameter leaf: its value comes from the networks' array
+forwards and its VJP chains their hand-derived backwards with those of
+the losses.  The source and target halves share every network, so they
+run stacked on a leading domain axis: one forward and one backward per
+network per step.  ``autodiff.backward`` adds its gradient into the
+flat ``grads`` with one add.  ``engine_loss`` builds the same loss from
+one node per op; it is the oracle the step op is tested against bit for
+bit, and the replay that names the op when a step meets a non-finite
+value.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ _FIELD_TYPES = {"float": (int, float), "float | None": (int, float, type(None)),
                 "int": int, "str": str, "bool": bool, "tuple[int, ...]": (list, tuple)}
 
 
+def _finite(v) -> bool:
+    """``math.isfinite``, False for an int too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """All hyperparameters of one training run."""
@@ -63,6 +72,10 @@ class TrainConfig:
     d_hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type.startswith("float") and v is not None and not _finite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.scheme not in sc.SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         sc.check_in_range(self.scheme, "w0", self.w0)
@@ -190,7 +203,7 @@ def engine_loss(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: flo
 
 def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
             threshold: float, cfg: TrainConfig) -> tuple[Node, ls.LossBreakdown]:
-    """``engine_loss`` as one op over the parameters, with its value and
+    """``engine_loss`` as one op over ``m.flat``, with its value and
     parameter gradients bit for bit.
 
     Source and target run as one ``(2, half, dim)`` stack, so each
@@ -199,8 +212,9 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
     probabilities and domain outputs, and each loss's VJP returns one
     gradient shaped like its stack, zero where its term does not reach.
     The VJP keeps the engine's op order: a tensor used twice gets the
-    sum of its two gradients where the engine sums them, and a
-    parameter's gradient is its source slice plus its target slice.
+    sum of its two gradients where the engine sums them.  Each network's
+    VJP writes its parameter gradients per half into ``m.halves``, and
+    the gradient of ``m.flat`` is the source half plus the target half.
     Raises ``model.NonFinite`` where ``engine_loss`` raises
     ``NumericError``: a non-finite input, layer pre-activation or total.
     ``lam`` must be >= 0, which ``TrainConfig`` ensures.
@@ -223,12 +237,12 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
     md.check_finite(total)
 
     def vjp(g):
-        g_r, d_grads = m.d.vjp_array(tape_d, vjp_d(g))
-        g_fc, c_grads = m.c.vjp_array(tape_c, vjp_c(g) + vjp_bd(g))
-        _, f_grads = m.f.vjp_array(tape_f, g_fc + -lam * g_r, input_grad=False)
-        return [a[0] + a[1] for a in f_grads + c_grads + d_grads]
+        g_r = m.d.vjp_array(tape_d, vjp_d(g), m.half_views["d"])
+        g_fc = m.c.vjp_array(tape_c, vjp_c(g) + vjp_bd(g), m.half_views["c"])
+        m.f.vjp_array(tape_f, g_fc + -lam * g_r, m.half_views["f"], input_grad=False)
+        return (m.halves[0] + m.halves[1],)
 
-    total_node = Node(total, (p for _, p in m.parameters()), "train_step", vjp)
+    total_node = Node(total, (m.flat,), "train_step", vjp)
     return total_node, ls.LossBreakdown(
         l_c=float(l_c), l_bd=float(l_bd), l_d=float(l_d), total=float(total),
         n_pseudo_selected=n_pl, n_diversity_selected=n_div)

@@ -122,7 +122,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--batch-size", "3", "batch_size must be even and >= 2, got 3"),
-        ("--gamma", "-1", "gamma must be >= 0, got -1.0")])
+        ("--gamma", "-1", "gamma must be >= 0, got -1.0"),
+        ("--gamma", "nan", "gamma must be finite, got nan"),
+        ("--w-beta", "nan", "w_beta must be finite, got nan"),
+        ("--momentum", "inf", "momentum must be finite, got inf"),
+        ("--lr", "inf", "lr must be finite, got inf"),
+        ("--grl-lambda", "nan", "grl_lambda must be finite, got nan"),
+        ("--static-w-alpha", "inf", "static_w_alpha must be finite, got inf")])
     def test_odd_batch_size_exits_2_without_run_dir(self, tmp_path, capsys,
                                                     flag, value, message):
         out = tmp_path / "run"

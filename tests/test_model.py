@@ -169,12 +169,27 @@ class TestCheckpoint:
 
 
 def assert_packed(m: md.ModelBundle) -> None:
-    """Every parameter's value and grad are views into the flat buffers."""
+    """Every parameter's value and grad are views into the flat buffers,
+    which are the value and grad of the leaf ``flat``, and its
+    per-domain gradients a view into ``halves`` whose two slices are
+    C-contiguous."""
     params = [p for _, p in m.parameters()]
     assert m.values.size == m.grads.size == sum(p.value.size for p in params)
+    assert m.flat.value is m.values and m.flat.grad is m.grads
+    assert m.halves.shape == (2, m.values.size)
     for p in params:
         assert np.shares_memory(p.value, m.values)
         assert np.shares_memory(p.grad, m.grads)
+    halves = [v for net in ("f", "c", "d") for v in m.half_views[net]]
+    assert [v.shape for v in halves] == [(2, *p.shape) for p in params]
+    for v in halves:
+        assert np.shares_memory(v, m.halves)
+        assert v[0].flags.c_contiguous and v[1].flags.c_contiguous
+
+
+def grad_out(mlp: md.Mlp) -> list[np.ndarray]:
+    """An ``out`` for ``mlp.vjp_array`` on 2-D rows: NaNs shaped like each parameter."""
+    return [np.full(p.shape, np.nan) for _, p in mlp.parameters("")]
 
 
 class TestFlatBuffers:
@@ -218,9 +233,9 @@ class TestArrayForward:
         mlp = getattr(small_bundle(), net)
         x = rng.normal(size=(7, mlp.spec.input_dim)) * 2
         g = rng.normal(size=(7, mlp.spec.output_dim))
-        tape = []
+        tape, grads = [], grad_out(mlp)
         out = mlp.forward_array(x, tape)
-        g_x, grads = mlp.vjp_array(tape, g)
+        g_x = mlp.vjp_array(tape, g, grads)
 
         leaf = Node(x)
         node = mlp.forward(leaf)
@@ -233,10 +248,11 @@ class TestArrayForward:
 
     def test_input_grad_can_be_skipped(self):
         m = small_bundle()
-        tape = []
+        tape, grads = [], grad_out(m.f)
         m.f.forward_array(np.ones((2, 4)), tape)
-        g_x, grads = m.f.vjp_array(tape, np.ones((2, 6)), input_grad=False)
+        g_x = m.f.vjp_array(tape, np.ones((2, 6)), grads, input_grad=False)
         assert g_x is None and [g.shape for g in grads] == [(4, 8), (8,), (8, 6), (6,)]
+        assert not np.isnan(np.concatenate([g.ravel() for g in grads])).any()
 
     def test_wrong_input_dim_is_the_engine_contract_error(self):
         with pytest.raises(ContractError, match=r"matmul shape mismatch: \(2, 3\) x \(4, 8\)"):
@@ -263,17 +279,19 @@ class TestStackedArrays:
             cfg = tr.TrainConfig(seed=n)
         m = tr.init_state(cli.make_benchmark(cfg)[0], cfg).model
         rng = np.random.default_rng(n)
-        for net in (m.f, m.c, m.d):
+        for name in ("f", "c", "d"):
+            # the stacked VJP writes into the bundle's per-domain views
+            net, grads = getattr(m, name), m.half_views[name]
             x = rng.normal(size=(2, n, net.spec.input_dim)) * 2
             g = rng.normal(size=(2, n, net.spec.output_dim))
             tape = []
             out = net.forward_array(x, tape)
-            g_x, grads = net.vjp_array(tape, g)
+            g_x = net.vjp_array(tape, g, grads)
             for k in range(2):
-                tape_k = []
+                tape_k, grads_k = [], grad_out(net)
                 np.testing.assert_array_equal(bits(out[k]),
                                               bits(net.forward_array(x[k], tape_k)))
-                g_xk, grads_k = net.vjp_array(tape_k, g[k])
+                g_xk = net.vjp_array(tape_k, g[k], grads_k)
                 np.testing.assert_array_equal(bits(g_x[k]), bits(g_xk))
                 assert len(grads) == len(grads_k)
                 for got, want in zip(grads, grads_k):

@@ -10,8 +10,10 @@ from udaselect import autodiff as ad
 from udaselect import cli
 from udaselect import data as dt
 from udaselect import losses as ls
+from udaselect import model as md
 from udaselect import scoring as sc
 from udaselect import trainer as tr
+from udaselect.autodiff import Node
 from udaselect.errors import ConfigError, ContractError, NumericError
 from udaselect.trainer import TrainConfig
 
@@ -87,6 +89,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"gamma must be >= 0, got -0.1"):
             TrainConfig(gamma=-0.1)
         TrainConfig(gamma=0.0)
+
+    @pytest.mark.parametrize("key", ["gamma", "w0", "w_beta", "lr", "momentum",
+                                     "grl_lambda", "static_w_alpha", "w_alpha_start"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite, got {value}"):
+            TrainConfig(**{key: value})
+
+    def test_int_too_large_for_a_float_rejected(self):
+        # from_dict takes an int for a float field; JSON can hold any size
+        with pytest.raises(ConfigError, match="lr must be finite, got 1000"):
+            TrainConfig.from_dict({"lr": 10 ** 400})
 
 
 class TestTrain:
@@ -200,8 +214,19 @@ class TestFlatMomentum:
                                           b.value.view(np.uint64), err_msg=name)
 
 
-class TestBackwardOracle:
-    """The engine's ``backward`` against the DFS reference on real step graphs."""
+class TestBackwardOracleOnEngineGraph:
+    """The engine's ``backward`` against the DFS reference on real step
+    graphs: each step's loss built as the engine graph, one node per op,
+    instead of the one-node step op."""
+
+    @pytest.fixture(autouse=True)
+    def engine_graph(self, monkeypatch):
+        def loss(*args):
+            total, breakdown = tr.engine_loss(*args)
+            assert total.op == "add" and len(ref.topo_order(total)) > 40
+            return total, breakdown
+
+        monkeypatch.setattr(tr, "step_op", loss)
 
     @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
     @pytest.mark.parametrize("scheme", sc.SCHEMES)
@@ -229,20 +254,6 @@ class TestBackwardOracle:
         if mode == "both":
             assert any(r.n_pseudo_selected for r in recs)
             assert any(r.n_diversity_selected for r in recs)
-
-
-class TestBackwardOracleOnEngineGraph(TestBackwardOracle):
-    """``TestBackwardOracle`` with each step's loss built as the engine
-    graph, one node per op, instead of the one-node step op."""
-
-    @pytest.fixture(autouse=True)
-    def engine_graph(self, monkeypatch):
-        def loss(*args):
-            total, breakdown = tr.engine_loss(*args)
-            assert total.op == "add" and len(ref.topo_order(total)) > 40
-            return total, breakdown
-
-        monkeypatch.setattr(tr, "step_op", loss)
 
 
 def bits(a):
@@ -275,7 +286,9 @@ class TestStepOpOracle:
             ad.backward(engine_total)
             expected = m.grads.copy()
             total, breakdown = step_op(m, *rest)
-            assert total.op == "train_step" and len(total.parents) == len(m.parameters())
+            assert total.op == "train_step" and total.parents == (m.flat,)
+            # the step op's VJP must write every entry of the per-domain buffer
+            m.halves.fill(np.nan)
             m.zero_grads()
             ad.backward(total)
             np.testing.assert_array_equal(bits(m.grads), bits(expected))
@@ -345,6 +358,51 @@ class TestNonFiniteReplay:
         tr.train_step(state, batches[0], cfg)
         assert self.check(monkeypatch, state, batches[1], cfg) == (
             "step 1: non-finite values produced by op 'matmul'")
+
+
+class TestStepTape:
+    """A finite step builds one ``Node``, the step op over the flat
+    parameter leaf; only a replay builds the engine graph.  Nodes are
+    counted as the benchmark's tracer counts them, by wrapping
+    ``Node.__init__``."""
+
+    def nodes_per_step(self, monkeypatch, steps):
+        cfg = cli.benchmark_config(total_steps=steps)
+        src, tgt, _ = cli.make_benchmark(cfg)
+        state = tr.init_state(src, cfg)
+        rng = np.random.default_rng([cfg.seed, 1])
+        node_init, built = Node.__dict__["__init__"], []
+
+        def counting_init(node, *args, **kwargs):
+            built.append(node)
+            node_init(node, *args, **kwargs)
+
+        monkeypatch.setattr(Node, "__init__", counting_init)
+        per_step = []
+        for _ in range(steps):
+            batch = dt.sample_batch(src, tgt, cfg.batch_size, rng)
+            before = len(built)
+            tr.train_step(state, batch, cfg)
+            per_step.append(built[before:])
+        return state, per_step
+
+    def test_finite_step_builds_one_op_over_the_flat_leaf(self, monkeypatch):
+        state, per_step = self.nodes_per_step(monkeypatch, 20)
+        assert [[(n.op, n.parents) for n in nodes] for nodes in per_step] == (
+            [[("train_step", (state.model.flat,))]] * 20)
+
+    def test_forced_replay_builds_the_engine_graph_and_the_same_step(self, monkeypatch):
+        plain, _ = self.nodes_per_step(monkeypatch, 3)
+
+        def non_finite(*args):
+            raise md.NonFinite("forced replay")
+
+        monkeypatch.setattr(tr, "step_op", non_finite)
+        replayed, per_step = self.nodes_per_step(monkeypatch, 3)
+        assert all(len(nodes) > 40 for nodes in per_step)
+        assert replayed.records == plain.records
+        np.testing.assert_array_equal(bits(replayed.model.values), bits(plain.model.values))
+        np.testing.assert_array_equal(bits(replayed.v), bits(plain.v))
 
 
 class TestLabels:
