@@ -4,10 +4,16 @@ Classes are isotropic Gaussian blobs; the domain gap for shared classes
 is an affine map (rotation in a random plane, translation, scale and
 noise inflation).  Label ids are dense integers with the label-set
 partition deciding which ids appear in which domain.
+
+Feature files are read by numpy's C reader in one pass.  The per-line
+row walk ``_parse_rows`` stays the definition of a valid file and of
+each error's text and line number: ``load_features`` falls back to it
+whenever the C reader raises, warns or returns another row count.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +177,16 @@ def save_features(path, dataset: DomainDataset, labeled: bool = True) -> None:
 
 
 def load_features(path, labeled: bool) -> DomainDataset:
-    """Parse a feature file; any malformed line aborts with its line number."""
+    """Parse a feature file; any malformed line aborts with its line number.
+
+    After the header and row-count checks, numpy's C reader parses the
+    body in one pass.  Where it raises, warns or returns another row
+    count, the row walk ``_parse_rows`` parses the body instead: a value
+    ``float()`` or ``int()`` accepts and the C reader does not (``1_0``,
+    non-ASCII digits) loads as before, and a malformed line gets the row
+    walk's message and line number.  Every value the C reader accepts is
+    bit-identical to ``float()``'s.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -190,12 +205,34 @@ def load_features(path, labeled: bool) -> DomainDataset:
     if labeled and not file_labeled:
         raise FeatureFileError(f"{path}: labels requested but file is unlabeled")
     expected_cols = dim + (1 if file_labeled else 0)
-    feats = np.empty((count, dim))
-    labels = np.full(count, TAU)
     body = lines[1:]
     if len(body) != count:
         raise FeatureFileError(
             f"{path}: header promises {count} rows, found {len(body)}")
+    columns = [("x", np.float64, (dim,))]
+    if file_labeled:
+        columns.append(("y", np.int64))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # comments=None: the default "#" would cut a field short
+            table = np.loadtxt(body, dtype=columns, delimiter="\t",
+                               comments=None, ndmin=1)
+    except (ValueError, Warning):
+        table = None
+    if table is None or table.shape != (count,):
+        return _parse_rows(path, body, dim, expected_cols, file_labeled, labeled)
+    labels = table["y"].copy() if labeled else np.full(count, TAU)
+    return DomainDataset(np.ascontiguousarray(table["x"]), labels)
+
+
+def _parse_rows(path, body: list[str], dim: int, expected_cols: int,
+                file_labeled: bool, labeled: bool) -> DomainDataset:
+    """The row walk: one line at a time, ``float()`` per feature and
+    ``int()`` per label.  It is the definition of a valid body."""
+    count = len(body)
+    feats = np.empty((count, dim))
+    labels = np.full(count, TAU)
     for i, line in enumerate(body):
         parts = line.split("\t")
         if len(parts) != expected_cols:
@@ -207,6 +244,8 @@ def load_features(path, labeled: bool) -> DomainDataset:
                 labels[i] = int(parts[dim])
         except ValueError as exc:
             raise FeatureFileError(f"{path}:{i + 2}: non-numeric field: {exc}") from exc
+        except OverflowError as exc:  # int() took it, the int64 array did not
+            raise FeatureFileError(f"{path}:{i + 2}: label does not fit int64: {exc}") from exc
     if not labeled:
         labels = np.full(count, TAU)
     return DomainDataset(feats, labels)

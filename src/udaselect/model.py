@@ -114,8 +114,12 @@ class Mlp:
         Each layer's pre-activation ``h @ W + b`` is checked with
         ``check_finite``: ReLU, softmax and sigmoid map finite values to
         finite values, so it is the only place a finite input can turn
-        non-finite.  With ``tape``, appends each layer's input and then
-        the output, which ``vjp_array`` reads.
+        non-finite.  The bias add and the ReLU write into the fresh
+        product ``h @ W`` in place: the same ufuncs as ``h @ W + b`` and
+        ``maximum(h, 0)``, so the same bits with no extra temporaries.
+        With ``tape``, appends each layer's input and then the output,
+        which ``vjp_array`` reads; no array on the tape is written after
+        it is appended.
         """
         w0 = self.weights[0].value
         if x.ndim < 2 or x.shape[-1] != w0.shape[0]:
@@ -125,10 +129,11 @@ class Mlp:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if tape is not None:
                 tape.append(h)
-            h = h @ w.value + b.value
+            h = h @ w.value
+            h += b.value
             check_finite(h)
             if i < last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
         if self.spec.final_activation == "softmax":
             e = np.exp(h - h.max(axis=-1, keepdims=True))
             h = e / e.sum(axis=-1, keepdims=True)

@@ -1,7 +1,11 @@
 """End-to-end tests of the command line verbs."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from udaselect import scoring as sc
 from udaselect import trainer as tr
 from udaselect.cli import EXIT_CONFIG, main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 RUN_ARTIFACTS = ["config.json", "metrics.jsonl", "checkpoint.txt", "eval.json",
                  "eval.txt", "scores.tsv", "score_hist.tsv", "manifest.json"]
 
@@ -310,6 +315,29 @@ class TestEvalFileErrors:
         target.write_text(header + "\n")
         assert main(eval_args(tmp_path, ckpt, tmp_path / "data/labelset.json")) == EXIT_CONFIG
         assert f"{target}:1: bad header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_label_too_large_for_int64_exits_2(self, tmp_path, verb):
+        ckpt = train_small(tmp_path)
+        data = tmp_path / "data"
+        bad = data / ("source.features.txt" if verb == "train" else "target.features.txt")
+        lines = bad.read_text().splitlines()
+        lines[1] = lines[1].rsplit("\t", 1)[0] + "\t99999999999999999999"
+        bad.write_text("\n".join(lines) + "\n")
+        if verb == "train":
+            args = ["train", "--source", str(data / "source.features.txt"),
+                    "--target", str(data / "target.features.txt"),
+                    "--labelset", str(data / "labelset.json"), "--steps", "2",
+                    "--batch-size", "4", "--out", str(tmp_path / "rerun")]
+        else:
+            args = eval_args(tmp_path, ckpt, data / "labelset.json")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-m", "udaselect.cli", *args],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == EXIT_CONFIG
+        assert done.stderr.startswith(f"error: {bad}:2: label does not fit int64")
+        assert done.stderr.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "rerun").exists()
 
 
 def read_table(path):

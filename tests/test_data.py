@@ -179,3 +179,88 @@ class TestFeatureFiles:
         path.write_text("# dim=2 count=3 labeled=1\n1.0\t2.0\t0\n")
         with pytest.raises(FeatureFileError, match="promises 3"):
             dt.load_features(path, labeled=True)
+
+    def test_label_too_large_for_int64_reports_line_two(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# dim=2 count=1 labeled=1\n"
+                        "1.0\t2.0\t99999999999999999999\n")
+        with pytest.raises(FeatureFileError, match=":2: label does not fit int64"):
+            dt.load_features(path, labeled=True)
+
+
+def parse_by_row_walk(path, labeled):
+    """``_parse_rows`` alone on a file whose header and row count are valid."""
+    lines = path.read_text().splitlines()
+    header = dict(kv.split("=") for kv in lines[0].lstrip("#").split())
+    dim, file_labeled = int(header["dim"]), bool(int(header["labeled"]))
+    return dt._parse_rows(path, lines[1:], dim, dim + file_labeled,
+                          file_labeled, labeled)
+
+
+def outcome(parse, path, labeled):
+    """Every bit of a parse result, or the text of its ``FeatureFileError``."""
+    try:
+        ds = parse(path, labeled)
+    except FeatureFileError as exc:
+        return str(exc)
+    return (ds.features.shape, ds.features.dtype, ds.features.tobytes(),
+            ds.labels.shape, ds.labels.dtype, ds.labels.tobytes())
+
+
+class TestReaderEquivalence:
+    """``load_features`` (C reader first) against the row walk alone.
+
+    Each body's header row count matches its ``splitlines`` body, so both
+    sides reach the body; ``fast`` says whether the C reader decides it.
+    """
+
+    @pytest.mark.parametrize("header, rows, labeled, fast", [
+        ("dim=2 count=2 labeled=1", "1.5\t-2.25\t3\n0.1\t1e-300\t-7\n", True, True),
+        ("dim=2 count=1 labeled=1", "1_0\t2.0\t3\n", True, False),
+        ("dim=2 count=1 labeled=1", "١\t2.0\t3\n", True, False),
+        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3_0\n", True, False),
+        ("dim=2 count=1 labeled=1", "nan\t1e999\t3\n", True, True),
+        ("dim=2 count=1 labeled=1", "-nan\t-1e999\t3\n", True, True),
+        ("dim=2 count=3 labeled=1", "1.0\t2.0\t3\n\n4.0\t5.0\t6\n", True, False),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n\n", True, False),
+        ("dim=2 count=3 labeled=1", "1.0\t2.0\t3\x0c\n4.0\t5.0\t6\n", True, False),
+        ("dim=2 count=2 labeled=1", "1.0\t2\x0c.0\t3\n", True, False),
+        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3.0\n", True, False),
+        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3\t\n", True, False),
+        ("dim=2 count=1 labeled=1", "1.0\t2.0\t99999999999999999999\n", True, False),
+        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3#\t4\n", True, False),
+        ("dim=2 count=0 labeled=1", "", True, False),
+        ("dim=2 count=2 labeled=0", "1.0\t2.0\n-3.5\t4e10\n", False, True),
+        ("dim=2 count=1 labeled=0", "1.0\t2.0\t3\n", False, False),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n4.0\t5.0\t6\n", False, True),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n4.0\t5.0\tx\n", False, False),
+    ])
+    def test_same_bits_or_same_error_as_row_walk(self, tmp_path, monkeypatch,
+                                                 header, rows, labeled, fast):
+        path = tmp_path / "feat.txt"
+        path.write_text(f"# {header}\n{rows}")
+        walked = []
+        row_walk = dt._parse_rows
+        monkeypatch.setattr(dt, "_parse_rows",
+                            lambda *a: walked.append(a) or row_walk(*a))
+        got = outcome(dt.load_features, path, labeled)
+        assert len(walked) == (0 if fast else 1)
+        assert got == outcome(parse_by_row_walk, path, labeled)
+
+    def test_benchmark_eval_target_takes_the_fast_path_bit_exact(self, tmp_path,
+                                                                 monkeypatch):
+        _, tgt = dt.gen_synthetic(dt.benchmark_label_spec(), 8, 2000,
+                                  dt.benchmark_shift(), seed=0)
+        path = tmp_path / "target.features.txt"
+        dt.save_features(path, tgt)
+
+        def no_row_walk(*args):
+            raise AssertionError("the C reader fell back to the row walk")
+
+        monkeypatch.setattr(dt, "_parse_rows", no_row_walk)
+        loaded = dt.load_features(path, labeled=True)
+        assert loaded.features.tobytes() == tgt.features.tobytes()
+        assert loaded.features.shape == tgt.features.shape == (20_000, 8)
+        assert loaded.features.flags.c_contiguous
+        assert loaded.labels.dtype == np.int64
+        np.testing.assert_array_equal(loaded.labels, tgt.labels)
