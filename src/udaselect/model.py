@@ -59,6 +59,14 @@ class MlpSpec:
 SOFTMAX_HEAD_GAIN = 0.01
 
 
+#: rows per block of ``predict``: a 64-wide float64 activation of 1024
+#: rows is 512 KiB, so a 64x64 layer's input and output both stay in a
+#: 2 MB L2 cache.  A multiple of 4, because OpenBLAS's matrix-vector
+#: kernel takes rows in fours and the last ``n % 4`` by another path:
+#: only the last block has such a tail, the rows of the whole input's.
+_BLOCK_ROWS = 1024
+
+
 class NonFinite(NumericError):
     """An array forward met a non-finite value.  The engine replays the
     same computation, and its ``NumericError`` names the op."""
@@ -105,6 +113,13 @@ class Mlp:
             h = ad.sigmoid(h)
         return h
 
+    def check_input(self, x: np.ndarray) -> None:
+        """Raise the engine's ``matmul`` ``ContractError`` unless ``x``
+        holds rows of this net's input width on its last two axes."""
+        w0 = self.weights[0].value
+        if x.ndim < 2 or x.shape[-1] != w0.shape[0]:
+            raise ContractError(f"matmul shape mismatch: {x.shape[-2:]} x {w0.shape}")
+
     def forward_array(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         """``forward`` on arrays: the same ops and expressions, so the same bits.
 
@@ -121,9 +136,7 @@ class Mlp:
         which ``vjp_array`` reads; no array on the tape is written after
         it is appended.
         """
-        w0 = self.weights[0].value
-        if x.ndim < 2 or x.shape[-1] != w0.shape[0]:
-            raise ContractError(f"matmul shape mismatch: {x.shape[-2:]} x {w0.shape}")
+        self.check_input(x)
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -306,12 +319,35 @@ def domain_prob(m: ModelBundle, feats: Node, lam: float) -> Node:
 def predict(m: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``label_probs`` and ``domain_prob`` values for the rows of ``x`` by
     the array forward (the reversal layer is the identity forward).
-    Raises ``NonFinite`` where the engine would raise ``NumericError``."""
+    Raises ``NonFinite`` where the engine would raise ``NumericError``.
+
+    The rows run through ``f``, ``c`` and ``d`` in blocks of
+    ``_BLOCK_ROWS`` into preallocated outputs, so no activation of the
+    whole input is held: on a 20k-row file that was the process's peak
+    memory.  Every op is row-wise, and a block's product rows are those
+    of the whole input's product, so the bits are those of one forward
+    over all of ``x`` on one BLAS thread.  (On more threads OpenBLAS
+    splits the domain head's matrix-vector product of several thousand
+    rows unevenly for some row counts, and the whole forward's bits then
+    move with the thread count; a block is below that size.)  The shape
+    check runs before the loop, so an input with no rows still fails it.
+    """
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
+    m.f.check_input(x)
+    lead = x.shape[:-1]
+    probs = np.empty(lead + (m.c.spec.output_dim,))
+    d = np.empty(lead + (m.d.spec.output_dim,))
+    # no block of one row among more: numpy multiplies a lone row by its
+    # vector path, whose bits differ from those of the matrix product
+    starts = range(0, max(lead[-1] - 1, 1), _BLOCK_ROWS)
     with np.errstate(over="ignore", invalid="ignore"):
-        feats = m.f.forward_array(x)
-        return m.c.forward_array(feats), m.d.forward_array(feats)
+        for start, stop in zip(starts, [*starts[1:], lead[-1]]):
+            rows = slice(start, stop)
+            feats = m.f.forward_array(x[..., rows, :])
+            probs[..., rows, :] = m.c.forward_array(feats)
+            d[..., rows, :] = m.d.forward_array(feats)
+    return probs, d
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,14 @@ def scores_from_outputs(d: np.ndarray, probs: np.ndarray, scheme: str) -> np.nda
 
 
 def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
-    """Score every row of ``x`` under the array forward (no gradients)."""
+    """Score every row of ``x`` under the array forward (no gradients).
+
+    ``md.predict`` runs the rows in blocks of 1024, which bounds the
+    forward's memory on large files and leaves every bit of every column
+    as one forward over all of ``x`` would give it.  The scores and the
+    other columns are computed once, over all rows, after the forward;
+    a non-finite value in any block replays the engine over all of ``x``.
+    """
     try:
         probs, d = md.predict(m, x)
     except md.NonFinite:  # the engine forward raises the NumericError naming the op

@@ -1,5 +1,10 @@
 """Unit tests for the three-network bundle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -300,6 +305,42 @@ class TestStackedArrays:
     def test_wrong_input_dim_of_a_stack_quotes_one_slice(self):
         with pytest.raises(ContractError, match=r"matmul shape mismatch: \(2, 3\) x \(4, 8\)"):
             small_bundle().f.forward_array(np.ones((2, 2, 3)))
+
+
+PREDICT_DIGEST = """
+import hashlib, sys
+import numpy as np
+from udaselect import cli, model as md, trainer as tr
+cfg = cli.benchmark_config(seed=0)
+m = tr.init_state(cli.make_benchmark(cfg)[0], cfg).model
+x = np.random.default_rng(0).normal(size=(int(sys.argv[1]), 8))
+probs, d = md.predict(m, x)
+print(hashlib.sha256(probs.tobytes() + d.tobytes()).hexdigest())
+"""
+
+
+class TestPredictBlocks:
+    def test_stacked_slices_equal_their_own_calls_bitwise(self):
+        m = small_bundle()
+        x = np.random.default_rng(0).normal(size=(2, md._BLOCK_ROWS + 2, 4))
+        probs, d = md.predict(m, x)
+        for k in range(2):
+            probs_k, d_k = md.predict(m, x[k])
+            np.testing.assert_array_equal(bits(probs[k]), bits(probs_k))
+            np.testing.assert_array_equal(bits(d[k]), bits(d_k))
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a whole 8195-row matrix-vector product across
+        # two threads unevenly; no block is large enough to be split
+        src = str(Path(md.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", PREDICT_DIGEST, "8195"], env=env,
+                                  check=True, capture_output=True, text=True)
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
 
 class TestClassIndex:

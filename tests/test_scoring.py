@@ -1,7 +1,9 @@
 """Unit and property tests for the transfer-score schemes."""
 
 import math
+import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scoring as ref
+from udaselect import cli
+from udaselect import data as dt
 from udaselect import model as md
 from udaselect import scoring as sc
+from udaselect import trainer as tr
 from udaselect.errors import ContractError, NumericError
 
 
@@ -169,10 +174,21 @@ class TestScoreBatch:
         np.testing.assert_array_equal(scores.y_bar.view(np.uint64), probs.view(np.uint64))
         np.testing.assert_array_equal(scores.d.view(np.uint64), d.view(np.uint64))
 
-    def test_wrong_feature_dim_is_a_contract_error(self):
+    @pytest.mark.parametrize("shape", [(2, 5), (0, 5), (4,)])
+    def test_wrong_input_shape_is_a_contract_error(self, shape):
         from test_model import small_bundle
-        with pytest.raises(ContractError, match=r"matmul shape mismatch: \(2, 5\) x \(4, 8\)"):
-            sc.score_batch(small_bundle(), np.ones((2, 5)), "ours")
+        want = re.escape(f"matmul shape mismatch: {shape} x (4, 8)")
+        with pytest.raises(ContractError, match=want):
+            sc.score_batch(small_bundle(), np.ones(shape), "ours")
+
+    def test_overflow_in_the_last_block_names_the_matmul(self):
+        from test_model import small_bundle
+        x = np.ones((2 * md._BLOCK_ROWS + 3, 4))
+        x[-1] = np.finfo(float).max  # finite input, non-finite first product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="op 'matmul'"):
+                sc.score_batch(small_bundle(), x, "ours")
 
     @pytest.mark.parametrize("where", ["input", "matmul", "add_bias"])
     def test_non_finite_names_the_engine_op(self, where):
@@ -198,6 +214,45 @@ class TestScoreBatch:
         sc.score_batch(m, x, "ours")
         for _, p in m.parameters():
             assert np.all(p.grad == 0.0)
+
+
+B = md._BLOCK_ROWS
+
+
+@pytest.fixture(scope="module")
+def benchmark_scoring():
+    """A 300-step benchmark model and the 20k-row benchmark target."""
+    cfg = cli.benchmark_config(seed=0, total_steps=300)
+    src, tgt, _ = cli.make_benchmark(cfg)
+    model, _ = tr.train(src, tgt, cfg)
+    _, large = dt.gen_synthetic(dt.benchmark_label_spec(), dim=8, per_class=2000,
+                                shift=dt.benchmark_shift(), seed=0)
+    return model, large.features
+
+
+class TestScoreBatchBlocks:
+    """``score_batch`` runs the rows in blocks; every column keeps the
+    bits of one engine forward over all rows, whichever block a row
+    falls in."""
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3, None],
+                             ids=["1", "B-1", "B", "B+1", "2B+3", "20k"])
+    def test_columns_equal_the_engine_forward_bitwise(self, benchmark_scoring, n):
+        m, x = benchmark_scoring
+        x = x[:n]
+        assert n is not None or len(x) == 20000
+        feats = md.features(m, x)
+        probs = md.label_probs(m, feats).value
+        d = md.domain_prob(m, feats, 0.0).value[:, 0]
+        for scheme in sc.SCHEMES:
+            want = sc.ScoreTable(d=d, y_bar=probs, max_prob=probs.max(axis=-1),
+                                 entropy=sc.entropy(probs),
+                                 w=sc.score_for_scheme(scheme, d, probs))
+            got = sc.score_batch(m, x, scheme)
+            for f in fields(sc.ScoreTable):
+                np.testing.assert_array_equal(
+                    getattr(got, f.name).view(np.uint64),
+                    getattr(want, f.name).view(np.uint64), err_msg=f"{scheme} {f.name}")
 
 
 class TestScoreDump:

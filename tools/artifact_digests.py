@@ -21,12 +21,17 @@ is the byte-identity check.  The 109 artifacts are:
   ``benchmark_config(seed=0)`` run;
 - ``eval_large/<scheme>``: ``evaluate(...).to_json()`` of the ``full``
   checkpoint on a 20k-row target (``per_class=2000``, seed 0) with each
-  scheme's default ``w0``.
+  scheme's default ``w0``;
+- ``eval_large/<scheme>.scores``: the raw bytes of every column of
+  ``score_batch`` of that checkpoint on that target, in ``ScoreTable``
+  field order.  A report moves only when a decision flips; these move
+  with any bit of a score of any of the 20k rows.
 
 Every run is named ``r``, because ``manifest.json`` records the name.
-The last line reads ``109 artifacts, list sha256 02d7794f…cda2``; before
-the two variants were added it read ``93 artifacts, list sha256
-be11c31f…e8c``.
+The last line reads ``114 artifacts, list sha256 2f56b38d…9aee``.
+Before the score columns were added it read ``109 artifacts, list
+sha256 02d7794f…cda2``, and before the two variants ``93 artifacts,
+list sha256 be11c31f…e8c``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +86,9 @@ def digests(work: Path) -> dict[str, str]:
         w0 = cli.scheme_defaults(full, scheme).w0
         report = ev.evaluate(model, tgt, spec, w0, scheme)
         out[f"eval_large/{scheme}"] = sha256(report.to_json().encode())
+        scores = sc.score_batch(model, tgt.features, scheme)
+        out[f"eval_large/{scheme}.scores"] = sha256(b"".join(
+            getattr(scores, f.name).tobytes() for f in fields(sc.ScoreTable)))
     return out
 
 

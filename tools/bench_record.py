@@ -15,7 +15,9 @@ it writes holds, per workload and side, every run's end-to-end metrics
 failed and attempted counts, and each side's commit and environment,
 plus, per metric, the change/parent ratio of each pair and in how many
 pairs the change read lower and higher.  ``--change`` defaults to the
-checkout this script is in.  It measures nothing itself and changes no
+checkout this script is in.  Both checkouts must be git checkouts with
+no uncommitted changes to tracked files; it refuses either before any
+run.  It measures nothing itself and changes no
 bound or setting of the benchmark.
 """
 
@@ -69,8 +71,14 @@ def commit(checkout: Path) -> str:
 def record(checkouts: dict[str, Path], plan: dict[str, list[int]],
            seconds: float) -> dict:
     """Run ``plan`` on both checkouts.  Their commits are read first, so a
-    checkout that is not a git checkout fails before any run."""
+    checkout that is not a git checkout, or has uncommitted changes,
+    fails before any run: a record names the code it measured."""
     commits = {side: commit(path) for side, path in checkouts.items()}
+    dirty = [f"{side} ({checkouts[side]})" for side, c in commits.items()
+             if c.endswith("-dirty")]
+    if dirty:
+        raise SystemExit(f"uncommitted changes in the {' and '.join(dirty)} checkout; "
+                         "commit them before recording")
     workloads = {}
     envs: dict[str, dict] = {}
     for workload, seed_list in plan.items():
