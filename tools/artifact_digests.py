@@ -8,7 +8,7 @@ It trains and evaluates, in a temporary directory, with the ``udaselect``
 found in ``--src`` (default: this checkout's ``src/``), and prints one
 ``name<TAB>sha256`` line per artifact, sorted by name, then the sha256
 of those lines.  Running it on two commits and comparing the last line
-is the byte-identity check.  The 109 artifacts are:
+is the byte-identity check.  The 114 artifacts are:
 
 - ``<scheme>_s<seed>/<file>``: the 8 files of
   ``run_experiment`` for ``scheme_defaults(benchmark_config(seed=seed,
