@@ -118,7 +118,9 @@ def add_bias(m: Node, bias: Node) -> Node:
 
 def affine(a: Node, scale: float = 1.0, shift: float = 0.0) -> Node:
     """Elementwise scale * a + shift with constant coefficients."""
-    return Node(scale * a.value + shift, (a,), "affine", lambda g: (scale * g,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = scale * a.value + shift
+    return Node(val, (a,), "affine", lambda g: (scale * g,))
 
 
 def relu(a: Node) -> Node:

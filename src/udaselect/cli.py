@@ -88,14 +88,14 @@ def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
     (out_dir / "eval.json").write_text(report.to_json() + "\n")
     (out_dir / "eval.txt").write_text(report.summary() + "\n")
 
-    scores = sc.concat([sc.score_batch(model, src.features, cfg.scheme),
-                        sc.score_batch(model, tgt.features, cfg.scheme)])
-    domains = ["source"] * src.n + ["target"] * tgt.n
-    labels = np.concatenate([src.labels, tgt.labels]).tolist()
-    sc.write_score_dump(out_dir / "scores.tsv", scores, domains, labels)
-    groups = [ev.group_of(d, y, spec) for d, y in zip(domains, labels)]
-    ev.export_score_distributions(out_dir / "score_hist.tsv", scores,
-                                  groups, cfg.scheme)
+    scores = sc.concat([sc.score_batch(model, src.features, cfg.scheme), report.scores])
+    is_target = np.repeat([False, True], [src.n, tgt.n])
+    labels = np.concatenate([src.labels, tgt.labels])
+    sc.write_score_dump(out_dir / "scores.tsv", scores,
+                        np.where(is_target, "target", "source"), labels)
+    # SCORE_GROUPS order: source before target, shared before private
+    groups = np.array(ev.SCORE_GROUPS)[2 * is_target + ~np.isin(labels, spec.shared)]
+    ev.export_score_distributions(out_dir / "score_hist.tsv", scores, groups, cfg.scheme)
 
     artifacts = ["config.json", "metrics.jsonl", "checkpoint.txt", "eval.json",
                  "eval.txt", "scores.tsv", "score_hist.tsv"]
@@ -190,8 +190,8 @@ def cmd_train(args) -> int:
     else:
         if not (args.source and args.target and args.labelset):
             raise ConfigError("need --synthetic or --source/--target/--labelset")
-        src = dt.load_features(args.source, labeled=True)
-        tgt = dt.load_features(args.target, labeled=True)
+        src = dt.load_features(args.source)
+        tgt = dt.load_features(args.target)
         if src.dim != tgt.dim:
             raise ConfigError(f"{args.source}: feature dim {src.dim}, but "
                               f"{args.target} has {tgt.dim}")
@@ -205,7 +205,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     sc.check_in_range(args.scheme, "--w0", args.w0)
     model = md.load_checkpoint(args.checkpoint)
-    tgt = dt.load_features(args.target, labeled=True)
+    tgt = dt.load_features(args.target)
     if tgt.dim != model.f.spec.input_dim:
         raise ConfigError(f"{args.target}: feature dim {tgt.dim}, but checkpoint "
                           f"{args.checkpoint} expects {model.f.spec.input_dim}")
@@ -217,6 +217,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
+#: the ``TrainConfig`` field each ``sweep --param`` value sets
+_SWEEP_FIELDS = {"w_alpha_static": "static_w_alpha", "w_beta": "w_beta", "w0": "w0"}
+
+
 def cmd_sweep(args) -> int:
     cfg = _build_config(args, benchmark_config())
     try:
@@ -225,15 +229,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    variants = []
     for v in values:
         sc.check_in_range(cfg.scheme, args.param, v)
-        if args.param == "w_alpha_static":
-            variants.append((f"w_alpha_static_{v:g}", replace(cfg, static_w_alpha=v)))
-        elif args.param == "w_beta":
-            variants.append((f"w_beta_{v:g}", replace(cfg, w_beta=v)))
-        else:
-            variants.append((f"w0_{v:g}", replace(cfg, w0=v)))
+    variants = [(f"{args.param}_{v:g}", replace(cfg, **{_SWEEP_FIELDS[args.param]: v}))
+                for v in values]
     out_dir = Path(args.out) if args.out else default_output_root() / f"sweep_{args.param}"
     _run_grid(variants, cfg.seed, args.seeds, out_dir / "sweep.tsv")
     return 0
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="sweep one threshold parameter")
     s.add_argument("--param", required=True,
-                   choices=["w_alpha_static", "w_beta", "w0"])
+                   choices=list(_SWEEP_FIELDS))
     s.add_argument("--values", required=True, help="comma separated values")
     s.add_argument("--seeds", type=int, default=3)
     s.add_argument("--out")

@@ -13,8 +13,9 @@ whenever the C reader raises, warns or returns another row count.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,6 +64,13 @@ class ShiftConfig:
     translation: float = 0.0  # magnitude of a seeded random direction
     scale: float = 1.0
     noise: float = 1.0      # multiplier on the target sampling noise
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.noise < 0:
+            raise ConfigError(f"noise must be >= 0, got {self.noise}")
 
 
 @dataclass(frozen=True)
@@ -162,22 +170,19 @@ def sample_batch(src: DomainDataset, tgt: DomainDataset, batch_size: int,
 
 
 # ---------------------------------------------------------------------------
-# feature-file io: header line, one sample per row, optional trailing label
+# feature-file io: header line, then one sample per row, its label last
 
 
-def save_features(path, dataset: DomainDataset, labeled: bool = True) -> None:
+def save_features(path, dataset: DomainDataset) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# dim={dataset.dim} count={dataset.n} "
-                 f"labeled={int(labeled)}\n")
+        fh.write(f"# dim={dataset.dim} count={dataset.n} labeled=1\n")
         for x, y in zip(dataset.features, dataset.labels):
-            row = "\t".join(repr(float(v)) for v in x)
-            if labeled:
-                row += f"\t{int(y)}"
-            fh.write(row + "\n")
+            fh.write("\t".join(repr(float(v)) for v in x) + f"\t{int(y)}\n")
 
 
-def load_features(path, labeled: bool) -> DomainDataset:
-    """Parse a feature file; any malformed line aborts with its line number.
+def load_features(path) -> DomainDataset:
+    """Parse a labelled feature file; any malformed line aborts with its
+    line number, and a ``labeled=0`` header is rejected.
 
     After the header and row-count checks, numpy's C reader parses the
     body in one pass.  Where it raises, warns or returns another row
@@ -197,57 +202,48 @@ def load_features(path, labeled: bool) -> DomainDataset:
     try:
         fields = dict(kv.split("=") for kv in header.lstrip("#").split())
         dim, count = int(fields["dim"]), int(fields["count"])
-        file_labeled = bool(int(fields.get("labeled", "1")))
+        labeled = bool(int(fields.get("labeled", "1")))
         if dim < 0 or count < 0:
             raise ValueError(f"negative dim={dim} or count={count}")
     except (KeyError, ValueError) as exc:
         raise FeatureFileError(f"{path}:1: bad header: {exc}") from exc
-    if labeled and not file_labeled:
+    if not labeled:
         raise FeatureFileError(f"{path}: labels requested but file is unlabeled")
-    expected_cols = dim + (1 if file_labeled else 0)
     body = lines[1:]
     if len(body) != count:
         raise FeatureFileError(
             f"{path}: header promises {count} rows, found {len(body)}")
-    columns = [("x", np.float64, (dim,))]
-    if file_labeled:
-        columns.append(("y", np.int64))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # comments=None: the default "#" would cut a field short
-            table = np.loadtxt(body, dtype=columns, delimiter="\t",
-                               comments=None, ndmin=1)
+            table = np.loadtxt(body, dtype=[("x", np.float64, (dim,)), ("y", np.int64)],
+                               delimiter="\t", comments=None, ndmin=1)
     except (ValueError, Warning):
         table = None
     if table is None or table.shape != (count,):
-        return _parse_rows(path, body, dim, expected_cols, file_labeled, labeled)
-    labels = table["y"].copy() if labeled else np.full(count, TAU)
-    return DomainDataset(np.ascontiguousarray(table["x"]), labels)
+        return _parse_rows(path, body, dim)
+    return DomainDataset(np.ascontiguousarray(table["x"]), table["y"].copy())
 
 
-def _parse_rows(path, body: list[str], dim: int, expected_cols: int,
-                file_labeled: bool, labeled: bool) -> DomainDataset:
+def _parse_rows(path, body: list[str], dim: int) -> DomainDataset:
     """The row walk: one line at a time, ``float()`` per feature and
     ``int()`` per label.  It is the definition of a valid body."""
     count = len(body)
     feats = np.empty((count, dim))
-    labels = np.full(count, TAU)
+    labels = np.empty(count, dtype=np.int64)
     for i, line in enumerate(body):
         parts = line.split("\t")
-        if len(parts) != expected_cols:
+        if len(parts) != dim + 1:
             raise FeatureFileError(
-                f"{path}:{i + 2}: expected {expected_cols} columns, got {len(parts)}")
+                f"{path}:{i + 2}: expected {dim + 1} columns, got {len(parts)}")
         try:
             feats[i] = [float(v) for v in parts[:dim]]
-            if file_labeled:
-                labels[i] = int(parts[dim])
+            labels[i] = int(parts[dim])
         except ValueError as exc:
             raise FeatureFileError(f"{path}:{i + 2}: non-numeric field: {exc}") from exc
         except OverflowError as exc:  # int() took it, the int64 array did not
             raise FeatureFileError(f"{path}:{i + 2}: label does not fit int64: {exc}") from exc
-    if not labeled:
-        labels = np.full(count, TAU)
     return DomainDataset(feats, labels)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,13 +28,15 @@ SCORE_GROUPS = ("source-shared", "source-private", "target-shared", "target-priv
 
 @dataclass
 class EvalReport:
-    """Per-class recalls over shared classes plus unknown, and their mean."""
+    """Per-class recalls over shared classes plus unknown, and their mean,
+    with the score table the decisions were made from (not in the JSON)."""
 
     per_class_recall: dict
     average_class_accuracy: float
     micro_accuracy: float
     counts: dict
     n_evaluated_classes: int
+    scores: ScoreTable = field(repr=False, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -68,7 +70,8 @@ def decide(w: np.ndarray, y_bar: np.ndarray, w0: float,
 
 def evaluate(m: ModelBundle, tgt: DomainDataset, spec: LabelSetSpec,
              w0: float, scheme: str = "ours") -> EvalReport:
-    """Score, decide and compute macro recall over shared classes plus unknown."""
+    """Score, decide and compute macro recall over shared classes plus
+    unknown; the report keeps the score table."""
     if tgt.n == 0:
         raise ContractError("cannot evaluate on an empty target set")
     scores = sc.score_batch(m, tgt.features, scheme)
@@ -94,35 +97,30 @@ def evaluate(m: ModelBundle, tgt: DomainDataset, spec: LabelSetSpec,
         average_class_accuracy=float(np.mean(recalls)),
         micro_accuracy=float((decisions == truth).mean()),
         counts=counts,
-        n_evaluated_classes=len(recalls))
-
-
-def group_of(domain: str, label: int, spec: LabelSetSpec) -> str:
-    shared = label in spec.shared
-    if domain == "source":
-        return "source-shared" if shared else "source-private"
-    return "target-shared" if shared else "target-private"
+        n_evaluated_classes=len(recalls),
+        scores=scores)
 
 
 def export_score_distributions(path, scores: ScoreTable,
-                               groups: list[str], scheme: str = "ours") -> None:
+                               groups: np.ndarray, scheme: str = "ours") -> None:
     """Fixed-bin histograms of d, max prob and w for each sample group.
 
-    One tab-delimited file with columns (group, quantity, bin_lo, bin_hi,
-    count); bins span each quantity's theoretical range so exports are
-    comparable across runs.
+    ``groups`` holds each row's ``SCORE_GROUPS`` name.  One tab-delimited
+    file with columns (group, quantity, bin_lo, bin_hi, count); bins span
+    each quantity's theoretical range so exports are comparable across
+    runs.
     """
-    for g in groups:
-        if g not in SCORE_GROUPS:
-            raise ContractError(f"unknown score group {g!r}")
+    groups = np.asarray(groups)
+    unknown = ~np.isin(groups, SCORE_GROUPS)
+    if unknown.any():
+        raise ContractError(f"unknown score group {groups[unknown][0].item()!r}")
     lo, hi = sc.SCHEME_RANGES[scheme]
     ranges = {"d": (0.0, 1.0), "max_prob": (0.0, 1.0), "w": (lo, hi)}
     values = {"d": scores.d, "max_prob": scores.max_prob, "w": scores.w}
-    groups_arr = np.array(groups)
     with open(path, "w") as fh:
         fh.write("group\tquantity\tbin_lo\tbin_hi\tcount\n")
         for group in SCORE_GROUPS:
-            mask = groups_arr == group
+            mask = groups == group
             if not mask.any():
                 continue
             for qty, (qlo, qhi) in ranges.items():

@@ -119,13 +119,13 @@ def concat(tables: list[ScoreTable]) -> ScoreTable:
                          for f in fields(ScoreTable)})
 
 
-def write_score_dump(path, scores: ScoreTable, domains: list[str],
-                     labels: list[int | None]) -> None:
-    """One tab-delimited row per sample, for external density plots."""
-    rows = zip(domains, labels, scores.d.tolist(), scores.max_prob.tolist(),
-               scores.entropy.tolist(), scores.w.tolist())
+def write_score_dump(path, scores: ScoreTable, domains: np.ndarray,
+                     labels: np.ndarray) -> None:
+    """One tab-delimited row per sample, for external density plots: its
+    domain name, its integer class label and its score columns."""
+    rows = zip(domains.tolist(), labels.tolist(), scores.d.tolist(),
+               scores.max_prob.tolist(), scores.entropy.tolist(), scores.w.tolist())
     with open(path, "w") as fh:
         fh.write("id\tdomain\tlabel\td\tmax_prob\tentropy\tw\n")
         for i, (dom, y, d, mp, h, w) in enumerate(rows):
-            lab = "" if y is None else str(int(y))
-            fh.write(f"{i}\t{dom}\t{lab}\t{d!r}\t{mp!r}\t{h!r}\t{w!r}\n")
+            fh.write(f"{i}\t{dom}\t{y}\t{d!r}\t{mp!r}\t{h!r}\t{w!r}\n")

@@ -12,6 +12,7 @@ import pytest
 
 from udaselect import cli
 from udaselect import data as dt
+from udaselect import evaluation as ev
 from udaselect import scoring as sc
 from udaselect import trainer as tr
 from udaselect.cli import EXIT_CONFIG, main
@@ -34,8 +35,8 @@ def gen_args(out, **kw):
 class TestGen:
     def test_writes_loadable_domain_pair(self, tmp_path):
         assert main(gen_args(tmp_path)) == 0
-        src = dt.load_features(tmp_path / "source.features.txt", labeled=True)
-        tgt = dt.load_features(tmp_path / "target.features.txt", labeled=True)
+        src = dt.load_features(tmp_path / "source.features.txt")
+        tgt = dt.load_features(tmp_path / "target.features.txt")
         assert src.n == 3 * 6 and src.dim == 3  # shared + source-private
         assert tgt.n == 3 * 6
         spec = json.loads((tmp_path / "labelset.json").read_text())
@@ -50,6 +51,19 @@ class TestGen:
         for name in ("source.features.txt", "target.features.txt"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("noise", "-1", "noise must be >= 0, got -1.0"),
+        ("noise", "nan", "noise must be finite, got nan"),
+        ("scale", "inf", "scale must be finite, got inf"),
+        ("translation", "inf", "translation must be finite, got inf"),
+        ("rotation", "inf", "rotation must be finite, got inf")])
+    def test_bad_shift_exits_2_before_writing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "data"
+        assert main(gen_args(out, **{flag: value})) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestTrain:
@@ -316,21 +330,28 @@ class TestEvalFileErrors:
         assert main(eval_args(tmp_path, ckpt, tmp_path / "data/labelset.json")) == EXIT_CONFIG
         assert f"{target}:1: bad header" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["train", "eval"])
-    def test_label_too_large_for_int64_exits_2(self, tmp_path, verb):
+    @staticmethod
+    def file_verb(tmp_path, verb):
+        """The feature file ``verb`` reads from ``train_small``'s data, and
+        the verb's arguments with every output under ``tmp_path/rerun``."""
         ckpt = train_small(tmp_path)
         data = tmp_path / "data"
-        bad = data / ("source.features.txt" if verb == "train" else "target.features.txt")
+        out = tmp_path / "rerun"
+        if verb == "train":
+            return data / "source.features.txt", [
+                "train", "--source", str(data / "source.features.txt"),
+                "--target", str(data / "target.features.txt"),
+                "--labelset", str(data / "labelset.json"), "--steps", "2",
+                "--batch-size", "4", "--out", str(out)]
+        return data / "target.features.txt", eval_args(
+            tmp_path, ckpt, data / "labelset.json", "--out", str(out / "eval.json"))
+
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_label_too_large_for_int64_exits_2(self, tmp_path, verb):
+        bad, args = self.file_verb(tmp_path, verb)
         lines = bad.read_text().splitlines()
         lines[1] = lines[1].rsplit("\t", 1)[0] + "\t99999999999999999999"
         bad.write_text("\n".join(lines) + "\n")
-        if verb == "train":
-            args = ["train", "--source", str(data / "source.features.txt"),
-                    "--target", str(data / "target.features.txt"),
-                    "--labelset", str(data / "labelset.json"), "--steps", "2",
-                    "--batch-size", "4", "--out", str(tmp_path / "rerun")]
-        else:
-            args = eval_args(tmp_path, ckpt, data / "labelset.json")
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run([sys.executable, "-m", "udaselect.cli", *args],
                               capture_output=True, text=True, env=env)
@@ -338,6 +359,58 @@ class TestEvalFileErrors:
         assert done.stderr.startswith(f"error: {bad}:2: label does not fit int64")
         assert done.stderr.count("\n") == 1  # one line, no traceback
         assert not (tmp_path / "rerun").exists()
+
+    @pytest.mark.parametrize("verb", ["train", "eval"])
+    def test_unlabeled_feature_file_exits_2(self, tmp_path, capsys, verb):
+        bad, args = self.file_verb(tmp_path, verb)
+        header, *rows = bad.read_text().splitlines()
+        bad.write_text("\n".join([header.replace("labeled=1", "labeled=0")]
+                                 + [r.rsplit("\t", 1)[0] for r in rows]) + "\n")
+        capsys.readouterr()
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {bad}: labels requested but file is unlabeled\n")
+        assert not (tmp_path / "rerun").exists()
+
+
+def group_of(domain, label, spec):
+    """The per-row rule for a sample's score group."""
+    shared = label in spec.shared
+    return f"{domain}-{'shared' if shared else 'private'}"
+
+
+class TestRunExperimentReadSide:
+    """``run_experiment`` scores each domain once and names every row's
+    group in one array expression."""
+
+    def run(self, tmp_path):
+        cfg = cli.benchmark_config(total_steps=3)
+        src, tgt, spec = cli.make_benchmark(cfg)
+        report = cli.run_experiment("r", cfg, src, tgt, spec, tmp_path / "r")
+        dump = (tmp_path / "r" / "scores.tsv").read_text().splitlines()[1:]
+        return src, tgt, spec, report, [line.split("\t") for line in dump]
+
+    def test_each_domain_is_scored_once(self, tmp_path, monkeypatch):
+        rows = []
+        score_batch = sc.score_batch
+        monkeypatch.setattr(sc, "score_batch",
+                            lambda m, x, s: rows.append(len(x)) or score_batch(m, x, s))
+        src, tgt, _, report, dump = self.run(tmp_path)
+        assert rows == [tgt.n, src.n]  # evaluate's, then the source's
+        assert [float(r[6]) for r in dump[src.n:]] == report.scores.w.tolist()
+
+    def test_groups_follow_the_per_row_rule(self, tmp_path, monkeypatch):
+        seen = []
+        export = ev.export_score_distributions
+        monkeypatch.setattr(ev, "export_score_distributions",
+                            lambda path, scores, groups, scheme: seen.append(groups)
+                            or export(path, scores, groups, scheme))
+        src, tgt, spec, _, dump = self.run(tmp_path)
+        assert [r[1] for r in dump] == ["source"] * src.n + ["target"] * tgt.n
+        assert [int(r[2]) for r in dump] == [*src.labels.tolist(), *tgt.labels.tolist()]
+        want = [group_of(r[1], int(r[2]), spec) for r in dump]
+        assert seen[0].tolist() == want
+        assert set(want) == set(ev.SCORE_GROUPS)
 
 
 def read_table(path):
@@ -380,14 +453,17 @@ class TestSweep:
         for r in rows:
             assert 0.0 <= float(r[-2]) <= 1.0
 
-    def test_sweep_varies_exactly_one_parameter(self, tmp_path):
+    @pytest.mark.parametrize("param, field", [("w_beta", "w_beta"), ("w0", "w0"),
+                                              ("w_alpha_static", "static_w_alpha")])
+    def test_sweep_varies_exactly_one_parameter(self, tmp_path, param, field):
         out = tmp_path / "sweep"
-        main(["sweep", "--param", "w_beta", "--values", "0.4,1.2",
-              "--seeds", "1", "--steps", "4", "--out", str(out)])
-        cfgs = [json.loads((out / f"w_beta_{v}_seed0" / "config.json").read_text())
+        assert main(["sweep", "--param", param, "--values", "0.4,1.2",
+                     "--seeds", "1", "--steps", "4", "--out", str(out)]) == 0
+        cfgs = [json.loads((out / f"{param}_{v}_seed0" / "config.json").read_text())
                 for v in ("0.4", "1.2")]
         diff = {k for k in cfgs[0] if cfgs[0][k] != cfgs[1][k]}
-        assert diff == {"w_beta"}
+        assert diff == {field}
+        assert [cfg[field] for cfg in cfgs] == [0.4, 1.2]
 
 
 class TestAblate:

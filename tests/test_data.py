@@ -125,30 +125,21 @@ class TestFeatureFiles:
         ds = self._dataset()
         path = tmp_path / "feat.txt"
         dt.save_features(path, ds)
-        loaded = dt.load_features(path, labeled=True)
+        loaded = dt.load_features(path)
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
 
-    def test_unlabeled_round_trip(self, tmp_path):
-        ds = self._dataset()
-        path = tmp_path / "feat.txt"
-        dt.save_features(path, ds, labeled=False)
-        loaded = dt.load_features(path, labeled=False)
-        np.testing.assert_array_equal(loaded.features, ds.features)
-        assert np.all(loaded.labels == dt.TAU)
-
     def test_labels_requested_from_unlabeled_file(self, tmp_path):
-        ds = self._dataset()
         path = tmp_path / "feat.txt"
-        dt.save_features(path, ds, labeled=False)
-        with pytest.raises(FeatureFileError):
-            dt.load_features(path, labeled=True)
+        path.write_text("# dim=2 count=1 labeled=0\n1.0\t2.0\n")
+        with pytest.raises(FeatureFileError, match="labels requested but file is unlabeled"):
+            dt.load_features(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
         with pytest.raises(FeatureFileError, match="empty"):
-            dt.load_features(path, labeled=True)
+            dt.load_features(path)
 
     @pytest.mark.parametrize("header", [
         "1.0\t2.0\t0", "# count=1 labeled=1", "# dim=two count=1 labeled=1",
@@ -157,7 +148,7 @@ class TestFeatureFiles:
         path = tmp_path / "bad.txt"
         path.write_text(header + "\n1.0\t2.0\t0\n")
         with pytest.raises(FeatureFileError, match=":1:"):
-            dt.load_features(path, labeled=True)
+            dt.load_features(path)
 
     def test_ragged_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -165,42 +156,40 @@ class TestFeatureFiles:
                         "1.0\t2.0\t0\n"
                         "1.0\t0\n")
         with pytest.raises(FeatureFileError, match=":3:"):
-            dt.load_features(path, labeled=True)
+            dt.load_features(path)
 
     def test_non_numeric_field_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# dim=2 count=1 labeled=1\n"
                         "1.0\tx\t0\n")
         with pytest.raises(FeatureFileError, match=":2:"):
-            dt.load_features(path, labeled=True)
+            dt.load_features(path)
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# dim=2 count=3 labeled=1\n1.0\t2.0\t0\n")
         with pytest.raises(FeatureFileError, match="promises 3"):
-            dt.load_features(path, labeled=True)
+            dt.load_features(path)
 
     def test_label_too_large_for_int64_reports_line_two(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# dim=2 count=1 labeled=1\n"
                         "1.0\t2.0\t99999999999999999999\n")
         with pytest.raises(FeatureFileError, match=":2: label does not fit int64"):
-            dt.load_features(path, labeled=True)
+            dt.load_features(path)
 
 
-def parse_by_row_walk(path, labeled):
+def parse_by_row_walk(path):
     """``_parse_rows`` alone on a file whose header and row count are valid."""
     lines = path.read_text().splitlines()
     header = dict(kv.split("=") for kv in lines[0].lstrip("#").split())
-    dim, file_labeled = int(header["dim"]), bool(int(header["labeled"]))
-    return dt._parse_rows(path, lines[1:], dim, dim + file_labeled,
-                          file_labeled, labeled)
+    return dt._parse_rows(path, lines[1:], int(header["dim"]))
 
 
-def outcome(parse, path, labeled):
+def outcome(parse, path):
     """Every bit of a parse result, or the text of its ``FeatureFileError``."""
     try:
-        ds = parse(path, labeled)
+        ds = parse(path)
     except FeatureFileError as exc:
         return str(exc)
     return (ds.features.shape, ds.features.dtype, ds.features.tobytes(),
@@ -214,38 +203,50 @@ class TestReaderEquivalence:
     sides reach the body; ``fast`` says whether the C reader decides it.
     """
 
-    @pytest.mark.parametrize("header, rows, labeled, fast", [
-        ("dim=2 count=2 labeled=1", "1.5\t-2.25\t3\n0.1\t1e-300\t-7\n", True, True),
-        ("dim=2 count=1 labeled=1", "1_0\t2.0\t3\n", True, False),
-        ("dim=2 count=1 labeled=1", "١\t2.0\t3\n", True, False),
-        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3_0\n", True, False),
-        ("dim=2 count=1 labeled=1", "nan\t1e999\t3\n", True, True),
-        ("dim=2 count=1 labeled=1", "-nan\t-1e999\t3\n", True, True),
-        ("dim=2 count=3 labeled=1", "1.0\t2.0\t3\n\n4.0\t5.0\t6\n", True, False),
-        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n\n", True, False),
-        ("dim=2 count=3 labeled=1", "1.0\t2.0\t3\x0c\n4.0\t5.0\t6\n", True, False),
-        ("dim=2 count=2 labeled=1", "1.0\t2\x0c.0\t3\n", True, False),
-        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3.0\n", True, False),
-        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3\t\n", True, False),
-        ("dim=2 count=1 labeled=1", "1.0\t2.0\t99999999999999999999\n", True, False),
-        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3#\t4\n", True, False),
-        ("dim=2 count=0 labeled=1", "", True, False),
-        ("dim=2 count=2 labeled=0", "1.0\t2.0\n-3.5\t4e10\n", False, True),
-        ("dim=2 count=1 labeled=0", "1.0\t2.0\t3\n", False, False),
-        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n4.0\t5.0\t6\n", False, True),
-        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n4.0\t5.0\tx\n", False, False),
+    @pytest.mark.parametrize("header, rows, fast", [
+        ("dim=2 count=2 labeled=1", "1.5\t-2.25\t3\n0.1\t1e-300\t-7\n", True),
+        ("dim=2 count=1 labeled=1", "1_0\t2.0\t3\n", False),
+        ("dim=2 count=1 labeled=1", "١\t2.0\t3\n", False),
+        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3_0\n", False),
+        ("dim=2 count=1 labeled=1", "nan\t1e999\t3\n", True),
+        ("dim=2 count=1 labeled=1", "-nan\t-1e999\t3\n", True),
+        ("dim=2 count=3 labeled=1", "1.0\t2.0\t3\n\n4.0\t5.0\t6\n", False),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n\n", False),
+        ("dim=2 count=3 labeled=1", "1.0\t2.0\t3\x0c\n4.0\t5.0\t6\n", False),
+        ("dim=2 count=2 labeled=1", "1.0\t2\x0c.0\t3\n", False),
+        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3.0\n", False),
+        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3\t\n", False),
+        ("dim=2 count=1 labeled=1", "1.0\t2.0\t99999999999999999999\n", False),
+        ("dim=2 count=1 labeled=1", "1.0\t2.0\t3#\t4\n", False),
+        ("dim=2 count=0 labeled=1", "", False),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n4.0\t5.0\t6\n", True),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n4.0\t5.0\tx\n", False),
     ])
     def test_same_bits_or_same_error_as_row_walk(self, tmp_path, monkeypatch,
-                                                 header, rows, labeled, fast):
+                                                 header, rows, fast):
         path = tmp_path / "feat.txt"
         path.write_text(f"# {header}\n{rows}")
         walked = []
         row_walk = dt._parse_rows
         monkeypatch.setattr(dt, "_parse_rows",
                             lambda *a: walked.append(a) or row_walk(*a))
-        got = outcome(dt.load_features, path, labeled)
+        got = outcome(dt.load_features, path)
         assert len(walked) == (0 if fast else 1)
-        assert got == outcome(parse_by_row_walk, path, labeled)
+        assert got == outcome(parse_by_row_walk, path)
+
+    @pytest.mark.parametrize("rows", ["1.0\t2.0\n-3.5\t4e10\n", "1.0\t2.0\t3\n"])
+    def test_unlabeled_header_rejected_before_either_reader(self, tmp_path, monkeypatch,
+                                                            rows):
+        path = tmp_path / "feat.txt"
+        path.write_text(f"# dim=2 count={rows.count(chr(10))} labeled=0\n{rows}")
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("an unlabeled body reached a reader")
+
+        monkeypatch.setattr(dt, "_parse_rows", no_reader)
+        monkeypatch.setattr(dt.np, "loadtxt", no_reader)
+        assert outcome(dt.load_features, path) == (
+            f"{path}: labels requested but file is unlabeled")
 
     def test_benchmark_eval_target_takes_the_fast_path_bit_exact(self, tmp_path,
                                                                  monkeypatch):
@@ -258,7 +259,7 @@ class TestReaderEquivalence:
             raise AssertionError("the C reader fell back to the row walk")
 
         monkeypatch.setattr(dt, "_parse_rows", no_row_walk)
-        loaded = dt.load_features(path, labeled=True)
+        loaded = dt.load_features(path)
         assert loaded.features.tobytes() == tgt.features.tobytes()
         assert loaded.features.shape == tgt.features.shape == (20_000, 8)
         assert loaded.features.flags.c_contiguous

@@ -135,6 +135,31 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             ev.evaluate(oracle_bundle(), tgt, ORACLE_SPEC, 1.0)
 
+    @pytest.mark.parametrize("w0", [0.0, 1.0, 1.3])
+    def test_kept_scores_reproduce_the_report_through_decide(self, w0):
+        m, base = oracle_bundle(), oracle_target()
+        rng = np.random.default_rng(0)
+        tgt = DomainDataset(base.features.repeat(20, axis=0) + rng.normal(0, 6, (100, 2)),
+                            base.labels.repeat(20))
+        report = ev.evaluate(m, tgt, ORACLE_SPEC, w0)
+        scores = report.scores
+        assert len(scores) == tgt.n
+        assert scores.w.tobytes() == sc.score_batch(m, tgt.features, "ours").w.tobytes()
+        decisions = ev.decide(scores.w, scores.y_bar, w0, m.class_ids)
+        truth = np.where(np.isin(tgt.labels, ORACLE_SPEC.shared), tgt.labels, TAU)
+        assert report.counts == {cls: int((truth == cls).sum()) for cls in report.counts}
+        assert report.per_class_recall == {
+            cls: float((decisions[truth == cls] == cls).mean()) for cls in report.counts}
+        assert report.micro_accuracy == float((decisions == truth).mean())
+
+    def test_kept_scores_stay_out_of_json_repr_and_equality(self):
+        a = ev.evaluate(oracle_bundle(), oracle_target(), ORACLE_SPEC, 1.0)
+        b = ev.evaluate(oracle_bundle(), oracle_target(), ORACLE_SPEC, 1.0)
+        b.scores.w[...] = 0.0
+        assert "scores" not in json.loads(a.to_json())
+        assert "scores" not in repr(a)
+        assert a == b
+
     def test_json_round_trip(self):
         report = ev.evaluate(oracle_bundle(), oracle_target(), ORACLE_SPEC, 1.0)
         payload = json.loads(report.to_json())
@@ -145,15 +170,6 @@ class TestEvaluate:
         report = ev.evaluate(oracle_bundle(), oracle_target(), ORACLE_SPEC, 1.0)
         assert "tau" in report.summary()
         assert "average class accuracy" in report.summary()
-
-
-class TestGroupOf:
-    def test_all_four_groups(self):
-        spec = LabelSetSpec(shared=(0,), source_private=(1,), target_private=(2,))
-        assert ev.group_of("source", 0, spec) == "source-shared"
-        assert ev.group_of("source", 1, spec) == "source-private"
-        assert ev.group_of("target", 0, spec) == "target-shared"
-        assert ev.group_of("target", 2, spec) == "target-private"
 
 
 def read_hist(path):

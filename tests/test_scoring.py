@@ -261,12 +261,12 @@ class TestScoreDump:
                                max_prob=np.array([0.5]), entropy=np.array([math.log(2)]),
                                w=np.array([1.0]))
         path = tmp_path / "scores.tsv"
-        sc.write_score_dump(path, scores, ["target"], [None])
+        sc.write_score_dump(path, scores, np.array(["target"]), np.array([7]))
         lines = path.read_text().splitlines()
         assert lines[0].split("\t") == ["id", "domain", "label", "d",
                                         "max_prob", "entropy", "w"]
         fields = lines[1].split("\t")
-        assert fields[1] == "target" and fields[2] == ""
+        assert fields[1] == "target" and fields[2] == "7"
         assert float(fields[6]) == 1.0
 
 

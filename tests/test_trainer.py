@@ -348,6 +348,7 @@ class TestNonFiniteReplay:
         assert self.check(monkeypatch, state, batches[0], cfg) == (
             "step 0: non-finite values produced by op 'input'")
 
+    @pytest.mark.filterwarnings("error")
     def test_gamma_overflow(self, monkeypatch):
         cfg, state, batches = self.setup(gamma=1.7e308, static_w_alpha=0.0)
         assert self.check(monkeypatch, state, batches[0], cfg) == (
