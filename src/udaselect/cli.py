@@ -76,11 +76,13 @@ def make_benchmark(cfg: tr.TrainConfig
 def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
                    tgt: dt.DomainDataset, spec: dt.LabelSetSpec,
                    out_dir: Path) -> ev.EvalReport:
-    """Train, evaluate and write every artifact of one run."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Train, evaluate and write every artifact of one run.  A run that
+    fails before its artifacts are written leaves no directory."""
     model, records = tr.train(src, tgt, cfg)
     report = ev.evaluate(model, tgt, spec, cfg.w0, cfg.scheme)
+    scores = sc.concat([sc.score_batch(model, src.features, cfg.scheme), report.scores])
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     tr.write_metrics(out_dir / "metrics.jsonl", records)
     md.save_checkpoint(model, out_dir / "checkpoint.txt")
     (out_dir / "config.json").write_text(
@@ -88,7 +90,6 @@ def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
     (out_dir / "eval.json").write_text(report.to_json() + "\n")
     (out_dir / "eval.txt").write_text(report.summary() + "\n")
 
-    scores = sc.concat([sc.score_batch(model, src.features, cfg.scheme), report.scores])
     is_target = np.repeat([False, True], [src.n, tgt.n])
     labels = np.concatenate([src.labels, tgt.labels])
     sc.write_score_dump(out_dir / "scores.tsv", scores,
@@ -203,13 +204,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    sc.check_in_range(args.scheme, "--w0", args.w0)
+    w0 = scheme_defaults(tr.TrainConfig(), args.scheme).w0 if args.w0 is None else args.w0
+    sc.check_in_range(args.scheme, "--w0", w0)
     model = md.load_checkpoint(args.checkpoint)
     tgt = dt.load_features(args.target)
     if tgt.dim != model.f.spec.input_dim:
         raise ConfigError(f"{args.target}: feature dim {tgt.dim}, but checkpoint "
                           f"{args.checkpoint} expects {model.f.spec.input_dim}")
-    report = ev.evaluate(model, tgt, _load_labelset(args.labelset), args.w0, args.scheme)
+    report = ev.evaluate(model, tgt, _load_labelset(args.labelset), w0, args.scheme)
     print(report.summary())
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--target", required=True)
     e.add_argument("--labelset", required=True)
-    e.add_argument("--w0", type=float, default=1.0)
+    e.add_argument("--w0", type=float, help="default: the scheme's default w0")
     e.add_argument("--scheme", choices=sc.SCHEMES, default="ours")
     e.add_argument("--out")
     e.set_defaults(func=cmd_eval)

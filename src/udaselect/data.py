@@ -126,6 +126,8 @@ def gen_synthetic(spec: LabelSetSpec, dim: int, per_class: int,
         raise ConfigError(f"dim must be >= 2, got {dim}")
     if per_class < 1:
         raise ConfigError(f"per_class must be >= 1, got {per_class}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     centers = {y: rng.normal(0.0, 3.0, size=dim) for y in spec.all_labels}
     rot = _rotation_matrix(dim, shift.rotation, rng)
@@ -201,10 +203,14 @@ def load_features(path) -> DomainDataset:
         raise FeatureFileError(f"{path}:1: missing header line")
     try:
         fields = dict(kv.split("=") for kv in header.lstrip("#").split())
+        unknown = set(fields) - {"dim", "count", "labeled"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         dim, count = int(fields["dim"]), int(fields["count"])
-        labeled = bool(int(fields.get("labeled", "1")))
-        if dim < 0 or count < 0:
-            raise ValueError(f"negative dim={dim} or count={count}")
+        labeled = int(fields.get("labeled", "1"))
+        if dim < 1 or count < 0 or labeled not in (0, 1):
+            raise ValueError(f"need dim >= 1, count >= 0 and labeled 0 or 1, got "
+                             f"dim={dim} count={count} labeled={labeled}")
     except (KeyError, ValueError) as exc:
         raise FeatureFileError(f"{path}:1: bad header: {exc}") from exc
     if not labeled:

@@ -10,17 +10,17 @@ descends on its own loss.
 
 Each loss exists twice: on autodiff nodes (the engine graph, which is
 the gradient oracle and the replay path) and on arrays, as the value
-plus a VJP written with the engine's expressions, so that the training
-step's hand-derived backward has the engine's bits.  The array losses
-take the training step's domain stack, ``(2, half, ·)`` with slice 0
-the source and slice 1 the target, and each VJP returns one gradient
-shaped like that stack, zero where its term does not reach.
+plus its gradient for a loss gradient of 1, written with the engine's
+expressions so that the training step's hand-derived backward has the
+engine's bits.  The array losses take the training step's domain
+stack, ``(2, half, ·)`` with slice 0 the source and slice 1 the target,
+and each returns one gradient shaped like that stack, zero where its
+term does not reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -136,49 +136,46 @@ def loss_compound(l_c: Node, l_bd: Node, l_d: Node,
 
 
 # ---------------------------------------------------------------------------
-# the same losses on arrays: value, selection count and VJP, where a VJP
-# maps the loss gradient to the gradient of the domain stack it takes
+# the same losses on arrays: value, selection count and the gradient of
+# the domain stack each takes, for a loss gradient of 1
 
 
-def _mean_nll_array(p: np.ndarray) -> tuple[float, Callable]:
-    """``_mean_nll`` of an array: its value and its VJP.  The mean of no
-    entries is 0, which adds nothing to a sum of finite losses."""
+def _mean_nll_array(p: np.ndarray, upstream: float = 1.0) -> tuple[float, np.ndarray]:
+    """``_mean_nll`` of an array: its value and the gradient of ``p`` for
+    the loss gradient ``upstream``.  The mean of no entries is 0, which
+    adds nothing to a sum of finite losses."""
     mask = p > PROB_FLOOR
     clamped = np.maximum(p, PROB_FLOOR)
     n = max(p.size, 1)
     return ((-1.0 * np.log(clamped) + 0.0).sum() / n,
-            lambda g: -1.0 * (g / n) / clamped * mask)
+            -1.0 * (upstream / n) / clamped * mask)
 
 
 def classification_array(probs: np.ndarray, source_labels: np.ndarray,
                          target_scores: np.ndarray, w_alpha: float,
-                         gamma: float) -> tuple[float, int, Callable]:
+                         gamma: float) -> tuple[float, int, np.ndarray]:
     """``loss_classification`` on the domain stack ``probs`` (slice 0 the
-    source, slice 1 the target).  The VJP returns the gradient of
-    ``probs``, zero outside the labelled and the selected entries."""
+    source, slice 1 the target), with the gradient of ``probs``: zero
+    outside the labelled and the selected entries."""
     labels = _checked_labels(probs.shape[1:], source_labels, probs.shape[1],
                              target_scores, gamma)
     rows = np.arange(len(labels))
-    ce, ce_vjp = _mean_nll_array(probs[0, rows, labels])
+    ce, ce_grad = _mean_nll_array(probs[0, rows, labels])
     selected = np.nonzero(np.asarray(target_scores) > w_alpha)[0]
     pseudo = probs[1, selected].argmax(axis=1)  # ties -> lowest index
-    pseudo_ce, pseudo_vjp = _mean_nll_array(probs[1, selected, pseudo])
-
-    def vjp(g):
-        # ``0.0 + g`` into zeros: the engine's ``np.add.at`` scatter
-        out = np.zeros(probs.shape)
-        out[0, rows, labels] = 0.0 + ce_vjp(g)
-        out[1, selected, pseudo] = 0.0 + pseudo_vjp(gamma * g)
-        return out
-
-    return ce + (gamma * pseudo_ce + 0.0), int(len(selected)), vjp
+    pseudo_ce, pseudo_grad = _mean_nll_array(probs[1, selected, pseudo], gamma)
+    # ``0.0 + g`` into zeros: the engine's ``np.add.at`` scatter
+    grad = np.zeros(probs.shape)
+    grad[0, rows, labels] = 0.0 + ce_grad
+    grad[1, selected, pseudo] = 0.0 + pseudo_grad
+    return ce + (gamma * pseudo_ce + 0.0), int(len(selected)), grad
 
 
 def batch_diversity_array(probs: np.ndarray, target_scores: np.ndarray, w_beta: float,
-                          mode: str = "both") -> tuple[float, int, Callable]:
-    """``loss_batch_diversity`` on the domain stack ``probs``.  The VJP
-    returns the gradient of ``probs``, zero in the rows the term leaves
-    out: all of them under ``off``, the source under ``target_only``."""
+                          mode: str = "both") -> tuple[float, int, np.ndarray]:
+    """``loss_batch_diversity`` on the domain stack ``probs``, with the
+    gradient of ``probs``: zero in the rows the term leaves out, all of
+    them under ``off`` and the source under ``target_only``."""
     if mode not in DIVERSITY_MODES:
         raise ContractError(f"unknown diversity mode {mode!r}")
     selected = np.nonzero(np.asarray(target_scores) > w_beta)[0]
@@ -188,21 +185,17 @@ def batch_diversity_array(probs: np.ndarray, target_scores: np.ndarray, w_beta: 
     y_bars = np.concatenate((source, probs[1, selected]))
     n = max(len(y_bars), 1)  # with no rows the term is 0
     means = y_bars.sum(axis=0) / n
-
-    def vjp(g):
-        row = 2.0 * means * g / n
-        out = np.zeros(probs.shape)
-        out[0, :len(source)] = row
-        out[1, selected] = 0.0 + row
-        return out
-
-    return (means * means).sum(), int(len(selected)), vjp
+    row = 2.0 * means / n
+    grad = np.zeros(probs.shape)
+    grad[0, :len(source)] = row
+    grad[1, selected] = 0.0 + row
+    return (means * means).sum(), int(len(selected)), grad
 
 
-def domain_array(d: np.ndarray) -> tuple[float, Callable]:
-    """``loss_domain`` on the domain stack ``d``; the VJP returns its gradient."""
+def domain_array(d: np.ndarray) -> tuple[float, np.ndarray]:
+    """``loss_domain`` on the domain stack ``d``: its value and its gradient."""
     if d.size == 0:
         raise ContractError("domain loss requires non-empty batches")
-    l_s, vjp_s = _mean_nll_array(d[0])
-    l_t, vjp_t = _mean_nll_array(-1.0 * d[1] + 1.0)
-    return l_s + l_t, lambda g: np.array((vjp_s(g), -1.0 * vjp_t(g)))
+    l_s, grad_s = _mean_nll_array(d[0])
+    l_t, grad_t = _mean_nll_array(-1.0 * d[1] + 1.0)
+    return l_s + l_t, np.array((grad_s, -1.0 * grad_t))

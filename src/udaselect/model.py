@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
+from .data import TAU
 from .errors import ConfigError, ContractError, NumericError
 
 FINAL_ACTIVATIONS = ("none", "softmax", "sigmoid")
@@ -228,6 +229,10 @@ class ModelBundle:
             self.class_ids = tuple(range(self.c.spec.output_dim))
         if len(self.class_ids) != self.c.spec.output_dim:
             raise ConfigError("class_ids length must equal the classifier's output_dim")
+        if (any(type(c) is not int for c in self.class_ids) or TAU in self.class_ids
+                or len(set(self.class_ids)) != len(self.class_ids)):
+            raise ConfigError(f"class_ids must be distinct ints other than {TAU}, "
+                              f"got {list(self.class_ids)}")
         self._id_order = np.argsort(self.class_ids, kind="stable")
         self._sorted_ids = np.asarray(self.class_ids)[self._id_order]
         self._parameters = tuple(self.f.parameters("f") + self.c.parameters("c")

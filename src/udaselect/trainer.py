@@ -5,9 +5,9 @@ parameters at once; the reversal layer inside the domain branch makes
 that single step adversarial for the feature extractor.
 
 A step's loss is one autodiff op (``step_op``) whose one parent is the
-model's flat parameter leaf: its value comes from the networks' array
-forwards and its VJP chains their hand-derived backwards with those of
-the losses.  The source and target halves share every network, so they
+model's flat parameter leaf: its value and loss gradients come from the
+array forwards and losses, and its VJP chains the networks' hand-derived
+backwards.  The source and target halves share every network, so they
 run stacked on a leading domain axis: one forward and one backward per
 network per step.  ``autodiff.backward`` adds its gradient into the
 flat ``grads`` with one add.  ``engine_loss`` builds the same loss from
@@ -81,6 +81,8 @@ class TrainConfig:
         sc.check_in_range(self.scheme, "w0", self.w0)
         if self.total_steps < 0:
             raise ConfigError("total_steps must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
             raise ConfigError(f"batch_size must be even and >= 2, got {self.batch_size}")
         if self.gamma < 0:
@@ -209,12 +211,14 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
     Source and target run as one ``(2, half, dim)`` stack, so each
     network has one forward and one VJP; slice 0 is the source half and
     slice 1 the target half.  The array losses take the stacks of
-    probabilities and domain outputs, and each loss's VJP returns one
-    gradient shaped like its stack, zero where its term does not reach.
-    The VJP keeps the engine's op order: a tensor used twice gets the
-    sum of its two gradients where the engine sums them.  Each network's
-    VJP writes its parameter gradients per half into ``m.halves``, and
-    the gradient of ``m.flat`` is the source half plus the target half.
+    probabilities and domain outputs and return, with each value, one
+    gradient shaped like its stack for a loss gradient of 1, zero where
+    its term does not reach.  The VJP scales them by ``g`` (exact at the
+    ``g = 1`` that ``backward`` seeds) and keeps the engine's op order: a
+    tensor used twice gets the sum of its two gradients where the engine
+    sums them.  Each network's VJP writes its parameter gradients per
+    half into ``m.halves``, and the gradient of ``m.flat`` is the source
+    half plus the target half.
     Raises ``model.NonFinite`` where ``engine_loss`` raises
     ``NumericError``: a non-finite input, layer pre-activation or total.
     ``lam`` must be >= 0, which ``TrainConfig`` ensures.
@@ -228,17 +232,17 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
         d = m.d.forward_array(feats, tape_d)
 
         scores = sc.scores_from_outputs(d[1, :, 0], probs[1], cfg.scheme)
-        l_c, n_pl, vjp_c = ls.classification_array(probs, labels, scores, threshold,
-                                                   cfg.gamma)
-        l_bd, n_div, vjp_bd = ls.batch_diversity_array(probs, scores, cfg.w_beta,
-                                                       cfg.diversity_mode)
-        l_d, vjp_d = ls.domain_array(d)
+        l_c, n_pl, g_c = ls.classification_array(probs, labels, scores, threshold,
+                                                 cfg.gamma)
+        l_bd, n_div, g_bd = ls.batch_diversity_array(probs, scores, cfg.w_beta,
+                                                     cfg.diversity_mode)
+        l_d, g_d = ls.domain_array(d)
         total = l_c + l_bd + l_d
     md.check_finite(total)
 
     def vjp(g):
-        g_r = m.d.vjp_array(tape_d, vjp_d(g), m.half_views["d"])
-        g_fc = m.c.vjp_array(tape_c, vjp_c(g) + vjp_bd(g), m.half_views["c"])
+        g_r = m.d.vjp_array(tape_d, g * g_d, m.half_views["d"])
+        g_fc = m.c.vjp_array(tape_c, g * (g_c + g_bd), m.half_views["c"])
         m.f.vjp_array(tape_f, g_fc + -lam * g_r, m.half_views["f"], input_grad=False)
         return (m.halves[0] + m.halves[1],)
 

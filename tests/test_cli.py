@@ -65,6 +65,12 @@ class TestGen:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(gen_args(out, seed=-1)) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_synthetic_run_writes_all_artifacts(self, tmp_path):
@@ -147,7 +153,8 @@ class TestTrain:
         ("--momentum", "inf", "momentum must be finite, got inf"),
         ("--lr", "inf", "lr must be finite, got inf"),
         ("--grl-lambda", "nan", "grl_lambda must be finite, got nan"),
-        ("--static-w-alpha", "inf", "static_w_alpha must be finite, got inf")])
+        ("--static-w-alpha", "inf", "static_w_alpha must be finite, got inf"),
+        ("--seed", "-1", "seed must be >= 0, got -1")])
     def test_odd_batch_size_exits_2_without_run_dir(self, tmp_path, capsys,
                                                     flag, value, message):
         out = tmp_path / "run"
@@ -167,6 +174,30 @@ class TestTrain:
                      "--steps", "2", "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"error: {src}: feature dim 3, but {tgt} has 4\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault, code", [
+        ("config", EXIT_CONFIG), ("empty_source", EXIT_CONFIG),
+        ("empty_target", EXIT_CONFIG), ("gamma_overflow", cli.EXIT_NUMERIC)])
+    def test_failed_run_leaves_no_run_dir(self, tmp_path, capsys, fault, code):
+        main(gen_args(tmp_path / "data"))
+        data = tmp_path / "data"
+        args = ["train", "--source", str(data / "source.features.txt"),
+                "--target", str(data / "target.features.txt"),
+                "--labelset", str(data / "labelset.json"), "--steps", "2",
+                "--batch-size", "4"]
+        if fault == "config":
+            (tmp_path / "cfg.json").write_text(json.dumps({"f_hidden": [0]}))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        elif fault == "gamma_overflow":
+            args += ["--gamma", "1.7e308", "--static-w-alpha", "0"]
+        else:
+            name = fault.split("_")[1] + ".features.txt"
+            (data / name).write_text("# dim=3 count=0 labeled=1\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(args + ["--out", str(out)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
     def test_config_file_feeds_training(self, tmp_path):
@@ -303,6 +334,20 @@ class TestEvalInputs:
         assert main(eval_args(tmp_path, ckpt, labelset)) == EXIT_CONFIG
         assert "integer class ids" in capsys.readouterr().err
 
+    def test_w0_defaults_to_the_schemes_default(self, tmp_path, capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        main(gen_args(data, shared=4, source_private=2, target_private=6, dim=8,
+                      per_class=60))  # the benchmark's target
+        main(["train", "--synthetic", "--steps", "300", "--out", str(run)])
+        reports = {}
+        for w0 in (None, "0.0", "1.0"):
+            capsys.readouterr()
+            assert main(eval_args(tmp_path, run / "checkpoint.txt", data / "labelset.json",
+                                  "--scheme", "uan",
+                                  *([] if w0 is None else ["--w0", w0]))) == 0
+            reports[w0] = capsys.readouterr().out
+        assert reports[None] == reports["0.0"] != reports["1.0"]
+
 
 class TestEvalFileErrors:
     @pytest.mark.parametrize("header", ["not json", json.dumps({"class_ids": [0, 1]})])
@@ -322,13 +367,39 @@ class TestEvalFileErrors:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("header", ["# dim=3 count=-3 labeled=1",
-                                        "# dim=-1 count=2 labeled=1"])
+                                        "# dim=-1 count=2 labeled=1",
+                                        "# dim=3 count=1 labeled=7 extra=zz"])
     def test_negative_feature_header_exits_2(self, tmp_path, capsys, header):
         ckpt = train_small(tmp_path)
         target = tmp_path / "data/target.features.txt"
         target.write_text(header + "\n")
         assert main(eval_args(tmp_path, ckpt, tmp_path / "data/labelset.json")) == EXIT_CONFIG
         assert f"{target}:1: bad header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("class_ids", [[0, 0, 1], [True, 1, 2], [-1, 0, 1],
+                                           ["a", 0, 1]])
+    def test_bad_checkpoint_class_ids_exit_2(self, tmp_path, capsys, class_ids):
+        ckpt = train_small(tmp_path)
+        header, *rest = ckpt.read_text().splitlines()
+        meta = json.loads(header)
+        assert len(meta["class_ids"]) == len(class_ids)
+        meta["class_ids"] = class_ids
+        ckpt.write_text("\n".join([json.dumps(meta), *rest]) + "\n")
+        capsys.readouterr()
+        assert main(eval_args(tmp_path, ckpt, tmp_path / "data/labelset.json")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}:1: bad checkpoint header")
+        assert err.count("\n") == 1
+
+    def test_source_labelled_unknown_exits_2(self, tmp_path, capsys):
+        src, args = self.file_verb(tmp_path, "train")
+        lines = src.read_text().splitlines()
+        lines[1] = lines[1].rsplit("\t", 1)[0] + "\t-1"
+        src.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(args) == EXIT_CONFIG
+        assert "class_ids must be distinct ints other than -1" in capsys.readouterr().err
+        assert not (tmp_path / "rerun").exists()
 
     @staticmethod
     def file_verb(tmp_path, verb):
@@ -436,6 +507,13 @@ class TestSweep:
                      "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "error: --values: could not convert string to float: 'a'\n")
+        assert not out.exists()
+
+    def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--param", "w0", "--values", "1.0", "--seed", "-1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_value_outside_scheme_range_rejected(self, tmp_path):

@@ -143,7 +143,9 @@ class TestFeatureFiles:
 
     @pytest.mark.parametrize("header", [
         "1.0\t2.0\t0", "# count=1 labeled=1", "# dim=two count=1 labeled=1",
-        "# dim=2 count=1 labeled"])
+        "# dim=2 count=1 labeled", "# dim=2 count=1 labeled=7",
+        "# dim=2 count=1 labeled=-1", "# dim=2 count=1 labeled=1 extra=zz",
+        "# dim=0 count=1 labeled=1"])
     def test_bad_header_reports_line_one(self, tmp_path, header):
         path = tmp_path / "bad.txt"
         path.write_text(header + "\n1.0\t2.0\t0\n")

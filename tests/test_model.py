@@ -1,5 +1,6 @@
 """Unit tests for the three-network bundle."""
 
+import json
 import os
 import subprocess
 import sys
@@ -134,6 +135,15 @@ class TestForwardDomain:
         np.testing.assert_array_equal(with_grl, without)
 
 
+def with_class_ids(class_ids):
+    """A checkpoint corruption that replaces the header's class ids."""
+    def corrupt(lines):
+        meta = json.loads(lines[0])
+        meta["class_ids"] = class_ids
+        return [json.dumps(meta), *lines[1:]]
+    return corrupt
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         m = small_bundle(9)
@@ -158,6 +168,8 @@ class TestCheckpoint:
          ":4: unknown parameter"),
         (lambda ls: ls[:3] + ls[1:3] + ls[5:], ":4: duplicate parameter"),
         (lambda ls: ls[:1] + ["f.w0 1 1"] + ls[2:], ":2: f.w0 shape"),
+        *((with_class_ids(ids), ":1: bad checkpoint header")
+          for ids in ([0, 0, 1], [True, 1, 2], [-1, 0, 1], ["a", 0, 1])),
     ])
     def test_malformed_checkpoint_names_the_line(self, tmp_path, corrupt, where):
         path = tmp_path / "ckpt.txt"
