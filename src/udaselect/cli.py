@@ -135,10 +135,18 @@ def _run_grid(variants: list[tuple[str, tr.TrainConfig]], seed: int, reps: int,
 # verbs
 
 
+def _read_json(path):
+    """The JSON value in the text file at ``path``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _load_labelset(path) -> dt.LabelSetSpec:
     """A label-set JSON object of class-id lists; the two private lists
     default to empty."""
-    spec = json.loads(Path(path).read_text())
+    spec = _read_json(path)
     if not isinstance(spec, dict) or "shared" not in spec:
         raise ConfigError(f"{path}: label set must be a JSON object with a 'shared' list")
     sets = {k: spec.get(k, []) for k in ("shared", "source_private", "target_private")}
@@ -154,7 +162,7 @@ def _build_config(args, preset: tr.TrainConfig | None = None) -> tr.TrainConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        file_cfg = json.loads(path.read_text())
+        file_cfg = _read_json(path)
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         base = {**base, **file_cfg}
@@ -351,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (UdaError, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (UdaError, json.JSONDecodeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -5,10 +5,13 @@ is an affine map (rotation in a random plane, translation, scale and
 noise inflation).  Label ids are dense integers with the label-set
 partition deciding which ids appear in which domain.
 
-Feature files are read by numpy's C reader in one pass.  The per-line
-row walk ``_parse_rows`` stays the definition of a valid file and of
-each error's text and line number: ``load_features`` falls back to it
-whenever the C reader raises, warns or returns another row count.
+Feature files are streamed: a chunked pass counts the lines, and
+numpy's C reader parses the body straight from the open file, so no
+copy of the whole text or list of its lines is held.  The per-line row
+walk ``_parse_rows`` stays the definition of a valid file and of each
+error's text and line number: ``load_features`` falls back to it
+whenever the C reader raises, warns or returns another row count, and
+takes it for a file holding a line boundary other than ``\n``.
 """
 
 from __future__ import annotations
@@ -175,6 +178,14 @@ def sample_batch(src: DomainDataset, tgt: DomainDataset, batch_size: int,
 # feature-file io: header line, then one sample per row, its label last
 
 
+#: characters of text ``_count_lines`` reads at a time
+_SCAN_CHUNK = 1 << 16
+
+#: the line boundaries ``str.splitlines`` knows besides ``\n``; text mode
+#: has already turned ``\r`` and ``\r\n`` into ``\n``
+_ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def save_features(path, dataset: DomainDataset) -> None:
     with open(path, "w") as fh:
         fh.write(f"# dim={dataset.dim} count={dataset.n} labeled=1\n")
@@ -186,23 +197,72 @@ def load_features(path) -> DomainDataset:
     """Parse a labelled feature file; any malformed line aborts with its
     line number, and a ``labeled=0`` header is rejected.
 
-    After the header and row-count checks, numpy's C reader parses the
-    body in one pass.  Where it raises, warns or returns another row
-    count, the row walk ``_parse_rows`` parses the body instead: a value
-    ``float()`` or ``int()`` accepts and the C reader does not (``1_0``,
-    non-ASCII digits) loads as before, and a malformed line gets the row
-    walk's message and line number.  Every value the C reader accepts is
-    bit-identical to ``float()``'s.
+    The body is parsed straight from the open file: one pass over
+    fixed-size chunks counts the lines, ``readline`` takes the header and
+    numpy's C reader parses the rest of the handle, so no copy of the
+    whole text or list of its lines is ever held.  Where the C reader
+    raises, warns or returns another row count, the row walk
+    ``_parse_rows`` parses the body instead: a value ``float()`` or
+    ``int()`` accepts and the C reader does not (``1_0``, non-ASCII
+    digits) loads as before, and a malformed line gets the row walk's
+    message and line number.  Every value the C reader accepts is
+    bit-identical to ``float()``'s.  A file holding a line boundary that
+    ``str.splitlines`` knows besides ``\n``, ``\r`` and ``\r\n`` (say
+    ``\f`` or ``\u2028``) goes to the row walk whole, so its line
+    numbers keep their ``splitlines`` meaning.  A file that is not valid
+    text raises ``FeatureFileError`` too.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    try:
+        with open(path) as fh:
+            n_lines = _count_lines(fh)
+            fh.seek(0)
+            if n_lines is None:
+                lines = fh.read().splitlines()
+                dim = _check_header(path, lines[0] if lines else "", len(lines))
+                return _parse_rows(path, lines[1:], dim)
+            dim = _check_header(path, fh.readline(), n_lines)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    # comments=None: the default "#" would cut a field short
+                    table = np.loadtxt(fh, dtype=[("x", np.float64, (dim,)), ("y", np.int64)],
+                                       delimiter="\t", comments=None, ndmin=1)
+            except (ValueError, Warning):
+                table = None
+            if table is None or table.shape != (n_lines - 1,):
+                fh.seek(0)
+                return _parse_rows(path, fh.read().splitlines()[1:], dim)
+            return DomainDataset(np.ascontiguousarray(table["x"]), table["y"].copy())
+    except UnicodeDecodeError as exc:
+        raise FeatureFileError(f"{path}: {exc}") from exc
+
+
+def _count_lines(fh) -> int | None:
+    """The ``splitlines`` line count of ``fh``'s text, or None where it
+    holds one of ``_ODD_BREAKS``."""
+    count, last = 0, "\n"
+    while chunk := fh.read(_SCAN_CHUNK):
+        if any(c in chunk for c in _ODD_BREAKS):
+            return None
+        count += chunk.count("\n")
+        last = chunk[-1]
+    return count + (last != "\n")
+
+
+def _check_header(path, header: str, n_lines: int) -> int:
+    """The ``dim`` of a file whose first line is ``header`` and which has
+    ``n_lines`` lines, after the header and row-count checks."""
+    if not n_lines:
         raise FeatureFileError(f"{path}: empty file")
-    header = lines[0]
     if not header.startswith("#"):
         raise FeatureFileError(f"{path}:1: missing header line")
     try:
-        fields = dict(kv.split("=") for kv in header.lstrip("#").split())
+        pairs = [kv.split("=") for kv in header.lstrip("#").split()]
+        fields = dict(pairs)
+        if len(fields) != len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated = sorted({k for k in keys if keys.count(k) > 1})
+            raise ValueError(f"repeated keys {repeated}")
         unknown = set(fields) - {"dim", "count", "labeled"}
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
@@ -215,21 +275,10 @@ def load_features(path) -> DomainDataset:
         raise FeatureFileError(f"{path}:1: bad header: {exc}") from exc
     if not labeled:
         raise FeatureFileError(f"{path}: labels requested but file is unlabeled")
-    body = lines[1:]
-    if len(body) != count:
+    if n_lines - 1 != count:
         raise FeatureFileError(
-            f"{path}: header promises {count} rows, found {len(body)}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # comments=None: the default "#" would cut a field short
-            table = np.loadtxt(body, dtype=[("x", np.float64, (dim,)), ("y", np.int64)],
-                               delimiter="\t", comments=None, ndmin=1)
-    except (ValueError, Warning):
-        table = None
-    if table is None or table.shape != (count,):
-        return _parse_rows(path, body, dim)
-    return DomainDataset(np.ascontiguousarray(table["x"]), table["y"].copy())
+            f"{path}: header promises {count} rows, found {n_lines - 1}")
+    return dim
 
 
 def _parse_rows(path, body: list[str], dim: int) -> DomainDataset:

@@ -384,8 +384,11 @@ def load_checkpoint(path) -> ModelBundle:
     """Read a ``save_checkpoint`` file; each parameter must appear exactly
     once with its declared shape and value count, or ``ConfigError``
     names the offending line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not lines:
         raise ConfigError(f"{path}:1: empty checkpoint")
     try:

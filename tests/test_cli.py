@@ -443,6 +443,46 @@ class TestEvalFileErrors:
             f"error: {bad}: labels requested but file is unlabeled\n")
         assert not (tmp_path / "rerun").exists()
 
+    @pytest.mark.parametrize("reader", ["train", "eval", "checkpoint", "labelset", "config"])
+    def test_undecodable_input_exits_2_naming_it(self, tmp_path, capsys, reader):
+        if reader in ("train", "eval"):
+            bad, args = self.file_verb(tmp_path, reader)
+        elif reader == "config":
+            bad = tmp_path / "config.json"
+            bad.write_text('{"seed": 1}\n')
+            args = ["train", "--synthetic", "--config", str(bad),
+                    "--out", str(tmp_path / "rerun")]
+        else:
+            _, args = self.file_verb(tmp_path, "eval")
+            bad = Path(args[args.index(f"--{reader}") + 1])
+        text = bad.read_bytes()
+        cut = text.index(b"\n") + 1
+        bad.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        capsys.readouterr()
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "can't decode byte 0xff" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "rerun").exists()
+
+    @pytest.mark.parametrize("flag", ["--target", "--config"])
+    def test_directory_input_exits_2_naming_it(self, tmp_path, capsys, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        if flag == "--target":
+            _, args = self.file_verb(tmp_path, "eval")
+            args[args.index(flag) + 1] = str(folder)
+        else:
+            args = ["train", "--synthetic", "--config", str(folder),
+                    "--out", str(tmp_path / "rerun")]
+        capsys.readouterr()
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "rerun").exists()
+
 
 def group_of(domain, label, spec):
     """The per-row rule for a sample's score group."""

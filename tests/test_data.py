@@ -1,5 +1,8 @@
 """Unit tests for synthetic data generation, batching and feature io."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,7 +148,8 @@ class TestFeatureFiles:
         "1.0\t2.0\t0", "# count=1 labeled=1", "# dim=two count=1 labeled=1",
         "# dim=2 count=1 labeled", "# dim=2 count=1 labeled=7",
         "# dim=2 count=1 labeled=-1", "# dim=2 count=1 labeled=1 extra=zz",
-        "# dim=0 count=1 labeled=1"])
+        "# dim=0 count=1 labeled=1", "# dim=2 dim=3 count=1 labeled=1",
+        "# dim=2\fcount=1 labeled=1"])
     def test_bad_header_reports_line_one(self, tmp_path, header):
         path = tmp_path / "bad.txt"
         path.write_text(header + "\n1.0\t2.0\t0\n")
@@ -179,6 +183,27 @@ class TestFeatureFiles:
                         "1.0\t2.0\t99999999999999999999\n")
         with pytest.raises(FeatureFileError, match=":2: label does not fit int64"):
             dt.load_features(path)
+
+    def test_undecodable_file_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# dim=2 count=1 labeled=1\n1.0\t\xff\t0\n")
+        with pytest.raises(FeatureFileError, match="^" + re.escape(f"{path}: ")):
+            dt.load_features(path)
+
+    def test_parse_peak_stays_below_the_file_size(self, tmp_path):
+        """The benchmark's 20k-row eval target loads without holding its
+        whole text or a list of its lines."""
+        _, tgt = dt.gen_synthetic(dt.benchmark_label_spec(), 8, 2000,
+                                  dt.benchmark_shift(), seed=0)
+        path = tmp_path / "target.features.txt"
+        dt.save_features(path, tgt)
+        tracemalloc.start()
+        try:
+            dt.load_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 def parse_by_row_walk(path):
@@ -223,6 +248,11 @@ class TestReaderEquivalence:
         ("dim=2 count=0 labeled=1", "", False),
         ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n4.0\t5.0\t6\n", True),
         ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n4.0\t5.0\tx\n", False),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\r\n4.0\t5.0\t6\r\n", True),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\r4.0\t5.0\t6\n", True),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\u20283\n", False),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\x854.0\t5.0\t6\n", False),
+        ("dim=2 count=2 labeled=1", "1.0\t2.0\t3\n4.0\t5.0\t6", True),
     ])
     def test_same_bits_or_same_error_as_row_walk(self, tmp_path, monkeypatch,
                                                  header, rows, fast):
