@@ -36,11 +36,8 @@ _THRESHOLD_FRACTIONS = {"w0": 0.5, "w_beta": 0.4, "w_alpha_start": 0.75}
 def scheme_defaults(cfg: tr.TrainConfig, scheme: str) -> tr.TrainConfig:
     """Re-express the default thresholds in another scheme's native range."""
     lo, hi = sc.SCHEME_RANGES[scheme]
-    span = hi - lo
-    return replace(cfg, scheme=scheme,
-                   w0=lo + _THRESHOLD_FRACTIONS["w0"] * span,
-                   w_beta=lo + _THRESHOLD_FRACTIONS["w_beta"] * span,
-                   w_alpha_start=lo + _THRESHOLD_FRACTIONS["w_alpha_start"] * span)
+    return replace(cfg, scheme=scheme, **{name: lo + frac * (hi - lo)
+                                          for name, frac in _THRESHOLD_FRACTIONS.items()})
 
 
 def default_output_root() -> Path:
@@ -157,18 +154,24 @@ def _load_labelset(path) -> dt.LabelSetSpec:
 
 
 def _build_config(args, preset: tr.TrainConfig | None = None) -> tr.TrainConfig:
+    """``preset``'s fields, then the ``--config`` file's, then the flags'.
+    A threshold that neither the file nor a flag sets is the scheme's
+    default (``scheme_defaults``), not the preset's ``ours`` value."""
     base = preset.to_dict() if preset is not None else {}
+    chosen = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        file_cfg = _read_json(path)
-        if not isinstance(file_cfg, dict):
+        chosen = _read_json(path)
+        if not isinstance(chosen, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        base = {**base, **file_cfg}
-    overrides = {f.name: getattr(args, f.name) for f in fields(tr.TrainConfig)
-                 if getattr(args, f.name, None) is not None}
-    return tr.TrainConfig.from_dict({**base, **overrides})
+    chosen = {**chosen, **{f.name: getattr(args, f.name) for f in fields(tr.TrainConfig)
+                           if getattr(args, f.name, None) is not None}}
+    cfg = tr.TrainConfig.from_dict({**base, **chosen})
+    defaults = scheme_defaults(cfg, cfg.scheme)
+    return replace(cfg, **{name: getattr(defaults, name) for name in _THRESHOLD_FRACTIONS
+                           if name not in chosen})
 
 
 def cmd_gen(args) -> int:

@@ -117,6 +117,11 @@ def export_score_distributions(path, scores: ScoreTable,
     lo, hi = sc.SCHEME_RANGES[scheme]
     ranges = {"d": (0.0, 1.0), "max_prob": (0.0, 1.0), "w": (lo, hi)}
     values = {"d": scores.d, "max_prob": scores.max_prob, "w": scores.w}
+    edges = {qty: np.linspace(qlo, qhi, HIST_BINS + 1) for qty, (qlo, qhi) in ranges.items()}
+    # each bin's "quantity<TAB>bin_lo<TAB>bin_hi<TAB>" text, formatted once
+    bins = {qty: [f"{qty}\t{b_lo!r}\t{b_hi!r}\t"
+                  for b_lo, b_hi in zip(e[:-1].tolist(), e[1:].tolist())]
+            for qty, e in edges.items()}
     with open(path, "w") as fh:
         fh.write("group\tquantity\tbin_lo\tbin_hi\tcount\n")
         for group in SCORE_GROUPS:
@@ -124,9 +129,7 @@ def export_score_distributions(path, scores: ScoreTable,
             if not mask.any():
                 continue
             for qty, (qlo, qhi) in ranges.items():
-                edges = np.linspace(qlo, qhi, HIST_BINS + 1)
                 hist, _ = np.histogram(np.clip(values[qty][mask], qlo, qhi),
-                                       bins=edges)
-                for b in range(HIST_BINS):
-                    fh.write(f"{group}\t{qty}\t{float(edges[b])!r}\t"
-                             f"{float(edges[b + 1])!r}\t{int(hist[b])}\n")
+                                       bins=edges[qty])
+                fh.writelines(f"{group}\t{text}{count}\n"
+                              for text, count in zip(bins[qty], hist.tolist()))

@@ -67,6 +67,59 @@ SOFTMAX_HEAD_GAIN = 0.01
 #: only the last block has such a tail, the rows of the whole input's.
 _BLOCK_ROWS = 1024
 
+#: rows from which ``row_max`` and ``row_sum`` fold the columns.  numpy
+#: reduces each row of a ``(n, K)`` table by its own inner-loop call, so
+#: K - 1 whole-column ufunc calls win from a few hundred rows; below
+#: that (the training step's 64-row stacks) numpy's call is faster.
+_FOLD_ROWS = 256
+
+
+def _folds(a: np.ndarray) -> bool:
+    """Whether ``a`` holds at least ``_FOLD_ROWS`` rows of one or more
+    entries on its last axis."""
+    return a.ndim > 0 and 0 < a.shape[-1] and a.size >= _FOLD_ROWS * a.shape[-1]
+
+
+def sum_folds(a: np.ndarray) -> bool:
+    """Whether ``row_sum`` folds ``a``: ``_folds`` rows of 2 to 7 entries."""
+    return _folds(a) and 2 <= a.shape[-1] < 8
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)``, bit for bit.
+
+    From ``_FOLD_ROWS`` rows, ``np.maximum`` folds the columns left to
+    right.  The maximum of a row is one value whatever the order, except
+    for the sign of a zero maximum and the payload of a NaN: numpy's SIMD
+    reduction of a row longer than one vector combines its lanes in
+    another order.  Those rows are reduced again by numpy's own call.
+    """
+    if not _folds(a):
+        return a.max(axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j], out=out)
+    redo = ~(np.abs(out) > 0.0)
+    if redo.any():
+        out[redo] = a[redo].max(axis=-1)
+    return out
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)``, bit for bit.
+
+    From ``_FOLD_ROWS`` rows of 2 to 7 entries, ``+=`` folds the columns
+    left to right.  numpy adds a row of fewer than 8 entries in that
+    order, starting from +0.0, so a row of -0.0 sums to +0.0; from 8
+    entries it sums pairwise, and ``a.sum`` runs.
+    """
+    if not sum_folds(a):
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
 
 class NonFinite(NumericError):
     """An array forward met a non-finite value.  The engine replays the
@@ -133,6 +186,8 @@ class Mlp:
         non-finite.  The bias add and the ReLU write into the fresh
         product ``h @ W`` in place: the same ufuncs as ``h @ W + b`` and
         ``maximum(h, 0)``, so the same bits with no extra temporaries.
+        The softmax's row maximum and row sum are ``row_max`` and
+        ``row_sum``, which give numpy's reductions bit for bit.
         With ``tape``, appends each layer's input and then the output,
         which ``vjp_array`` reads; no array on the tape is written after
         it is appended.
@@ -149,8 +204,8 @@ class Mlp:
             if i < last:
                 np.maximum(h, 0.0, out=h)
         if self.spec.final_activation == "softmax":
-            e = np.exp(h - h.max(axis=-1, keepdims=True))
-            h = e / e.sum(axis=-1, keepdims=True)
+            e = np.exp(h - row_max(h)[..., None])
+            h = e / row_sum(e)[..., None]
         elif self.spec.final_activation == "sigmoid":
             e = np.exp(-np.abs(h))
             h = np.where(h >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -375,7 +430,7 @@ def save_checkpoint(m: ModelBundle, path) -> None:
     for name, p in m.parameters():
         shape = " ".join(str(s) for s in p.value.shape)
         lines.append(f"{name} {shape}")
-        lines.append(" ".join(v.hex() for v in p.value.ravel()))
+        lines.append(" ".join(map(float.hex, p.value.ravel().tolist())))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -419,7 +474,8 @@ def load_checkpoint(path) -> ModelBundle:
             raise ConfigError(f"{path}:{i + 2}: {name} has {len(tokens)} values, "
                               f"expected {value.size}")
         try:
-            value[...] = np.array([float.fromhex(t) for t in tokens]).reshape(value.shape)
+            value[...] = np.fromiter(map(float.fromhex, tokens), float,
+                                     len(tokens)).reshape(value.shape)
         except ValueError as exc:
             raise ConfigError(f"{path}:{i + 2}: bad hex float: {exc}") from exc
         loaded.add(name)

@@ -50,14 +50,27 @@ class ScoreTable:
 
 
 def entropy(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy in nats along the last axis, with 0*log(0) = 0."""
+    """Shannon entropy in nats along the last axis, with 0*log(0) = 0.
+
+    The value is ``-(p * log(where(p > 0, p, 1))).sum(axis=-1)`` bit for
+    bit.  Where ``md.row_sum`` folds (``md.sum_folds``: 256 rows or more
+    of 2 to 7 classes), the per-class terms are added column by column
+    into one value per row, in numpy's order, so no float temporary of
+    the table's shape is made; a 20k x 6 table holds 0.96 MB.
+    """
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0):
         raise ContractError("entropy requires nonnegative entries")
-    off = np.abs(p.sum(axis=-1) - 1.0)
+    off = np.abs(md.row_sum(p) - 1.0)
     if np.any(off > 1e-9):
         raise ContractError(f"entropy requires probability vectors, |sum-1|={off.max()}")
-    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
+    if not md.sum_folds(p):
+        return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
+    h = np.zeros(p.shape[:-1])
+    for j in range(p.shape[-1]):
+        c = p[..., j]
+        h += c * np.log(np.where(c > 0, c, 1.0))
+    return -h
 
 
 def score_for_scheme(scheme: str, d, y_bar: np.ndarray) -> np.ndarray:
@@ -78,13 +91,13 @@ def score_for_scheme(scheme: str, d, y_bar: np.ndarray) -> np.ndarray:
     if scheme in ("uan", "entropy") and y_bar.shape[-1] < 2:
         raise ContractError(f"{scheme} score needs at least 2 classes")
     if scheme == "ours":
-        return d + y_bar.max(axis=-1)
+        return d + md.row_max(y_bar)
     if scheme == "uan":
         return d - entropy(y_bar) / np.log(y_bar.shape[-1])
     if scheme == "entropy":
         return 1.0 - entropy(y_bar) / np.log(y_bar.shape[-1])
     if scheme == "ours_no_d":
-        return y_bar.max(axis=-1)
+        return md.row_max(y_bar)
     return d.copy()
 
 
@@ -101,6 +114,10 @@ def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
     as one forward over all of ``x`` would give it.  The scores and the
     other columns are computed once, over all rows, after the forward;
     a non-finite value in any block replays the engine over all of ``x``.
+    ``max_prob``, ``entropy`` and the scores reduce the class axis with
+    ``md.row_max`` and ``md.row_sum``'s fold, so on a table of 256 rows or
+    more they make one ufunc call per class, not one per row, and make
+    no float temporary of the table's shape; the bits are numpy's.
     """
     try:
         probs, d = md.predict(m, x)
@@ -109,7 +126,7 @@ def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
             feats = md.features(m, x)
             probs, d = md.label_probs(m, feats).value, md.domain_prob(m, feats, 0.0).value
     d = d[:, 0]
-    return ScoreTable(d=d, y_bar=probs, max_prob=probs.max(axis=-1),
+    return ScoreTable(d=d, y_bar=probs, max_prob=md.row_max(probs),
                       entropy=entropy(probs), w=score_for_scheme(scheme, d, probs))
 
 

@@ -217,6 +217,26 @@ class TestTrain:
                      "--steps", "4", "--out", str(out)]) == 0
         assert json.loads((out / "config.json").read_text())["total_steps"] == 4
 
+    @pytest.mark.parametrize("scheme", sc.SCHEMES)
+    def test_unset_thresholds_are_the_schemes_defaults(self, tmp_path, scheme):
+        out = tmp_path / "run"
+        assert main(["train", "--synthetic", "--scheme", scheme, "--steps", "2",
+                     "--out", str(out)]) == 0
+        cfg = json.loads((out / "config.json").read_text())
+        want = cli.scheme_defaults(cli.benchmark_config(total_steps=2), scheme)
+        assert cfg == json.loads(json.dumps(want.to_dict()))
+        if scheme == "ours":  # the preset's thresholds are ours' defaults
+            assert cfg == json.loads(json.dumps(cli.benchmark_config(total_steps=2).to_dict()))
+
+    def test_set_thresholds_beat_the_schemes_defaults(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"scheme": "uan", "w_beta": 0.1}))
+        out = tmp_path / "run"
+        assert main(["train", "--synthetic", "--config", str(cfg_file), "--w0", "0.3",
+                     "--steps", "2", "--out", str(out)]) == 0
+        cfg = json.loads((out / "config.json").read_text())
+        assert (cfg["w0"], cfg["w_beta"], cfg["w_alpha_start"]) == (0.3, 0.1, 0.5)
+
     def test_file_inputs_require_all_three_paths(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "run")]) == EXIT_CONFIG
 
@@ -610,6 +630,15 @@ class TestAblate:
         _, rows = read_table(out / "ablation.tsv")
         assert [r[0] for r in rows] == ["full", "no_pseudo_labels",
                                        "w_alpha_0", "static_w_alpha_1.2"]
+
+    def test_pseudo_ablation_takes_the_schemes_thresholds(self, tmp_path):
+        out = tmp_path / "ablate"
+        main(["ablate", "--ablation", "pseudo", "--scheme", "uan", "--seeds", "1",
+              "--steps", "2", "--out", str(out)])
+        cfg = json.loads((out / "full_seed0" / "config.json").read_text())
+        want = cli.scheme_defaults(cli.benchmark_config(), "uan")
+        assert (cfg["w0"], cfg["w_beta"], cfg["w_alpha_start"]) == (
+            want.w0, want.w_beta, want.w_alpha_start) == (0.0, pytest.approx(-0.2), 0.5)
 
     def test_diversity_ablation_rows(self, tmp_path):
         out = tmp_path / "ablate"

@@ -319,6 +319,37 @@ class TestStackedArrays:
             small_bundle().f.forward_array(np.ones((2, 2, 3)))
 
 
+def kernel_tables(k, n, seed):
+    """Two ``(n, k)`` tables and one ``(2, n, k)`` stack: entries from a
+    small set (ties, +0.0 and -0.0 in one row), random entries over ten
+    decades, and entries in [0, 1) of which about 30% are exactly 0."""
+    rng = np.random.default_rng(seed)
+    ties = rng.choice([-0.0, 0.0, 0.25, 1.0, -1.0, -2.0], size=(n, k))
+    wide = rng.normal(size=(2, n, k)) * 10.0 ** rng.uniform(-5, 5, size=(2, n, k))
+    p = rng.random((n, k)) * (rng.random((n, k)) < 0.7)
+    return ties, wide, p
+
+
+class TestRowKernels:
+    """``row_max`` and ``row_sum`` are numpy's reductions bit for bit,
+    on either side of ``_FOLD_ROWS`` and of the 8-column sum rule."""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1024, 20000])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_equal_numpy_reductions_bitwise(self, k, n):
+        assert md._FOLD_ROWS == 256
+        for a in kernel_tables(k, n, seed=100 * k + n % 97):
+            np.testing.assert_array_equal(bits(md.row_max(a)), bits(a.max(axis=-1)))
+            np.testing.assert_array_equal(bits(md.row_sum(a)), bits(a.sum(axis=-1)))
+
+    def test_sum_folds_only_for_2_to_7_columns_from_256_rows(self):
+        folds = [k for k in range(1, 13) if md.sum_folds(np.zeros((256, k)))]
+        assert folds == list(range(2, 8))
+        assert md.sum_folds(np.zeros((2, 128, 6)))
+        assert not md.sum_folds(np.zeros((2, 32, 6)))  # the training step's stack
+        assert not md.sum_folds(np.zeros((255, 6)))
+
+
 PREDICT_DIGEST = """
 import hashlib, sys
 import numpy as np

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -253,6 +254,40 @@ class TestScoreBatchBlocks:
                 np.testing.assert_array_equal(
                     getattr(got, f.name).view(np.uint64),
                     getattr(want, f.name).view(np.uint64), err_msg=f"{scheme} {f.name}")
+
+
+def numpy_scores(scheme, d, p):
+    """``score_for_scheme`` and ``entropy`` as numpy's reductions over
+    whole tables write them; the class-axis kernels give these bits."""
+    h = -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
+    return {"ours": d + p.max(axis=-1), "uan": d - h / np.log(p.shape[-1]),
+            "entropy": 1.0 - h / np.log(p.shape[-1]), "ours_no_d": p.max(axis=-1),
+            "ours_no_maxy": d}[scheme], h
+
+
+class TestAgainstNumpyExpressions:
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("k", [3, 6, 7, 8, 12])
+    def test_every_scheme_and_entropy_bitwise_on_20k_rows(self, k, zeros):
+        d, p = ref.softmax_inputs(k, zeros, n=20000)
+        for scheme in sc.SCHEMES:
+            w, h = numpy_scores(scheme, d, p)
+            np.testing.assert_array_equal(sc.score_for_scheme(scheme, d, p).view(np.uint64),
+                                          w.view(np.uint64), err_msg=scheme)
+        np.testing.assert_array_equal(sc.entropy(p).view(np.uint64), h.view(np.uint64))
+
+    def test_entropy_of_the_20k_target_holds_no_table_sized_temporary(
+            self, benchmark_scoring):
+        m, x = benchmark_scoring
+        probs, _ = md.predict(m, x)
+        assert probs.shape == (20000, 6)
+        tracemalloc.start()
+        try:
+            sc.entropy(probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.nbytes
 
 
 class TestScoreDump:
