@@ -14,8 +14,10 @@ plus its gradient for a loss gradient of 1, written with the engine's
 expressions so that the training step's hand-derived backward has the
 engine's bits.  The array losses take the training step's domain
 stack, ``(2, half, ·)`` with slice 0 the source and slice 1 the target,
-and each returns one gradient shaped like that stack, zero where its
-term does not reach.
+and each gives one gradient shaped like that stack, zero where its
+term does not reach.  The classifier head's two terms share one
+gradient stack: ``batch_diversity_array`` adds its gradient into the
+stack ``classification_array`` returned, given as its ``out``.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ def _checked_labels(source_shape: tuple[int, int], source_labels: np.ndarray,
     if len(target_scores) != n_target:
         raise ContractError("target_scores must align with target_probs rows")
     labels = np.asarray(source_labels, dtype=np.intp)
-    if ((labels < 0) | (labels >= source_shape[1])).any():
+    if labels.size and (np.minimum.reduce(labels, axis=None) < 0
+                        or np.maximum.reduce(labels, axis=None) >= source_shape[1]):
         raise ContractError(f"source labels must lie in [0, {source_shape[1]})")
     return labels
 
@@ -140,15 +143,23 @@ def loss_compound(l_c: Node, l_bd: Node, l_d: Node,
 # the domain stack each takes, for a loss gradient of 1
 
 
+def _nll_array(p: np.ndarray, n: int, upstream: float = 1.0
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``-log`` of each entry of ``p``, floored at ``PROB_FLOOR``, and the
+    gradient of ``p`` for their sum divided by ``n``, for the loss
+    gradient ``upstream``: ``_mean_nll``'s expressions."""
+    clamped = np.maximum(p, PROB_FLOOR)
+    return (-1.0 * np.log(clamped) + 0.0,
+            -1.0 * (upstream / n) / clamped * (p > PROB_FLOOR))
+
+
 def _mean_nll_array(p: np.ndarray, upstream: float = 1.0) -> tuple[float, np.ndarray]:
     """``_mean_nll`` of an array: its value and the gradient of ``p`` for
     the loss gradient ``upstream``.  The mean of no entries is 0, which
     adds nothing to a sum of finite losses."""
-    mask = p > PROB_FLOOR
-    clamped = np.maximum(p, PROB_FLOOR)
     n = max(p.size, 1)
-    return ((-1.0 * np.log(clamped) + 0.0).sum() / n,
-            -1.0 * (upstream / n) / clamped * mask)
+    nll, grad = _nll_array(p, n, upstream)
+    return np.add.reduce(nll, axis=None) / n, grad
 
 
 def classification_array(probs: np.ndarray, source_labels: np.ndarray,
@@ -161,7 +172,7 @@ def classification_array(probs: np.ndarray, source_labels: np.ndarray,
                              target_scores, gamma)
     rows = np.arange(len(labels))
     ce, ce_grad = _mean_nll_array(probs[0, rows, labels])
-    selected = np.nonzero(np.asarray(target_scores) > w_alpha)[0]
+    selected = (np.asarray(target_scores) > w_alpha).nonzero()[0]
     pseudo = probs[1, selected].argmax(axis=1)  # ties -> lowest index
     pseudo_ce, pseudo_grad = _mean_nll_array(probs[1, selected, pseudo], gamma)
     # ``0.0 + g`` into zeros: the engine's ``np.add.at`` scatter
@@ -172,30 +183,48 @@ def classification_array(probs: np.ndarray, source_labels: np.ndarray,
 
 
 def batch_diversity_array(probs: np.ndarray, target_scores: np.ndarray, w_beta: float,
-                          mode: str = "both") -> tuple[float, int, np.ndarray]:
-    """``loss_batch_diversity`` on the domain stack ``probs``, with the
-    gradient of ``probs``: zero in the rows the term leaves out, all of
-    them under ``off`` and the source under ``target_only``."""
+                          mode: str, out: np.ndarray) -> tuple[float, int]:
+    """``loss_batch_diversity`` on the domain stack ``probs``: its value
+    and selection count.  Adds the gradient of ``probs`` into ``out``,
+    shaped like ``probs``: nothing in the rows the term leaves out, all
+    of them under ``off`` and the source under ``target_only``.
+
+    The training step's ``out`` is the gradient ``classification_array``
+    returned, and each entry then becomes the engine's sum of the two
+    terms' gradients.  An entry either term leaves out is ``+0.0`` in the
+    other's gradient, and neither gradient holds a ``-0.0`` (the scatter's
+    ``0.0 +`` and a column mean of probabilities give none), so adding
+    into the one stack gives the sum of the two stacks bit for bit.
+    """
     if mode not in DIVERSITY_MODES:
         raise ContractError(f"unknown diversity mode {mode!r}")
-    selected = np.nonzero(np.asarray(target_scores) > w_beta)[0]
+    selected = (np.asarray(target_scores) > w_beta).nonzero()[0]
     if mode == "off":
         selected = selected[:0]
     source = probs[0] if mode == "both" else probs[0, :0]
     y_bars = np.concatenate((source, probs[1, selected]))
     n = max(len(y_bars), 1)  # with no rows the term is 0
-    means = y_bars.sum(axis=0) / n
+    means = np.add.reduce(y_bars, axis=0) / n
     row = 2.0 * means / n
-    grad = np.zeros(probs.shape)
-    grad[0, :len(source)] = row
-    grad[1, selected] = 0.0 + row
-    return (means * means).sum(), int(len(selected)), grad
+    out[0, :len(source)] += row
+    out[1, selected] += row
+    return np.add.reduce(means * means), int(len(selected))
 
 
 def domain_array(d: np.ndarray) -> tuple[float, np.ndarray]:
-    """``loss_domain`` on the domain stack ``d``: its value and its gradient."""
+    """``loss_domain`` on the domain stack ``d``: its value and its gradient.
+
+    One clamp, log and gradient pass runs over the whole stack, with the
+    target slice replaced by the engine's ``affine(d, -1.0, 1.0)``, whose
+    gradient is ``-1.0 * g``.  Each slice's mean is its own sum over the
+    slice's size.
+    """
     if d.size == 0:
         raise ContractError("domain loss requires non-empty batches")
-    l_s, grad_s = _mean_nll_array(d[0])
-    l_t, grad_t = _mean_nll_array(-1.0 * d[1] + 1.0)
-    return l_s + l_t, np.array((grad_s, -1.0 * grad_t))
+    p = d.copy()
+    p[1] = -1.0 * d[1] + 1.0
+    n = d[0].size
+    nll, grad = _nll_array(p, n)
+    grad[1] *= -1.0
+    return (np.add.reduce(nll[0], axis=None) / n
+            + np.add.reduce(nll[1], axis=None) / n), grad

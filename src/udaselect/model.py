@@ -95,7 +95,7 @@ def row_max(a: np.ndarray) -> np.ndarray:
     another order.  Those rows are reduced again by numpy's own call.
     """
     if not _folds(a):
-        return a.max(axis=-1)
+        return np.maximum.reduce(a, axis=-1)
     out = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         np.maximum(out, a[..., j], out=out)
@@ -114,7 +114,7 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     entries it sums pairwise, and ``a.sum`` runs.
     """
     if not sum_folds(a):
-        return a.sum(axis=-1)
+        return np.add.reduce(a, axis=-1)
     out = a[..., 0] + 0.0
     for j in range(1, a.shape[-1]):
         out += a[..., j]
@@ -129,7 +129,7 @@ class NonFinite(NumericError):
 def check_finite(*arrays: np.ndarray) -> None:
     """Raise ``NonFinite`` unless every entry of every array is finite."""
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not np.logical_and.reduce(np.isfinite(a), axis=None):
             raise NonFinite("non-finite value in an array forward")
 
 
@@ -207,8 +207,12 @@ class Mlp:
             e = np.exp(h - row_max(h)[..., None])
             h = e / row_sum(e)[..., None]
         elif self.spec.final_activation == "sigmoid":
+            # the engine's ``where(h >= 0, 1 / (1 + e), e / (1 + e))``
+            # with one sum and one division
             e = np.exp(-np.abs(h))
-            h = np.where(h >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            s = 1.0 + e
+            h = np.where(h >= 0, 1.0, e)
+            h /= s
         if tape is not None:
             tape.append(h)
         return h
@@ -223,22 +227,25 @@ class Mlp:
         and returns the gradient of the input (None without
         ``input_grad``).  A hidden ReLU's mask is ``h > 0.0`` of the next
         layer's input ``h = max(a, 0)``, which equals the engine's
-        ``a > 0.0``: ``a`` passed ``check_finite``.
+        ``a > 0.0``: ``a`` passed ``check_finite``.  It multiplies the
+        fresh product ``g @ W.T`` in place, the engine's ``g * mask``.
+        The sums are ``np.add.reduce`` calls, the ufunc behind
+        ``ndarray.sum`` without its Python wrapper, so the same bits.
         """
         y = tape[-1]
         if self.spec.final_activation == "softmax":
-            g = y * (g - (g * y).sum(axis=-1, keepdims=True))
+            g = y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
         elif self.spec.final_activation == "sigmoid":
             g = g * y * (1.0 - y)
         for i in reversed(range(len(self.weights))):
             h = tape[i]
-            g.sum(axis=-2, out=out[2 * i + 1])
+            np.add.reduce(g, axis=-2, out=out[2 * i + 1])
             np.matmul(h.swapaxes(-1, -2), g, out=out[2 * i])
             if i == 0 and not input_grad:
                 return None
             g = g @ self.weights[i].value.T
             if i > 0:
-                g = g * (h > 0.0)
+                g *= h > 0.0
         return g
 
     def parameters(self, prefix: str) -> list[tuple[str, Node]]:

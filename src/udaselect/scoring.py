@@ -56,13 +56,15 @@ def entropy(p: np.ndarray) -> np.ndarray:
     bit.  Where ``md.row_sum`` folds (``md.sum_folds``: 256 rows or more
     of 2 to 7 classes), the per-class terms are added column by column
     into one value per row, in numpy's order, so no float temporary of
-    the table's shape is made; a 20k x 6 table holds 0.96 MB.
+    the table's shape is made; a 20k x 6 table holds 0.96 MB.  The input
+    checks are ``fmin``/``fmax`` reductions, which skip a NaN as the
+    comparisons ``p < 0`` and ``|sum - 1| > 1e-9`` do.
     """
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0):
+    if p.size and np.fmin.reduce(p, axis=None) < 0:
         raise ContractError("entropy requires nonnegative entries")
     off = np.abs(md.row_sum(p) - 1.0)
-    if np.any(off > 1e-9):
+    if off.size and np.fmax.reduce(off, axis=None) > 1e-9:
         raise ContractError(f"entropy requires probability vectors, |sum-1|={off.max()}")
     if not md.sum_folds(p):
         return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
@@ -73,32 +75,50 @@ def entropy(p: np.ndarray) -> np.ndarray:
     return -h
 
 
+def _checked(scheme: str, d, y_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``score_for_scheme``'s argument checks; ``d`` and ``y_bar`` as float arrays."""
+    if scheme not in SCHEMES:
+        raise ContractError(f"unknown scheme {scheme!r}")
+    d = np.asarray(d, dtype=np.float64)
+    y_bar = np.asarray(y_bar, dtype=np.float64)
+    if (scheme in ("ours", "uan", "ours_no_maxy") and d.size
+            and not (np.minimum.reduce(d, axis=None) >= 0.0
+                     and np.maximum.reduce(d, axis=None) <= 1.0)):
+        outside = ~((d >= 0.0) & (d <= 1.0))
+        raise ContractError(f"d must be in [0,1], got {d[outside].flat[0]}")
+    if scheme in ("uan", "entropy") and y_bar.shape[-1] < 2:
+        raise ContractError(f"{scheme} score needs at least 2 classes")
+    return d, y_bar
+
+
+def _scheme_score(scheme: str, d: np.ndarray, k: int, max_prob, h) -> np.ndarray:
+    """The scheme's score from its columns: ``max_prob`` under ``ours``
+    and ``ours_no_d``, the entropy ``h`` of ``k`` classes under ``uan``
+    and ``entropy``, each None where the scheme does not read it."""
+    if scheme == "ours":
+        return d + max_prob
+    if scheme == "uan":
+        return d - h / np.log(k)
+    if scheme == "entropy":
+        return 1.0 - h / np.log(k)
+    if scheme == "ours_no_d":
+        return max_prob.copy()
+    return d.copy()
+
+
 def score_for_scheme(scheme: str, d, y_bar: np.ndarray) -> np.ndarray:
     """The scheme's score for each domain probability in ``d`` and the
     matching probability row (last axis) of ``y_bar``.
 
     ``ours`` is d + max prob in [0, 2], ``uan`` is d - H/ln(K) in
     [-1, 1], ``entropy`` is 1 - H/ln(K) in [0, 1] (1 for one-hot, 0 for
-    uniform), and the two ablations keep one summand of ``ours``.
+    uniform), and the two ablations keep one summand of ``ours``.  The
+    ``d`` range check is a min and a max reduction, which a NaN fails.
     """
-    if scheme not in SCHEMES:
-        raise ContractError(f"unknown scheme {scheme!r}")
-    d = np.asarray(d, dtype=np.float64)
-    y_bar = np.asarray(y_bar, dtype=np.float64)
-    outside = ~((d >= 0.0) & (d <= 1.0))
-    if scheme in ("ours", "uan", "ours_no_maxy") and np.any(outside):
-        raise ContractError(f"d must be in [0,1], got {d[outside].flat[0]}")
-    if scheme in ("uan", "entropy") and y_bar.shape[-1] < 2:
-        raise ContractError(f"{scheme} score needs at least 2 classes")
-    if scheme == "ours":
-        return d + md.row_max(y_bar)
-    if scheme == "uan":
-        return d - entropy(y_bar) / np.log(y_bar.shape[-1])
-    if scheme == "entropy":
-        return 1.0 - entropy(y_bar) / np.log(y_bar.shape[-1])
-    if scheme == "ours_no_d":
-        return md.row_max(y_bar)
-    return d.copy()
+    d, y_bar = _checked(scheme, d, y_bar)
+    max_prob = md.row_max(y_bar) if scheme in ("ours", "ours_no_d") else None
+    h = entropy(y_bar) if scheme in ("uan", "entropy") else None
+    return _scheme_score(scheme, d, y_bar.shape[-1], max_prob, h)
 
 
 def scores_from_outputs(d: np.ndarray, probs: np.ndarray, scheme: str) -> np.ndarray:
@@ -117,7 +137,9 @@ def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
     ``max_prob``, ``entropy`` and the scores reduce the class axis with
     ``md.row_max`` and ``md.row_sum``'s fold, so on a table of 256 rows or
     more they make one ufunc call per class, not one per row, and make
-    no float temporary of the table's shape; the bits are numpy's.
+    no float temporary of the table's shape; the bits are numpy's.  The
+    score ``w`` is ``score_for_scheme``'s formula of the ``max_prob`` and
+    ``entropy`` columns, so each is computed once.
     """
     try:
         probs, d = md.predict(m, x)
@@ -125,9 +147,10 @@ def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
         with np.errstate(over="ignore", invalid="ignore"):
             feats = md.features(m, x)
             probs, d = md.label_probs(m, feats).value, md.domain_prob(m, feats, 0.0).value
-    d = d[:, 0]
-    return ScoreTable(d=d, y_bar=probs, max_prob=md.row_max(probs),
-                      entropy=entropy(probs), w=score_for_scheme(scheme, d, probs))
+    d, probs = _checked(scheme, d[:, 0], probs)
+    max_prob, h = md.row_max(probs), entropy(probs)
+    return ScoreTable(d=d, y_bar=probs, max_prob=max_prob, entropy=h,
+                      w=_scheme_score(scheme, d, probs.shape[-1], max_prob, h))
 
 
 def concat(tables: list[ScoreTable]) -> ScoreTable:

@@ -213,12 +213,13 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
     slice 1 the target half.  The array losses take the stacks of
     probabilities and domain outputs and return, with each value, one
     gradient shaped like its stack for a loss gradient of 1, zero where
-    its term does not reach.  The VJP scales them by ``g`` (exact at the
-    ``g = 1`` that ``backward`` seeds) and keeps the engine's op order: a
-    tensor used twice gets the sum of its two gradients where the engine
-    sums them.  Each network's VJP writes its parameter gradients per
-    half into ``m.halves``, and the gradient of ``m.flat`` is the source
-    half plus the target half.
+    its term does not reach; the classifier's two terms add into one
+    stack.  The VJP scales the gradients by ``g`` (exact at the ``g = 1``
+    that ``backward`` seeds) and keeps the engine's op order: a tensor
+    used twice gets the sum of its two gradients where the engine sums
+    them.  Each network's VJP writes its parameter gradients per half
+    into ``m.halves``, and the gradient of ``m.flat`` is the source half
+    plus the target half.
     Raises ``model.NonFinite`` where ``engine_loss`` raises
     ``NumericError``: a non-finite input, layer pre-activation or total.
     ``lam`` must be >= 0, which ``TrainConfig`` ensures.
@@ -232,17 +233,17 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
         d = m.d.forward_array(feats, tape_d)
 
         scores = sc.scores_from_outputs(d[1, :, 0], probs[1], cfg.scheme)
-        l_c, n_pl, g_c = ls.classification_array(probs, labels, scores, threshold,
-                                                 cfg.gamma)
-        l_bd, n_div, g_bd = ls.batch_diversity_array(probs, scores, cfg.w_beta,
-                                                     cfg.diversity_mode)
+        l_c, n_pl, g_probs = ls.classification_array(probs, labels, scores, threshold,
+                                                     cfg.gamma)
+        l_bd, n_div = ls.batch_diversity_array(probs, scores, cfg.w_beta,
+                                               cfg.diversity_mode, g_probs)
         l_d, g_d = ls.domain_array(d)
         total = l_c + l_bd + l_d
     md.check_finite(total)
 
     def vjp(g):
         g_r = m.d.vjp_array(tape_d, g * g_d, m.half_views["d"])
-        g_fc = m.c.vjp_array(tape_c, g * (g_c + g_bd), m.half_views["c"])
+        g_fc = m.c.vjp_array(tape_c, g * g_probs, m.half_views["c"])
         m.f.vjp_array(tape_f, g_fc + -lam * g_r, m.half_views["f"], input_grad=False)
         return (m.halves[0] + m.halves[1],)
 

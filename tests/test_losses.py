@@ -11,6 +11,11 @@ from udaselect.autodiff import Node, backward
 from udaselect.errors import ContractError
 
 
+def bits(a) -> np.ndarray:
+    """The float64 array ``a`` as raw 64-bit patterns, for bitwise comparison."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
 def prob_node(rows):
     return Node(np.asarray(rows, dtype=float))
 
@@ -36,10 +41,10 @@ class TestCrossEntropy:
     def test_zero_probability_is_clamped(self):
         assert float(source_ce([0.0, 1.0], 0).value) == pytest.approx(-math.log(1e-12))
 
-    def test_label_out_of_range(self):
-        for label in (2, -1):
-            with pytest.raises(ContractError):
-                source_ce([0.5, 0.5], label)
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_out_of_range(self, label):
+        with pytest.raises(ContractError, match=r"^source labels must lie in \[0, 2\)$"):
+            source_ce([0.5, 0.5], label)
 
     def test_gradient(self):
         p = Node([[0.3, 0.7]])
@@ -73,6 +78,17 @@ class TestLossClassification:
         full, n = ls.loss_classification(src, y, tgt, np.array([1.9]), 0.0, 0.6)
         assert n == 1
         assert float(full.value) == pytest.approx(float(base.value), abs=1e-8)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_array_and_node_reject_the_same_labels(self, label):
+        src, y, tgt = self._inputs()
+        y = np.array([0, label])
+        scores = np.array([1.0, 1.0])
+        msg = r"^source labels must lie in \[0, 3\)$"
+        with pytest.raises(ContractError, match=msg):
+            ls.loss_classification(src, y, tgt, scores, 0.5, 0.6)
+        with pytest.raises(ContractError, match=msg):
+            ls.classification_array(np.array([src.value, tgt.value]), y, scores, 0.5, 0.6)
 
     def test_empty_source_rejected(self):
         tgt = prob_node([[0.5, 0.5]])
@@ -243,12 +259,28 @@ class TestArrayLossesOnTheDomainStack:
         d = rng.uniform(0.05, 0.95, size=(2, half, 1))
         return probs, d, rng.integers(0, 3, size=half), rng.uniform(0.0, 2.0, size=half)
 
+    @staticmethod
+    def _halves(stack):
+        """The stack's two slices as interior nodes, as the networks'
+        outputs are in the step's graph, and the gradient the engine
+        passes into each (zeros if none): a leaf's ``grad +=`` would add
+        a ``0.0`` that turns a ``-0.0`` into ``+0.0``."""
+        grads = np.zeros(stack.shape)
+
+        def half(i):
+            def vjp(g):
+                grads[i] = g
+                return (g,)
+            return Node(stack[i], (Node(stack[i]),), "half", vjp)
+
+        return (half(0), half(1)), grads
+
     def _node_grads(self, build, stack):
         """The node loss built on the stack's two slices, and their gradients."""
-        halves = Node(stack[0]), Node(stack[1])
+        halves, grads = self._halves(stack)
         loss, *count = build(*halves)
         backward(loss)
-        return float(loss.value), count, np.array([h.grad for h in halves])
+        return float(loss.value), count, grads
 
     @pytest.mark.parametrize("w_alpha", [0.0, 1.0, math.inf])
     def test_classification(self, w_alpha):
@@ -267,7 +299,8 @@ class TestArrayLossesOnTheDomainStack:
     @pytest.mark.parametrize("w_beta", [0.5, math.inf])
     def test_batch_diversity(self, mode, w_beta):
         probs, _, _, scores = self._stack()
-        value, n, grad = ls.batch_diversity_array(probs, scores, w_beta, mode)
+        grad = np.zeros(probs.shape)
+        value, n = ls.batch_diversity_array(probs, scores, w_beta, mode, grad)
         node_value, node_count, node_grad = self._node_grads(
             lambda s, t: ls.loss_batch_diversity(s, t, scores, w_beta, mode), probs)
         assert grad.shape == probs.shape
@@ -278,11 +311,66 @@ class TestArrayLossesOnTheDomainStack:
         if mode == "off":
             assert value == 0.0 and n == 0
 
-    def test_domain(self):
+    @pytest.mark.parametrize("edges", [False, True])
+    def test_domain(self, edges):
         _, d, _, _ = self._stack()
+        if edges:  # d at 0, PROB_FLOOR, 1 - PROB_FLOOR and 1 in both halves
+            e = [0.0, ls.PROB_FLOOR, 1.0 - ls.PROB_FLOOR, 1.0]
+            d = np.array([e, e[::-1]])[..., None]
         value, grad = ls.domain_array(d)
         node_value, _, node_grad = self._node_grads(
             lambda s, t: (ls.loss_domain(s, t),), d)
         assert grad.shape == d.shape
-        assert value == node_value
-        np.testing.assert_array_equal(grad, node_grad)
+        np.testing.assert_array_equal(bits(value), bits(node_value))
+        np.testing.assert_array_equal(bits(grad), bits(node_grad))
+
+    def _floor_stack(self):
+        """A stack whose labelled and selected probabilities reach
+        ``PROB_FLOOR`` or fall below it, where the CE gradient is ``-0.0``
+        before the scatter's ``0.0 +``: rows 0-2 of each half."""
+        probs, _, _, _ = self._stack(half=5)
+        labels = np.array([0, 1, 2, 0, 1])
+        probs[0, 0, 0] = 0.0
+        probs[0, 1, 1] = ls.PROB_FLOOR
+        probs[0, 2, 2] = ls.PROB_FLOOR / 2
+        probs[1, 0] = 0.0  # pseudo-label 0, probability 0
+        probs[1, 1] = [ls.PROB_FLOOR, ls.PROB_FLOOR / 4, 0.0]
+        probs[1, 2] = [0.0, ls.PROB_FLOOR / 2, 0.0]
+        return probs, labels, np.array([1.0, 1.0, 1.0, 0.2, 1.4])
+
+    def _shared(self, probs, labels, scores, mode):
+        """The classifier head's two terms on one stack, as the step runs them."""
+        l_c, n_pl, shared = ls.classification_array(probs, labels, scores, 0.5, 0.6)
+        l_bd, n_div = ls.batch_diversity_array(probs, scores, 0.5, mode, shared)
+        return l_c, n_pl, l_bd, n_div, shared
+
+    @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
+    def test_probabilities_at_the_floor(self, mode):
+        probs, labels, scores = self._floor_stack()
+        l_c, n_pl, l_bd, n_div, shared = self._shared(probs, labels, scores, mode)
+
+        def build(s, t):
+            node_c, node_pl = ls.loss_classification(s, labels, t, scores, 0.5, 0.6)
+            node_bd, node_div = ls.loss_batch_diversity(s, t, scores, 0.5, mode)
+            return ad.add(node_c, node_bd), node_c, node_bd, node_pl, node_div
+
+        halves, grads = self._halves(probs)
+        total, node_c, node_bd, *counts = build(*halves)
+        backward(total)
+        assert [n_pl, n_div] == counts
+        np.testing.assert_array_equal(bits([l_c, l_bd]),
+                                      bits([node_c.value, node_bd.value]))
+        np.testing.assert_array_equal(bits(shared), bits(grads))
+
+    @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
+    @pytest.mark.parametrize("floor", [False, True])
+    def test_shared_stack_is_the_sum_of_the_two(self, mode, floor):
+        if floor:
+            probs, labels, scores = self._floor_stack()
+        else:
+            probs, _, labels, scores = self._stack()
+        *_, shared = self._shared(probs, labels, scores, mode)
+        _, _, g_c = ls.classification_array(probs, labels, scores, 0.5, 0.6)
+        g_bd = np.zeros(probs.shape)
+        ls.batch_diversity_array(probs, scores, 0.5, mode, g_bd)
+        np.testing.assert_array_equal(bits(shared), bits(g_c + g_bd))

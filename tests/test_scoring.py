@@ -51,13 +51,32 @@ class TestEntropy:
         assert sc.entropy(p) == pytest.approx(brute)
         assert sc.entropy(p) == pytest.approx(1.5 * math.log(2))
 
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ContractError):
-            sc.entropy(np.array([-0.1, 1.1]))
+    @pytest.mark.parametrize("p", [
+        [-0.1, 1.1],
+        [[0.5, 0.5], [-0.1, 1.1]],
+        [[math.nan, 0.5], [-0.1, 1.1]],  # a NaN does not hide a negative entry
+        [[0.5, 0.5]] * 300 + [[1.0 + 1e-300, -1e-300]],  # the folded table
+    ])
+    def test_negative_entries_rejected(self, p):
+        with pytest.raises(ContractError, match="^entropy requires nonnegative entries$"):
+            sc.entropy(np.array(p))
 
-    def test_non_normalized_rejected(self):
-        with pytest.raises(ContractError):
-            sc.entropy(np.array([0.5, 0.4]))
+    @pytest.mark.parametrize("p", [
+        [0.5, 0.4],
+        [0.5, 0.5 + 2e-9],
+        [[math.nan, 0.5], [0.5, 0.4]],  # a NaN does not hide an off sum
+        [[0.5, 0.5]] * 300 + [[0.5, 0.5 - 2e-9]],  # the folded table
+    ])
+    def test_non_normalized_rejected(self, p):
+        with pytest.raises(ContractError,
+                           match=r"^entropy requires probability vectors, \|sum-1\|="):
+            sc.entropy(np.array(p))
+
+    @pytest.mark.parametrize("p", [np.zeros((0, 3)), np.array([0.5, 0.5 + 5e-10]),
+                                   np.array([[math.nan, 0.5], [0.5, 0.5]])])
+    def test_accepted_edges(self, p):
+        """An empty table, a sum within 1e-9, and a NaN, which the checks skip."""
+        assert sc.entropy(p).shape == p.shape[:-1]
 
     @given(prob_vectors())
     @settings(max_examples=200, deadline=None)
@@ -87,9 +106,19 @@ class TestScoreOurs:
     def test_direct_sum(self):
         assert score_ours(0.7, np.array([0.6, 0.3, 0.1])) == pytest.approx(1.3)
 
-    def test_d_out_of_range(self):
-        with pytest.raises(ContractError):
-            score_ours(1.2, np.array([1.0, 0.0]))
+    @pytest.mark.parametrize("scheme", ["ours", "uan", "ours_no_maxy"])
+    @pytest.mark.parametrize("d", [1.2, math.nan, -1e-300, 1.0 + 2**-52,
+                                   [0.5, math.nan], [0.5, -1e-300, math.nan]])
+    def test_d_out_of_range(self, scheme, d):
+        bad = np.ravel(d)[np.ravel(d) != 0.5][0]
+        with pytest.raises(ContractError, match=re.escape(f"d must be in [0,1], got {bad}")):
+            sc.score_for_scheme(scheme, d, np.tile([0.5, 0.5], (np.size(d), 1)))
+
+    @pytest.mark.parametrize("scheme", ["ours", "uan", "ours_no_maxy"])
+    def test_d_edges_accepted(self, scheme):
+        w = sc.score_for_scheme(scheme, [-0.0, 0.0, 1.0], np.full((3, 2), 0.5))
+        assert w.shape == (3,)
+        assert sc.score_for_scheme(scheme, np.zeros(0), np.zeros((0, 2))).shape == (0,)
 
     @given(st.floats(0.0, 1.0), prob_vectors())
     @settings(max_examples=200, deadline=None)
@@ -146,6 +175,31 @@ class TestScoreBatch:
             assert scores.w[i] == pytest.approx(score_ours(scores.d[i], scores.y_bar[i]))
             assert scores.max_prob[i] == pytest.approx(scores.y_bar[i].max())
             assert scores.entropy[i] == pytest.approx(sc.entropy(scores.y_bar[i]))
+
+    @pytest.mark.parametrize("scheme", sc.SCHEMES)
+    def test_each_column_computed_once(self, scheme, monkeypatch):
+        """``w`` reuses the ``max_prob`` and ``entropy`` columns: one
+        ``entropy`` and one ``row_max`` call per ``score_batch``, with the
+        forward (whose softmax calls ``row_max`` too) stubbed out."""
+        from test_model import small_bundle
+        rng = np.random.default_rng(0)
+        probs, d = rng.dirichlet(np.ones(3), size=300), rng.uniform(size=(300, 1))
+        calls = {"entropy": 0, "row_max": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(sc, "entropy")
+        counted(md, "row_max")
+        monkeypatch.setattr(md, "predict", lambda m, x: (probs, d))
+        scores = sc.score_batch(small_bundle(), np.zeros((300, 4)), scheme)
+        assert calls == {"entropy": 1, "row_max": 1}
+        np.testing.assert_array_equal(scores.w, sc.score_for_scheme(scheme, d[:, 0], probs))
 
     def test_component_schemes(self):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
