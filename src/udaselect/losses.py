@@ -9,15 +9,13 @@ adversarial sign for the feature extractor while the domain net itself
 descends on its own loss.
 
 Each loss exists twice: on autodiff nodes (the engine graph, which is
-the gradient oracle and the replay path) and on arrays, as the value
-plus its gradient for a loss gradient of 1, written with the engine's
-expressions so that the training step's hand-derived backward has the
-engine's bits.  The array losses take the training step's domain
-stack, ``(2, half, ·)`` with slice 0 the source and slice 1 the target,
-and each gives one gradient shaped like that stack, zero where its
-term does not reach.  The classifier head's two terms share one
-gradient stack: ``batch_diversity_array`` adds its gradient into the
-stack ``classification_array`` returned, given as its ``out``.
+the gradient oracle and the replay path) and on arrays.  The array
+mirror is one function, ``compound_array``: the breakdown of
+``loss_compound`` and the gradients of the training step's two domain
+stacks, ``(2, half, ·)`` with slice 0 the source and slice 1 the
+target, for a loss gradient of 1.  It is written with the engine's
+expressions, so that the step's hand-derived backward has the engine's
+bits.
 """
 
 from __future__ import annotations
@@ -139,92 +137,78 @@ def loss_compound(l_c: Node, l_bd: Node, l_d: Node,
 
 
 # ---------------------------------------------------------------------------
-# the same losses on arrays: value, selection count and the gradient of
-# the domain stack each takes, for a loss gradient of 1
+# the same loss on arrays: its breakdown and the gradients of the two
+# domain stacks it takes, for a loss gradient of 1
 
 
-def _nll_array(p: np.ndarray, n: int, upstream: float = 1.0
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """``-log`` of each entry of ``p``, floored at ``PROB_FLOOR``, and the
-    gradient of ``p`` for their sum divided by ``n``, for the loss
-    gradient ``upstream``: ``_mean_nll``'s expressions."""
-    clamped = np.maximum(p, PROB_FLOOR)
-    return (-1.0 * np.log(clamped) + 0.0,
-            -1.0 * (upstream / n) / clamped * (p > PROB_FLOOR))
+def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
+                   target_scores: np.ndarray, w_alpha: float, w_beta: float,
+                   gamma: float, mode: str
+                   ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+    """``loss_compound`` of the three losses on the domain stacks ``probs``
+    and ``d`` (slice 0 the source, slice 1 the target): the breakdown and
+    the gradients of ``probs`` and ``d``, each shaped like its stack.
 
+    Every NLL entry of the step goes into one vector, in segments: the
+    labelled source probabilities, the selected targets' pseudo-label
+    probabilities, the source ``d`` and the target's ``-1.0 * d + 1.0``.
+    One clamp, log and gradient pass runs over it, each term's mean is
+    its own segment's sum over the segment's size (the mean of no
+    entries is 0), and each segment's gradient scale is ``_mean_nll``'s
+    ``-1.0 * (upstream / n)``.  The target domain's ``affine`` sign is
+    folded into its scale: ``(-s) / c * m`` is ``-1.0 * (s / c * m)`` bit
+    for bit, zeros included.
 
-def _mean_nll_array(p: np.ndarray, upstream: float = 1.0) -> tuple[float, np.ndarray]:
-    """``_mean_nll`` of an array: its value and the gradient of ``p`` for
-    the loss gradient ``upstream``.  The mean of no entries is 0, which
-    adds nothing to a sum of finite losses."""
-    n = max(p.size, 1)
-    nll, grad = _nll_array(p, n, upstream)
-    return np.add.reduce(nll, axis=None) / n, grad
-
-
-def classification_array(probs: np.ndarray, source_labels: np.ndarray,
-                         target_scores: np.ndarray, w_alpha: float,
-                         gamma: float) -> tuple[float, int, np.ndarray]:
-    """``loss_classification`` on the domain stack ``probs`` (slice 0 the
-    source, slice 1 the target), with the gradient of ``probs``: zero
-    outside the labelled and the selected entries."""
+    The head gradient is ``0.0 + g`` scattered into zeros, the engine's
+    ``np.add.at``, with the diversity gradient added on.  An entry either
+    head term leaves out is ``+0.0`` in the other's gradient and neither
+    holds a ``-0.0``, so each entry is the engine's one- or two-term sum.
+    The domain gradient is a view of the vector's tail.
+    """
     labels = _checked_labels(probs.shape[1:], source_labels, probs.shape[1],
                              target_scores, gamma)
-    rows = np.arange(len(labels))
-    ce, ce_grad = _mean_nll_array(probs[0, rows, labels])
-    selected = (np.asarray(target_scores) > w_alpha).nonzero()[0]
-    pseudo = probs[1, selected].argmax(axis=1)  # ties -> lowest index
-    pseudo_ce, pseudo_grad = _mean_nll_array(probs[1, selected, pseudo], gamma)
-    # ``0.0 + g`` into zeros: the engine's ``np.add.at`` scatter
-    grad = np.zeros(probs.shape)
-    grad[0, rows, labels] = 0.0 + ce_grad
-    grad[1, selected, pseudo] = 0.0 + pseudo_grad
-    return ce + (gamma * pseudo_ce + 0.0), int(len(selected)), grad
-
-
-def batch_diversity_array(probs: np.ndarray, target_scores: np.ndarray, w_beta: float,
-                          mode: str, out: np.ndarray) -> tuple[float, int]:
-    """``loss_batch_diversity`` on the domain stack ``probs``: its value
-    and selection count.  Adds the gradient of ``probs`` into ``out``,
-    shaped like ``probs``: nothing in the rows the term leaves out, all
-    of them under ``off`` and the source under ``target_only``.
-
-    The training step's ``out`` is the gradient ``classification_array``
-    returned, and each entry then becomes the engine's sum of the two
-    terms' gradients.  An entry either term leaves out is ``+0.0`` in the
-    other's gradient, and neither gradient holds a ``-0.0`` (the scatter's
-    ``0.0 +`` and a column mean of probabilities give none), so adding
-    into the one stack gives the sum of the two stacks bit for bit.
-    """
     if mode not in DIVERSITY_MODES:
         raise ContractError(f"unknown diversity mode {mode!r}")
-    selected = (np.asarray(target_scores) > w_beta).nonzero()[0]
+    n_d = d[0].size
+    if n_d == 0:
+        raise ContractError("domain loss requires non-empty batches")
+    scores = np.asarray(target_scores)
+    n_src = len(labels)
+    rows = np.arange(n_src)
+    picked = (scores > w_alpha).nonzero()[0]
+    pseudo = probs[1, picked].argmax(axis=1)  # ties -> lowest index
+    n_pl = len(picked)
+    p = np.concatenate((probs[0, rows, labels], probs[1, picked, pseudo],
+                        d[0].reshape(-1), -1.0 * d[1].reshape(-1) + 1.0))
+    s_d = -1.0 * (1.0 / n_d)
+    scale = np.repeat((-1.0 * (1.0 / n_src), -1.0 * (gamma / max(n_pl, 1)), s_d, -s_d),
+                      (n_src, n_pl, n_d, n_d))
+    clamped = np.maximum(p, PROB_FLOOR)
+    nll = -1.0 * np.log(clamped) + 0.0
+    grad = scale / clamped * (p > PROB_FLOOR)
+
+    a, b, c = n_src, n_src + n_pl, n_src + n_pl + n_d
+    l_c = (np.add.reduce(nll[:a]) / n_src
+           + (gamma * (np.add.reduce(nll[a:b]) / max(n_pl, 1)) + 0.0))
+    l_d = np.add.reduce(nll[b:c]) / n_d + np.add.reduce(nll[c:]) / n_d
+    g_probs = np.zeros(probs.shape)
+    g_probs[0, rows, labels] = 0.0 + grad[:a]
+    g_probs[1, picked, pseudo] = 0.0 + grad[a:b]
+
+    chosen = (scores > w_beta).nonzero()[0]
     if mode == "off":
-        selected = selected[:0]
+        chosen = chosen[:0]
     source = probs[0] if mode == "both" else probs[0, :0]
-    y_bars = np.concatenate((source, probs[1, selected]))
+    y_bars = np.concatenate((source, probs[1, chosen]))
     n = max(len(y_bars), 1)  # with no rows the term is 0
     means = np.add.reduce(y_bars, axis=0) / n
     row = 2.0 * means / n
-    out[0, :len(source)] += row
-    out[1, selected] += row
-    return np.add.reduce(means * means), int(len(selected))
+    g_probs[0, :len(source)] += row
+    g_probs[1, chosen] += row
+    l_bd = np.add.reduce(means * means)
 
-
-def domain_array(d: np.ndarray) -> tuple[float, np.ndarray]:
-    """``loss_domain`` on the domain stack ``d``: its value and its gradient.
-
-    One clamp, log and gradient pass runs over the whole stack, with the
-    target slice replaced by the engine's ``affine(d, -1.0, 1.0)``, whose
-    gradient is ``-1.0 * g``.  Each slice's mean is its own sum over the
-    slice's size.
-    """
-    if d.size == 0:
-        raise ContractError("domain loss requires non-empty batches")
-    p = d.copy()
-    p[1] = -1.0 * d[1] + 1.0
-    n = d[0].size
-    nll, grad = _nll_array(p, n)
-    grad[1] *= -1.0
-    return (np.add.reduce(nll[0], axis=None) / n
-            + np.add.reduce(nll[1], axis=None) / n), grad
+    total = l_c + l_bd + l_d
+    breakdown = LossBreakdown(
+        l_c=float(l_c), l_bd=float(l_bd), l_d=float(l_d), total=float(total),
+        n_pseudo_selected=n_pl, n_diversity_selected=len(chosen))
+    return breakdown, g_probs, grad[b:].reshape(d.shape)

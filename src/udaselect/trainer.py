@@ -171,7 +171,7 @@ def build_model(input_dim: int, class_ids: tuple[int, ...],
 
 
 def init_state(src: DomainDataset, cfg: TrainConfig) -> TrainState:
-    class_ids = tuple(int(y) for y in np.unique(src.labels))
+    class_ids = tuple(sorted({int(y) for y in src.labels.tolist()}))
     return TrainState(model=build_model(src.dim, class_ids, cfg))
 
 
@@ -210,12 +210,10 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
 
     Source and target run as one ``(2, half, dim)`` stack, so each
     network has one forward and one VJP; slice 0 is the source half and
-    slice 1 the target half.  The array losses take the stacks of
-    probabilities and domain outputs and return, with each value, one
-    gradient shaped like its stack for a loss gradient of 1, zero where
-    its term does not reach; the classifier's two terms add into one
-    stack.  The VJP scales the gradients by ``g`` (exact at the ``g = 1``
-    that ``backward`` seeds) and keeps the engine's op order: a tensor
+    slice 1 the target half.  ``losses.compound_array`` takes the stacks
+    of probabilities and domain outputs and returns the breakdown and
+    one gradient per stack for a loss gradient of 1.  The VJP scales
+    them by ``g`` and keeps the engine's op order: a tensor
     used twice gets the sum of its two gradients where the engine sums
     them.  Each network's VJP writes its parameter gradients per half
     into ``m.halves``, and the gradient of ``m.flat`` is the source half
@@ -233,13 +231,9 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
         d = m.d.forward_array(feats, tape_d)
 
         scores = sc.scores_from_outputs(d[1, :, 0], probs[1], cfg.scheme)
-        l_c, n_pl, g_probs = ls.classification_array(probs, labels, scores, threshold,
-                                                     cfg.gamma)
-        l_bd, n_div = ls.batch_diversity_array(probs, scores, cfg.w_beta,
-                                               cfg.diversity_mode, g_probs)
-        l_d, g_d = ls.domain_array(d)
-        total = l_c + l_bd + l_d
-    md.check_finite(total)
+        breakdown, g_probs, g_d = ls.compound_array(
+            probs, d, labels, scores, threshold, cfg.w_beta, cfg.gamma, cfg.diversity_mode)
+    md.check_finite(breakdown.total)
 
     def vjp(g):
         g_r = m.d.vjp_array(tape_d, g * g_d, m.half_views["d"])
@@ -247,10 +241,7 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
         m.f.vjp_array(tape_f, g_fc + -lam * g_r, m.half_views["f"], input_grad=False)
         return (m.halves[0] + m.halves[1],)
 
-    total_node = Node(total, (m.flat,), "train_step", vjp)
-    return total_node, ls.LossBreakdown(
-        l_c=float(l_c), l_bd=float(l_bd), l_d=float(l_d), total=float(total),
-        n_pseudo_selected=n_pl, n_diversity_selected=n_div)
+    return Node(breakdown.total, (m.flat,), "train_step", vjp), breakdown
 
 
 def train_step(state: TrainState, batch: DomainBatch,
@@ -300,6 +291,7 @@ def train(src: DomainDataset, tgt: DomainDataset,
 
 def write_metrics(path, records: list[StepRecord]) -> None:
     """Line-delimited JSON, one record per training step."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(sort_keys=True) uses
     with open(path, "w") as fh:
         for r in records:
-            fh.write(json.dumps(r.__dict__, sort_keys=True) + "\n")
+            fh.write(encode(r.__dict__) + "\n")

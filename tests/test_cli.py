@@ -504,6 +504,35 @@ class TestEvalFileErrors:
         assert not (tmp_path / "rerun").exists()
 
 
+#: a benchmark run, then ``eval`` of its checkpoint, in one interpreter;
+#: prints whether ``numpy.ma`` was ever imported
+TRAIN_THEN_EVAL = """
+import json, sys
+from pathlib import Path
+from udaselect import cli, data as dt
+out = Path(sys.argv[1])
+cfg = cli.benchmark_config(total_steps=5)
+src, tgt, spec = cli.make_benchmark(cfg)
+cli.run_experiment("r", cfg, src, tgt, spec, out / "r")
+dt.save_features(out / "target.txt", tgt)
+(out / "labelset.json").write_text(json.dumps({"shared": list(spec.shared),
+    "source_private": list(spec.source_private),
+    "target_private": list(spec.target_private)}))
+assert cli.main(["eval", "--checkpoint", str(out / "r" / "checkpoint.txt"),
+                 "--target", str(out / "target.txt"),
+                 "--labelset", str(out / "labelset.json")]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_train_and_eval_never_import_numpy_ma(tmp_path):
+    """``numpy.ma`` costs about 1 MB of peak RSS and no run needs it."""
+    done = subprocess.run([sys.executable, "-c", TRAIN_THEN_EVAL, str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def group_of(domain, label, spec):
     """The per-row rule for a sample's score group."""
     shared = label in spec.shared

@@ -88,7 +88,8 @@ class TestLossClassification:
         with pytest.raises(ContractError, match=msg):
             ls.loss_classification(src, y, tgt, scores, 0.5, 0.6)
         with pytest.raises(ContractError, match=msg):
-            ls.classification_array(np.array([src.value, tgt.value]), y, scores, 0.5, 0.6)
+            ls.compound_array(np.array([src.value, tgt.value]), np.full((2, 2, 1), 0.5),
+                              y, scores, 0.5, 0.5, 0.6, "both")
 
     def test_empty_source_rejected(self):
         tgt = prob_node([[0.5, 0.5]])
@@ -248,12 +249,13 @@ class TestLossCompound:
 
 
 class TestArrayLossesOnTheDomainStack:
-    """Each array loss takes the ``(2, half, ·)`` stack (slice 0 the source,
-    slice 1 the target) and returns one gradient of the stack's shape,
-    equal to the node loss's gradients and zero where its term does not
-    reach."""
+    """``compound_array`` takes the ``(2, half, ·)`` stacks of probabilities
+    and domain outputs (slice 0 the source, slice 1 the target) and
+    returns ``loss_compound``'s breakdown and one gradient per stack, bit
+    for bit the engine's: the head stack is the gradient of the engine's
+    ``l_c + l_bd`` and the domain stack that of its ``l_d``."""
 
-    def _stack(self, half=6):
+    def _stack(self, half=10):
         rng = np.random.default_rng(0)
         probs = rng.dirichlet(np.ones(3), size=(2, half))
         d = rng.uniform(0.05, 0.95, size=(2, half, 1))
@@ -275,60 +277,53 @@ class TestArrayLossesOnTheDomainStack:
 
         return (half(0), half(1)), grads
 
-    def _node_grads(self, build, stack):
-        """The node loss built on the stack's two slices, and their gradients."""
-        halves, grads = self._halves(stack)
-        loss, *count = build(*halves)
-        backward(loss)
-        return float(loss.value), count, grads
+    def _engine(self, probs, d, labels, scores, w_alpha, w_beta, gamma, mode):
+        """``loss_compound`` of the node losses on the stacks' slices: its
+        breakdown and the gradients of the two stacks."""
+        (p_s, p_t), g_probs = self._halves(probs)
+        (d_s, d_t), g_d = self._halves(d)
+        l_c, n_pl = ls.loss_classification(p_s, labels, p_t, scores, w_alpha, gamma)
+        l_bd, n_div = ls.loss_batch_diversity(p_s, p_t, scores, w_beta, mode)
+        total, breakdown = ls.loss_compound(l_c, l_bd, ls.loss_domain(d_s, d_t),
+                                            n_pl, n_div)
+        backward(total)
+        return breakdown, g_probs, g_d
 
-    @pytest.mark.parametrize("w_alpha", [0.0, 1.0, math.inf])
-    def test_classification(self, w_alpha):
-        probs, _, labels, scores = self._stack()
-        value, n, grad = ls.classification_array(probs, labels, scores, w_alpha, 0.6)
-        node_value, node_count, node_grad = self._node_grads(
-            lambda s, t: ls.loss_classification(s, labels, t, scores, w_alpha, 0.6),
-            probs)
-        assert grad.shape == probs.shape
-        assert (value, [n]) == (node_value, node_count)
-        np.testing.assert_array_equal(grad, node_grad)
-        assert n == (scores > w_alpha).sum()
-        assert (grad[1] == 0.0).all() == (n == 0)
+    def check(self, probs, d, labels, scores, w_alpha=0.5, w_beta=0.5, gamma=0.6,
+              mode="both"):
+        """``compound_array`` against the engine; returns the array result."""
+        args = (probs, d, labels, scores, w_alpha, w_beta, gamma, mode)
+        got = ls.compound_array(*args)
+        want = self._engine(*args)
+        for (b, g_probs, g_d), stacks in ((got, (probs, d)), (want, (probs, d))):
+            assert g_probs.shape == stacks[0].shape and g_d.shape == stacks[1].shape
+        values = [[b.l_c, b.l_bd, b.l_d, b.total] for b, *_ in (got, want)]
+        np.testing.assert_array_equal(bits(values[0]), bits(values[1]))
+        assert ((got[0].n_pseudo_selected, got[0].n_diversity_selected)
+                == (want[0].n_pseudo_selected, want[0].n_diversity_selected))
+        np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
+        np.testing.assert_array_equal(bits(got[2]), bits(want[2]))
+        return got
 
     @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
+    @pytest.mark.parametrize("w_alpha", [0.0, 1.0, math.inf])
     @pytest.mark.parametrize("w_beta", [0.5, math.inf])
-    def test_batch_diversity(self, mode, w_beta):
-        probs, _, _, scores = self._stack()
-        grad = np.zeros(probs.shape)
-        value, n = ls.batch_diversity_array(probs, scores, w_beta, mode, grad)
-        node_value, node_count, node_grad = self._node_grads(
-            lambda s, t: ls.loss_batch_diversity(s, t, scores, w_beta, mode), probs)
-        assert grad.shape == probs.shape
-        assert (value, [n]) == (node_value, node_count)
-        np.testing.assert_array_equal(grad, node_grad)
-        assert (grad[0] == 0.0).all() == (mode != "both")
-        assert (grad[1] == 0.0).all() == (n == 0)
+    @pytest.mark.parametrize("gamma", [0.0, 0.9])  # 0.9 / 10 != 0.9 * (1 / 10)
+    def test_equals_the_engine(self, mode, w_alpha, w_beta, gamma):
+        probs, d, labels, scores = self._stack()
+        b, g_probs, _ = self.check(probs, d, labels, scores, w_alpha, w_beta, gamma, mode)
+        n_pl, n_div = b.n_pseudo_selected, b.n_diversity_selected
+        assert n_pl == (scores > w_alpha).sum()
+        assert n_div == (0 if mode == "off" else (scores > w_beta).sum())
+        assert (g_probs[1] == 0.0).all() == ((n_pl == 0 or gamma == 0) and n_div == 0)
         if mode == "off":
-            assert value == 0.0 and n == 0
-
-    @pytest.mark.parametrize("edges", [False, True])
-    def test_domain(self, edges):
-        _, d, _, _ = self._stack()
-        if edges:  # d at 0, PROB_FLOOR, 1 - PROB_FLOOR and 1 in both halves
-            e = [0.0, ls.PROB_FLOOR, 1.0 - ls.PROB_FLOOR, 1.0]
-            d = np.array([e, e[::-1]])[..., None]
-        value, grad = ls.domain_array(d)
-        node_value, _, node_grad = self._node_grads(
-            lambda s, t: (ls.loss_domain(s, t),), d)
-        assert grad.shape == d.shape
-        np.testing.assert_array_equal(bits(value), bits(node_value))
-        np.testing.assert_array_equal(bits(grad), bits(node_grad))
+            assert b.l_bd == 0.0
 
     def _floor_stack(self):
         """A stack whose labelled and selected probabilities reach
         ``PROB_FLOOR`` or fall below it, where the CE gradient is ``-0.0``
         before the scatter's ``0.0 +``: rows 0-2 of each half."""
-        probs, _, _, _ = self._stack(half=5)
+        probs, d, _, _ = self._stack(half=5)
         labels = np.array([0, 1, 2, 0, 1])
         probs[0, 0, 0] = 0.0
         probs[0, 1, 1] = ls.PROB_FLOOR
@@ -336,41 +331,31 @@ class TestArrayLossesOnTheDomainStack:
         probs[1, 0] = 0.0  # pseudo-label 0, probability 0
         probs[1, 1] = [ls.PROB_FLOOR, ls.PROB_FLOOR / 4, 0.0]
         probs[1, 2] = [0.0, ls.PROB_FLOOR / 2, 0.0]
-        return probs, labels, np.array([1.0, 1.0, 1.0, 0.2, 1.4])
-
-    def _shared(self, probs, labels, scores, mode):
-        """The classifier head's two terms on one stack, as the step runs them."""
-        l_c, n_pl, shared = ls.classification_array(probs, labels, scores, 0.5, 0.6)
-        l_bd, n_div = ls.batch_diversity_array(probs, scores, 0.5, mode, shared)
-        return l_c, n_pl, l_bd, n_div, shared
+        return probs, d, labels, np.array([1.0, 1.0, 1.0, 0.2, 1.4])
 
     @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
     def test_probabilities_at_the_floor(self, mode):
-        probs, labels, scores = self._floor_stack()
-        l_c, n_pl, l_bd, n_div, shared = self._shared(probs, labels, scores, mode)
+        self.check(*self._floor_stack(), mode=mode)
 
-        def build(s, t):
-            node_c, node_pl = ls.loss_classification(s, labels, t, scores, 0.5, 0.6)
-            node_bd, node_div = ls.loss_batch_diversity(s, t, scores, 0.5, mode)
-            return ad.add(node_c, node_bd), node_c, node_bd, node_pl, node_div
+    def test_domain_outputs_at_the_edges(self):
+        """``d`` at 0, ``PROB_FLOOR``, ``1 - PROB_FLOOR`` and 1 in both halves;
+        the first two entries of each half's NLL input are clamped, and
+        their gradients are signed zeros."""
+        probs, _, labels, scores = self._stack(half=4)
+        e = [0.0, ls.PROB_FLOOR, 1.0 - ls.PROB_FLOOR, 1.0]
+        _, _, g_d = self.check(probs, np.array([e, e[::-1]])[..., None], labels, scores)
+        assert (g_d[:, :2] == 0.0).all() and (g_d[:, 2:] != 0.0).all()
 
-        halves, grads = self._halves(probs)
-        total, node_c, node_bd, *counts = build(*halves)
-        backward(total)
-        assert [n_pl, n_div] == counts
-        np.testing.assert_array_equal(bits([l_c, l_bd]),
-                                      bits([node_c.value, node_bd.value]))
-        np.testing.assert_array_equal(bits(shared), bits(grads))
-
-    @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
-    @pytest.mark.parametrize("floor", [False, True])
-    def test_shared_stack_is_the_sum_of_the_two(self, mode, floor):
-        if floor:
-            probs, labels, scores = self._floor_stack()
-        else:
-            probs, _, labels, scores = self._stack()
-        *_, shared = self._shared(probs, labels, scores, mode)
-        _, _, g_c = ls.classification_array(probs, labels, scores, 0.5, 0.6)
-        g_bd = np.zeros(probs.shape)
-        ls.batch_diversity_array(probs, scores, 0.5, mode, g_bd)
-        np.testing.assert_array_equal(bits(shared), bits(g_c + g_bd))
+    @pytest.mark.parametrize("bad, msg", [
+        (dict(mode="sometimes"), r"^unknown diversity mode 'sometimes'$"),
+        (dict(gamma=-1.0), r"^gamma must be >= 0, got -1.0$"),
+        (dict(scores=np.ones(9)), r"^target_scores must align with target_probs rows$"),
+        (dict(half=0), r"^source batch must be non-empty$"),
+    ])
+    def test_rejects_what_the_node_losses_reject(self, bad, msg):
+        probs, d, labels, scores = self._stack(half=bad.pop("half", 10))
+        args = dict(probs=probs, d=d, source_labels=labels, target_scores=scores,
+                    w_alpha=0.5, w_beta=0.5, gamma=0.6, mode="both")
+        args.update({"target_scores" if k == "scores" else k: v for k, v in bad.items()})
+        with pytest.raises(ContractError, match=msg):
+            ls.compound_array(**args)

@@ -1,7 +1,9 @@
-"""``tools/step_ab.py`` runs an A/B of ``src`` against itself and prints its summary."""
+"""``tools/step_ab.py`` runs an A/B of two source trees and prints its summary
+and whether the two sides end with the same parameters."""
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +13,20 @@ ROOT = Path(__file__).resolve().parents[1]
 NUMBER = r"\d+\.\d+"
 
 
+def step_ab(base: Path, change: Path, run_dir: Path) -> list[str]:
+    """The script's output lines for two blocks of two steps per side."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_ab.py"), "--base", str(base),
+         "--change", str(change), "--blocks", "2", "--steps", "2"],
+        cwd=run_dir, env={**os.environ, "TMPDIR": str(run_dir)},
+        check=True, capture_output=True, text=True).stdout
+    return out.splitlines()
+
+
 def test_self_ab_prints_the_summary(tmp_path):
     src = ROOT / "src"
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "step_ab.py"), "--base", str(src),
-         "--change", str(src), "--blocks", "2", "--steps", "2"],
-        cwd=tmp_path, env={**os.environ, "TMPDIR": str(tmp_path)},
-        check=True, capture_output=True, text=True).stdout
-    lines = out.splitlines()
-    assert len(lines) == 4, out
+    lines = step_ab(src, src, tmp_path)
+    assert len(lines) == 5, lines
     for side, line in zip(("base", "change"), lines):
         assert re.fullmatch(rf"{side} +{re.escape(str(src))}: median {NUMBER} us/step "
                             rf"\(quartiles {NUMBER}-{NUMBER}\)", line), line
@@ -27,4 +34,20 @@ def test_self_ab_prints_the_summary(tmp_path):
                         rf"\(quartiles {NUMBER}-{NUMBER}\)", lines[2]), lines[2]
     won = re.fullmatch(r"change faster in (\d+) of 2 blocks of 2 steps", lines[3])
     assert won and int(won.group(1)) <= 2, lines[3]
+    assert re.fullmatch(r"parameters bit-identical: \d+ values", lines[4]), lines[4]
     assert not list(tmp_path.iterdir())  # the package copies are gone
+
+
+def test_a_change_that_trains_differently_is_flagged(tmp_path):
+    changed = tmp_path / "changed"
+    shutil.copytree(ROOT / "src" / "udaselect", changed / "udaselect",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    trainer = changed / "udaselect" / "trainer.py"
+    text = trainer.read_text()
+    assert "state.v *= cfg.momentum\n" in text
+    trainer.write_text(text.replace("state.v *= cfg.momentum\n",
+                                    "state.v *= cfg.momentum * 0.5\n"))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    last = step_ab(ROOT / "src", changed, run_dir)[-1]
+    assert re.fullmatch(r"parameters differ: [1-9]\d* of \d+ bit patterns", last), last

@@ -20,6 +20,12 @@ in process CPU time; batches are drawn outside the timed region.  It
 prints each side's median µs per step with its quartiles, the median
 and quartiles of the per-pair ratio change/base, and in how many pairs
 the change's block was faster.
+
+Both sides draw the same batches, each from its own generator seeded
+alike, and take the same steps in the same order, so two trees that
+train alike end with the same parameters.  The last line says whether
+the two sides' ``model.values`` are bit-identical after the timed
+blocks: a faster step that moves any bit of the training shows there.
 """
 
 from __future__ import annotations
@@ -117,6 +123,17 @@ def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int) -> 
     return "\n".join(lines)
 
 
+def parity(sides: dict[str, Side]) -> str:
+    """Whether the two sides' parameters are bit-identical."""
+    base, change = (sides[name].state.model.values for name in SIDES)
+    if base.shape != change.shape:
+        return f"parameters differ: shapes {base.shape} and {change.shape}"
+    differ = int(np.count_nonzero(base.view(np.uint64) != change.view(np.uint64)))
+    if differ:
+        return f"parameters differ: {differ} of {base.size} bit patterns"
+    return f"parameters bit-identical: {base.size} values"
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="the base side's src/")
@@ -131,6 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         sides = load_sides(srcs, Path(tmp))
         times = run(sides, args.blocks, args.steps)
     print(report(times, srcs, args.steps))
+    print(parity(sides))
     return 0
 
 
