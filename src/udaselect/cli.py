@@ -133,10 +133,11 @@ def _run_grid(variants: list[tuple[str, tr.TrainConfig]], seed: int, reps: int,
 
 
 def _read_json(path):
-    """The JSON value in the text file at ``path``."""
+    """The JSON value in the text file at ``path``; undecodable text or
+    malformed JSON is a ``ConfigError`` naming the file."""
     try:
         return json.loads(Path(path).read_text())
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -362,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (UdaError, json.JSONDecodeError, OSError, KeyError) as exc:
+    except (UdaError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -10,8 +10,7 @@ numpy's C reader parses the body straight from the open file, so no
 copy of the whole text or list of its lines is held.  The per-line row
 walk ``_parse_rows`` stays the definition of a valid file and of each
 error's text and line number: ``load_features`` falls back to it
-whenever the C reader raises, warns or returns another row count, and
-takes it for a file holding a line boundary other than ``\n``.
+whenever the C reader raises, warns or returns another row count.
 """
 
 from __future__ import annotations
@@ -181,9 +180,9 @@ def sample_batch(src: DomainDataset, tgt: DomainDataset, batch_size: int,
 #: characters of text ``_count_lines`` reads at a time
 _SCAN_CHUNK = 1 << 16
 
-#: the line boundaries ``str.splitlines`` knows besides ``\n``; text mode
-#: has already turned ``\r`` and ``\r\n`` into ``\n``
-_ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+#: the line boundaries ``str.splitlines`` knows; text mode has already
+#: turned ``\r`` and ``\r\n`` into ``\n``
+_BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def save_features(path, dataset: DomainDataset) -> None:
@@ -200,29 +199,25 @@ def load_features(path) -> DomainDataset:
     line number, and a ``labeled=0`` header is rejected.
 
     The body is parsed straight from the open file: one pass over
-    fixed-size chunks counts the lines, ``readline`` takes the header and
-    numpy's C reader parses the rest of the handle, so no copy of the
-    whole text or list of its lines is ever held.  Where the C reader
-    raises, warns or returns another row count, the row walk
-    ``_parse_rows`` parses the body instead: a value ``float()`` or
-    ``int()`` accepts and the C reader does not (``1_0``, non-ASCII
-    digits) loads as before, and a malformed line gets the row walk's
-    message and line number.  Every value the C reader accepts is
-    bit-identical to ``float()``'s.  A file holding a line boundary that
-    ``str.splitlines`` knows besides ``\n``, ``\r`` and ``\r\n`` (say
-    ``\f`` or ``\u2028``) goes to the row walk whole, so its line
-    numbers keep their ``splitlines`` meaning.  A file that is not valid
-    text raises ``FeatureFileError`` too.
+    fixed-size chunks counts the ``splitlines`` lines, the header is the
+    first ``splitlines`` line of ``readline()`` and numpy's C reader
+    parses the rest of the handle, so no copy of the whole text or list
+    of its lines is ever held.  Where the C reader raises, warns or
+    returns another row count, the row walk ``_parse_rows`` parses the
+    body instead: a value ``float()`` or ``int()`` accepts and the C
+    reader does not (``1_0``, non-ASCII digits) loads as before, and a
+    malformed line gets the row walk's message and line number.  Every
+    value the C reader accepts is bit-identical to ``float()``'s.  The C
+    reader breaks lines only at ``\n``, so another ``splitlines``
+    boundary (say ``\f`` or ``\u2028``) inside the text leaves it short
+    of the count; one that ends the text adds a line for neither.  A
+    file that is not valid text raises ``FeatureFileError`` too.
     """
     try:
         with open(path) as fh:
             n_lines = _count_lines(fh)
             fh.seek(0)
-            if n_lines is None:
-                lines = fh.read().splitlines()
-                dim = _check_header(path, lines[0] if lines else "", len(lines))
-                return _parse_rows(path, lines[1:], dim)
-            dim = _check_header(path, fh.readline(), n_lines)
+            dim = _check_header(path, (fh.readline().splitlines() or [""])[0], n_lines)
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -231,24 +226,22 @@ def load_features(path) -> DomainDataset:
                                        delimiter="\t", comments=None, ndmin=1)
             except (ValueError, Warning):
                 table = None
-            if table is None or table.shape != (n_lines - 1,):
-                fh.seek(0)
-                return _parse_rows(path, fh.read().splitlines()[1:], dim)
-            return DomainDataset(np.ascontiguousarray(table["x"]), table["y"].copy())
+            if table is not None and table.shape == (n_lines - 1,):
+                return DomainDataset(np.ascontiguousarray(table["x"]), table["y"].copy())
+            fh.seek(0)
+            return _parse_rows(path, fh.read().splitlines()[1:], dim)
     except UnicodeDecodeError as exc:
         raise FeatureFileError(f"{path}: {exc}") from exc
 
 
-def _count_lines(fh) -> int | None:
-    """The ``splitlines`` line count of ``fh``'s text, or None where it
-    holds one of ``_ODD_BREAKS``."""
+def _count_lines(fh) -> int:
+    """The ``splitlines`` line count of ``fh``'s text.  A boundary is
+    counted only where ``in`` finds it, a far faster scan than ``count``."""
     count, last = 0, "\n"
     while chunk := fh.read(_SCAN_CHUNK):
-        if any(c in chunk for c in _ODD_BREAKS):
-            return None
-        count += chunk.count("\n")
+        count += sum(chunk.count(c) for c in _BREAKS if c in chunk)
         last = chunk[-1]
-    return count + (last != "\n")
+    return count + (last not in _BREAKS)
 
 
 def _check_header(path, header: str, n_lines: int) -> int:

@@ -121,16 +121,10 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-class NonFinite(NumericError):
-    """An array forward met a non-finite value.  The engine replays the
-    same computation, and its ``NumericError`` names the op."""
-
-
-def check_finite(*arrays: np.ndarray) -> None:
-    """Raise ``NonFinite`` unless every entry of every array is finite."""
-    for a in arrays:
-        if not np.logical_and.reduce(np.isfinite(a), axis=None):
-            raise NonFinite("non-finite value in an array forward")
+def check_finite(a: np.ndarray) -> None:
+    """Raise ``NumericError`` unless every entry of ``a`` is finite."""
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+        raise NumericError("non-finite value in an array forward")
 
 
 class Mlp:
@@ -386,7 +380,7 @@ def domain_prob(m: ModelBundle, feats: Node, lam: float) -> Node:
 def predict(m: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``label_probs`` and ``domain_prob`` values for the rows of ``x`` by
     the array forward (the reversal layer is the identity forward).
-    Raises ``NonFinite`` where the engine would raise ``NumericError``.
+    Raises ``NumericError`` where the engine would; its message names no op.
 
     The rows run through ``f``, ``c`` and ``d`` in blocks of
     ``_BLOCK_ROWS`` into preallocated outputs, so no activation of the

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import model as md
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 from .model import ModelBundle
 
 # theoretical score range per scheme, used for threshold validation and
@@ -143,7 +143,7 @@ def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
     """
     try:
         probs, d = md.predict(m, x)
-    except md.NonFinite:  # the engine forward raises the NumericError naming the op
+    except NumericError:  # the engine forward's NumericError names the op
         with np.errstate(over="ignore", invalid="ignore"):
             feats = md.features(m, x)
             probs, d = md.label_probs(m, feats).value, md.domain_prob(m, feats, 0.0).value

@@ -218,22 +218,22 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
     them.  Each network's VJP writes its parameter gradients per half
     into ``m.halves``, and the gradient of ``m.flat`` is the source half
     plus the target half.
-    Raises ``model.NonFinite`` where ``engine_loss`` raises
-    ``NumericError``: a non-finite input, layer pre-activation or total.
+    Raises ``NumericError`` where ``engine_loss`` does: a non-finite
+    input, layer pre-activation or total (the returned ``Node`` checks
+    the total).  Its only caller, ``train_step``, runs it under the
+    step's ``np.errstate``.
     ``lam`` must be >= 0, which ``TrainConfig`` ensures.
     """
     x = np.array((batch.source_x, batch.target_x), dtype=np.float64)
     md.check_finite(x)
     tape_f, tape_c, tape_d = [], [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        feats = m.f.forward_array(x, tape_f)
-        probs = m.c.forward_array(feats, tape_c)
-        d = m.d.forward_array(feats, tape_d)
+    feats = m.f.forward_array(x, tape_f)
+    probs = m.c.forward_array(feats, tape_c)
+    d = m.d.forward_array(feats, tape_d)
 
-        scores = sc.scores_from_outputs(d[1, :, 0], probs[1], cfg.scheme)
-        breakdown, g_probs, g_d = ls.compound_array(
-            probs, d, labels, scores, threshold, cfg.w_beta, cfg.gamma, cfg.diversity_mode)
-    md.check_finite(breakdown.total)
+    scores = sc.scores_from_outputs(d[1, :, 0], probs[1], cfg.scheme)
+    breakdown, g_probs, g_d = ls.compound_array(
+        probs, d, labels, scores, threshold, cfg.w_beta, cfg.gamma, cfg.diversity_mode)
 
     def vjp(g):
         g_r = m.d.vjp_array(tape_d, g * g_d, m.half_views["d"])
@@ -251,6 +251,7 @@ def train_step(state: TrainState, batch: DomainBatch,
     A non-finite value replays the step on ``engine_loss``, so the
     ``NumericError`` names the op and the step index; a failed step
     leaves the parameters, the momentum and the records as they were.
+    One ``np.errstate`` covers the whole step: no numpy warning escapes.
     """
     if state.t >= cfg.total_steps:
         raise ContractError(f"step {state.t} out of budget T={cfg.total_steps}")
@@ -258,21 +259,21 @@ def train_step(state: TrainState, batch: DomainBatch,
     w_a = _applied_w_alpha(cfg, state.t)
     args = (m, batch, m.class_index(batch.source_y), grl_coefficient(cfg, state.t),
             math.inf if w_a is None else w_a, cfg)
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            total, breakdown = step_op(*args)
-        except md.NonFinite:
-            with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                total, breakdown = step_op(*args)
+            except NumericError:
                 total, breakdown = engine_loss(*args)
-        m.zero_grads()
-        ad.backward(total)
-    except NumericError as exc:
-        raise NumericError(f"step {state.t}: {exc}") from exc
-    if not np.isfinite(m.grads).all():
-        raise NumericError(f"step {state.t}: non-finite gradient")
-    state.v *= cfg.momentum
-    state.v += m.grads
-    m.values -= cfg.lr * state.v
+            m.zero_grads()
+            ad.backward(total)
+            if not np.isfinite(m.grads).all():
+                raise NumericError("non-finite gradient")
+        except NumericError as exc:
+            raise NumericError(f"step {state.t}: {exc}") from exc
+        state.v *= cfg.momentum
+        state.v += m.grads
+        m.values -= cfg.lr * state.v
 
     state.records.append(StepRecord(**breakdown.__dict__, step=state.t, w_alpha=w_a))
     return breakdown

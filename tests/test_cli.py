@@ -118,14 +118,36 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {bad}: config must be a JSON object\n"
         assert not out.exists()
 
-    def test_numeric_abort_prints_one_line_and_no_warnings(self, tmp_path, capsys):
+    def test_malformed_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_text("{\n")
+        out = tmp_path / "run"
+        assert main(["train", "--synthetic", "--config", str(bad),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {bad}: Expecting property name enclosed in double quotes: "
+            "line 2 column 1 (char 2)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--steps", "2", "--gamma", "1.7e308", "--static-w-alpha", "0"],
+         "step 0: non-finite values produced by op 'affine'"),
+        # the overflow is in the backward pass, the update and the halves' add
+        (["--steps", "4", "--grl-lambda", "1.7e308"], "step 0: non-finite gradient"),
+        (["--steps", "4", "--lr", "1.7e308"],
+         "step 1: non-finite values produced by op 'matmul'"),
+        (["--steps", "4", "--momentum", "1.7e308"],
+         "step 2: non-finite values produced by op 'matmul'"),
+    ], ids=["gamma", "grl_lambda", "lr", "momentum"])
+    def test_numeric_abort_prints_one_line_and_no_warnings(self, tmp_path, capsys,
+                                                           flags, message):
+        out = tmp_path / "run"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["train", "--synthetic", "--steps", "2", "--gamma", "1.7e308",
-                         "--static-w-alpha", "0", "--out", str(tmp_path / "run")])
+            code = main(["train", "--synthetic", *flags, "--out", str(out)])
         assert code == cli.EXIT_NUMERIC
-        assert capsys.readouterr().err == (
-            "numeric abort: step 0: non-finite values produced by op 'affine'\n")
+        assert capsys.readouterr().err == f"numeric abort: {message}\n"
+        assert not out.exists()
 
     def test_mistyped_config_field_rejected(self, tmp_path):
         bad = tmp_path / "cfg.json"
@@ -174,6 +196,20 @@ class TestTrain:
                      "--steps", "2", "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"error: {src}: feature dim 3, but {tgt} has 4\n")
+        assert not out.exists()
+
+    def test_malformed_labelset_exits_2_naming_it(self, tmp_path, capsys):
+        data, labelset = tmp_path / "data", tmp_path / "labelset.json"
+        assert main(gen_args(data)) == 0
+        labelset.write_text("{\n")
+        out = tmp_path / "run"
+        assert main(["train", "--source", str(data / "source.features.txt"),
+                     "--target", str(data / "target.features.txt"),
+                     "--labelset", str(labelset), "--steps", "2",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {labelset}: Expecting property name enclosed in double quotes: "
+            "line 2 column 1 (char 2)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("fault, code", [

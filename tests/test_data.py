@@ -290,3 +290,27 @@ class TestReaderEquivalence:
         assert loaded.features.flags.c_contiguous
         assert loaded.labels.dtype == np.int64
         np.testing.assert_array_equal(loaded.labels, tgt.labels)
+
+
+class TestCountLines:
+    """``_count_lines`` is the ``splitlines`` count of the text-mode read,
+    whatever the chunk size, so the C reader's row count is checked
+    against the row walk's lines."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+    @pytest.mark.parametrize("text", [
+        "", "a", "a\n", "a\nb", "\n\n", "a\r\nb\r\n", "a\rb\r", "a\x0cb", "a\x0c",
+        "a\n\x0c", "a\u2028\u2029b\x85", "\x0b\x1c\x1d\x1e"])
+    def test_equals_splitlines(self, tmp_path, monkeypatch, text, chunk):
+        path = tmp_path / "text.txt"
+        path.write_text(text)
+        monkeypatch.setattr(dt, "_SCAN_CHUNK", chunk)
+        with open(path) as fh:
+            assert dt._count_lines(fh) == len(path.read_text().splitlines())
+
+    @pytest.mark.parametrize("end", ["\x0b", "\x0c", "\x85", "\u2028"])
+    def test_a_break_ending_the_file_adds_no_row(self, tmp_path, end):
+        path = tmp_path / "feat.txt"
+        path.write_text(f"# dim=2 count=2 labeled=1\n1.0\t2.0\t3\n4.0\t5.0\t6{end}")
+        assert outcome(dt.load_features, path) == outcome(parse_by_row_walk, path)
+        assert dt.load_features(path).labels.tolist() == [3, 6]

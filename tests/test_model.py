@@ -14,7 +14,7 @@ from udaselect import cli
 from udaselect import model as md
 from udaselect import trainer as tr
 from udaselect.autodiff import Node, backward
-from udaselect.errors import ConfigError, ContractError
+from udaselect.errors import ConfigError, ContractError, NumericError
 from udaselect.model import MlpSpec
 
 
@@ -279,7 +279,7 @@ class TestArrayForward:
         m = small_bundle()
         m.d.weights[1].value[...] = -np.finfo(float).max
         # the hidden ReLU would map the -inf pre-activation to 0
-        with pytest.raises(md.NonFinite):
+        with pytest.raises(NumericError):
             md.predict(m, np.ones((2, 4)))
 
 

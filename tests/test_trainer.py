@@ -10,7 +10,6 @@ from udaselect import autodiff as ad
 from udaselect import cli
 from udaselect import data as dt
 from udaselect import losses as ls
-from udaselect import model as md
 from udaselect import scoring as sc
 from udaselect import trainer as tr
 from udaselect.autodiff import Node
@@ -309,7 +308,7 @@ class TestStepOpOracle:
             assert any(b.n_diversity_selected for b in seen)
 
 
-class TestNonFiniteReplay:
+class TestNumericErrorReplay:
     """A non-finite value in the step op replays the step on the engine
     graph: the same ``NumericError`` as the engine step, and no state change."""
 
@@ -396,7 +395,7 @@ class TestStepTape:
         plain, _ = self.nodes_per_step(monkeypatch, 3)
 
         def non_finite(*args):
-            raise md.NonFinite("forced replay")
+            raise NumericError("forced replay")
 
         monkeypatch.setattr(tr, "step_op", non_finite)
         replayed, per_step = self.nodes_per_step(monkeypatch, 3)
