@@ -132,7 +132,8 @@ class TestTrain:
     @pytest.mark.parametrize("flags, message", [
         (["--steps", "2", "--gamma", "1.7e308", "--static-w-alpha", "0"],
          "step 0: non-finite values produced by op 'affine'"),
-        # the overflow is in the backward pass, the update and the halves' add
+        # these first overflow outside the forward: in the backward pass
+        # (a VJP's matmul, the halves' add) or in the update
         (["--steps", "4", "--grl-lambda", "1.7e308"], "step 0: non-finite gradient"),
         (["--steps", "4", "--lr", "1.7e308"],
          "step 1: non-finite values produced by op 'matmul'"),
