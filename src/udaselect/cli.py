@@ -28,16 +28,11 @@ from .errors import ConfigError, NumericError, UdaError
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-#: fraction of each scheme's score range used for the default thresholds,
-#: taken from the main scheme's defaults on [0, 2]
-_THRESHOLD_FRACTIONS = {"w0": 0.5, "w_beta": 0.4, "w_alpha_start": 0.75}
-
 
 def scheme_defaults(cfg: tr.TrainConfig, scheme: str) -> tr.TrainConfig:
-    """Re-express the default thresholds in another scheme's native range."""
-    lo, hi = sc.SCHEME_RANGES[scheme]
-    return replace(cfg, scheme=scheme, **{name: lo + frac * (hi - lo)
-                                          for name, frac in _THRESHOLD_FRACTIONS.items()})
+    """``cfg`` under ``scheme`` with its three thresholds unset, so
+    ``TrainConfig`` gives them ``scheme``'s defaults."""
+    return replace(cfg, scheme=scheme, **dict.fromkeys(tr.THRESHOLD_FRACTIONS))
 
 
 def default_output_root() -> Path:
@@ -156,9 +151,10 @@ def _load_labelset(path) -> dt.LabelSetSpec:
 
 def _build_config(args, preset: tr.TrainConfig | None = None) -> tr.TrainConfig:
     """``preset``'s fields, then the ``--config`` file's, then the flags'.
-    A threshold that neither the file nor a flag sets is the scheme's
-    default (``scheme_defaults``), not the preset's ``ours`` value."""
+    The preset's thresholds are left out, so one that neither the file
+    nor a flag sets is the scheme's default, not the preset's ``ours`` value."""
     base = preset.to_dict() if preset is not None else {}
+    base = {k: v for k, v in base.items() if k not in tr.THRESHOLD_FRACTIONS}
     chosen = {}
     if args.config:
         path = Path(args.config)
@@ -169,10 +165,7 @@ def _build_config(args, preset: tr.TrainConfig | None = None) -> tr.TrainConfig:
             raise ConfigError(f"{path}: config must be a JSON object")
     chosen = {**chosen, **{f.name: getattr(args, f.name) for f in fields(tr.TrainConfig)
                            if getattr(args, f.name, None) is not None}}
-    cfg = tr.TrainConfig.from_dict({**base, **chosen})
-    defaults = scheme_defaults(cfg, cfg.scheme)
-    return replace(cfg, **{name: getattr(defaults, name) for name in _THRESHOLD_FRACTIONS
-                           if name not in chosen})
+    return tr.TrainConfig.from_dict({**base, **chosen})
 
 
 def cmd_gen(args) -> int:
@@ -216,7 +209,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    w0 = scheme_defaults(tr.TrainConfig(), args.scheme).w0 if args.w0 is None else args.w0
+    w0 = tr.TrainConfig(scheme=args.scheme).w0 if args.w0 is None else args.w0
     sc.check_in_range(args.scheme, "--w0", w0)
     model = md.load_checkpoint(args.checkpoint)
     tgt = dt.load_features(args.target)
@@ -255,6 +248,9 @@ def cmd_sweep(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _build_config(args, benchmark_config())
     if args.ablation == "scoring":
+        if cfg != scheme_defaults(cfg, "ours"):
+            raise ConfigError("ablate --ablation scoring runs each scheme at its default "
+                              "thresholds: drop scheme, w0, w_beta and w_alpha_start")
         variants = [(f"scheme_{s}", scheme_defaults(cfg, s)) for s in sc.SCHEMES]
     elif args.ablation == "pseudo":
         variants = [
@@ -363,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (UdaError, OSError, KeyError) as exc:
+    except (UdaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

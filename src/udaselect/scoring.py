@@ -133,7 +133,8 @@ def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
     forward's memory on large files and leaves every bit of every column
     as one forward over all of ``x`` would give it.  The scores and the
     other columns are computed once, over all rows, after the forward;
-    a non-finite value in any block replays the engine over all of ``x``.
+    a non-finite value in any block replays the engine over all of ``x``,
+    and its ``NumericError`` names the op after ``scoring:``.
     ``max_prob``, ``entropy`` and the scores reduce the class axis with
     ``md.row_max`` and ``md.row_sum``'s fold, so on a table of 256 rows or
     more they make one ufunc call per class, not one per row, and make
@@ -145,8 +146,11 @@ def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
         probs, d = md.predict(m, x)
     except NumericError:  # the engine forward's NumericError names the op
         with np.errstate(over="ignore", invalid="ignore"):
-            feats = md.features(m, x)
-            probs, d = md.label_probs(m, feats).value, md.domain_prob(m, feats, 0.0).value
+            try:
+                feats = md.features(m, x)
+                probs, d = md.label_probs(m, feats).value, md.domain_prob(m, feats, 0.0).value
+            except NumericError as exc:
+                raise NumericError(f"scoring: {exc}") from exc
     d, probs = _checked(scheme, d[:, 0], probs)
     max_prob, h = md.row_max(probs), entropy(probs)
     return ScoreTable(d=d, y_bar=probs, max_prob=max_prob, entropy=h,

@@ -35,6 +35,10 @@ from .model import MlpSpec, ModelBundle
 
 GRL_MODES = ("constant", "ramp")
 
+#: fraction of each scheme's score range used for the default thresholds,
+#: taken from the main scheme's defaults on [0, 2]
+THRESHOLD_FRACTIONS = {"w0": 0.5, "w_beta": 0.4, "w_alpha_start": 0.75}
+
 #: the value types ``TrainConfig.from_dict`` accepts per field annotation
 _FIELD_TYPES = {"float": (int, float), "float | None": (int, float, type(None)),
                 "int": int, "str": str, "bool": bool, "tuple[int, ...]": (list, tuple)}
@@ -50,11 +54,13 @@ def _finite(v) -> bool:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """All hyperparameters of one training run."""
+    """All hyperparameters of one training run.  A threshold left None
+    (``w0``, ``w_beta``, ``w_alpha_start``) is its ``THRESHOLD_FRACTIONS``
+    of the scheme's score range: ``ours``' 1.0, 0.8 and 1.5 of [0, 2]."""
 
     gamma: float = 0.6
-    w0: float = 1.0
-    w_beta: float = 0.8
+    w0: float = None
+    w_beta: float = None
     total_steps: int = 3000
     batch_size: int = 64
     lr: float = 0.05
@@ -63,7 +69,7 @@ class TrainConfig:
     grl_lambda: float = 1.0
     scheme: str = "ours"
     static_w_alpha: float | None = None
-    w_alpha_start: float = 1.5
+    w_alpha_start: float = None
     diversity_mode: str = "both"
     pseudo_labels: bool = True
     seed: int = 0
@@ -78,6 +84,10 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.scheme not in sc.SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
+        lo, hi = sc.SCHEME_RANGES[self.scheme]
+        for name, frac in THRESHOLD_FRACTIONS.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, lo + frac * (hi - lo))
         sc.check_in_range(self.scheme, "w0", self.w0)
         if self.total_steps < 0:
             raise ConfigError("total_steps must be >= 0")
@@ -104,22 +114,19 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Check each field's type and reject unknown keys.  A JSON boolean
-        is only a ``bool`` field's value, though ``bool`` subclasses ``int``."""
-        unknown = set(d) - {f.name for f in fields(cls)}
+        """Check each given field's type and reject unknown keys.  A JSON
+        boolean is only a ``bool`` field's value and a null a ``| None`` one's."""
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        for f in fields(cls):
-            v = d.get(f.name, f.default)
+        for name, v in d.items():
             items = v if isinstance(v, (list, tuple)) else ()
-            if (not isinstance(v, _FIELD_TYPES[f.type])
-                    or isinstance(v, bool) != (f.type == "bool")
+            if (not isinstance(v, _FIELD_TYPES[types[name]])
+                    or isinstance(v, bool) != (types[name] == "bool")
                     or any(type(n) is not int for n in items)):
-                raise ConfigError(f"config field {f.name} must be {f.type}, got {v!r}")
-            if isinstance(v, list):
-                d[f.name] = tuple(v)
-        return cls(**d)
+                raise ConfigError(f"config field {name} must be {types[name]}, got {v!r}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,10 @@ class TestTrain:
          "step 1: non-finite values produced by op 'matmul'"),
         (["--steps", "4", "--momentum", "1.7e308"],
          "step 2: non-finite values produced by op 'matmul'"),
-    ], ids=["gamma", "grl_lambda", "lr", "momentum"])
+        # trains to finite but huge weights that overflow when scored
+        (["--steps", "3", "--grl-lambda", "1e308"],
+         "scoring: non-finite values produced by op 'matmul'"),
+    ], ids=["gamma", "grl_lambda", "lr", "momentum", "scoring"])
     def test_numeric_abort_prints_one_line_and_no_warnings(self, tmp_path, capsys,
                                                            flags, message):
         out = tmp_path / "run"
@@ -166,6 +169,17 @@ class TestTrain:
         assert main(["train", "--synthetic", "--config", str(bad),
                      "--out", str(out)]) == EXIT_CONFIG
         assert "got True" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["w0", "w_beta", "w_alpha_start"])
+    def test_null_threshold_exits_2(self, tmp_path, capsys, key):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps({key: None}))
+        out = tmp_path / "run"
+        assert main(["train", "--synthetic", "--config", str(bad),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: config field {key} must be float, got None\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -678,6 +692,24 @@ class TestAblate:
         assert code == 0
         header, rows = read_table(out / "ablation.tsv")
         assert [r[0] for r in rows] == [f"scheme_{s}" for s in sc.SCHEMES]
+
+    @pytest.mark.parametrize("flags, payload", [
+        (["--w0", "0.3"], None), (["--w-beta", "0.3"], None), (["--scheme", "uan"], None),
+        ([], {"scheme": "uan"}), ([], {"w0": 0.3}), ([], {"w_beta": 0.3}),
+        ([], {"w_alpha_start": 1.2})], ids=["w0", "w_beta", "scheme", "file_scheme",
+                                            "file_w0", "file_w_beta", "file_w_alpha_start"])
+    def test_scoring_ablation_refuses_what_it_would_drop(self, tmp_path, capsys,
+                                                         flags, payload):
+        if payload is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(payload))
+            flags = ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--ablation", "scoring", *flags, "--seeds", "1",
+                     "--steps", "2", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: ablate --ablation scoring runs each scheme at its default "
+            "thresholds: drop scheme, w0, w_beta and w_alpha_start\n")
+        assert not out.exists()
 
     def test_scheme_variants_use_native_threshold_ranges(self):
         cfg = cli.benchmark_config()

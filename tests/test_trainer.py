@@ -59,6 +59,22 @@ class TestConfig:
             TrainConfig(scheme="ours_no_d", w0=1.5)
         TrainConfig(scheme="ours", w0=1.5)
 
+    @pytest.mark.parametrize("scheme, want", [
+        ("ours", (1.0, 0.8, 1.5)), ("uan", (0.0, -0.19999999999999996, 0.5)),
+        ("entropy", (0.5, 0.4, 0.75)), ("ours_no_d", (0.5, 0.4, 0.75)),
+        ("ours_no_maxy", (0.5, 0.4, 0.75))])
+    def test_unset_thresholds_are_the_readmes_literals(self, scheme, want):
+        cfg = TrainConfig(scheme=scheme)
+        got = (cfg.w0, cfg.w_beta, cfg.w_alpha_start)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert cli.scheme_defaults(tiny_cfg(), scheme) == tiny_cfg(scheme=scheme)
+
+    def test_set_thresholds_win_until_scheme_defaults_resets_them(self):
+        cfg = TrainConfig(scheme="uan", w_beta=0.1, w_alpha_start=0.9)
+        assert (cfg.w0, cfg.w_beta, cfg.w_alpha_start) == (0.0, 0.1, 0.9)
+        for scheme in sc.SCHEMES:
+            assert cli.scheme_defaults(cfg, scheme) == TrainConfig(scheme=scheme)
+
     def test_round_trips_through_dict(self):
         cfg = tiny_cfg(gamma=0.3, static_w_alpha=1.2)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
