@@ -70,12 +70,12 @@ def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
                    out_dir: Path) -> ev.EvalReport:
     """Train, evaluate and write every artifact of one run.  A run that
     fails before its artifacts are written leaves no directory."""
-    model, records = tr.train(src, tgt, cfg)
+    model, log = tr.train(src, tgt, cfg)
     report = ev.evaluate(model, tgt, spec, cfg.w0, cfg.scheme)
     scores = sc.concat([sc.score_batch(model, src.features, cfg.scheme), report.scores])
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    tr.write_metrics(out_dir / "metrics.jsonl", records)
+    tr.write_metrics(out_dir / "metrics.jsonl", log)
     md.save_checkpoint(model, out_dir / "checkpoint.txt")
     (out_dir / "config.json").write_text(
         json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -253,11 +253,14 @@ def cmd_ablate(args) -> int:
                               "thresholds: drop scheme, w0, w_beta and w_alpha_start")
         variants = [(f"scheme_{s}", scheme_defaults(cfg, s)) for s in sc.SCHEMES]
     elif args.ablation == "pseudo":
+        # the static thresholds are fractions of the scheme's range, named
+        # by their value under ``ours``' [0, 2]
         variants = [
             ("full", cfg),
             ("no_pseudo_labels", replace(cfg, pseudo_labels=False)),
-            ("w_alpha_0", replace(cfg, static_w_alpha=0.0)),
-            ("static_w_alpha_1.2", replace(cfg, static_w_alpha=1.2)),
+            ("w_alpha_0", replace(cfg, static_w_alpha=sc.range_point(cfg.scheme, 0.0))),
+            ("static_w_alpha_1.2",
+             replace(cfg, static_w_alpha=sc.range_point(cfg.scheme, 0.6))),
         ]
     else:
         variants = [

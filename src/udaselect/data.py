@@ -6,11 +6,12 @@ noise inflation).  Label ids are dense integers with the label-set
 partition deciding which ids appear in which domain.
 
 Feature files are streamed: a chunked pass counts the lines, and
-numpy's C reader parses the body straight from the open file, so no
-copy of the whole text or list of its lines is held.  The per-line row
-walk ``_parse_rows`` stays the definition of a valid file and of each
-error's text and line number: ``load_features`` falls back to it
-whenever the C reader raises, warns or returns another row count.
+numpy's C reader parses the body straight from the open file into one
+table whose columns are the returned arrays, so no copy of the whole
+text, list of its lines or second copy of the table is held.  The
+per-line row walk ``_parse_rows`` stays the definition of a valid file
+and of each error's text and line number: ``load_features`` falls back
+to it whenever the C reader raises, warns or returns another row count.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def gen_synthetic(spec: LabelSetSpec, dim: int, per_class: int,
     target blobs std ``shift.noise``.  Shared-class target blobs are the
     source blobs pushed through the affine shift; private classes get
     fresh centers.  Identical seeds reproduce identical datasets
-    bit-for-bit.
+    bit-for-bit.  Each class is drawn straight into its block of the
+    preallocated source or target rows, so no class is held twice.
     """
     if dim < 2:
         raise ConfigError(f"dim must be >= 2, got {dim}")
@@ -137,25 +139,25 @@ def gen_synthetic(spec: LabelSetSpec, dim: int, per_class: int,
     direction /= np.linalg.norm(direction)
     offset = shift.translation * direction
 
-    def _sample(center, n, std):
-        return center[None, :] + rng.normal(0.0, std, size=(n, dim))
+    def _blobs(x, labels, std):
+        """Each class's blob into its ``per_class`` rows of ``x``, in the
+        order of ``labels``; returns the blocks."""
+        blocks = x.reshape(len(labels), per_class, dim)
+        for y, block in zip(labels, blocks):
+            np.add(centers[y], rng.normal(0.0, std, size=(per_class, dim)), out=block)
+        return blocks
 
-    src_x, src_y = [], []
-    for y in spec.source_labels:
-        src_x.append(_sample(centers[y], per_class, 1.0))
-        src_y.append(np.full(per_class, y))
+    src_ids = spec.source_labels
+    tgt_ids = spec.shared + spec.target_private
+    src_x = np.empty((len(src_ids) * per_class, dim))
+    tgt_x = np.empty((len(tgt_ids) * per_class, dim))
+    _blobs(src_x, src_ids, 1.0)
+    for block in _blobs(tgt_x, tgt_ids, shift.noise)[:len(spec.shared)]:
+        np.matmul(shift.scale * block, rot.T, out=block)
+        block += offset
 
-    tgt_x, tgt_y = [], []
-    for y in spec.shared:
-        raw = _sample(centers[y], per_class, shift.noise)
-        tgt_x.append(shift.scale * raw @ rot.T + offset)
-        tgt_y.append(np.full(per_class, y))
-    for y in spec.target_private:
-        tgt_x.append(_sample(centers[y], per_class, shift.noise))
-        tgt_y.append(np.full(per_class, y))
-
-    source = DomainDataset(np.concatenate(src_x), np.concatenate(src_y))
-    target = DomainDataset(np.concatenate(tgt_x), np.concatenate(tgt_y))
+    source = DomainDataset(src_x, np.repeat(np.array(src_ids, dtype=np.int64), per_class))
+    target = DomainDataset(tgt_x, np.repeat(np.array(tgt_ids, dtype=np.int64), per_class))
     return source, target
 
 
@@ -210,8 +212,15 @@ def load_features(path) -> DomainDataset:
     value the C reader accepts is bit-identical to ``float()``'s.  The C
     reader breaks lines only at ``\n``, so another ``splitlines``
     boundary (say ``\f`` or ``\u2028``) inside the text leaves it short
-    of the count; one that ends the text adds a line for neither.  A
-    file that is not valid text raises ``FeatureFileError`` too.
+    of the count; one that ends the text adds a line for neither.  It
+    therefore never sees more rows than the count, and ``max_rows``
+    lets it allocate its table once at that size.  A file that is not
+    valid text raises ``FeatureFileError`` too.
+
+    The C reader's features and labels are returned as views of its
+    one table, not copied: each feature row is followed by its label,
+    so the feature rows are ``dim + 1`` floats apart and reach BLAS with
+    a leading dimension of ``dim + 1``.  The row walk's are contiguous.
     """
     try:
         with open(path) as fh:
@@ -223,11 +232,12 @@ def load_features(path) -> DomainDataset:
                     warnings.simplefilter("error")
                     # comments=None: the default "#" would cut a field short
                     table = np.loadtxt(fh, dtype=[("x", np.float64, (dim,)), ("y", np.int64)],
-                                       delimiter="\t", comments=None, ndmin=1)
+                                       delimiter="\t", comments=None, ndmin=1,
+                                       max_rows=n_lines - 1)
             except (ValueError, Warning):
                 table = None
             if table is not None and table.shape == (n_lines - 1,):
-                return DomainDataset(np.ascontiguousarray(table["x"]), table["y"].copy())
+                return DomainDataset(table["x"], table["y"])
             fh.seek(0)
             return _parse_rows(path, fh.read().splitlines()[1:], dim)
     except UnicodeDecodeError as exc:

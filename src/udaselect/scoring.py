@@ -35,6 +35,12 @@ def check_in_range(scheme: str, name: str, value: float) -> None:
         raise ConfigError(f"{name}={value} outside [{lo}, {hi}] for scheme {scheme!r}")
 
 
+def range_point(scheme: str, frac: float) -> float:
+    """The point a fraction ``frac`` of the way through the scheme's score range."""
+    lo, hi = SCHEME_RANGES[scheme]
+    return lo + frac * (hi - lo)
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """Score columns of a batch, one entry (``y_bar``: one row) per sample."""

@@ -84,11 +84,12 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.scheme not in sc.SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        lo, hi = sc.SCHEME_RANGES[self.scheme]
         for name, frac in THRESHOLD_FRACTIONS.items():
             if getattr(self, name) is None:
-                object.__setattr__(self, name, lo + frac * (hi - lo))
+                object.__setattr__(self, name, sc.range_point(self.scheme, frac))
         sc.check_in_range(self.scheme, "w0", self.w0)
+        if self.static_w_alpha is not None:
+            sc.check_in_range(self.scheme, "static_w_alpha", self.static_w_alpha)
         if self.total_steps < 0:
             raise ConfigError("total_steps must be >= 0")
         if self.seed < 0:
@@ -129,30 +130,26 @@ class TrainConfig:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
-@dataclass(frozen=True)
-class StepRecord(ls.LossBreakdown):
-    """One metrics-log line: a step's ``LossBreakdown``, index and applied threshold."""
-
-    step: int
-    w_alpha: float | None
+#: one ``TrainState.log`` row per step: the step's ``LossBreakdown`` and
+#: its applied pseudo-label threshold, NaN where none applies
+LOG_DTYPE = np.dtype([("l_c", np.float64), ("l_bd", np.float64), ("l_d", np.float64),
+                      ("total", np.float64), ("n_pseudo_selected", np.int64),
+                      ("n_diversity_selected", np.int64), ("w_alpha", np.float64)])
 
 
 @dataclass
 class TrainState:
     """The model, the flat momentum buffer ``v`` (laid out like
-    ``model.values``) and one record per step taken."""
+    ``model.values``), the step log with one row per step of the budget,
+    and the index ``t`` of the next step: rows before ``t`` are written."""
 
     model: ModelBundle
-    records: list = field(default_factory=list)
+    log: np.ndarray
+    t: int = 0
     v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.v = np.zeros_like(self.model.values)
-
-    @property
-    def t(self) -> int:
-        """The index of the next step."""
-        return len(self.records)
 
 
 def w_alpha(t: int, total_steps: int, w0: float, start: float = 1.5) -> float:
@@ -179,7 +176,8 @@ def build_model(input_dim: int, class_ids: tuple[int, ...],
 
 def init_state(src: DomainDataset, cfg: TrainConfig) -> TrainState:
     class_ids = tuple(sorted({int(y) for y in src.labels.tolist()}))
-    return TrainState(model=build_model(src.dim, class_ids, cfg))
+    return TrainState(model=build_model(src.dim, class_ids, cfg),
+                      log=np.zeros(cfg.total_steps, LOG_DTYPE))
 
 
 def _applied_w_alpha(cfg: TrainConfig, t: int) -> float | None:
@@ -253,15 +251,16 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
 
 def train_step(state: TrainState, batch: DomainBatch,
                cfg: TrainConfig) -> ls.LossBreakdown:
-    """One forward/backward/SGD step; returns the loss breakdown.
+    """One forward/backward/SGD step; writes log row ``t``, advances ``t``
+    and returns the loss breakdown.
 
     A non-finite value replays the step on ``engine_loss``, so the
     ``NumericError`` names the op and the step index; a failed step
-    leaves the parameters, the momentum and the records as they were.
+    leaves the parameters, the momentum, the log and ``t`` as they were.
     One ``np.errstate`` covers the whole step: no numpy warning escapes.
     """
-    if state.t >= cfg.total_steps:
-        raise ContractError(f"step {state.t} out of budget T={cfg.total_steps}")
+    if state.t >= len(state.log):
+        raise ContractError(f"step {state.t} out of budget T={len(state.log)}")
     m = state.model
     w_a = _applied_w_alpha(cfg, state.t)
     args = (m, batch, m.class_index(batch.source_y), grl_coefficient(cfg, state.t),
@@ -282,24 +281,32 @@ def train_step(state: TrainState, batch: DomainBatch,
         state.v += m.grads
         m.values -= cfg.lr * state.v
 
-    state.records.append(StepRecord(**breakdown.__dict__, step=state.t, w_alpha=w_a))
+    b = breakdown
+    state.log[state.t] = (b.l_c, b.l_bd, b.l_d, b.total, b.n_pseudo_selected,
+                          b.n_diversity_selected, math.nan if w_a is None else w_a)
+    state.t += 1
     return breakdown
 
 
 def train(src: DomainDataset, tgt: DomainDataset,
-          cfg: TrainConfig) -> tuple[ModelBundle, list[StepRecord]]:
-    """Run the full loop; (seed, cfg, data) determine the result exactly."""
+          cfg: TrainConfig) -> tuple[ModelBundle, np.ndarray]:
+    """Run the full loop; (seed, cfg, data) determine the result exactly.
+    Returns the model and the rows of the log written, one per step."""
     state = init_state(src, cfg)
     rng = np.random.default_rng([cfg.seed, 1])
     for _ in range(cfg.total_steps):
         batch = sample_batch(src, tgt, cfg.batch_size, rng)
         train_step(state, batch, cfg)
-    return state.model, state.records
+    return state.model, state.log[:state.t]
 
 
-def write_metrics(path, records: list[StepRecord]) -> None:
-    """Line-delimited JSON, one record per training step."""
+def write_metrics(path, log: np.ndarray) -> None:
+    """Line-delimited JSON, one record per row of a ``LOG_DTYPE`` log: its
+    fields, the row index as ``step`` and a NaN ``w_alpha`` as null."""
     encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(sort_keys=True) uses
     with open(path, "w") as fh:
-        for r in records:
-            fh.write(encode(r.__dict__) + "\n")
+        for step, row in enumerate(log.tolist()):
+            rec = dict(zip(LOG_DTYPE.names, row), step=step)
+            if math.isnan(rec["w_alpha"]):
+                rec["w_alpha"] = None
+            fh.write(encode(rec) + "\n")

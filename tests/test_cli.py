@@ -191,6 +191,7 @@ class TestTrain:
         ("--lr", "inf", "lr must be finite, got inf"),
         ("--grl-lambda", "nan", "grl_lambda must be finite, got nan"),
         ("--static-w-alpha", "inf", "static_w_alpha must be finite, got inf"),
+        ("--static-w-alpha", "5", "static_w_alpha=5.0 outside [0.0, 2.0] for scheme 'ours'"),
         ("--seed", "-1", "seed must be >= 0, got -1")])
     def test_odd_batch_size_exits_2_without_run_dir(self, tmp_path, capsys,
                                                     flag, value, message):
@@ -737,6 +738,18 @@ class TestAblate:
         want = cli.scheme_defaults(cli.benchmark_config(), "uan")
         assert (cfg["w0"], cfg["w_beta"], cfg["w_alpha_start"]) == (
             want.w0, want.w_beta, want.w_alpha_start) == (0.0, pytest.approx(-0.2), 0.5)
+
+    @pytest.mark.parametrize("scheme, statics", [("ours", (0.0, 1.2)),
+                                                 ("uan", (-1.0, 0.19999999999999996))])
+    def test_pseudo_static_variants_are_fractions_of_the_range(self, tmp_path,
+                                                               scheme, statics):
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--ablation", "pseudo", "--scheme", scheme, "--seeds", "1",
+                     "--steps", "2", "--out", str(out)]) == 0
+        lo, hi = sc.SCHEME_RANGES[scheme]
+        for name, want in zip(("w_alpha_0", "static_w_alpha_1.2"), statics):
+            got = json.loads((out / f"{name}_seed0" / "config.json").read_text())
+            assert got["static_w_alpha"] == want and lo <= want <= hi
 
     def test_diversity_ablation_rows(self, tmp_path):
         out = tmp_path / "ablate"

@@ -10,6 +10,39 @@ from udaselect.data import LabelSetSpec, ShiftConfig
 from udaselect.errors import ConfigError, ContractError, FeatureFileError
 
 
+def traced_peak(fn):
+    """``fn()`` and the peak of the bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def nbytes(*datasets):
+    return sum(d.features.nbytes + d.labels.nbytes for d in datasets)
+
+
+def gen_by_class_lists(spec, dim, per_class, shift, seed):
+    """``gen_synthetic``'s draws and arithmetic, one array per class,
+    concatenated at the end."""
+    rng = np.random.default_rng(seed)
+    centers = {y: rng.normal(0.0, 3.0, size=dim) for y in spec.all_labels}
+    rot = dt._rotation_matrix(dim, shift.rotation, rng)
+    direction = rng.normal(size=dim)
+    offset = shift.translation * (direction / np.linalg.norm(direction))
+
+    def blob(y, std):
+        return centers[y][None, :] + rng.normal(0.0, std, size=(per_class, dim))
+
+    src_x = [blob(y, 1.0) for y in spec.source_labels]
+    tgt_x = [shift.scale * blob(y, shift.noise) @ rot.T + offset for y in spec.shared]
+    tgt_x += [blob(y, shift.noise) for y in spec.target_private]
+    tgt_y = (*spec.shared, *spec.target_private)
+    return ((np.concatenate(src_x), np.repeat(spec.source_labels, per_class)),
+            (np.concatenate(tgt_x), np.repeat(tgt_y, per_class)))
+
+
 class TestLabelSetSpec:
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ConfigError):
@@ -75,6 +108,27 @@ class TestGenSynthetic:
         with pytest.raises(ConfigError):
             dt.gen_synthetic(dt.benchmark_label_spec(), 1, 5,
                              ShiftConfig(), seed=0)
+
+    @pytest.mark.parametrize("spec, per_class, shift", [
+        (dt.benchmark_label_spec(), 60, dt.benchmark_shift()),
+        (dt.benchmark_label_spec(), 1, dt.benchmark_shift()),
+        (LabelSetSpec(shared=(3, 0), source_private=(9,)), 7,
+         ShiftConfig(rotation=1.1, translation=0.3, scale=2.5, noise=0.7)),
+        (LabelSetSpec(shared=(), source_private=(1, 2), target_private=(0,)), 5,
+         ShiftConfig())])
+    def test_in_place_blocks_equal_per_class_lists_bitwise(self, spec, per_class, shift):
+        got = dt.gen_synthetic(spec, 8, per_class, shift, seed=3)
+        for ds, (x, y) in zip(got, gen_by_class_lists(spec, 8, per_class, shift, 3)):
+            assert ds.features.tobytes() == x.tobytes()
+            assert ds.labels.dtype == np.int64
+            np.testing.assert_array_equal(ds.labels, y)
+
+    def test_peak_stays_near_its_outputs(self):
+        """Every class is drawn into its block: no class is held twice."""
+        args = (dt.benchmark_label_spec(), 8, 2000, dt.benchmark_shift())
+        dt.gen_synthetic(*args, seed=1)
+        (src, tgt), peak = traced_peak(lambda: dt.gen_synthetic(*args, seed=0))
+        assert peak < 1.25 * nbytes(src, tgt)
 
 
 class TestSampleBatch:
@@ -190,13 +244,19 @@ class TestFeatureFiles:
                                   dt.benchmark_shift(), seed=0)
         path = tmp_path / "target.features.txt"
         dt.save_features(path, tgt)
-        tracemalloc.start()
-        try:
-            dt.load_features(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: dt.load_features(path))
         assert peak < path.stat().st_size
+
+    def test_parse_peak_stays_near_the_returned_arrays(self, tmp_path):
+        """The C reader's table is allocated once at its final size, and
+        the features and labels are its columns, not copies of them."""
+        _, tgt = dt.gen_synthetic(dt.benchmark_label_spec(), 8, 2000,
+                                  dt.benchmark_shift(), seed=0)
+        path = tmp_path / "target.features.txt"
+        dt.save_features(path, tgt)
+        dt.load_features(path)
+        loaded, peak = traced_peak(lambda: dt.load_features(path))
+        assert peak < 1.25 * nbytes(loaded)
 
 
 def parse_by_row_walk(path):
@@ -287,7 +347,9 @@ class TestReaderEquivalence:
         loaded = dt.load_features(path)
         assert loaded.features.tobytes() == tgt.features.tobytes()
         assert loaded.features.shape == tgt.features.shape == (20_000, 8)
-        assert loaded.features.flags.c_contiguous
+        # views of the reader's table: each row's 8 features, then its label
+        assert loaded.features.strides == (72, 8) and loaded.labels.strides == (72,)
+        assert loaded.features.base is loaded.labels.base is not None
         assert loaded.labels.dtype == np.int64
         np.testing.assert_array_equal(loaded.labels, tgt.labels)
 

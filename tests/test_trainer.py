@@ -1,6 +1,7 @@
 """Unit tests for the training loop, schedule and optimizer contract."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -79,6 +80,12 @@ class TestConfig:
         cfg = tiny_cfg(gamma=0.3, static_w_alpha=1.2)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_static_w_alpha_must_lie_in_the_schemes_range(self):
+        with pytest.raises(ConfigError,
+                           match=r"static_w_alpha=1.2 outside \[-1.0, 1.0\] for scheme 'uan'"):
+            TrainConfig(scheme="uan", static_w_alpha=1.2)
+        assert TrainConfig(scheme="uan", static_w_alpha=-1.0).static_w_alpha == -1.0
+
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
             TrainConfig(scheme="magic")
@@ -122,23 +129,24 @@ class TestTrain:
     def test_zero_steps_returns_initialized_model(self):
         src, tgt = tiny_data()
         cfg = tiny_cfg(total_steps=0)
-        model, records = tr.train(src, tgt, cfg)
+        model, log = tr.train(src, tgt, cfg)
         fresh = tr.init_state(src, cfg).model
-        assert records == []
+        assert log.shape == (0,) and log.dtype == tr.LOG_DTYPE
         for (_, a), (_, b) in zip(model.parameters(), fresh.parameters()):
             np.testing.assert_array_equal(a.value, b.value)
 
     def test_metrics_log_has_one_record_per_step(self):
         src, tgt = tiny_data()
-        _, records = tr.train(src, tgt, tiny_cfg(total_steps=13))
-        assert [r.step for r in records] == list(range(13))
+        _, log = tr.train(src, tgt, tiny_cfg(total_steps=13))
+        assert log.shape == (13,)
+        assert (log["total"] > 0).all()
 
     def test_determinism(self):
         src, tgt = tiny_data()
         cfg = tiny_cfg(total_steps=15)
         m1, r1 = tr.train(src, tgt, cfg)
         m2, r2 = tr.train(src, tgt, cfg)
-        assert [rec.total for rec in r1] == [rec.total for rec in r2]
+        assert r1.tobytes() == r2.tobytes()
         for (_, a), (_, b) in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(a.value, b.value)
 
@@ -157,6 +165,73 @@ class TestTrain:
         # in the second forward pass
         with pytest.raises(NumericError, match="step "):
             tr.train(src, tgt, tiny_cfg(total_steps=20, lr=1e200))
+
+
+class TestStepLog:
+    """``TrainState.log`` holds one ``LOG_DTYPE`` row per step of the budget."""
+
+    def test_row_t_holds_the_steps_breakdown_and_threshold(self):
+        src, tgt = tiny_data()
+        cfg = tiny_cfg(total_steps=3)
+        state = tr.init_state(src, cfg)
+        assert state.log.shape == (3,) and state.log.dtype == tr.LOG_DTYPE
+        rng = np.random.default_rng(0)
+        for t in range(3):
+            b = tr.train_step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+            assert state.t == t + 1
+            assert state.log[t].tolist() == (
+                b.l_c, b.l_bd, b.l_d, b.total, b.n_pseudo_selected,
+                b.n_diversity_selected, tr.w_alpha(t, 3, cfg.w0, cfg.w_alpha_start))
+
+    def test_failed_step_leaves_log_and_t_untouched(self):
+        src, tgt = tiny_data()
+        cfg = tiny_cfg(total_steps=3)
+        state = tr.init_state(src, cfg)
+        rng = np.random.default_rng(0)
+        tr.train_step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+        log = state.log.copy()
+        state.model.f.weights[0].value[...] = np.finfo(float).max
+        with pytest.raises(NumericError, match="step 1: "):
+            tr.train_step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+        assert state.t == 1
+        assert state.log.tobytes() == log.tobytes()
+
+    def test_full_log_raises_out_of_budget(self):
+        src, tgt = tiny_data()
+        cfg = tiny_cfg(total_steps=2)
+        state = tr.init_state(src, cfg)
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            tr.train_step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+        log = state.log.copy()
+        with pytest.raises(ContractError, match="step 2 out of budget T=2"):
+            tr.train_step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+        assert state.t == 2 and state.log.tobytes() == log.tobytes()
+
+    def test_write_metrics_lines(self, tmp_path):
+        log = np.array([(0.5, 0.0, 1.25, 1.75, 3, 0, 1.5),
+                        (-0.0, 1e-300, 2.0, 0.1, 0, 7, math.nan)], dtype=tr.LOG_DTYPE)
+        tr.write_metrics(tmp_path / "metrics.jsonl", log)
+        assert (tmp_path / "metrics.jsonl").read_text() == (
+            '{"l_bd": 0.0, "l_c": 0.5, "l_d": 1.25, "n_diversity_selected": 0, '
+            '"n_pseudo_selected": 3, "step": 0, "total": 1.75, "w_alpha": 1.5}\n'
+            '{"l_bd": 1e-300, "l_c": -0.0, "l_d": 2.0, "n_diversity_selected": 7, '
+            '"n_pseudo_selected": 0, "step": 1, "total": 0.1, "w_alpha": null}\n')
+
+    def test_benchmark_train_retains_under_half_a_megabyte(self):
+        """A 3000-step run keeps its model and one 56-byte row per step,
+        not a Python object per step."""
+        cfg = cli.benchmark_config()
+        src, tgt, _ = cli.make_benchmark(cfg)
+        tr.train(src, tgt, replace(cfg, total_steps=2))
+        tracemalloc.start()
+        try:
+            result = tr.train(src, tgt, cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(result[1]) == 3000
+        assert retained < 0.5e6
 
 
 class TestOptimizerContract:
@@ -183,15 +258,15 @@ class TestOptimizerContract:
 
     def test_diversity_off_removes_its_contribution(self):
         src, tgt = tiny_data()
-        _, recs = tr.train(src, tgt, tiny_cfg(diversity_mode="off"))
-        assert all(r.l_bd == 0.0 and r.n_diversity_selected == 0 for r in recs)
+        _, log = tr.train(src, tgt, tiny_cfg(diversity_mode="off"))
+        assert (log["l_bd"] == 0.0).all() and (log["n_diversity_selected"] == 0).all()
 
     def test_dann_style_reduction(self):
         src, tgt = tiny_data()
-        _, recs = tr.train(src, tgt, tiny_cfg(pseudo_labels=False,
-                                              diversity_mode="off"))
-        assert all(r.l_bd == 0.0 and r.n_pseudo_selected == 0 for r in recs)
-        assert all(r.w_alpha is None for r in recs)
+        _, log = tr.train(src, tgt, tiny_cfg(pseudo_labels=False,
+                                             diversity_mode="off"))
+        assert (log["l_bd"] == 0.0).all() and (log["n_pseudo_selected"] == 0).all()
+        assert np.isnan(log["w_alpha"]).all()
 
 
 class TestFlatMomentum:
@@ -263,12 +338,12 @@ class TestBackwardOracleOnEngineGraph:
         cfg = cli.scheme_defaults(
             cli.benchmark_config(total_steps=5, diversity_mode=mode), scheme)
         src, tgt, _ = cli.make_benchmark(cfg)
-        _, recs = tr.train(src, tgt, cfg)
+        _, log = tr.train(src, tgt, cfg)
         # every step's graph reaches all 10 parameters
         assert checked == [10] * cfg.total_steps
         if mode == "both":
-            assert any(r.n_pseudo_selected for r in recs)
-            assert any(r.n_diversity_selected for r in recs)
+            assert log["n_pseudo_selected"].any()
+            assert log["n_diversity_selected"].any()
 
 
 def bits(a):
@@ -337,10 +412,10 @@ class TestNumericErrorReplay:
 
     def check(self, monkeypatch, state, batch, cfg):
         m = state.model
-        before = (state.t, m.values.copy(), state.v.copy(), list(state.records))
+        before = (state.t, m.values.copy(), state.v.copy(), state.log.copy())
         with pytest.raises(NumericError) as fused:
             tr.train_step(state, batch, cfg)
-        assert state.t == before[0] and state.records == before[3]
+        assert state.t == before[0] and state.log.tobytes() == before[3].tobytes()
         np.testing.assert_array_equal(bits(m.values), bits(before[1]))
         np.testing.assert_array_equal(bits(state.v), bits(before[2]))
         with monkeypatch.context() as mp:
@@ -416,7 +491,7 @@ class TestStepTape:
         monkeypatch.setattr(tr, "step_op", non_finite)
         replayed, per_step = self.nodes_per_step(monkeypatch, 3)
         assert all(len(nodes) > 40 for nodes in per_step)
-        assert replayed.records == plain.records
+        assert replayed.t == plain.t and replayed.log.tobytes() == plain.log.tobytes()
         np.testing.assert_array_equal(bits(replayed.model.values), bits(plain.model.values))
         np.testing.assert_array_equal(bits(replayed.v), bits(plain.v))
 
@@ -466,9 +541,9 @@ class TestGrlSchedule:
 class TestMetricsIo:
     def test_write_metrics_jsonl(self, tmp_path):
         src, tgt = tiny_data()
-        _, records = tr.train(src, tgt, tiny_cfg(total_steps=3))
+        _, log = tr.train(src, tgt, tiny_cfg(total_steps=3))
         path = tmp_path / "metrics.jsonl"
-        tr.write_metrics(path, records)
+        tr.write_metrics(path, log)
         import json
         lines = path.read_text().splitlines()
         assert len(lines) == 3

@@ -8,7 +8,7 @@ It trains and evaluates, in a temporary directory, with the ``udaselect``
 found in ``--src`` (default: this checkout's ``src/``), and prints one
 ``name<TAB>sha256`` line per artifact, sorted by name, then the sha256
 of those lines.  Running it on two commits and comparing the last line
-is the byte-identity check.  The 114 artifacts are:
+is the byte-identity check.  The 119 artifacts are:
 
 - ``<scheme>_s<seed>/<file>``: the 8 files of
   ``run_experiment`` for ``scheme_defaults(benchmark_config(seed=seed,
@@ -25,13 +25,18 @@ is the byte-identity check.  The 114 artifacts are:
 - ``eval_large/<scheme>.scores``: the raw bytes of every column of
   ``score_batch`` of that checkpoint on that target, in ``ScoreTable``
   field order.  A report moves only when a decision flips; these move
-  with any bit of a score of any of the 20k rows.
+  with any bit of a score of any of the 20k rows;
+- ``eval_large_file/<scheme>.scores``: the same columns for that target
+  after ``save_features`` and ``load_features``, the path ``udaselect
+  eval`` takes: the parsed features are views of the reader's table,
+  so this scores strided rows.
 
 Every run is named ``r``, because ``manifest.json`` records the name.
-The last line reads ``114 artifacts, list sha256 2f56b38d…9aee``.
-Before the score columns were added it read ``109 artifacts, list
-sha256 02d7794f…cda2``, and before the two variants ``93 artifacts,
-list sha256 be11c31f…e8c``.
+``tests/test_artifact_digests.py`` holds the last line per known host.
+Before the file-read scores were added it read ``114 artifacts, list
+sha256 2f56b38d…9aee``, before the score columns ``109 artifacts,
+list sha256 02d7794f…cda2``, and before the two variants ``93
+artifacts, list sha256 be11c31f…e8c``.
 """
 
 from __future__ import annotations
@@ -82,13 +87,20 @@ def digests(work: Path) -> dict[str, str]:
     spec = dt.benchmark_label_spec()
     _, tgt = dt.gen_synthetic(spec, dim=8, per_class=EVAL_PER_CLASS,
                               shift=dt.benchmark_shift(), seed=0)
+    dt.save_features(work / "target.features.txt", tgt)
+    parsed = dt.load_features(work / "target.features.txt")
+
+    def columns(x, scheme: str) -> str:
+        scores = sc.score_batch(model, x, scheme)
+        return sha256(b"".join(getattr(scores, f.name).tobytes()
+                               for f in fields(sc.ScoreTable)))
+
     for scheme in sc.SCHEMES:
         w0 = cli.scheme_defaults(full, scheme).w0
         report = ev.evaluate(model, tgt, spec, w0, scheme)
         out[f"eval_large/{scheme}"] = sha256(report.to_json().encode())
-        scores = sc.score_batch(model, tgt.features, scheme)
-        out[f"eval_large/{scheme}.scores"] = sha256(b"".join(
-            getattr(scores, f.name).tobytes() for f in fields(sc.ScoreTable)))
+        out[f"eval_large/{scheme}.scores"] = columns(tgt.features, scheme)
+        out[f"eval_large_file/{scheme}.scores"] = columns(parsed.features, scheme)
     return out
 
 
