@@ -163,7 +163,13 @@ def gen_synthetic(spec: LabelSetSpec, dim: int, per_class: int,
 
 def sample_batch(src: DomainDataset, tgt: DomainDataset, batch_size: int,
                  rng: np.random.Generator) -> DomainBatch:
-    """Equal halves drawn uniformly with replacement from each domain."""
+    """Equal halves drawn uniformly with replacement from each domain.
+
+    The source indices are drawn first, then the target's, each by one
+    ``integers`` call with a scalar bound; ``take`` gathers the rows.
+    (One call with the bounds ``((src.n,), (tgt.n,))`` draws the same
+    stream, but numpy's array-bound path checks the bounds with three
+    ``np.any`` reductions and is slower for a 32-row half.)"""
     if batch_size < 2 or batch_size % 2 != 0:
         raise ContractError(f"batch_size must be even and >= 2, got {batch_size}")
     if src.n == 0 or tgt.n == 0:
@@ -171,8 +177,8 @@ def sample_batch(src: DomainDataset, tgt: DomainDataset, batch_size: int,
     half = batch_size // 2
     si = rng.integers(0, src.n, size=half)
     ti = rng.integers(0, tgt.n, size=half)
-    return DomainBatch(source_x=src.features[si], source_y=src.labels[si],
-                       target_x=tgt.features[ti])
+    return DomainBatch(source_x=src.features.take(si, axis=0), source_y=src.labels.take(si),
+                       target_x=tgt.features.take(ti, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -64,38 +64,54 @@ def decide(w: np.ndarray, y_bar: np.ndarray, w0: float,
            class_ids: tuple[int, ...]) -> np.ndarray:
     """Apply the rejection rule per sample: the argmax class of its row of
     ``y_bar`` (ties -> lowest index) iff its score in ``w`` exceeds w0,
-    else the unknown symbol."""
-    return np.where(w > w0, np.asarray(class_ids)[np.argmax(y_bar, axis=-1)], TAU)
+    else the unknown symbol.
+
+    The argmax array is the output: ``take`` maps it to class ids in
+    place (``mode="clip"``, which an argmax never needs, keeps numpy from
+    buffering ``out``), and the rejected entries are set to ``TAU``."""
+    out = np.asarray(np.argmax(y_bar, axis=-1))  # 0-d for a lone row
+    np.take(np.asarray(class_ids), out, out=out, mode="clip")
+    out[~(w > w0)] = TAU
+    return out
 
 
 def evaluate(m: ModelBundle, tgt: DomainDataset, spec: LabelSetSpec,
              w0: float, scheme: str = "ours") -> EvalReport:
     """Score, decide and compute macro recall over shared classes plus
-    unknown; the report keeps the score table."""
+    unknown; the report keeps the score table.
+
+    Each class's samples are a boolean mask over the labels (the unknown
+    class's: no shared label), so no int table of true classes is made.
+    A recall is its hit count over its sample count, and the micro
+    accuracy all hits over all samples: the float means of the masks
+    divide the same integers."""
     if tgt.n == 0:
         raise ContractError("cannot evaluate on an empty target set")
     scores = sc.score_batch(m, tgt.features, scheme)
     decisions = decide(scores.w, scores.y_bar, w0, m.class_ids)
-    truth = np.where(np.isin(tgt.labels, spec.shared), tgt.labels, TAU)
 
-    eval_classes = [*spec.shared, TAU]
+    unknown = np.ones(tgt.n, dtype=bool)
+    for cls in spec.shared:
+        unknown &= tgt.labels != cls
     per_class: dict = {}
     counts: dict = {}
     recalls = []
-    for cls in eval_classes:
-        mask = truth == cls
-        counts[cls] = int(mask.sum())
+    hits = 0
+    for cls in [*spec.shared, TAU]:
+        mask = unknown if cls == TAU else tgt.labels == cls
+        counts[cls] = int(np.count_nonzero(mask))
         if counts[cls] == 0:
             warnings.warn(f"class {cls} has no test samples; excluded from the mean")
             per_class[cls] = None
             continue
-        recall = float((decisions[mask] == cls).mean())
-        per_class[cls] = recall
-        recalls.append(recall)
+        cls_hits = int(np.count_nonzero(mask & (decisions == cls)))
+        hits += cls_hits
+        per_class[cls] = cls_hits / counts[cls]
+        recalls.append(per_class[cls])
     return EvalReport(
         per_class_recall=per_class,
         average_class_accuracy=float(np.mean(recalls)),
-        micro_accuracy=float((decisions == truth).mean()),
+        micro_accuracy=hits / tgt.n,
         counts=counts,
         n_evaluated_classes=len(recalls),
         scores=scores)

@@ -60,12 +60,15 @@ class MlpSpec:
 SOFTMAX_HEAD_GAIN = 0.01
 
 
-#: rows per block of ``predict``: a 64-wide float64 activation of 1024
-#: rows is 512 KiB, so a 64x64 layer's input and output both stay in a
-#: 2 MB L2 cache.  A multiple of 4, because OpenBLAS's matrix-vector
-#: kernel takes rows in fours and the last ``n % 4`` by another path:
-#: only the last block has such a tail, the rows of the whole input's.
-_BLOCK_ROWS = 1024
+#: rows per block of ``predict``: a 64-wide float64 activation of 512
+#: rows is 256 KiB, and a layer holds its input and output at once, so
+#: the forward holds about 0.5 MiB beyond its outputs.  Smaller blocks
+#: cost time: scoring the 20k-row benchmark target (one BLAS thread, a
+#: 2-vCPU Xeon) took 19.5 ms at 1024 rows, 19.3 ms at 512 and 23.4 ms at
+#: 256.  A multiple of 4, because OpenBLAS's matrix-vector kernel takes
+#: rows in fours and the last ``n % 4`` by another path: only the last
+#: block has such a tail, the rows of the whole input's.
+_BLOCK_ROWS = 512
 
 #: rows from which ``row_max`` and ``row_sum`` fold the columns.  numpy
 #: reduces each row of a ``(n, K)`` table by its own inner-loop call, so
@@ -99,7 +102,7 @@ def row_max(a: np.ndarray) -> np.ndarray:
     out = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         np.maximum(out, a[..., j], out=out)
-    redo = ~(np.abs(out) > 0.0)
+    redo = (out == 0.0) | np.isnan(out)
     if redo.any():
         out[redo] = a[redo].max(axis=-1)
     return out
@@ -438,8 +441,9 @@ def save_checkpoint(m: ModelBundle, path) -> None:
 
 def load_checkpoint(path) -> ModelBundle:
     """Read a ``save_checkpoint`` file; each parameter must appear exactly
-    once with its declared shape and value count, or ``ConfigError``
-    names the offending line."""
+    once with its declared shape and value count, and every value must be
+    finite (``float.fromhex`` also reads ``nan`` and ``inf``), or
+    ``ConfigError`` names the offending line."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -479,6 +483,9 @@ def load_checkpoint(path) -> ModelBundle:
                                      len(tokens)).reshape(value.shape)
         except ValueError as exc:
             raise ConfigError(f"{path}:{i + 2}: bad hex float: {exc}") from exc
+        if not np.isfinite(value).all():
+            bad = tokens[int(np.argmin(np.isfinite(value.ravel())))]
+            raise ConfigError(f"{path}:{i + 2}: {name} has non-finite value {bad!r}")
         loaded.add(name)
     missing = [name for name in params if name not in loaded]
     if missing:

@@ -62,9 +62,12 @@ def entropy(p: np.ndarray) -> np.ndarray:
     bit.  Where ``md.row_sum`` folds (``md.sum_folds``: 256 rows or more
     of 2 to 7 classes), the per-class terms are added column by column
     into one value per row, in numpy's order, so no float temporary of
-    the table's shape is made; a 20k x 6 table holds 0.96 MB.  The input
-    checks are ``fmin``/``fmax`` reductions, which skip a NaN as the
-    comparisons ``p < 0`` and ``|sum - 1| > 1e-9`` do.
+    the table's shape is made; a 20k x 6 table holds 0.96 MB.  There the
+    checked ``|row_sum - 1|`` buffer holds each column's term in turn,
+    written in place by the same ufuncs, so the pass holds one row-sized
+    float array beside its output.  The input checks are
+    ``fmin``/``fmax`` reductions, which skip a NaN as the comparisons
+    ``p < 0`` and ``|sum - 1| > 1e-9`` do.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.size and np.fmin.reduce(p, axis=None) < 0:
@@ -75,10 +78,15 @@ def entropy(p: np.ndarray) -> np.ndarray:
     if not md.sum_folds(p):
         return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=-1)
     h = np.zeros(p.shape[:-1])
+    term = off
     for j in range(p.shape[-1]):
         c = p[..., j]
-        h += c * np.log(np.where(c > 0, c, 1.0))
-    return -h
+        term.fill(1.0)
+        np.copyto(term, c, where=c > 0)
+        np.log(term, out=term)
+        np.multiply(c, term, out=term)
+        h += term
+    return np.negative(h, out=h)
 
 
 def _checked(scheme: str, d, y_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +143,7 @@ def scores_from_outputs(d: np.ndarray, probs: np.ndarray, scheme: str) -> np.nda
 def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
     """Score every row of ``x`` under the array forward (no gradients).
 
-    ``md.predict`` runs the rows in blocks of 1024, which bounds the
+    ``md.predict`` runs the rows in blocks of 512, which bounds the
     forward's memory on large files and leaves every bit of every column
     as one forward over all of ``x`` would give it.  The scores and the
     other columns are computed once, over all rows, after the forward;

@@ -1,5 +1,7 @@
-"""``tools/bench_record.py`` checks both checkouts before it runs anything."""
+"""``tools/bench_record.py`` checks both checkouts before it runs anything,
+and gives each end-to-end metric a verdict."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +38,61 @@ def test_record_fails_on_a_dirty_checkout_before_any_run(monkeypatch, side):
         "0123456789ab-dirty" if path == checkouts[side] else "0123456789ab"))
     with pytest.raises(SystemExit, match=f"uncommitted changes in the {side} "):
         bench_record.record(checkouts, {"train_single": [1, 2]}, 1.0)
+
+
+PARENT = [10.0, 10.2, 10.1, 10.3, 9.9, 10.0, 10.2, 10.1, 10.0, 10.1]  # IQR 0.175
+
+
+@pytest.mark.parametrize("change, better, want", [
+    ([v - 1.0 for v in PARENT], "lower", "better"),
+    ([v + 1.0 for v in PARENT], "higher", "better"),
+    # 9 wins and a tie, then 8 wins and 2 ties: ties count for neither side
+    ([v - 1.0 for v in PARENT[:9]] + PARENT[9:], "lower", "better"),
+    ([v - 1.0 for v in PARENT[:8]] + PARENT[8:], "lower", "unresolved"),
+    # 8 wins and 2 losses, though the median gain is large
+    ([v - 1.0 for v in PARENT[:8]] + [v + 0.5 for v in PARENT[8:]], "lower",
+     "unresolved"),
+    # every pair won, but by less than the parent's IQR
+    ([v - 0.1 for v in PARENT], "lower", "unresolved"),
+    # a median 30% worse, past a 25% bound; 20% is inside it
+    ([v * 1.3 for v in PARENT], "lower", "worse"),
+    ([v * 0.7 for v in PARENT], "higher", "worse"),
+    ([v * 1.2 for v in PARENT], "lower", "unresolved"),
+    (PARENT, "lower", "unresolved"),
+])
+def test_verdict(change, better, want):
+    assert bench_record.verdict(PARENT, change, better, 0.25) == want
+
+
+def test_verdict_of_five_pairs_needs_all_five():
+    parent = PARENT[:5]
+    assert bench_record.verdict(parent, [v - 1.0 for v in parent], "lower", 0.05) == "better"
+    four = [v - 1.0 for v in parent[:4]] + [parent[4] + 0.1]
+    assert bench_record.verdict(parent, four, "lower", 0.05) == "unresolved"
+
+
+def test_record_gives_each_end_to_end_metric_its_verdict(monkeypatch):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+
+    def run_once(checkout, workload, seed, seconds):
+        # the change halves peak_rss_mb and doubles wall_s; the rest tie
+        values = {name: 40.0 + seed % 3 for name in names}
+        if checkout.name == "change":
+            values["peak_rss_mb"] /= 2
+            values["wall_s"] *= 2
+        return {"result": {"attempted": 1, "failed": 0, "correct": True,
+                           "metrics": {name: {"value": v, "unit": "x"}
+                                       for name, v in values.items()}},
+                "env": {}}
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.setattr(bench_record, "commit", lambda path: "0123456789ab")
+    before = (ROOT / "BENCHMARK.json").read_bytes()
+    result = bench_record.record({"parent": Path("parent"), "change": Path("change")},
+                                 {"eval_large": list(range(1, 11))}, 1.0)
+    pairs = result["workloads"]["eval_large"]["pairs"]
+    assert {name: pairs[name]["verdict"] for name in names} == {
+        **{name: "unresolved" for name in names},
+        "peak_rss_mb": "better", "wall_s": "worse"}
+    assert (ROOT / "BENCHMARK.json").read_bytes() == before

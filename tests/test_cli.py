@@ -429,6 +429,17 @@ class TestEvalFileErrors:
         assert main(eval_args(tmp_path, ckpt, tmp_path / "data/labelset.json")) == EXIT_CONFIG
         assert f"{ckpt}:1: bad checkpoint header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_checkpoint_value_exits_2(self, tmp_path, capsys, token):
+        ckpt = train_small(tmp_path)
+        lines = ckpt.read_text().splitlines()
+        lines[2] = token + " " + lines[2].split(" ", 1)[1]
+        ckpt.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(eval_args(tmp_path, ckpt, tmp_path / "data/labelset.json")) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}:3: f.w0 has non-finite value {token!r}\n")
+
     def test_target_dim_differing_from_checkpoint_exits_2(self, tmp_path, capsys):
         ckpt = train_small(tmp_path)  # trained on gen --dim 3
         main(gen_args(tmp_path / "wide", dim=4))

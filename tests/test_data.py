@@ -151,6 +151,30 @@ class TestSampleBatch:
         np.testing.assert_array_equal(b1.source_x, b2.source_x)
         np.testing.assert_array_equal(b1.target_x, b2.target_x)
 
+    @pytest.mark.parametrize("half", [1, 3, 4, 8, 25, 32])
+    @pytest.mark.parametrize("n", [1, 360, 600, 2**31, 2**32 - 1, 2**33])
+    def test_stream_is_a_source_then_a_target_draw(self, n, half):
+        class Rows:
+            """A stand-in for a table of ``n`` rows whose row i is i."""
+
+            def __len__(self):
+                return n
+
+            def take(self, idx, axis=None):
+                return idx
+
+        other = 600 if n != 600 else 360
+        src, tgt = (dt.DomainDataset(Rows(), Rows()),
+                    dt.DomainDataset(np.arange(other)[:, None], np.arange(other)))
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2):
+            batch = dt.sample_batch(src, tgt, 2 * half, rng)
+            si, ti = ref.integers(0, n, size=half), ref.integers(0, other, size=half)
+            np.testing.assert_array_equal(batch.source_x, si)
+            np.testing.assert_array_equal(batch.source_y, si)
+            np.testing.assert_array_equal(batch.target_x, ti[:, None])
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_odd_batch_rejected(self):
         src, tgt = self._pair()
         with pytest.raises(ContractError):

@@ -72,6 +72,10 @@ class TestDecide:
     def test_class_id_mapping(self):
         assert decide_one(1.5, [0.1, 0.9], 1.0, (4, 8)) == 8
 
+    @pytest.mark.parametrize("w, want", [(1.2, 5), (0.5, TAU), (np.nan, TAU)])
+    def test_a_lone_row(self, w, want):
+        assert ev.decide(np.float64(w), np.array([0.1, 0.7, 0.2]), 1.0, (4, 5, 6)) == want
+
     def test_monotone_in_w0(self):
         rng = np.random.default_rng(0)
         y = rng.dirichlet(np.ones(3), size=100)
@@ -81,14 +85,16 @@ class TestDecide:
         # raising w0 can only move decisions toward rejection
         assert np.all(hi[lo == TAU] == TAU)
 
+    @pytest.mark.parametrize("descending", [False, True])
     @pytest.mark.parametrize("zeros", [False, True])
     @pytest.mark.parametrize("k", ref.KS)
-    def test_matches_per_row_reference(self, k, zeros):
+    def test_matches_per_row_reference(self, k, zeros, descending):
         d, p = ref.softmax_inputs(k, zeros)
         w = sc.score_for_scheme("ours", d, p)
         p[0, :2] = p[0, :2].mean()  # an argmax tie
-        class_ids = tuple(range(10, 10 + 3 * k, 3))
-        for w0 in (0.0, float(w[1]), float(np.median(w)), 2.0):
+        w[2] = np.nan  # rejected: it exceeds no threshold
+        class_ids = tuple(range(10, 10 + 3 * k, 3))[::-1 if descending else 1]
+        for w0 in (0.0, float(w[1]), float(np.nanmedian(w)), 2.0):
             want = [ref.decide(wi, row, w0, class_ids) for wi, row in zip(w, p)]
             assert np.array_equal(ev.decide(w, p, w0, class_ids), want)
 

@@ -144,6 +144,15 @@ def with_class_ids(class_ids):
     return corrupt
 
 
+def with_last_value(line, token):
+    """A checkpoint corruption that replaces the last value on line
+    ``line + 1`` by ``token``."""
+    def corrupt(lines):
+        return [*lines[:line], lines[line].rsplit(" ", 1)[0] + " " + token,
+                *lines[line + 1:]]
+    return corrupt
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         m = small_bundle(9)
@@ -170,6 +179,9 @@ class TestCheckpoint:
         (lambda ls: ls[:1] + ["f.w0 1 1"] + ls[2:], ":2: f.w0 shape"),
         *((with_class_ids(ids), ":1: bad checkpoint header")
           for ids in ([0, 0, 1], [True, 1, 2], [-1, 0, 1], ["a", 0, 1])),
+        (with_last_value(2, "nan"), ":3: f.w0 has non-finite value 'nan'"),
+        (with_last_value(2, "-inf"), ":3: f.w0 has non-finite value '-inf'"),
+        (with_last_value(4, "Infinity"), ":5: f.b0 has non-finite value 'Infinity'"),
     ])
     def test_malformed_checkpoint_names_the_line(self, tmp_path, corrupt, where):
         path = tmp_path / "ckpt.txt"

@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -12,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scoring as ref
+from test_data import traced_peak
 from udaselect import cli
 from udaselect import data as dt
+from udaselect import evaluation as ev
 from udaselect import model as md
 from udaselect import scoring as sc
 from udaselect import trainer as tr
@@ -282,7 +283,7 @@ def benchmark_scoring():
     model, _ = tr.train(src, tgt, cfg)
     _, large = dt.gen_synthetic(dt.benchmark_label_spec(), dim=8, per_class=2000,
                                 shift=dt.benchmark_shift(), seed=0)
-    return model, large.features
+    return model, large
 
 
 class TestScoreBatchBlocks:
@@ -293,8 +294,8 @@ class TestScoreBatchBlocks:
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3, None],
                              ids=["1", "B-1", "B", "B+1", "2B+3", "20k"])
     def test_columns_equal_the_engine_forward_bitwise(self, benchmark_scoring, n):
-        m, x = benchmark_scoring
-        x = x[:n]
+        m, large = benchmark_scoring
+        x = large.features[:n]
         assert n is not None or len(x) == 20000
         feats = md.features(m, x)
         probs = md.label_probs(m, feats).value
@@ -332,16 +333,34 @@ class TestAgainstNumpyExpressions:
 
     def test_entropy_of_the_20k_target_holds_no_table_sized_temporary(
             self, benchmark_scoring):
-        m, x = benchmark_scoring
-        probs, _ = md.predict(m, x)
+        m, large = benchmark_scoring
+        probs, _ = md.predict(m, large.features)
         assert probs.shape == (20000, 6)
-        tracemalloc.start()
-        try:
-            sc.entropy(probs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: sc.entropy(probs))
         assert peak < probs.nbytes
+
+
+MIB = 2 ** 20
+
+
+class TestReadPathPeaks:
+    """The eval read path on the 20k-row target holds no whole-input
+    temporary: ``predict``'s two live block activations are 256 KiB each,
+    and ``evaluate`` stays near its 1.53 MiB score table."""
+
+    def test_predict_holds_little_beyond_its_outputs(self, benchmark_scoring):
+        m, large = benchmark_scoring
+        (probs, d), peak = traced_peak(lambda: md.predict(m, large.features))
+        assert peak - probs.nbytes - d.nbytes <= 0.6 * MIB
+
+    @pytest.mark.parametrize("scheme", ["ours", "uan"])
+    def test_evaluate_peak(self, benchmark_scoring, scheme):
+        m, large = benchmark_scoring
+        w0 = sc.range_point(scheme, 0.5)
+        report, peak = traced_peak(
+            lambda: ev.evaluate(m, large, dt.benchmark_label_spec(), w0, scheme))
+        assert sum(report.counts.values()) == large.n
+        assert peak < 1.9 * MIB
 
 
 class TestScoreDump:

@@ -14,7 +14,9 @@ it writes holds, per workload and side, every run's end-to-end metrics
 (``avg_class_acc`` among them) with their median and quartiles, the
 failed and attempted counts, and each side's commit and environment,
 plus, per metric, the change/parent ratio of each pair and in how many
-pairs the change read lower and higher.  ``--change`` defaults to the
+pairs the change read lower and higher.  Each end-to-end metric that
+``BENCHMARK.json`` names also gets a ``verdict`` (see ``verdict``), from
+the direction and bound the benchmark gives it.  ``--change`` defaults to the
 checkout this script is in.  Both checkouts must be git checkouts with
 no uncommitted changes to tracked files; it refuses either before any
 run.  It measures nothing itself and changes no
@@ -50,6 +52,27 @@ def summary(values: list[float]) -> dict:
     return {"values": values, "median": med, "q1": q1, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One metric's verdict over paired runs (``parent[i]`` with ``change[i]``).
+
+    ``better``: the change wins at least nine tenths of the pairs, ties
+    counting for neither side, and its median beats the parent's by more
+    than the parent's interquartile range.  ``worse``: its median is
+    worse than the parent's by more than ``bound`` times the parent's.
+    ``unresolved`` otherwise.  ``better`` is the direction the benchmark
+    gives the metric, ``"lower"`` or ``"higher"``.
+    """
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    before, after = summary(parent), summary(change)
+    gain = sign * (after["median"] - before["median"])
+    if 10 * wins >= 9 * len(parent) and gain > before["q3"] - before["q1"]:
+        return "better"
+    if -gain > bound * abs(before["median"]):
+        return "worse"
+    return "unresolved"
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``checkout``; its result and environment."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -79,6 +102,8 @@ def record(checkouts: dict[str, Path], plan: dict[str, list[int]],
     if dirty:
         raise SystemExit(f"uncommitted changes in the {' and '.join(dirty)} checkout; "
                          "commit them before recording")
+    end_to_end = {m["name"]: m for m in
+                  json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     workloads = {}
     envs: dict[str, dict] = {}
     for workload, seed_list in plan.items():
@@ -105,6 +130,9 @@ def record(checkouts: dict[str, Path], plan: dict[str, list[int]],
             pairs[name] = {"ratio": ratios,
                            "lower": sum(a < b for a, b in zip(after, before)),
                            "higher": sum(a > b for a, b in zip(after, before))}
+            if name in end_to_end:
+                pairs[name]["verdict"] = verdict(before, after, end_to_end[name]["better"],
+                                                 end_to_end[name]["bound"])
         workloads[workload] = {"seeds": seed_list, "sides": sides, "pairs": pairs}
     return {"seconds": seconds, "commits": commits, "env": envs, "workloads": workloads}
 
