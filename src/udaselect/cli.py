@@ -72,7 +72,8 @@ def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
     fails before its artifacts are written leaves no directory."""
     model, log = tr.train(src, tgt, cfg)
     report = ev.evaluate(model, tgt, spec, cfg.w0, cfg.scheme)
-    scores = sc.concat([sc.score_batch(model, src.features, cfg.scheme), report.scores])
+    domains = {"source": (sc.score_batch(model, src.features, cfg.scheme), src.labels),
+               "target": (report.scores, tgt.labels)}
 
     out_dir.mkdir(parents=True, exist_ok=True)
     tr.write_metrics(out_dir / "metrics.jsonl", log)
@@ -81,14 +82,9 @@ def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
         json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
     (out_dir / "eval.json").write_text(report.to_json() + "\n")
     (out_dir / "eval.txt").write_text(report.summary() + "\n")
-
-    is_target = np.repeat([False, True], [src.n, tgt.n])
-    labels = np.concatenate([src.labels, tgt.labels])
-    sc.write_score_dump(out_dir / "scores.tsv", scores,
-                        np.where(is_target, "target", "source"), labels)
-    # SCORE_GROUPS order: source before target, shared before private
-    groups = np.array(ev.SCORE_GROUPS)[2 * is_target + ~np.isin(labels, spec.shared)]
-    ev.export_score_distributions(out_dir / "score_hist.tsv", scores, groups, cfg.scheme)
+    sc.write_score_dump(out_dir / "scores.tsv", domains)
+    ev.export_score_distributions(out_dir / "score_hist.tsv", domains, spec.shared,
+                                  cfg.scheme)
 
     artifacts = ["config.json", "metrics.jsonl", "checkpoint.txt", "eval.json",
                  "eval.txt", "scores.tsv", "score_hist.tsv"]
@@ -236,8 +232,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    for v in values:
-        sc.check_in_range(cfg.scheme, args.param, v)
+    # ``replace`` re-runs ``TrainConfig``'s checks, so an out-of-range value exits 2 here
     variants = [(f"{args.param}_{v:g}", replace(cfg, **{_SWEEP_FIELDS[args.param]: v}))
                 for v in values]
     out_dir = Path(args.out) if args.out else default_output_root() / f"sweep_{args.param}"

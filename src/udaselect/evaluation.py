@@ -23,8 +23,6 @@ from .scoring import ScoreTable
 
 HIST_BINS = 50
 
-SCORE_GROUPS = ("source-shared", "source-private", "target-shared", "target-private")
-
 
 @dataclass
 class EvalReport:
@@ -117,22 +115,19 @@ def evaluate(m: ModelBundle, tgt: DomainDataset, spec: LabelSetSpec,
         scores=scores)
 
 
-def export_score_distributions(path, scores: ScoreTable,
-                               groups: np.ndarray, scheme: str = "ours") -> None:
+def export_score_distributions(path, domains: dict[str, tuple[ScoreTable, np.ndarray]],
+                               shared, scheme: str = "ours") -> None:
     """Fixed-bin histograms of d, max prob and w for each sample group.
 
-    ``groups`` holds each row's ``SCORE_GROUPS`` name.  One tab-delimited
-    file with columns (group, quantity, bin_lo, bin_hi, count); bins span
-    each quantity's theoretical range so exports are comparable across
-    runs.
+    ``domains`` maps each domain's name to its score table and labels.
+    For each domain in order, the rows whose label is in ``shared`` form
+    group ``<domain>-shared`` and the others ``<domain>-private``; an
+    empty group is left out.  One tab-delimited file with columns
+    (group, quantity, bin_lo, bin_hi, count); bins span each quantity's
+    theoretical range so exports are comparable across runs.
     """
-    groups = np.asarray(groups)
-    unknown = ~np.isin(groups, SCORE_GROUPS)
-    if unknown.any():
-        raise ContractError(f"unknown score group {groups[unknown][0].item()!r}")
     lo, hi = sc.SCHEME_RANGES[scheme]
     ranges = {"d": (0.0, 1.0), "max_prob": (0.0, 1.0), "w": (lo, hi)}
-    values = {"d": scores.d, "max_prob": scores.max_prob, "w": scores.w}
     edges = {qty: np.linspace(qlo, qhi, HIST_BINS + 1) for qty, (qlo, qhi) in ranges.items()}
     # each bin's "quantity<TAB>bin_lo<TAB>bin_hi<TAB>" text, formatted once
     bins = {qty: [f"{qty}\t{b_lo!r}\t{b_hi!r}\t"
@@ -140,12 +135,13 @@ def export_score_distributions(path, scores: ScoreTable,
             for qty, e in edges.items()}
     with open(path, "w") as fh:
         fh.write("group\tquantity\tbin_lo\tbin_hi\tcount\n")
-        for group in SCORE_GROUPS:
-            mask = groups == group
-            if not mask.any():
-                continue
-            for qty, (qlo, qhi) in ranges.items():
-                hist, _ = np.histogram(np.clip(values[qty][mask], qlo, qhi),
-                                       bins=edges[qty])
-                fh.writelines(f"{group}\t{text}{count}\n"
-                              for text, count in zip(bins[qty], hist.tolist()))
+        for dom, (scores, labels) in domains.items():
+            is_shared = np.isin(labels, shared)
+            for kind, mask in (("shared", is_shared), ("private", ~is_shared)):
+                if not mask.any():
+                    continue
+                for qty, (qlo, qhi) in ranges.items():
+                    hist, _ = np.histogram(np.clip(getattr(scores, qty)[mask], qlo, qhi),
+                                           bins=edges[qty])
+                    fh.writelines(f"{dom}-{kind}\t{text}{count}\n"
+                                  for text, count in zip(bins[qty], hist.tolist()))

@@ -8,7 +8,7 @@ component ablations are exposed under the same interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,10 +111,13 @@ def _scheme_score(scheme: str, d: np.ndarray, k: int, max_prob, h) -> np.ndarray
     and ``entropy``, each None where the scheme does not read it."""
     if scheme == "ours":
         return d + max_prob
-    if scheme == "uan":
-        return d - h / np.log(k)
-    if scheme == "entropy":
-        return 1.0 - h / np.log(k)
+    if scheme in ("uan", "entropy"):
+        w = h / np.log(k)
+        lead = d if scheme == "uan" else 1.0
+        # the difference goes into the fresh quotient where that has the
+        # result's shape: one row-sized array, as under ``ours``
+        fits = isinstance(w, np.ndarray) and np.broadcast(lead, w).shape == w.shape
+        return np.subtract(lead, w, out=w if fits else None)
     if scheme == "ours_no_d":
         return max_prob.copy()
     return d.copy()
@@ -171,19 +174,17 @@ def score_batch(m: ModelBundle, x: np.ndarray, scheme: str) -> ScoreTable:
                       w=_scheme_score(scheme, d, probs.shape[-1], max_prob, h))
 
 
-def concat(tables: list[ScoreTable]) -> ScoreTable:
-    """The tables' rows, in order, as one table."""
-    return ScoreTable(**{f.name: np.concatenate([getattr(t, f.name) for t in tables])
-                         for f in fields(ScoreTable)})
-
-
-def write_score_dump(path, scores: ScoreTable, domains: np.ndarray,
-                     labels: np.ndarray) -> None:
+def write_score_dump(path, domains: dict[str, tuple[ScoreTable, np.ndarray]]) -> None:
     """One tab-delimited row per sample, for external density plots: its
-    domain name, its integer class label and its score columns."""
-    rows = zip(domains.tolist(), labels.tolist(), scores.d.tolist(),
-               scores.max_prob.tolist(), scores.entropy.tolist(), scores.w.tolist())
+    domain name, its integer class label and its score columns.
+    ``domains`` maps each domain's name to its score table and labels;
+    they are written in order, with ``id`` counted across them."""
     with open(path, "w") as fh:
         fh.write("id\tdomain\tlabel\td\tmax_prob\tentropy\tw\n")
-        for i, (dom, y, d, mp, h, w) in enumerate(rows):
-            fh.write(f"{i}\t{dom}\t{y}\t{d!r}\t{mp!r}\t{h!r}\t{w!r}\n")
+        start = 0
+        for dom, (scores, labels) in domains.items():
+            rows = zip(labels.tolist(), scores.d.tolist(), scores.max_prob.tolist(),
+                       scores.entropy.tolist(), scores.w.tolist())
+            for i, (y, d, mp, h, w) in enumerate(rows, start):
+                fh.write(f"{i}\t{dom}\t{y}\t{d!r}\t{mp!r}\t{h!r}\t{w!r}\n")
+            start += len(labels)

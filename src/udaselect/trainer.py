@@ -88,6 +88,7 @@ class TrainConfig:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, sc.range_point(self.scheme, frac))
         sc.check_in_range(self.scheme, "w0", self.w0)
+        sc.check_in_range(self.scheme, "w_beta", self.w_beta)
         if self.static_w_alpha is not None:
             sc.check_in_range(self.scheme, "static_w_alpha", self.static_w_alpha)
         if self.total_steps < 0:

@@ -24,7 +24,7 @@ def test_record_fails_on_a_non_git_parent_before_any_run(tmp_path, monkeypatch):
     parent.mkdir()
     with pytest.raises(subprocess.CalledProcessError):
         bench_record.record({"parent": parent, "change": ROOT},
-                            {"train_single": [1, 2]}, 1.0)
+                            {"train_single": [1, 2]})
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])
@@ -37,7 +37,7 @@ def test_record_fails_on_a_dirty_checkout_before_any_run(monkeypatch, side):
     monkeypatch.setattr(bench_record, "commit", lambda path: (
         "0123456789ab-dirty" if path == checkouts[side] else "0123456789ab"))
     with pytest.raises(SystemExit, match=f"uncommitted changes in the {side} "):
-        bench_record.record(checkouts, {"train_single": [1, 2]}, 1.0)
+        bench_record.record(checkouts, {"train_single": [1, 2]})
 
 
 PARENT = [10.0, 10.2, 10.1, 10.3, 9.9, 10.0, 10.2, 10.1, 10.0, 10.1]  # IQR 0.175
@@ -71,6 +71,14 @@ def test_verdict_of_five_pairs_needs_all_five():
     assert bench_record.verdict(parent, four, "lower", 0.05) == "unresolved"
 
 
+def run_result(values: dict) -> dict:
+    """``run_once``'s return value for one run that read ``values``."""
+    return {"result": {"attempted": 1, "failed": 0, "correct": True,
+                       "metrics": {name: {"value": v, "unit": "x"}
+                                   for name, v in values.items()}},
+            "env": {}}
+
+
 def test_record_gives_each_end_to_end_metric_its_verdict(monkeypatch):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
@@ -81,18 +89,41 @@ def test_record_gives_each_end_to_end_metric_its_verdict(monkeypatch):
         if checkout.name == "change":
             values["peak_rss_mb"] /= 2
             values["wall_s"] *= 2
-        return {"result": {"attempted": 1, "failed": 0, "correct": True,
-                           "metrics": {name: {"value": v, "unit": "x"}
-                                       for name, v in values.items()}},
-                "env": {}}
+        return run_result(values)
 
     monkeypatch.setattr(bench_record, "run_once", run_once)
     monkeypatch.setattr(bench_record, "commit", lambda path: "0123456789ab")
     before = (ROOT / "BENCHMARK.json").read_bytes()
     result = bench_record.record({"parent": Path("parent"), "change": Path("change")},
-                                 {"eval_large": list(range(1, 11))}, 1.0)
+                                 {"eval_large": list(range(1, 11))})
     pairs = result["workloads"]["eval_large"]["pairs"]
     assert {name: pairs[name]["verdict"] for name in names} == {
         **{name: "unresolved" for name in names},
         "peak_rss_mb": "better", "wall_s": "worse"}
     assert (ROOT / "BENCHMARK.json").read_bytes() == before
+
+
+def test_record_runs_for_the_benchmarks_run_seconds(tmp_path, monkeypatch):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({**spec, "run_seconds": 7}))
+    seen = []
+
+    def run_once(checkout, workload, seed, seconds):
+        seen.append(seconds)
+        return run_result({"wall_s": 1.0})
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.setattr(bench_record, "commit", lambda path: "0123456789ab")
+    result = bench_record.record({"parent": Path("parent"), "change": Path("change")},
+                                 {"train_single": [1, 2]})
+    assert seen == [7] * 4
+    assert result["seconds"] == 7
+
+
+def test_seconds_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", "p", "--workload", "train_single=1",
+                           "--seconds", "5", "--out", "x.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seconds 5" in capsys.readouterr().err

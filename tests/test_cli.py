@@ -192,6 +192,7 @@ class TestTrain:
         ("--grl-lambda", "nan", "grl_lambda must be finite, got nan"),
         ("--static-w-alpha", "inf", "static_w_alpha must be finite, got inf"),
         ("--static-w-alpha", "5", "static_w_alpha=5.0 outside [0.0, 2.0] for scheme 'ours'"),
+        ("--w-beta", "5", "w_beta=5.0 outside [0.0, 2.0] for scheme 'ours'"),
         ("--seed", "-1", "seed must be >= 0, got -1")])
     def test_odd_batch_size_exits_2_without_run_dir(self, tmp_path, capsys,
                                                     flag, value, message):
@@ -603,8 +604,8 @@ def group_of(domain, label, spec):
 
 
 class TestRunExperimentReadSide:
-    """``run_experiment`` scores each domain once and names every row's
-    group in one array expression."""
+    """``run_experiment`` scores each domain once and hands both writers
+    each domain's table with its labels."""
 
     def run(self, tmp_path):
         cfg = cli.benchmark_config(total_steps=3)
@@ -622,18 +623,25 @@ class TestRunExperimentReadSide:
         assert rows == [tgt.n, src.n]  # evaluate's, then the source's
         assert [float(r[6]) for r in dump[src.n:]] == report.scores.w.tolist()
 
-    def test_groups_follow_the_per_row_rule(self, tmp_path, monkeypatch):
-        seen = []
-        export = ev.export_score_distributions
-        monkeypatch.setattr(ev, "export_score_distributions",
-                            lambda path, scores, groups, scheme: seen.append(groups)
-                            or export(path, scores, groups, scheme))
+    def test_histograms_follow_the_per_row_rule(self, tmp_path):
         src, tgt, spec, _, dump = self.run(tmp_path)
+        assert [r[0] for r in dump] == [str(i) for i in range(src.n + tgt.n)]
         assert [r[1] for r in dump] == ["source"] * src.n + ["target"] * tgt.n
         assert [int(r[2]) for r in dump] == [*src.labels.tolist(), *tgt.labels.tolist()]
-        want = [group_of(r[1], int(r[2]), spec) for r in dump]
-        assert seen[0].tolist() == want
-        assert set(want) == set(ev.SCORE_GROUPS)
+        groups = np.array([group_of(r[1], int(r[2]), spec) for r in dump])
+        order = ["source-shared", "source-private", "target-shared", "target-private"]
+        assert all((groups == group).any() for group in order)
+        columns = {"d": 3, "max_prob": 4, "w": 6}
+        ranges = {"d": (0.0, 1.0), "max_prob": (0.0, 1.0), "w": sc.SCHEME_RANGES["ours"]}
+        want = []
+        for group in order:
+            for qty, (lo, hi) in ranges.items():
+                values = [float(r[columns[qty]]) for r, g in zip(dump, groups) if g == group]
+                counts, edges = np.histogram(values, bins=np.linspace(lo, hi, ev.HIST_BINS + 1))
+                want += [[group, qty, repr(b_lo), repr(b_hi), str(count)] for b_lo, b_hi, count
+                         in zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())]
+        hist = (tmp_path / "r" / "score_hist.tsv").read_text().splitlines()
+        assert [line.split("\t") for line in hist[1:]] == want
 
 
 def read_table(path):
@@ -671,6 +679,17 @@ class TestSweep:
     def test_value_outside_scheme_range_rejected(self, tmp_path):
         assert main(["sweep", "--param", "w0", "--values", "2.5",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("param, field", [("w_beta", "w_beta"),
+                                              ("w_alpha_static", "static_w_alpha")])
+    def test_out_of_range_value_exits_2_naming_its_field(self, tmp_path, capsys,
+                                                         param, field):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--param", param, "--values", "1.0,5",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {field}=5.0 outside [0.0, 2.0] for scheme 'ours'\n")
+        assert not out.exists()
 
     def test_w0_sweep_table(self, tmp_path):
         out = tmp_path / "sweep"

@@ -185,13 +185,16 @@ def read_hist(path):
     return [(g, q, float(lo), float(hi), int(c)) for g, q, lo, hi, c in rows]
 
 
+SHARED = (0, 1)
+
+
 class TestExportScoreDistributions:
     def test_counts_sum_to_group_sizes(self, tmp_path):
         rng = np.random.default_rng(0)
         scores = table(rng.uniform(0, 2, size=40), rng.dirichlet(np.ones(3), size=40))
-        groups = ["target-shared"] * 25 + ["target-private"] * 15
+        labels = np.repeat([1, 0, 5], [15, 10, 15])
         path = tmp_path / "hist.tsv"
-        ev.export_score_distributions(path, scores, groups)
+        ev.export_score_distributions(path, {"target": (scores, labels)}, SHARED)
         rows = read_hist(path)
         for group, size in (("target-shared", 25), ("target-private", 15)):
             for qty in ("d", "max_prob", "w"):
@@ -201,31 +204,40 @@ class TestExportScoreDistributions:
     def test_identical_scores_occupy_single_bin(self, tmp_path):
         scores = table([1.0] * 6, [[0.5, 0.5]] * 6)
         path = tmp_path / "hist.tsv"
-        ev.export_score_distributions(path, scores, ["source-shared"] * 6)
+        ev.export_score_distributions(path, {"source": (scores, np.zeros(6, int))}, SHARED)
         occupied = [(q, c) for g, q, lo, hi, c in read_hist(path) if c > 0]
         for qty in ("d", "max_prob", "w"):
             assert [c for q, c in occupied if q == qty] == [6]
 
     def test_bin_edges_span_theoretical_ranges(self, tmp_path):
         path = tmp_path / "hist.tsv"
-        ev.export_score_distributions(path, table([0.3], [[0.9, 0.1]]), ["target-shared"])
+        ev.export_score_distributions(
+            path, {"target": (table([0.3], [[0.9, 0.1]]), np.array([1]))}, SHARED)
         rows = read_hist(path)
         w_rows = [r for r in rows if r[1] == "w"]
         assert w_rows[0][2] == 0.0 and w_rows[-1][3] == 2.0
         assert len(w_rows) == ev.HIST_BINS
 
-    def test_unknown_group_rejected(self, tmp_path):
-        with pytest.raises(ContractError):
-            ev.export_score_distributions(tmp_path / "h.tsv",
-                                          table([1.0], [[1.0, 0.0]]), ["elsewhere"])
-
     def test_uan_scheme_uses_signed_range(self, tmp_path):
         path = tmp_path / "hist.tsv"
-        ev.export_score_distributions(path, table([-0.2], [[0.5, 0.5]]),
-                                      ["target-private"], "uan")
+        ev.export_score_distributions(
+            path, {"target": (table([-0.2], [[0.5, 0.5]]), np.array([9]))}, SHARED, "uan")
         w_rows = [r for r in read_hist(path) if r[1] == "w"]
+        assert {r[0] for r in w_rows} == {"target-private"}
         assert w_rows[0][2] == -1.0 and w_rows[-1][3] == 1.0
         assert sum(c for *_, c in w_rows) == 1
+
+    def test_groups_in_domain_order_and_an_empty_group_left_out(self, tmp_path):
+        # every source label is shared, so there is no source-private group
+        path = tmp_path / "hist.tsv"
+        ev.export_score_distributions(path, {
+            "source": (table([1.0] * 3, [[0.5, 0.5]] * 3), np.array([0, 1, 1])),
+            "target": (table([1.0] * 3, [[0.5, 0.5]] * 3), np.array([5, 0, 5])),
+        }, SHARED)
+        groups = [g for g, *_ in read_hist(path)]
+        assert list(dict.fromkeys(groups)) == ["source-shared", "target-shared",
+                                               "target-private"]
+        assert len(groups) == 3 * 3 * ev.HIST_BINS
 
 
 class TestScoreOrderingOnOracle:

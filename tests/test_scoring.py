@@ -362,20 +362,40 @@ class TestReadPathPeaks:
         assert sum(report.counts.values()) == large.n
         assert peak < 1.9 * MIB
 
+    def test_score_batch_peak_is_no_higher_under_uan_and_entropy(self, benchmark_scoring):
+        # the entropy schemes' score takes its difference in place, so it
+        # holds one row-sized array beside the columns, as ``ours``' does
+        m, large = benchmark_scoring
+        peaks = {scheme: traced_peak(lambda: sc.score_batch(m, large.features, scheme))[1]
+                 for scheme in ("ours", "uan", "entropy")}
+        assert peaks["uan"] <= peaks["ours"]
+        assert peaks["entropy"] <= peaks["ours"]
+
+
+def half_table(n: int) -> sc.ScoreTable:
+    """``n`` rows of a two-class table at probability 0.5 and score 1.0."""
+    return sc.ScoreTable(d=np.full(n, 0.5), y_bar=np.full((n, 2), 0.5),
+                         max_prob=np.full(n, 0.5), entropy=np.full(n, math.log(2)),
+                         w=np.full(n, 1.0))
+
 
 class TestScoreDump:
     def test_round_trip_columns(self, tmp_path):
-        scores = sc.ScoreTable(d=np.array([0.5]), y_bar=np.array([[0.5, 0.5]]),
-                               max_prob=np.array([0.5]), entropy=np.array([math.log(2)]),
-                               w=np.array([1.0]))
         path = tmp_path / "scores.tsv"
-        sc.write_score_dump(path, scores, np.array(["target"]), np.array([7]))
+        sc.write_score_dump(path, {"target": (half_table(1), np.array([7]))})
         lines = path.read_text().splitlines()
         assert lines[0].split("\t") == ["id", "domain", "label", "d",
                                         "max_prob", "entropy", "w"]
         fields = lines[1].split("\t")
         assert fields[1] == "target" and fields[2] == "7"
         assert float(fields[6]) == 1.0
+
+    def test_domains_in_order_with_ids_counted_across_them(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        sc.write_score_dump(path, {"source": (half_table(2), np.array([3, 1])),
+                                   "target": (half_table(1), np.array([7]))})
+        rows = [line.split("\t")[:3] for line in path.read_text().splitlines()[1:]]
+        assert rows == [["0", "source", "3"], ["1", "source", "1"], ["2", "target", "7"]]
 
 
 class TestAgainstPerRowReference:

@@ -7,7 +7,8 @@ Run from the root of a checkout:
 
 For every workload and seed it runs each checkout's own, unmodified
 ``perfbench/run.py --workload <wl> --seed <s> --seconds <n> --trace 0``
-as a subprocess in that checkout, alternating which side runs first
+as a subprocess in that checkout, ``<n>`` being the ``run_seconds`` that
+``BENCHMARK.json`` fixes for both sides, alternating which side runs first
 from one seed to the next, and reads the run's
 ``.bench_out/<wl>-trace0/result.json`` and ``env.json`` there.  The JSON
 it writes holds, per workload and side, every run's end-to-end metrics
@@ -91,19 +92,20 @@ def commit(checkout: Path) -> str:
                           text=True).stdout.strip()
 
 
-def record(checkouts: dict[str, Path], plan: dict[str, list[int]],
-           seconds: float) -> dict:
-    """Run ``plan`` on both checkouts.  Their commits are read first, so a
-    checkout that is not a git checkout, or has uncommitted changes,
-    fails before any run: a record names the code it measured."""
+def record(checkouts: dict[str, Path], plan: dict[str, list[int]]) -> dict:
+    """Run ``plan`` on both checkouts for ``BENCHMARK.json``'s
+    ``run_seconds`` each.  Their commits are read first, so a checkout
+    that is not a git checkout, or has uncommitted changes, fails before
+    any run: a record names the code it measured."""
     commits = {side: commit(path) for side, path in checkouts.items()}
     dirty = [f"{side} ({checkouts[side]})" for side, c in commits.items()
              if c.endswith("-dirty")]
     if dirty:
         raise SystemExit(f"uncommitted changes in the {' and '.join(dirty)} checkout; "
                          "commit them before recording")
-    end_to_end = {m["name"]: m for m in
-                  json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    end_to_end = {m["name"]: m for m in benchmark["end_to_end"]}
     workloads = {}
     envs: dict[str, dict] = {}
     for workload, seed_list in plan.items():
@@ -145,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="root of the changed checkout (default: this one)")
     parser.add_argument("--workload", action="append", required=True,
                         metavar="NAME=SEEDS", help="e.g. train_single=1-10; repeatable")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     plan = {}
@@ -155,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--workload wants NAME=SEEDS, got {item!r}")
         plan[name] = seeds(spec)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    result = record(checkouts, plan, args.seconds)
+    result = record(checkouts, plan)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(args.out)
     return 0
