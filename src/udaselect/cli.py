@@ -232,9 +232,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
+    names = [f"{args.param}_{v:g}" for v in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # the two runs would share one directory
+            raise ConfigError(f"--values: more than one value is named {name}")
     # ``replace`` re-runs ``TrainConfig``'s checks, so an out-of-range value exits 2 here
-    variants = [(f"{args.param}_{v:g}", replace(cfg, **{_SWEEP_FIELDS[args.param]: v}))
-                for v in values]
+    variants = [(name, replace(cfg, **{_SWEEP_FIELDS[args.param]: v}))
+                for name, v in zip(names, values)]
     out_dir = Path(args.out) if args.out else default_output_root() / f"sweep_{args.param}"
     _run_grid(variants, cfg.seed, args.seeds, out_dir / "sweep.tsv")
     return 0

@@ -258,7 +258,7 @@ class ModelBundle:
     """The three networks plus the label-id mapping for the classifier head.
 
     ``class_ids[j]`` is the dataset class id that classifier output j
-    stands for; the classifier always works in index space 0..K-1.
+    stands for, ids ascending; the classifier works in index space 0..K-1.
     Every parameter's ``value`` and ``grad`` are views into the flat
     buffers ``values`` and ``grads``, in ``parameters()`` order, and
     ``flat`` is one leaf over the whole of them (value ``values``, grad
@@ -280,8 +280,7 @@ class ModelBundle:
     halves: np.ndarray = field(init=False, repr=False)
     half_views: dict[str, list[np.ndarray]] = field(init=False, repr=False)
     _parameters: tuple = field(init=False, repr=False)
-    _id_order: np.ndarray = field(init=False, repr=False)
-    _sorted_ids: np.ndarray = field(init=False, repr=False)
+    _ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.class_ids:
@@ -289,11 +288,10 @@ class ModelBundle:
         if len(self.class_ids) != self.c.spec.output_dim:
             raise ConfigError("class_ids length must equal the classifier's output_dim")
         if (any(type(c) is not int for c in self.class_ids) or TAU in self.class_ids
-                or len(set(self.class_ids)) != len(self.class_ids)):
-            raise ConfigError(f"class_ids must be distinct ints other than {TAU}, "
-                              f"got {list(self.class_ids)}")
-        self._id_order = np.argsort(self.class_ids, kind="stable")
-        self._sorted_ids = np.asarray(self.class_ids)[self._id_order]
+                or list(self.class_ids) != sorted(set(self.class_ids))):
+            raise ConfigError(f"class_ids must be distinct ints other than {TAU} "
+                              f"in ascending order, got {list(self.class_ids)}")
+        self._ids = np.asarray(self.class_ids)
         self._parameters = tuple(self.f.parameters("f") + self.c.parameters("c")
                                  + self.d.parameters("d"))
         self.values = np.concatenate([p.value.ravel() for _, p in self.parameters()])
@@ -328,12 +326,12 @@ class ModelBundle:
     def class_index(self, labels: np.ndarray) -> np.ndarray:
         """The classifier output index of each dataset class id in ``labels``."""
         labels = np.asarray(labels)
-        pos = np.searchsorted(self._sorted_ids, labels)
-        unknown = self._sorted_ids.take(pos, mode="clip") != labels
+        pos = np.searchsorted(self._ids, labels)
+        unknown = self._ids.take(pos, mode="clip") != labels
         if unknown.any():
             raise ContractError(f"label {labels[unknown][0]} is not one of the "
                                 f"model's class ids {list(self.class_ids)}")
-        return self._id_order[pos]
+        return pos
 
 
 def init(spec_f: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int,

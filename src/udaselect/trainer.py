@@ -132,7 +132,7 @@ class TrainConfig:
 
 
 #: one ``TrainState.log`` row per step: the step's ``LossBreakdown`` and
-#: its applied pseudo-label threshold, NaN where none applies
+#: its applied pseudo-label threshold, +inf where none applies
 LOG_DTYPE = np.dtype([("l_c", np.float64), ("l_bd", np.float64), ("l_d", np.float64),
                       ("total", np.float64), ("n_pseudo_selected", np.int64),
                       ("n_diversity_selected", np.int64), ("w_alpha", np.float64)])
@@ -167,24 +167,19 @@ def grl_coefficient(cfg: TrainConfig, t: int) -> float:
     return cfg.grl_lambda * (2.0 / (1.0 + math.exp(-10.0 * progress)) - 1.0)
 
 
-def build_model(input_dim: int, class_ids: tuple[int, ...],
-                cfg: TrainConfig) -> ModelBundle:
-    spec_f = MlpSpec(input_dim, cfg.f_hidden, cfg.feature_dim)
-    spec_c = MlpSpec(cfg.feature_dim, (), len(class_ids), "softmax")
-    spec_d = MlpSpec(cfg.feature_dim, cfg.d_hidden, 1, "sigmoid")
-    return md.init(spec_f, spec_c, spec_d, cfg.seed, class_ids=class_ids)
-
-
 def init_state(src: DomainDataset, cfg: TrainConfig) -> TrainState:
     class_ids = tuple(sorted({int(y) for y in src.labels.tolist()}))
-    return TrainState(model=build_model(src.dim, class_ids, cfg),
+    spec_f = MlpSpec(src.dim, cfg.f_hidden, cfg.feature_dim)
+    spec_c = MlpSpec(cfg.feature_dim, (), len(class_ids), "softmax")
+    spec_d = MlpSpec(cfg.feature_dim, cfg.d_hidden, 1, "sigmoid")
+    return TrainState(model=md.init(spec_f, spec_c, spec_d, cfg.seed, class_ids=class_ids),
                       log=np.zeros(cfg.total_steps, LOG_DTYPE))
 
 
-def _applied_w_alpha(cfg: TrainConfig, t: int) -> float | None:
-    """The pseudo-label threshold in effect at step t; None disables."""
+def _applied_w_alpha(cfg: TrainConfig, t: int) -> float:
+    """The pseudo-label threshold in effect at step t; +inf disables."""
     if not cfg.pseudo_labels:
-        return None
+        return math.inf
     if cfg.static_w_alpha is not None:
         return cfg.static_w_alpha
     return w_alpha(t, cfg.total_steps, cfg.w0, cfg.w_alpha_start)
@@ -264,8 +259,7 @@ def train_step(state: TrainState, batch: DomainBatch,
         raise ContractError(f"step {state.t} out of budget T={len(state.log)}")
     m = state.model
     w_a = _applied_w_alpha(cfg, state.t)
-    args = (m, batch, m.class_index(batch.source_y), grl_coefficient(cfg, state.t),
-            math.inf if w_a is None else w_a, cfg)
+    args = (m, batch, m.class_index(batch.source_y), grl_coefficient(cfg, state.t), w_a, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             try:
@@ -284,7 +278,7 @@ def train_step(state: TrainState, batch: DomainBatch,
 
     b = breakdown
     state.log[state.t] = (b.l_c, b.l_bd, b.l_d, b.total, b.n_pseudo_selected,
-                          b.n_diversity_selected, math.nan if w_a is None else w_a)
+                          b.n_diversity_selected, w_a)
     state.t += 1
     return breakdown
 
@@ -303,11 +297,11 @@ def train(src: DomainDataset, tgt: DomainDataset,
 
 def write_metrics(path, log: np.ndarray) -> None:
     """Line-delimited JSON, one record per row of a ``LOG_DTYPE`` log: its
-    fields, the row index as ``step`` and a NaN ``w_alpha`` as null."""
+    fields, the row index as ``step`` and a non-finite ``w_alpha`` as null."""
     encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(sort_keys=True) uses
     with open(path, "w") as fh:
         for step, row in enumerate(log.tolist()):
             rec = dict(zip(LOG_DTYPE.names, row), step=step)
-            if math.isnan(rec["w_alpha"]):
+            if not math.isfinite(rec["w_alpha"]):
                 rec["w_alpha"] = None
             fh.write(encode(rec) + "\n")

@@ -40,6 +40,27 @@ def test_record_fails_on_a_dirty_checkout_before_any_run(monkeypatch, side):
         bench_record.record(checkouts, {"train_single": [1, 2]})
 
 
+@pytest.mark.parametrize("workload, message", [
+    ("train_singel=1", "unknown workload 'train_singel'; BENCHMARK.json lists train_single"),
+    ("train_single=x", "bad seed list: invalid literal for int() with base 10: 'x'"),
+    ("eval_large=1,", "bad seed list: invalid literal for int() with base 10: ''"),
+    ("eval_large=3-1", "bad seed list: empty range '3-1'"),
+])
+def test_main_rejects_a_bad_plan_before_any_run(tmp_path, monkeypatch, capsys,
+                                                workload, message):
+    def run_once(*args):
+        raise AssertionError("a benchmark run started on a bad plan")
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", str(ROOT), "--workload", "train_single=1",
+                           "--workload", workload, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 PARENT = [10.0, 10.2, 10.1, 10.3, 9.9, 10.0, 10.2, 10.1, 10.0, 10.1]  # IQR 0.175
 
 

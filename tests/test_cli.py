@@ -676,6 +676,15 @@ class TestSweep:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["1.0000001,1.0000002", "1,1"])
+    def test_values_with_one_name_exit_2_before_any_run(self, tmp_path, capsys, values):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--param", "w0", "--values", values, "--seeds", "1",
+                     "--steps", "5", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --values: more than one value is named w0_1\n")
+        assert not out.exists()
+
     def test_value_outside_scheme_range_rejected(self, tmp_path):
         assert main(["sweep", "--param", "w0", "--values", "2.5",
                      "--out", str(tmp_path)]) == EXIT_CONFIG

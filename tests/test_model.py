@@ -178,7 +178,7 @@ class TestCheckpoint:
         (lambda ls: ls[:3] + ls[1:3] + ls[5:], ":4: duplicate parameter"),
         (lambda ls: ls[:1] + ["f.w0 1 1"] + ls[2:], ":2: f.w0 shape"),
         *((with_class_ids(ids), ":1: bad checkpoint header")
-          for ids in ([0, 0, 1], [True, 1, 2], [-1, 0, 1], ["a", 0, 1])),
+          for ids in ([0, 0, 1], [True, 1, 2], [-1, 0, 1], ["a", 0, 1], [2, 0, 1])),
         (with_last_value(2, "nan"), ":3: f.w0 has non-finite value 'nan'"),
         (with_last_value(2, "-inf"), ":3: f.w0 has non-finite value '-inf'"),
         (with_last_value(4, "Infinity"), ":5: f.b0 has non-finite value 'Infinity'"),
@@ -398,16 +398,24 @@ class TestPredictBlocks:
         assert len(digests) == 1
 
 
+def bundle_with_ids(class_ids):
+    return md.init(MlpSpec(4, (), 6), MlpSpec(6, (), 3, "softmax"),
+                   MlpSpec(6, (), 1, "sigmoid"), seed=0, class_ids=class_ids)
+
+
 class TestClassIndex:
-    def test_maps_ids_in_any_order(self):
-        m = md.init(MlpSpec(4, (), 6), MlpSpec(6, (), 3, "softmax"),
-                    MlpSpec(6, (), 1, "sigmoid"), seed=0, class_ids=(5, 2, 9))
+    def test_maps_ascending_non_contiguous_ids(self):
+        m = bundle_with_ids((2, 5, 9))
         np.testing.assert_array_equal(m.class_index(np.array([9, 5, 2, 2, 9])),
-                                      [2, 0, 1, 1, 2])
+                                      [2, 1, 0, 0, 2])
+
+    @pytest.mark.parametrize("class_ids", [(5, 2, 9), (2, 2, 9)])
+    def test_ids_not_ascending_are_rejected(self, class_ids):
+        with pytest.raises(ConfigError, match=r"distinct ints other than -1 in ascending order"):
+            bundle_with_ids(class_ids)
 
     @pytest.mark.parametrize("label", [7, -1, 11])
     def test_unknown_label_is_named(self, label):
-        m = md.init(MlpSpec(4, (), 6), MlpSpec(6, (), 3, "softmax"),
-                    MlpSpec(6, (), 1, "sigmoid"), seed=0, class_ids=(5, 2, 9))
+        m = bundle_with_ids((2, 5, 9))
         with pytest.raises(ContractError, match=f"label {label} is not one of"):
             m.class_index(np.array([2, label, 5]))

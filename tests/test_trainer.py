@@ -210,13 +210,16 @@ class TestStepLog:
 
     def test_write_metrics_lines(self, tmp_path):
         log = np.array([(0.5, 0.0, 1.25, 1.75, 3, 0, 1.5),
-                        (-0.0, 1e-300, 2.0, 0.1, 0, 7, math.nan)], dtype=tr.LOG_DTYPE)
+                        (-0.0, 1e-300, 2.0, 0.1, 0, 7, math.nan),
+                        (0.0, 0.0, 0.5, 0.5, 0, 0, math.inf)], dtype=tr.LOG_DTYPE)
         tr.write_metrics(tmp_path / "metrics.jsonl", log)
         assert (tmp_path / "metrics.jsonl").read_text() == (
             '{"l_bd": 0.0, "l_c": 0.5, "l_d": 1.25, "n_diversity_selected": 0, '
             '"n_pseudo_selected": 3, "step": 0, "total": 1.75, "w_alpha": 1.5}\n'
             '{"l_bd": 1e-300, "l_c": -0.0, "l_d": 2.0, "n_diversity_selected": 7, '
-            '"n_pseudo_selected": 0, "step": 1, "total": 0.1, "w_alpha": null}\n')
+            '"n_pseudo_selected": 0, "step": 1, "total": 0.1, "w_alpha": null}\n'
+            '{"l_bd": 0.0, "l_c": 0.0, "l_d": 0.5, "n_diversity_selected": 0, '
+            '"n_pseudo_selected": 0, "step": 2, "total": 0.5, "w_alpha": null}\n')
 
     def test_benchmark_train_retains_under_half_a_megabyte(self):
         """A 3000-step run keeps its model and one 56-byte row per step,
@@ -266,7 +269,7 @@ class TestOptimizerContract:
         _, log = tr.train(src, tgt, tiny_cfg(pseudo_labels=False,
                                              diversity_mode="off"))
         assert (log["l_bd"] == 0.0).all() and (log["n_pseudo_selected"] == 0).all()
-        assert np.isnan(log["w_alpha"]).all()
+        assert np.isinf(log["w_alpha"]).all()
 
 
 class TestFlatMomentum:

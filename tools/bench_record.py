@@ -19,9 +19,10 @@ pairs the change read lower and higher.  Each end-to-end metric that
 ``BENCHMARK.json`` names also gets a ``verdict`` (see ``verdict``), from
 the direction and bound the benchmark gives it.  ``--change`` defaults to the
 checkout this script is in.  Both checkouts must be git checkouts with
-no uncommitted changes to tracked files; it refuses either before any
-run.  It measures nothing itself and changes no
-bound or setting of the benchmark.
+no uncommitted changes to tracked files, and each workload must be one
+``BENCHMARK.json`` lists with a seed list like ``1-10`` or ``1,3``; it
+refuses anything else before any run.  It measures nothing itself and
+changes no bound or setting of the benchmark.
 """
 
 from __future__ import annotations
@@ -38,11 +39,15 @@ SIDES = ("parent", "change")
 
 
 def seeds(spec: str) -> list[int]:
-    """``"1-3,7"`` -> ``[1, 2, 3, 7]``."""
+    """``"1-3,7"`` -> ``[1, 2, 3, 7]``; ``ValueError`` on a part that is
+    not an int or an ascending range."""
     out = []
     for part in spec.split(","):
         lo, _, hi = part.partition("-")
-        out += range(int(lo), int(hi or lo) + 1)
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"empty range {part!r}")
+        out += range(lo, hi + 1)
     return out
 
 
@@ -149,12 +154,20 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="NAME=SEEDS", help="e.g. train_single=1-10; repeatable")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
+    known = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     plan = {}
     for item in args.workload:
         name, sep, spec = item.partition("=")
         if not sep:
             parser.error(f"--workload wants NAME=SEEDS, got {item!r}")
-        plan[name] = seeds(spec)
+        if name not in known:
+            parser.error(f"--workload: unknown workload {name!r}; "
+                         f"BENCHMARK.json lists {', '.join(known)}")
+        try:
+            plan[name] = seeds(spec)
+        except ValueError as exc:
+            parser.error(f"--workload {item!r}: bad seed list: {exc}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     result = record(checkouts, plan)
     args.out.write_text(json.dumps(result, indent=2) + "\n")

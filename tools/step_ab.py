@@ -39,13 +39,14 @@ for _var in BLAS_THREAD_VARS:
 import argparse  # noqa: E402
 import importlib  # noqa: E402
 import shutil  # noqa: E402
-import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
+
+from bench_record import summary  # noqa: E402  (this script's directory)
 
 SIDES = ("base", "change")
 
@@ -90,13 +91,6 @@ def load_sides(srcs: dict[str, Path], tmp: Path) -> dict[str, Side]:
     return {side: Side(f"udaselect_{side}") for side in srcs}
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """Lower quartile, median and upper quartile (inclusive method)."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
-
-
 def run(sides: dict[str, Side], blocks: int, steps: int) -> dict[str, list[float]]:
     """Per-step CPU seconds of each side's blocks, after one untimed
     warm-up block each."""
@@ -112,13 +106,15 @@ def run(sides: dict[str, Side], blocks: int, steps: int) -> dict[str, list[float
 def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int) -> str:
     lines = []
     for name in SIDES:
-        q1, med, q3 = (t * 1e6 for t in quartiles(times[name]))
+        s = summary(times[name])
+        q1, med, q3 = (s[k] * 1e6 for k in ("q1", "median", "q3"))
         lines.append(f"{name:<6} {srcs[name]}: median {med:.1f} us/step "
                      f"(quartiles {q1:.1f}-{q3:.1f})")
     ratios = [c / b for b, c in zip(times["base"], times["change"])]
-    q1, med, q3 = quartiles(ratios)
+    s = summary(ratios)
     won = sum(r < 1.0 for r in ratios)
-    lines.append(f"ratio change/base: median {med:.4f} (quartiles {q1:.4f}-{q3:.4f})")
+    lines.append(f"ratio change/base: median {s['median']:.4f} "
+                 f"(quartiles {s['q1']:.4f}-{s['q3']:.4f})")
     lines.append(f"change faster in {won} of {len(ratios)} blocks of {steps} steps")
     return "\n".join(lines)
 
