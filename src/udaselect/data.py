@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,6 +27,12 @@ from .errors import ConfigError, ContractError, FeatureFileError
 
 #: reserved "unknown" class symbol, distinct from every real class id
 TAU = -1
+
+#: steps whose row indices ``batches`` draws in one ``integers`` call.
+#: Each call pays numpy's fixed Python-level cost (``np.prod(size)``, and
+#: the bound checks of array bounds) once, and a block of a 64-row
+#: batch's indices is 32 KiB of int64.
+BLOCK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -98,11 +105,20 @@ class DomainDataset:
 
 @dataclass(frozen=True)
 class DomainBatch:
-    """One paired mini-batch: labeled source half, unlabeled target half."""
+    """One paired mini-batch: ``x`` stacks the labeled source half (slice
+    0) over the unlabeled target half (slice 1), and ``source_y`` holds
+    the source half's class ids."""
 
-    source_x: np.ndarray
+    x: np.ndarray
     source_y: np.ndarray
-    target_x: np.ndarray
+
+    @property
+    def source_x(self) -> np.ndarray:
+        return self.x[0]
+
+    @property
+    def target_x(self) -> np.ndarray:
+        return self.x[1]
 
 
 def _rotation_matrix(dim: int, angle: float, rng: np.random.Generator) -> np.ndarray:
@@ -161,24 +177,43 @@ def gen_synthetic(spec: LabelSetSpec, dim: int, per_class: int,
     return source, target
 
 
+def batches(src: DomainDataset, tgt: DomainDataset, half: int, steps: int,
+            rng: np.random.Generator) -> Iterator[tuple[np.ndarray, DomainBatch]]:
+    """``steps`` paired batches of ``half`` rows per domain, each row drawn
+    uniformly with replacement; yields each step's ``(2, half)`` row
+    indices (source, then target) and its batch.
+
+    One ``integers`` call with the bounds ``((src.n,), (tgt.n,))`` draws
+    the indices of up to ``BLOCK_STEPS`` steps: the same stream as a
+    source then a target call with a scalar bound per step.  ``take``
+    gathers each step's rows into one buffer, so every batch yielded is
+    the same object, valid until the next one is drawn; both domains'
+    features must share a dtype.  Nothing is drawn before the first
+    batch is asked for.
+    """
+    batch = DomainBatch(np.empty((2, half, src.dim), src.features.dtype),
+                        np.empty(half, src.labels.dtype))
+    for start in range(0, steps, BLOCK_STEPS):
+        if src.n == 0 or tgt.n == 0:
+            raise ContractError("cannot sample from an empty dataset")
+        bounds = np.array(((src.n,), (tgt.n,)))
+        for rows in rng.integers(0, bounds, size=(min(BLOCK_STEPS, steps - start), 2, half)):
+            # the rows are in range by construction, and mode "raise" would
+            # gather into a temporary and copy it to ``out``
+            src.features.take(rows[0], axis=0, out=batch.x[0], mode="clip")
+            tgt.features.take(rows[1], axis=0, out=batch.x[1], mode="clip")
+            src.labels.take(rows[0], out=batch.source_y, mode="clip")
+            yield rows, batch
+
+
 def sample_batch(src: DomainDataset, tgt: DomainDataset, batch_size: int,
                  rng: np.random.Generator) -> DomainBatch:
-    """Equal halves drawn uniformly with replacement from each domain.
-
-    The source indices are drawn first, then the target's, each by one
-    ``integers`` call with a scalar bound; ``take`` gathers the rows.
-    (One call with the bounds ``((src.n,), (tgt.n,))`` draws the same
-    stream, but numpy's array-bound path checks the bounds with three
-    ``np.any`` reductions and is slower for a 32-row half.)"""
+    """Equal halves drawn uniformly with replacement from each domain:
+    the one-step case of ``batches``, in a batch of its own."""
     if batch_size < 2 or batch_size % 2 != 0:
         raise ContractError(f"batch_size must be even and >= 2, got {batch_size}")
-    if src.n == 0 or tgt.n == 0:
-        raise ContractError("cannot sample from an empty dataset")
-    half = batch_size // 2
-    si = rng.integers(0, src.n, size=half)
-    ti = rng.integers(0, tgt.n, size=half)
-    return DomainBatch(source_x=src.features.take(si, axis=0), source_y=src.labels.take(si),
-                       target_x=tgt.features.take(ti, axis=0))
+    (_, batch), = batches(src, tgt, batch_size // 2, 1, rng)
+    return batch
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ value.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -29,7 +28,9 @@ from . import losses as ls
 from . import model as md
 from . import scoring as sc
 from .autodiff import Node
-from .data import DomainBatch, DomainDataset, sample_batch
+from .data import DomainBatch, DomainDataset, batches
+# imported for the benchmark's tracer and calibrator, which wrap it here
+from .data import sample_batch  # noqa: F401
 from .errors import ConfigError, ContractError, NumericError
 from .model import MlpSpec, ModelBundle
 
@@ -185,11 +186,12 @@ def _applied_w_alpha(cfg: TrainConfig, t: int) -> float:
     return w_alpha(t, cfg.total_steps, cfg.w0, cfg.w_alpha_start)
 
 
-def engine_loss(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
+def engine_loss(m: ModelBundle, x: np.ndarray, labels: np.ndarray, lam: float,
                 threshold: float, cfg: TrainConfig) -> tuple[Node, ls.LossBreakdown]:
-    """The compound loss as the engine graph, one node per op."""
-    feats_s = md.features(m, batch.source_x)
-    feats_t = md.features(m, batch.target_x)
+    """The compound loss as the engine graph, one node per op, on the
+    ``(2, half, dim)`` stack ``x`` of a ``DomainBatch``."""
+    feats_s = md.features(m, x[0])
+    feats_t = md.features(m, x[1])
     probs_s = md.label_probs(m, feats_s)
     probs_t = md.label_probs(m, feats_t)
     d_s = md.domain_prob(m, feats_s, lam)
@@ -204,17 +206,17 @@ def engine_loss(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: flo
     return ls.loss_compound(l_c, l_bd, l_d, n_pl, n_div)
 
 
-def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
+def step_op(m: ModelBundle, x: np.ndarray, labels: np.ndarray, lam: float,
             threshold: float, cfg: TrainConfig) -> tuple[Node, ls.LossBreakdown]:
     """``engine_loss`` as one op over ``m.flat``, with its value and
     parameter gradients bit for bit.
 
-    Source and target run as one ``(2, half, dim)`` stack, so each
-    network has one forward and one VJP; slice 0 is the source half and
-    slice 1 the target half.  ``losses.compound_array`` takes the stacks
-    of probabilities and domain outputs and returns the breakdown and
-    one gradient per stack for a loss gradient of 1.  The VJP scales
-    them by ``g`` and keeps the engine's op order: a tensor
+    Source and target run as the batch's one ``(2, half, dim)`` stack
+    ``x``, so each network has one forward and one VJP; slice 0 is the
+    source half and slice 1 the target half.  ``losses.compound_array``
+    takes the stacks of probabilities and domain outputs and returns the
+    breakdown and one gradient per stack for a loss gradient of 1.  The
+    VJP scales them by ``g`` and keeps the engine's op order: a tensor
     used twice gets the sum of its two gradients where the engine sums
     them.  Each network's VJP writes its parameter gradients per half
     into ``m.halves``, and the gradient of ``m.flat`` is the source half
@@ -225,7 +227,7 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
     step's ``np.errstate``.
     ``lam`` must be >= 0, which ``TrainConfig`` ensures.
     """
-    x = np.array((batch.source_x, batch.target_x), dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     md.check_finite(x)
     tape_f, tape_c, tape_d = [], [], []
     feats = m.f.forward_array(x, tape_f)
@@ -245,10 +247,15 @@ def step_op(m: ModelBundle, batch: DomainBatch, labels: np.ndarray, lam: float,
     return Node(breakdown.total, (m.flat,), "train_step", vjp), breakdown
 
 
-def train_step(state: TrainState, batch: DomainBatch,
-               cfg: TrainConfig) -> ls.LossBreakdown:
+def train_step(state: TrainState, batch: DomainBatch, cfg: TrainConfig,
+               labels: np.ndarray | None = None) -> ls.LossBreakdown:
     """One forward/backward/SGD step; writes log row ``t``, advances ``t``
     and returns the loss breakdown.
+
+    ``labels`` are the classifier indices of ``batch.source_y`` where the
+    caller has mapped them already, as ``train`` does once per run;
+    otherwise ``ModelBundle.class_index`` maps them here and raises
+    ``ContractError`` on a label that is not one of the model's classes.
 
     A non-finite value replays the step on ``engine_loss``, so the
     ``NumericError`` names the op and the step index; a failed step
@@ -259,7 +266,9 @@ def train_step(state: TrainState, batch: DomainBatch,
         raise ContractError(f"step {state.t} out of budget T={len(state.log)}")
     m = state.model
     w_a = _applied_w_alpha(cfg, state.t)
-    args = (m, batch, m.class_index(batch.source_y), grl_coefficient(cfg, state.t), w_a, cfg)
+    if labels is None:
+        labels = m.class_index(batch.source_y)
+    args = (m, batch.x, labels, grl_coefficient(cfg, state.t), w_a, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             try:
@@ -286,22 +295,34 @@ def train_step(state: TrainState, batch: DomainBatch,
 def train(src: DomainDataset, tgt: DomainDataset,
           cfg: TrainConfig) -> tuple[ModelBundle, np.ndarray]:
     """Run the full loop; (seed, cfg, data) determine the result exactly.
-    Returns the model and the rows of the log written, one per step."""
+    Returns the model and the rows of the log written, one per step.
+    The source labels are mapped to classifier indices once, and each
+    step takes its batch's rows of that map."""
     state = init_state(src, cfg)
+    index = state.model.class_index(src.labels)
+    labels = np.empty(cfg.batch_size // 2, index.dtype)
     rng = np.random.default_rng([cfg.seed, 1])
-    for _ in range(cfg.total_steps):
-        batch = sample_batch(src, tgt, cfg.batch_size, rng)
-        train_step(state, batch, cfg)
+    for rows, batch in batches(src, tgt, cfg.batch_size // 2, cfg.total_steps, rng):
+        train_step(state, batch, cfg, index.take(rows[0], out=labels, mode="clip"))
     return state.model, state.log[:state.t]
+
+
+#: json's text for the non-finite floats, as ``repr`` spells them
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def write_metrics(path, log: np.ndarray) -> None:
     """Line-delimited JSON, one record per row of a ``LOG_DTYPE`` log: its
-    fields, the row index as ``step`` and a non-finite ``w_alpha`` as null."""
-    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(sort_keys=True) uses
+    fields, the row index as ``step`` and a non-finite ``w_alpha`` as null,
+    with the bytes ``json.dumps(record, sort_keys=True)`` writes.  Each row
+    goes through one format string, whose fields ``str.format`` spells as
+    ``repr`` does, which is how json spells finite floats and ints."""
+    names = (*LOG_DTYPE.names, "step")
+    line = "{{" + ", ".join(f'"{n}": {{{names.index(n)}}}' for n in sorted(names)) + "}}\n"
+    finite = np.all([np.isfinite(log[n]) for n in ("l_c", "l_bd", "l_d", "total")], axis=0)
     with open(path, "w") as fh:
-        for step, row in enumerate(log.tolist()):
-            rec = dict(zip(LOG_DTYPE.names, row), step=step)
-            if not math.isfinite(rec["w_alpha"]):
-                rec["w_alpha"] = None
-            fh.write(encode(rec) + "\n")
+        for step, (row, ok) in enumerate(zip(log.tolist(), finite.tolist())):
+            *values, w = row
+            if not ok:
+                values = [_JSON_CONSTANTS.get(repr(v), v) for v in values]
+            fh.write(line.format(*values, w if math.isfinite(w) else "null", step))

@@ -45,6 +45,7 @@ def test_record_fails_on_a_dirty_checkout_before_any_run(monkeypatch, side):
     ("train_single=x", "bad seed list: invalid literal for int() with base 10: 'x'"),
     ("eval_large=1,", "bad seed list: invalid literal for int() with base 10: ''"),
     ("eval_large=3-1", "bad seed list: empty range '3-1'"),
+    ("train_single=2-3", "'train_single' given twice; list all its seeds in one NAME=SEEDS"),
 ])
 def test_main_rejects_a_bad_plan_before_any_run(tmp_path, monkeypatch, capsys,
                                                 workload, message):

@@ -151,29 +151,55 @@ class TestSampleBatch:
         np.testing.assert_array_equal(b1.source_x, b2.source_x)
         np.testing.assert_array_equal(b1.target_x, b2.target_x)
 
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("half", [1, 3, 4, 8, 25, 32])
     @pytest.mark.parametrize("n", [1, 360, 600, 2**31, 2**32 - 1, 2**33])
-    def test_stream_is_a_source_then_a_target_draw(self, n, half):
+    def test_stream_is_a_source_then_a_target_draw(self, n, half, steps):
+        """``batches`` over ``steps`` steps, then two ``sample_batch`` calls,
+        draw what a source then a target ``integers`` call with a scalar
+        bound per step draws, and leave the generator in the same state."""
         class Rows:
-            """A stand-in for a table of ``n`` rows whose row i is i."""
+            """A stand-in for a one-column table of ``n`` rows whose row i is i."""
+
+            shape, dtype = (n, 1), np.dtype(np.int64)
 
             def __len__(self):
                 return n
 
-            def take(self, idx, axis=None):
-                return idx
+            def take(self, idx, axis=None, out=None, mode="raise"):
+                out[...] = idx.reshape(out.shape)
+                return out
 
         other = 600 if n != 600 else 360
         src, tgt = (dt.DomainDataset(Rows(), Rows()),
                     dt.DomainDataset(np.arange(other)[:, None], np.arange(other)))
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(2):
-            batch = dt.sample_batch(src, tgt, 2 * half, rng)
+        drawn = [(rows.copy(), batch.x.copy(), batch.source_y.copy())
+                 for rows, batch in dt.batches(src, tgt, half, steps, rng)]
+        drawn += [(None, b.x, b.source_y)
+                  for b in (dt.sample_batch(src, tgt, 2 * half, rng) for _ in range(2))]
+        assert len(drawn) == steps + 2
+        for rows, x, y in drawn:
             si, ti = ref.integers(0, n, size=half), ref.integers(0, other, size=half)
-            np.testing.assert_array_equal(batch.source_x, si)
-            np.testing.assert_array_equal(batch.source_y, si)
-            np.testing.assert_array_equal(batch.target_x, ti[:, None])
+            if rows is not None:
+                np.testing.assert_array_equal(rows, (si, ti))
+            np.testing.assert_array_equal(x, np.stack((si, ti))[..., None])
+            np.testing.assert_array_equal(y, si)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_empty_dataset_raises_at_the_first_draw(self):
+        src, tgt = self._pair()
+        empty = dt.DomainDataset(src.features[:0], src.labels[:0])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert list(dt.batches(empty, tgt, 4, 0, rng)) == []
+        for pair in ((empty, tgt), (src, empty)):
+            draws = dt.batches(*pair, 4, 3, rng)
+            with pytest.raises(ContractError, match="cannot sample from an empty dataset"):
+                next(draws)
+            with pytest.raises(ContractError, match="cannot sample from an empty dataset"):
+                dt.sample_batch(*pair, 8, rng)
+        assert rng.bit_generator.state == state
 
     def test_odd_batch_rejected(self):
         src, tgt = self._pair()

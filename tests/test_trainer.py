@@ -510,6 +510,36 @@ class TestLabels:
             tr.train_step(state, batch, cfg)
         assert state.t == 0
 
+    def test_a_callers_own_batch_gets_the_unknown_label_error(self):
+        src, _ = tiny_data()
+        cfg = tiny_cfg()
+        state = tr.init_state(src, cfg)
+        batch = dt.DomainBatch(np.zeros((2, 4, src.dim)), np.array([0, 2, 7, 1]))
+        with pytest.raises(ContractError) as exc:
+            tr.train_step(state, batch, cfg)
+        assert str(exc.value) == "label 7 is not one of the model's class ids [0, 1, 2]"
+        assert state.t == 0
+
+    @pytest.mark.parametrize("steps", [1, 64, 70])
+    def test_train_takes_each_steps_class_indices_from_the_run_map(self, monkeypatch, steps):
+        """Ids that are not their own indices; 70 steps cross a block of draws."""
+        spec = dt.LabelSetSpec(shared=(3, 8), source_private=(5,), target_private=(1,))
+        src, tgt = dt.gen_synthetic(spec, 4, 8, dt.ShiftConfig(0.3, 0.5), seed=0)
+        cfg = tiny_cfg(total_steps=steps)
+        step, seen = tr.train_step, []
+
+        def checked(state, batch, cfg, labels=None):
+            np.testing.assert_array_equal(labels, state.model.class_index(batch.source_y))
+            seen.append(batch.x.copy())
+            return step(state, batch, cfg, labels)
+
+        monkeypatch.setattr(tr, "train_step", checked)
+        tr.train(src, tgt, cfg)
+        rng = np.random.default_rng([cfg.seed, 1])
+        assert len(seen) == steps
+        for x in seen:
+            np.testing.assert_array_equal(x, dt.sample_batch(src, tgt, cfg.batch_size, rng).x)
+
     def test_negative_grl_lambda_rejected_by_config(self):
         with pytest.raises(ConfigError, match="grl_lambda"):
             tiny_cfg(grl_lambda=-0.5)
@@ -553,3 +583,29 @@ class TestMetricsIo:
         rec = json.loads(lines[0])
         assert set(rec) == {"step", "l_c", "l_bd", "l_d", "total",
                             "n_pseudo_selected", "n_diversity_selected", "w_alpha"}
+
+    def test_rows_are_the_bytes_of_json_dumps(self, tmp_path):
+        """Every column meets every edge value: json's NaN and ±Infinity in
+        the loss columns, null for a non-finite ``w_alpha``, and the
+        shortest round-trip text of the rest."""
+        import json
+        edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                0.1, 1 / 3, -2.5e-10, 7.0]
+        ints = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 32]
+        floats = ("l_c", "l_bd", "l_d", "total", "w_alpha")
+        log = np.zeros(len(edge), tr.LOG_DTYPE)
+        for k, name in enumerate(floats):
+            log[name] = np.roll(edge, k)
+        log["n_pseudo_selected"] = ints * 2
+        log["n_diversity_selected"] = np.roll(ints * 2, 3)
+        path = tmp_path / "metrics.jsonl"
+        tr.write_metrics(path, log)
+        expected = []
+        for step, row in enumerate(log.tolist()):
+            rec = dict(zip(tr.LOG_DTYPE.names, row), step=step)
+            rec["w_alpha"] = rec["w_alpha"] if math.isfinite(rec["w_alpha"]) else None
+            expected.append(json.dumps(rec, sort_keys=True) + "\n")
+        assert path.read_text() == "".join(expected)
+        # rows with and without a non-finite value were both written
+        assert "NaN" in expected[0]
+        assert not any(t in expected[7] for t in ("NaN", "Infinity", "null"))

@@ -20,9 +20,9 @@ pairs the change read lower and higher.  Each end-to-end metric that
 the direction and bound the benchmark gives it.  ``--change`` defaults to the
 checkout this script is in.  Both checkouts must be git checkouts with
 no uncommitted changes to tracked files, and each workload must be one
-``BENCHMARK.json`` lists with a seed list like ``1-10`` or ``1,3``; it
-refuses anything else before any run.  It measures nothing itself and
-changes no bound or setting of the benchmark.
+``BENCHMARK.json`` lists, given once with a seed list like ``1-10`` or
+``1,3``; it refuses anything else before any run.  It measures nothing
+itself and changes no bound or setting of the benchmark.
 """
 
 from __future__ import annotations
@@ -165,9 +165,13 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--workload: unknown workload {name!r}; "
                          f"BENCHMARK.json lists {', '.join(known)}")
         try:
-            plan[name] = seeds(spec)
+            seed_list = seeds(spec)
         except ValueError as exc:
             parser.error(f"--workload {item!r}: bad seed list: {exc}")
+        if name in plan:
+            parser.error(f"--workload: {name!r} given twice; "
+                         "list all its seeds in one NAME=SEEDS")
+        plan[name] = seed_list
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     result = record(checkouts, plan)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
