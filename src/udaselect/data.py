@@ -261,7 +261,8 @@ def load_features(path) -> DomainDataset:
     The C reader's features and labels are returned as views of its
     one table, not copied: each feature row is followed by its label,
     so the feature rows are ``dim + 1`` floats apart and reach BLAS with
-    a leading dimension of ``dim + 1``.  The row walk's are contiguous.
+    a leading dimension of ``dim + 1``; their scores have the bits of
+    contiguous rows'.  The row walk's are contiguous.
     """
     try:
         with open(path) as fh:

@@ -74,6 +74,8 @@ _BLOCK_ROWS = 512
 #: reduces each row of a ``(n, K)`` table by its own inner-loop call, so
 #: K - 1 whole-column ufunc calls win from a few hundred rows; below
 #: that (the training step's 64-row stacks) numpy's call is faster.
+#: There, as in ``check_finite``, they call the ufunc's ``reduce``
+#: itself: ``max``, ``sum`` and ``all`` without numpy's Python wrappers.
 _FOLD_ROWS = 256
 
 
@@ -267,13 +269,14 @@ class ModelBundle:
     laid out like ``grads``: row 0 the source half, row 1 the target
     half.  ``half_views[net]`` lists the ``(2, *shape)`` view of each of
     that network's parameters, the ``out`` of its ``vjp_array``; each
-    slice of a view is C-contiguous.
+    slice of a view is C-contiguous, so ``np.matmul`` into it keeps its
+    BLAS path and its bits.
     """
 
     f: Mlp
     c: Mlp
     d: Mlp
-    class_ids: tuple[int, ...] = field(default=())
+    class_ids: tuple[int, ...]
     values: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
     flat: Node = field(init=False, repr=False)
@@ -283,8 +286,6 @@ class ModelBundle:
     _ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.class_ids:
-            self.class_ids = tuple(range(self.c.spec.output_dim))
         if len(self.class_ids) != self.c.spec.output_dim:
             raise ConfigError("class_ids length must equal the classifier's output_dim")
         if (any(type(c) is not int for c in self.class_ids) or TAU in self.class_ids
@@ -335,7 +336,7 @@ class ModelBundle:
 
 
 def init(spec_f: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int,
-         class_ids: tuple[int, ...] | None = None) -> ModelBundle:
+         class_ids: tuple[int, ...]) -> ModelBundle:
     """Build all three networks from one seeded generator.
 
     The same seed always yields bit-identical parameters.
@@ -354,7 +355,7 @@ def init(spec_f: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int,
     f = Mlp(spec_f, rng)
     c = Mlp(spec_c, rng)
     d = Mlp(spec_d, rng)
-    return ModelBundle(f=f, c=c, d=d, class_ids=tuple(class_ids or ()))
+    return ModelBundle(f=f, c=c, d=d, class_ids=class_ids)
 
 
 def features(m: ModelBundle, x: np.ndarray | Node) -> Node:

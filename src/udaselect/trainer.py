@@ -13,7 +13,9 @@ network per step.  ``autodiff.backward`` adds its gradient into the
 flat ``grads`` with one add.  ``engine_loss`` builds the same loss from
 one node per op; it is the oracle the step op is tested against bit for
 bit, and the replay that names the op when a step meets a non-finite
-value.
+value.  A step calls the node forwards and node losses only when it
+replays, so on a run with no replay the benchmark's per-layer spans of
+them read 0 and it counts one node per step.
 """
 
 from __future__ import annotations
@@ -169,6 +171,8 @@ def grl_coefficient(cfg: TrainConfig, t: int) -> float:
 
 
 def init_state(src: DomainDataset, cfg: TrainConfig) -> TrainState:
+    # a sorted set, not ``np.unique``: that imports ``numpy.ma``, about
+    # 1 MB of peak RSS, which no run otherwise imports
     class_ids = tuple(sorted({int(y) for y in src.labels.tolist()}))
     spec_f = MlpSpec(src.dim, cfg.f_hidden, cfg.feature_dim)
     spec_c = MlpSpec(cfg.feature_dim, (), len(class_ids), "softmax")
@@ -248,14 +252,10 @@ def step_op(m: ModelBundle, x: np.ndarray, labels: np.ndarray, lam: float,
 
 
 def train_step(state: TrainState, batch: DomainBatch, cfg: TrainConfig,
-               labels: np.ndarray | None = None) -> ls.LossBreakdown:
+               labels: np.ndarray) -> ls.LossBreakdown:
     """One forward/backward/SGD step; writes log row ``t``, advances ``t``
-    and returns the loss breakdown.
-
-    ``labels`` are the classifier indices of ``batch.source_y`` where the
-    caller has mapped them already, as ``train`` does once per run;
-    otherwise ``ModelBundle.class_index`` maps them here and raises
-    ``ContractError`` on a label that is not one of the model's classes.
+    and returns the loss breakdown.  ``labels`` are the classifier
+    indices of ``batch.source_y`` (``ModelBundle.class_index``).
 
     A non-finite value replays the step on ``engine_loss``, so the
     ``NumericError`` names the op and the step index; a failed step
@@ -266,8 +266,6 @@ def train_step(state: TrainState, batch: DomainBatch, cfg: TrainConfig,
         raise ContractError(f"step {state.t} out of budget T={len(state.log)}")
     m = state.model
     w_a = _applied_w_alpha(cfg, state.t)
-    if labels is None:
-        labels = m.class_index(batch.source_y)
     args = (m, batch.x, labels, grl_coefficient(cfg, state.t), w_a, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         try:

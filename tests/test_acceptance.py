@@ -43,7 +43,7 @@ MARGIN = 1e-3  # keep every kink (relu, selection, argmax) away from FD steps
 def tiny_net(seed):
     """4-dim input, 8-unit feature, 3 classes, tiny domain net."""
     return md.init(MlpSpec(4, (6,), 8), MlpSpec(8, (), 3, "softmax"),
-                   MlpSpec(8, (4,), 1, "sigmoid"), seed=seed)
+                   MlpSpec(8, (4,), 1, "sigmoid"), seed=seed, class_ids=(0, 1, 2))
 
 
 def relu_margin(mlp, x):

@@ -86,11 +86,11 @@ def test_verdict(change, better, want):
     assert bench_record.verdict(PARENT, change, better, 0.25) == want
 
 
-def test_verdict_of_five_pairs_needs_all_five():
-    parent = PARENT[:5]
-    assert bench_record.verdict(parent, [v - 1.0 for v in parent], "lower", 0.05) == "better"
-    four = [v - 1.0 for v in parent[:4]] + [parent[4] + 0.1]
-    assert bench_record.verdict(parent, four, "lower", 0.05) == "unresolved"
+@pytest.mark.parametrize("pairs, want", [(5, "unresolved"), (9, "unresolved"),
+                                         (10, "better")])
+def test_verdict_better_needs_ten_pairs(pairs, want):
+    parent = PARENT[:pairs]
+    assert bench_record.verdict(parent, [v - 1.0 for v in parent], "lower", 0.05) == want
 
 
 def run_result(values: dict) -> dict:

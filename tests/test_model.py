@@ -22,7 +22,7 @@ def small_bundle(seed=0):
     spec_f = MlpSpec(4, (8,), 6)
     spec_c = MlpSpec(6, (), 3, "softmax")
     spec_d = MlpSpec(6, (5, 5), 1, "sigmoid")
-    return md.init(spec_f, spec_c, spec_d, seed=seed)
+    return md.init(spec_f, spec_c, spec_d, seed=seed, class_ids=(0, 1, 2))
 
 
 class TestInit:
@@ -54,12 +54,12 @@ class TestInit:
     def test_incompatible_dims_rejected(self):
         with pytest.raises(ConfigError):
             md.init(MlpSpec(4, (), 6), MlpSpec(5, (), 3, "softmax"),
-                    MlpSpec(6, (), 1, "sigmoid"), seed=0)
+                    MlpSpec(6, (), 1, "sigmoid"), seed=0, class_ids=(0, 1, 2))
 
     def test_domain_output_must_be_scalar(self):
         with pytest.raises(ConfigError):
             md.init(MlpSpec(4, (), 6), MlpSpec(6, (), 3, "softmax"),
-                    MlpSpec(6, (), 2, "sigmoid"), seed=0)
+                    MlpSpec(6, (), 2, "sigmoid"), seed=0, class_ids=(0, 1, 2))
 
     def test_bad_mlp_spec(self):
         with pytest.raises(ConfigError):
@@ -178,7 +178,7 @@ class TestCheckpoint:
         (lambda ls: ls[:3] + ls[1:3] + ls[5:], ":4: duplicate parameter"),
         (lambda ls: ls[:1] + ["f.w0 1 1"] + ls[2:], ":2: f.w0 shape"),
         *((with_class_ids(ids), ":1: bad checkpoint header")
-          for ids in ([0, 0, 1], [True, 1, 2], [-1, 0, 1], ["a", 0, 1], [2, 0, 1])),
+          for ids in ([0, 0, 1], [True, 1, 2], [-1, 0, 1], ["a", 0, 1], [2, 0, 1], [])),
         (with_last_value(2, "nan"), ":3: f.w0 has non-finite value 'nan'"),
         (with_last_value(2, "-inf"), ":3: f.w0 has non-finite value '-inf'"),
         (with_last_value(4, "Infinity"), ":5: f.b0 has non-finite value 'Infinity'"),

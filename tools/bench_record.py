@@ -61,18 +61,20 @@ def summary(values: list[float]) -> dict:
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
     """One metric's verdict over paired runs (``parent[i]`` with ``change[i]``).
 
-    ``better``: the change wins at least nine tenths of the pairs, ties
-    counting for neither side, and its median beats the parent's by more
-    than the parent's interquartile range.  ``worse``: its median is
-    worse than the parent's by more than ``bound`` times the parent's.
-    ``unresolved`` otherwise.  ``better`` is the direction the benchmark
+    ``better``: of at least 10 pairs (chance wins 3 of 3 one time in 8),
+    the change wins at least nine tenths, ties counting for neither side,
+    and its median beats the parent's by more than the parent's
+    interquartile range.  ``worse``: its median is worse than the
+    parent's by more than ``bound`` times the parent's.  ``unresolved``
+    otherwise.  ``better`` is the direction the benchmark
     gives the metric, ``"lower"`` or ``"higher"``.
     """
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     before, after = summary(parent), summary(change)
     gain = sign * (after["median"] - before["median"])
-    if 10 * wins >= 9 * len(parent) and gain > before["q3"] - before["q1"]:
+    if (len(parent) >= 10 and 10 * wins >= 9 * len(parent)
+            and gain > before["q3"] - before["q1"]):
         return "better"
     if -gain > bound * abs(before["median"]):
         return "worse"

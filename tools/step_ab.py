@@ -1,8 +1,8 @@
-"""Interleaved in-process A/B of ``trainer.train_step`` between two source trees.
+"""Interleaved in-process A/B of ``trainer.train`` between two source trees.
 
 Run from the root of a checkout:
 
-    python3 tools/step_ab.py --base ../parent/src --change src [--blocks 400] [--steps 50]
+    python3 tools/step_ab.py --base ../parent/src --change src [--blocks 20] [--steps 3000]
 
 Each ``--base``/``--change`` is a ``src`` directory holding a
 ``udaselect`` package.  The script copies each package under its own
@@ -11,21 +11,22 @@ directory and imports both into one process; the package uses only
 relative imports, so the copies do not see each other.  BLAS runs on one
 thread: the thread variables are set before numpy is imported.
 
-Both sides train ``cli.benchmark_config(seed=0)`` on its benchmark data,
-each with its own state and batch generator, restarting from step 0
-when a block would run past ``total_steps``.  Blocks of ``--steps``
-calls to ``train_step`` alternate between the sides, the first side
-alternating from one pair of blocks to the next, and each block is timed
-in process CPU time; batches are drawn outside the timed region.  It
+A block is one ``trainer.train`` call of ``cli.benchmark_config(seed=0)``
+on its benchmark data, ``--steps`` steps long: at the default 3000 it is
+the ``train`` call of the benchmark's ``train_single`` workload.  Blocks
+alternate between the sides, the first side alternating from one pair
+of blocks to the next, and each block is timed in process CPU time.  It
 prints each side's median µs per step with its quartiles, the median
 and quartiles of the per-pair ratio change/base, and in how many pairs
-the change's block was faster.
+the change's block was faster.  The full benchmark's ``train_single``
+pair ratios spread from 0.89 to 1.12 for changes that did not touch
+training (``BENCH_11``, ``BENCH_12``), too wide to see a 5% change in
+the step, which is why this tool pairs blocks within one process.
 
-Both sides draw the same batches, each from its own generator seeded
-alike, and take the same steps in the same order, so two trees that
-train alike end with the same parameters.  The last line says whether
-the two sides' ``model.values`` are bit-identical after the timed
-blocks: a faster step that moves any bit of the training shows there.
+Every block trains from the same seed, so two trees that train alike
+return the same model.  The last line says whether the two sides'
+last returned ``model.values`` are bit-identical: a faster step that
+moves any bit of the training shows there.
 """
 
 from __future__ import annotations
@@ -52,34 +53,23 @@ SIDES = ("base", "change")
 
 
 class Side:
-    """One side's package, benchmark data, training state and batch stream."""
+    """One side's package, benchmark config and data, and last trained model."""
 
-    def __init__(self, package: str):
-        self.cli = importlib.import_module(f"{package}.cli")
-        self.dt = importlib.import_module(f"{package}.data")
-        self.tr = importlib.import_module(f"{package}.trainer")
-        self.cfg = self.cli.benchmark_config(seed=0)
-        self.src, self.tgt, _ = self.cli.make_benchmark(self.cfg)
-        self.restart()
+    def __init__(self, package: str, steps: int):
+        cli = importlib.import_module(f"{package}.cli")
+        self.train = importlib.import_module(f"{package}.trainer").train
+        self.cfg = cli.benchmark_config(seed=0, total_steps=steps)
+        self.src, self.tgt, _ = cli.make_benchmark(self.cfg)
+        self.model = None
 
-    def restart(self) -> None:
-        self.state = self.tr.init_state(self.src, self.cfg)
-        self.rng = np.random.default_rng([self.cfg.seed, 1])
-
-    def block(self, steps: int) -> float:
-        """CPU seconds per step over ``steps`` consecutive steps."""
-        if self.state.t + steps > self.cfg.total_steps:
-            self.restart()
-        batches = [self.dt.sample_batch(self.src, self.tgt, self.cfg.batch_size, self.rng)
-                   for _ in range(steps)]
-        step, state, cfg = self.tr.train_step, self.state, self.cfg
+    def block(self) -> float:
+        """CPU seconds per step of one ``train`` call."""
         start = time.process_time()
-        for batch in batches:
-            step(state, batch, cfg)
-        return (time.process_time() - start) / steps
+        self.model, _ = self.train(self.src, self.tgt, self.cfg)
+        return (time.process_time() - start) / self.cfg.total_steps
 
 
-def load_sides(srcs: dict[str, Path], tmp: Path) -> dict[str, Side]:
+def load_sides(srcs: dict[str, Path], tmp: Path, steps: int) -> dict[str, Side]:
     """Copy each ``<src>/udaselect`` to ``tmp/udaselect_<side>`` and load it."""
     for side, src in srcs.items():
         package = src / "udaselect"
@@ -88,18 +78,18 @@ def load_sides(srcs: dict[str, Path], tmp: Path) -> dict[str, Side]:
         shutil.copytree(package, tmp / f"udaselect_{side}",
                         ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, str(tmp))
-    return {side: Side(f"udaselect_{side}") for side in srcs}
+    return {side: Side(f"udaselect_{side}", steps) for side in srcs}
 
 
-def run(sides: dict[str, Side], blocks: int, steps: int) -> dict[str, list[float]]:
+def run(sides: dict[str, Side], blocks: int) -> dict[str, list[float]]:
     """Per-step CPU seconds of each side's blocks, after one untimed
     warm-up block each."""
     for side in sides.values():
-        side.block(steps)
+        side.block()
     times = {name: [] for name in sides}
     for i in range(blocks):
         for name in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            times[name].append(sides[name].block(steps))
+            times[name].append(sides[name].block())
     return times
 
 
@@ -120,8 +110,8 @@ def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int) -> 
 
 
 def parity(sides: dict[str, Side]) -> str:
-    """Whether the two sides' parameters are bit-identical."""
-    base, change = (sides[name].state.model.values for name in SIDES)
+    """Whether the two sides' last returned models have bit-identical parameters."""
+    base, change = (sides[name].model.values for name in SIDES)
     if base.shape != change.shape:
         return f"parameters differ: shapes {base.shape} and {change.shape}"
     differ = int(np.count_nonzero(base.view(np.uint64) != change.view(np.uint64)))
@@ -134,15 +124,15 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="the base side's src/")
     ap.add_argument("--change", type=Path, required=True, help="the changed side's src/")
-    ap.add_argument("--blocks", type=int, default=400, help="timed blocks per side")
-    ap.add_argument("--steps", type=int, default=50, help="train_step calls per block")
+    ap.add_argument("--blocks", type=int, default=20, help="timed blocks per side")
+    ap.add_argument("--steps", type=int, default=3000, help="training steps per block")
     args = ap.parse_args(argv)
     if args.blocks < 1 or args.steps < 1:
         ap.error("--blocks and --steps must be >= 1")
     srcs = {"base": args.base.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory() as tmp:
-        sides = load_sides(srcs, Path(tmp))
-        times = run(sides, args.blocks, args.steps)
+        sides = load_sides(srcs, Path(tmp), args.steps)
+        times = run(sides, args.blocks)
     print(report(times, srcs, args.steps))
     print(parity(sides))
     return 0
