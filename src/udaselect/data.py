@@ -107,14 +107,10 @@ class DomainDataset:
 class DomainBatch:
     """One paired mini-batch: ``x`` stacks the labeled source half (slice
     0) over the unlabeled target half (slice 1), and ``source_y`` holds
-    the source half's class ids."""
+    the source half's labels from the dataset its rows were drawn from."""
 
     x: np.ndarray
     source_y: np.ndarray
-
-    @property
-    def source_x(self) -> np.ndarray:
-        return self.x[0]
 
     @property
     def target_x(self) -> np.ndarray:
@@ -178,10 +174,10 @@ def gen_synthetic(spec: LabelSetSpec, dim: int, per_class: int,
 
 
 def batches(src: DomainDataset, tgt: DomainDataset, half: int, steps: int,
-            rng: np.random.Generator) -> Iterator[tuple[np.ndarray, DomainBatch]]:
+            rng: np.random.Generator) -> Iterator[DomainBatch]:
     """``steps`` paired batches of ``half`` rows per domain, each row drawn
-    uniformly with replacement; yields each step's ``(2, half)`` row
-    indices (source, then target) and its batch.
+    uniformly with replacement.  A batch's ``source_y`` holds the drawn
+    source rows' ``src.labels``.
 
     One ``integers`` call with the bounds ``((src.n,), (tgt.n,))`` draws
     the indices of up to ``BLOCK_STEPS`` steps: the same stream as a
@@ -203,7 +199,7 @@ def batches(src: DomainDataset, tgt: DomainDataset, half: int, steps: int,
             src.features.take(rows[0], axis=0, out=batch.x[0], mode="clip")
             tgt.features.take(rows[1], axis=0, out=batch.x[1], mode="clip")
             src.labels.take(rows[0], out=batch.source_y, mode="clip")
-            yield rows, batch
+            yield batch
 
 
 def sample_batch(src: DomainDataset, tgt: DomainDataset, batch_size: int,
@@ -212,7 +208,7 @@ def sample_batch(src: DomainDataset, tgt: DomainDataset, batch_size: int,
     the one-step case of ``batches``, in a batch of its own."""
     if batch_size < 2 or batch_size % 2 != 0:
         raise ContractError(f"batch_size must be even and >= 2, got {batch_size}")
-    (_, batch), = batches(src, tgt, batch_size // 2, 1, rng)
+    batch, = batches(src, tgt, batch_size // 2, 1, rng)
     return batch
 
 

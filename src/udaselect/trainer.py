@@ -90,10 +90,9 @@ class TrainConfig:
         for name, frac in THRESHOLD_FRACTIONS.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, sc.range_point(self.scheme, frac))
-        sc.check_in_range(self.scheme, "w0", self.w0)
-        sc.check_in_range(self.scheme, "w_beta", self.w_beta)
-        if self.static_w_alpha is not None:
-            sc.check_in_range(self.scheme, "static_w_alpha", self.static_w_alpha)
+        for name in (*THRESHOLD_FRACTIONS, "static_w_alpha"):
+            if getattr(self, name) is not None:
+                sc.check_in_range(self.scheme, name, getattr(self, name))
         if self.total_steps < 0:
             raise ConfigError("total_steps must be >= 0")
         if self.seed < 0:
@@ -255,7 +254,10 @@ def train_step(state: TrainState, batch: DomainBatch, cfg: TrainConfig,
                labels: np.ndarray) -> ls.LossBreakdown:
     """One forward/backward/SGD step; writes log row ``t``, advances ``t``
     and returns the loss breakdown.  ``labels`` are the classifier
-    indices of ``batch.source_y`` (``ModelBundle.class_index``).
+    indices (``ModelBundle.class_index``) of the source half's class ids.
+    ``batch.source_y`` holds the labels of the dataset it was drawn from:
+    ``train`` draws from indices and passes ``source_y`` itself, while a
+    batch drawn from class ids needs ``class_index(batch.source_y)``.
 
     A non-finite value replays the step on ``engine_loss``, so the
     ``NumericError`` names the op and the step index; a failed step
@@ -294,14 +296,14 @@ def train(src: DomainDataset, tgt: DomainDataset,
           cfg: TrainConfig) -> tuple[ModelBundle, np.ndarray]:
     """Run the full loop; (seed, cfg, data) determine the result exactly.
     Returns the model and the rows of the log written, one per step.
-    The source labels are mapped to classifier indices once, and each
-    step takes its batch's rows of that map."""
+    The batches are drawn from the source relabelled once with its
+    classifier indices, so each batch's ``source_y`` holds the step's
+    ``labels``."""
     state = init_state(src, cfg)
-    index = state.model.class_index(src.labels)
-    labels = np.empty(cfg.batch_size // 2, index.dtype)
+    indexed = DomainDataset(src.features, state.model.class_index(src.labels))
     rng = np.random.default_rng([cfg.seed, 1])
-    for rows, batch in batches(src, tgt, cfg.batch_size // 2, cfg.total_steps, rng):
-        train_step(state, batch, cfg, index.take(rows[0], out=labels, mode="clip"))
+    for batch in batches(indexed, tgt, cfg.batch_size // 2, cfg.total_steps, rng):
+        train_step(state, batch, cfg, batch.source_y)
     return state.model, state.log[:state.t]
 
 

@@ -290,8 +290,7 @@ VARIANTS = {
     "full": {},
     "no_pseudo_labels": {"pseudo_labels": False},
     "w_alpha_0": {"static_w_alpha": 0.0},
-    "ours_no_maxy": {"scheme": "ours_no_maxy", "w0": 0.5, "w_beta": 0.4,
-                     "w_alpha_start": 1.5},
+    "ours_no_maxy": {"scheme": "ours_no_maxy"},
     "static_1.0": {"static_w_alpha": 1.0},
     "static_1.2": {"static_w_alpha": 1.2},
     "static_1.4": {"static_w_alpha": 1.4},

@@ -182,6 +182,16 @@ class TestTrain:
             f"error: config field {key} must be float, got None\n")
         assert not out.exists()
 
+    def test_out_of_range_w_alpha_start_in_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps({"scheme": "ours_no_maxy", "w_alpha_start": 1.5}))
+        out = tmp_path / "run"
+        assert main(["train", "--synthetic", "--config", str(bad),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: w_alpha_start=1.5 outside [0.0, 1.0] for scheme 'ours_no_maxy'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--batch-size", "3", "batch_size must be even and >= 2, got 3"),
         ("--gamma", "-1", "gamma must be >= 0, got -1.0"),

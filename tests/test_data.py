@@ -139,7 +139,7 @@ class TestSampleBatch:
     def test_halves(self):
         src, tgt = self._pair()
         batch = dt.sample_batch(src, tgt, 8, np.random.default_rng(0))
-        assert batch.source_x.shape[0] == 4
+        assert batch.x[0].shape[0] == 4
         assert batch.source_y.shape[0] == 4
         assert batch.target_x.shape[0] == 4
 
@@ -148,7 +148,7 @@ class TestSampleBatch:
         b1 = [dt.sample_batch(src, tgt, 6, np.random.default_rng(3))
               for _ in range(1)][0]
         b2 = dt.sample_batch(src, tgt, 6, np.random.default_rng(3))
-        np.testing.assert_array_equal(b1.source_x, b2.source_x)
+        np.testing.assert_array_equal(b1.x[0], b2.x[0])
         np.testing.assert_array_equal(b1.target_x, b2.target_x)
 
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
@@ -174,15 +174,13 @@ class TestSampleBatch:
         src, tgt = (dt.DomainDataset(Rows(), Rows()),
                     dt.DomainDataset(np.arange(other)[:, None], np.arange(other)))
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        drawn = [(rows.copy(), batch.x.copy(), batch.source_y.copy())
-                 for rows, batch in dt.batches(src, tgt, half, steps, rng)]
-        drawn += [(None, b.x, b.source_y)
+        drawn = [(batch.x.copy(), batch.source_y.copy())
+                 for batch in dt.batches(src, tgt, half, steps, rng)]
+        drawn += [(b.x, b.source_y)
                   for b in (dt.sample_batch(src, tgt, 2 * half, rng) for _ in range(2))]
         assert len(drawn) == steps + 2
-        for rows, x, y in drawn:
+        for x, y in drawn:
             si, ti = ref.integers(0, n, size=half), ref.integers(0, other, size=half)
-            if rows is not None:
-                np.testing.assert_array_equal(rows, (si, ti))
             np.testing.assert_array_equal(x, np.stack((si, ti))[..., None])
             np.testing.assert_array_equal(y, si)
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -214,7 +212,7 @@ class TestSampleBatch:
         for _ in range(n_batches):
             batch = dt.sample_batch(src, tgt, 2 * half, rng)
             # recover indices by matching rows back to the dataset
-            for row in batch.source_x:
+            for row in batch.x[0]:
                 counts[np.argmin(np.abs(src.features - row).sum(axis=1))] += 1
         draws = n_batches * half
         p = 1.0 / src.n

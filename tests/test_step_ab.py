@@ -1,5 +1,5 @@
 """``tools/step_ab.py`` runs an A/B of two source trees and prints its summary
-and whether the two sides end with the same parameters."""
+and whether the two sides end with the same parameters and step logs."""
 
 import os
 import re
@@ -34,20 +34,34 @@ def test_self_ab_prints_the_summary(tmp_path):
                         rf"\(quartiles {NUMBER}-{NUMBER}\)", lines[2]), lines[2]
     won = re.fullmatch(r"change faster in (\d+) of 2 blocks of 2 steps", lines[3])
     assert won and int(won.group(1)) <= 2, lines[3]
-    assert re.fullmatch(r"parameters bit-identical: \d+ values", lines[4]), lines[4]
+    assert re.fullmatch(r"parameters and step logs bit-identical: \d+ values, 2 rows",
+                        lines[4]), lines[4]
     assert not list(tmp_path.iterdir())  # the package copies are gone
 
 
-def test_a_change_that_trains_differently_is_flagged(tmp_path):
+def patched_step_ab(tmp_path: Path, old: str, new: str) -> str:
+    """The last line of an A/B of this tree against a copy whose
+    ``trainer.py`` has its one ``old`` replaced by ``new``."""
     changed = tmp_path / "changed"
     shutil.copytree(ROOT / "src" / "udaselect", changed / "udaselect",
                     ignore=shutil.ignore_patterns("__pycache__"))
     trainer = changed / "udaselect" / "trainer.py"
     text = trainer.read_text()
-    assert "state.v *= cfg.momentum\n" in text
-    trainer.write_text(text.replace("state.v *= cfg.momentum\n",
-                                    "state.v *= cfg.momentum * 0.5\n"))
+    assert text.count(old) == 1
+    trainer.write_text(text.replace(old, new))
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    last = step_ab(ROOT / "src", changed, run_dir)[-1]
-    assert re.fullmatch(r"parameters differ: [1-9]\d* of \d+ bit patterns", last), last
+    return step_ab(ROOT / "src", changed, run_dir)[-1]
+
+
+def test_a_change_that_trains_differently_is_flagged(tmp_path):
+    last = patched_step_ab(tmp_path, "state.v *= cfg.momentum\n",
+                           "state.v *= cfg.momentum * 0.5\n")
+    assert re.fullmatch(r"parameters differ: [1-9]\d* of \d+ bit patterns; "
+                        r"step logs bit-identical: 2 rows", last), last
+
+
+def test_a_change_that_moves_only_a_logged_loss_is_flagged(tmp_path):
+    last = patched_step_ab(tmp_path, "(b.l_c, b.l_bd,", "(b.l_c * 2.0, b.l_bd,")
+    assert re.fullmatch(r"parameters bit-identical: \d+ values; "
+                        r"step logs differ: 2 of 2 rows \(l_c\)", last), last

@@ -60,10 +60,11 @@ class TestWAlphaSchedule:
 
 
 class TestConfig:
-    def test_w0_range_checked_per_scheme(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(scheme="ours_no_d", w0=1.5)
-        TrainConfig(scheme="ours", w0=1.5)
+    @pytest.mark.parametrize("key", ["w0", "w_alpha_start"])
+    def test_threshold_range_checked_per_scheme(self, key):
+        with pytest.raises(ConfigError, match=f"{key}=1.5 outside"):
+            TrainConfig(scheme="ours_no_d", **{key: 1.5})
+        TrainConfig(scheme="ours", **{key: 1.5})
 
     @pytest.mark.parametrize("scheme, want", [
         ("ours", (1.0, 0.8, 1.5)), ("uan", (0.0, -0.19999999999999996, 0.5)),
@@ -85,11 +86,12 @@ class TestConfig:
         cfg = tiny_cfg(gamma=0.3, static_w_alpha=1.2)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_static_w_alpha_must_lie_in_the_schemes_range(self):
+    @pytest.mark.parametrize("key", ["static_w_alpha", "w_alpha_start"])
+    def test_threshold_must_lie_in_the_schemes_range(self, key):
         with pytest.raises(ConfigError,
-                           match=r"static_w_alpha=1.2 outside \[-1.0, 1.0\] for scheme 'uan'"):
-            TrainConfig(scheme="uan", static_w_alpha=1.2)
-        assert TrainConfig(scheme="uan", static_w_alpha=-1.0).static_w_alpha == -1.0
+                           match=rf"{key}=1.2 outside \[-1.0, 1.0\] for scheme 'uan'"):
+            TrainConfig(scheme="uan", **{key: 1.2})
+        assert getattr(TrainConfig(scheme="uan", **{key: -1.0}), key) == -1.0
 
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
@@ -506,24 +508,30 @@ class TestStepTape:
 
 class TestLabels:
     @pytest.mark.parametrize("steps", [1, 64, 70])
-    def test_train_takes_each_steps_class_indices_from_the_run_map(self, monkeypatch, steps):
-        """Ids that are not their own indices; 70 steps cross a block of draws."""
+    def test_each_steps_labels_are_its_batchs_source_y(self, monkeypatch, steps):
+        """``train`` passes each batch's ``source_y`` as the step's labels,
+        and they are the class indices of the class ids ``sample_batch``
+        draws for that step.  Ids that are not their own indices; 70 steps
+        cross a block of draws."""
         spec = dt.LabelSetSpec(shared=(3, 8), source_private=(5,), target_private=(1,))
         src, tgt = dt.gen_synthetic(spec, 4, 8, dt.ShiftConfig(0.3, 0.5), seed=0)
         cfg = tiny_cfg(total_steps=steps)
         train_step, seen = tr.train_step, []
 
         def checked(state, batch, cfg, labels):
-            np.testing.assert_array_equal(labels, state.model.class_index(batch.source_y))
-            seen.append(batch.x.copy())
+            assert labels is batch.source_y
+            seen.append((state.model, batch.x.copy(), labels.copy()))
             return train_step(state, batch, cfg, labels)
 
         monkeypatch.setattr(tr, "train_step", checked)
         tr.train(src, tgt, cfg)
         rng = np.random.default_rng([cfg.seed, 1])
         assert len(seen) == steps
-        for x in seen:
-            np.testing.assert_array_equal(x, dt.sample_batch(src, tgt, cfg.batch_size, rng).x)
+        for model, x, labels in seen:
+            drawn = dt.sample_batch(src, tgt, cfg.batch_size, rng)
+            np.testing.assert_array_equal(x, drawn.x)
+            np.testing.assert_array_equal(labels, model.class_index(drawn.source_y))
+            assert labels.dtype == np.intp
 
     def test_negative_grl_lambda_rejected_by_config(self):
         with pytest.raises(ConfigError, match="grl_lambda"):

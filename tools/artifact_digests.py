@@ -8,15 +8,16 @@ It trains and evaluates, in a temporary directory, with the ``udaselect``
 found in ``--src`` (default: this checkout's ``src/``), and prints one
 ``name<TAB>sha256`` line per artifact, sorted by name, then the sha256
 of those lines.  Running it on two commits and comparing the last line
-is the byte-identity check.  The 119 artifacts are:
+is the byte-identity check.  The 127 artifacts are:
 
 - ``<scheme>_s<seed>/<file>``: the 8 files of
   ``run_experiment`` for ``scheme_defaults(benchmark_config(seed=seed,
   total_steps=300), scheme)``, for every scheme and seeds 0 and 1;
 - ``<variant>/<file>``: the 8 files of ``run_experiment`` for
   ``benchmark_config(seed=0, total_steps=300, **VARIANTS[variant])``:
-  25-row halves through a hidden extractor, and a step whose target
-  half never reaches the classifier's loss;
+  25-row halves through a hidden extractor, a step whose target
+  half never reaches the classifier's loss, and a static pseudo-label
+  threshold with target-only diversity and DANN's ramped reversal;
 - ``full/<file>``: the 8 files of the 3000-step
   ``benchmark_config(seed=0)`` run;
 - ``eval_large/<scheme>``: ``evaluate(...).to_json()`` of the ``full``
@@ -33,10 +34,11 @@ is the byte-identity check.  The 119 artifacts are:
 
 Every run is named ``r``, because ``manifest.json`` records the name.
 ``tests/test_artifact_digests.py`` holds the last line per known host.
-Before the file-read scores were added it read ``114 artifacts, list
-sha256 2f56b38d…9aee``, before the score columns ``109 artifacts,
-list sha256 02d7794f…cda2``, and before the two variants ``93
-artifacts, list sha256 be11c31f…e8c``.
+Before the static, target-only, ramped variant was added it read ``119
+artifacts, list sha256 eba30e0e…db22``, before the file-read scores
+``114 artifacts, list sha256 2f56b38d…9aee``, before the score columns
+``109 artifacts, list sha256 02d7794f…cda2``, and before the first two
+variants ``93 artifacts, list sha256 be11c31f…e8c``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ SHORT_STEPS = 300
 VARIANTS = {
     "b50_f64x64_fd32": dict(batch_size=50, f_hidden=(64, 64), feature_dim=32),
     "nopl_divoff": dict(pseudo_labels=False, diversity_mode="off"),
+    "static_divtgt_ramp": dict(static_w_alpha=1.2, diversity_mode="target_only",
+                               grl_mode="ramp"),
 }
 EVAL_PER_CLASS = 2000
 

@@ -24,9 +24,10 @@ training (``BENCH_11``, ``BENCH_12``), too wide to see a 5% change in
 the step, which is why this tool pairs blocks within one process.
 
 Every block trains from the same seed, so two trees that train alike
-return the same model.  The last line says whether the two sides'
-last returned ``model.values`` are bit-identical: a faster step that
-moves any bit of the training shows there.
+return the same model and step log.  The last line says whether the two
+sides' last returned ``model.values`` and step logs are bit-identical,
+and names what differs: a faster step that moves any bit of the
+training, or only a logged value, shows there.
 """
 
 from __future__ import annotations
@@ -53,19 +54,20 @@ SIDES = ("base", "change")
 
 
 class Side:
-    """One side's package, benchmark config and data, and last trained model."""
+    """One side's package, benchmark config and data, and last trained
+    model and step log."""
 
     def __init__(self, package: str, steps: int):
         cli = importlib.import_module(f"{package}.cli")
         self.train = importlib.import_module(f"{package}.trainer").train
         self.cfg = cli.benchmark_config(seed=0, total_steps=steps)
         self.src, self.tgt, _ = cli.make_benchmark(self.cfg)
-        self.model = None
+        self.model = self.log = None
 
     def block(self) -> float:
         """CPU seconds per step of one ``train`` call."""
         start = time.process_time()
-        self.model, _ = self.train(self.src, self.tgt, self.cfg)
+        self.model, self.log = self.train(self.src, self.tgt, self.cfg)
         return (time.process_time() - start) / self.cfg.total_steps
 
 
@@ -109,15 +111,42 @@ def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int) -> 
     return "\n".join(lines)
 
 
-def parity(sides: dict[str, Side]) -> str:
-    """Whether the two sides' last returned models have bit-identical parameters."""
-    base, change = (sides[name].model.values for name in SIDES)
+def parameter_parity(base: np.ndarray, change: np.ndarray) -> str | None:
+    """What differs between two parameter vectors' bits, or None."""
     if base.shape != change.shape:
         return f"parameters differ: shapes {base.shape} and {change.shape}"
     differ = int(np.count_nonzero(base.view(np.uint64) != change.view(np.uint64)))
     if differ:
         return f"parameters differ: {differ} of {base.size} bit patterns"
-    return f"parameters bit-identical: {base.size} values"
+    return None
+
+
+def log_parity(base: np.ndarray, change: np.ndarray) -> str | None:
+    """What differs between two step logs' bytes, rows and fields, or None."""
+    if base.dtype != change.dtype or base.shape != change.shape:
+        return (f"step logs differ: {len(base)} rows of {base.dtype} and "
+                f"{len(change)} rows of {change.dtype}")
+    moved = (base.view(np.uint8).reshape(len(base), -1)
+             != change.view(np.uint8).reshape(len(change), -1))
+    rows = int(np.count_nonzero(moved.any(axis=1)))
+    if rows:
+        names = [name for name, (dtype, offset) in base.dtype.fields.items()
+                 if moved[:, offset:offset + dtype.itemsize].any()]
+        return f"step logs differ: {rows} of {len(base)} rows ({', '.join(names)})"
+    return None
+
+
+def parity(sides: dict[str, Side]) -> str:
+    """Whether the two sides' last returned models have bit-identical
+    parameters and their step logs bit-identical rows."""
+    (base, base_log), (change, change_log) = (
+        (sides[name].model.values, sides[name].log) for name in SIDES)
+    params, logs = parameter_parity(base, change), log_parity(base_log, change_log)
+    if params is None and logs is None:
+        return (f"parameters and step logs bit-identical: {base.size} values, "
+                f"{len(base_log)} rows")
+    return "; ".join((params or f"parameters bit-identical: {base.size} values",
+                      logs or f"step logs bit-identical: {len(base_log)} rows"))
 
 
 def main(argv: list[str] | None = None) -> int:
