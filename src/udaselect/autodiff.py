@@ -75,7 +75,7 @@ def backward(loss: Node) -> None:
         return
     # A node pops only after every consumer it has, since consumers are
     # created later; the heap holds interior nodes that have a gradient.
-    grads = {loss: np.ones_like(loss.value)}
+    grads = {loss: np.ones(loss.shape)}
     heap = [(-loss.seq, loss)]
     while heap:
         node = heapq.heappop(heap)[1]

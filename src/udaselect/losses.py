@@ -81,8 +81,10 @@ def _checked_labels(source_shape: tuple[int, int], source_labels: np.ndarray,
     if len(target_scores) != n_target:
         raise ContractError("target_scores must align with target_probs rows")
     labels = np.asarray(source_labels, dtype=np.intp)
-    if labels.size and (np.minimum.reduce(labels, axis=None) < 0
-                        or np.maximum.reduce(labels, axis=None) >= source_shape[1]):
+    if len(labels) != source_shape[0]:
+        raise ContractError("source_labels must align with source_probs rows")
+    # as an unsigned integer a negative label is above any class count
+    if labels.size and np.maximum.reduce(labels.view(np.uintp), axis=None) >= source_shape[1]:
         raise ContractError(f"source labels must lie in [0, {source_shape[1]})")
     return labels
 
@@ -146,69 +148,84 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
                    gamma: float, mode: str
                    ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """``loss_compound`` of the three losses on the domain stacks ``probs``
-    and ``d`` (slice 0 the source, slice 1 the target): the breakdown and
-    the gradients of ``probs`` and ``d``, each shaped like its stack.
+    and ``d`` (slice 0 the source, slice 1 the target, ``half`` rows
+    each): the breakdown and the gradients of ``probs`` and ``d``, each
+    shaped like its stack.
 
     Every NLL entry of the step goes into one vector, in segments: the
-    labelled source probabilities, the selected targets' pseudo-label
-    probabilities, the source ``d`` and the target's ``-1.0 * d + 1.0``.
-    One clamp, log and gradient pass runs over it, each term's mean is
-    its own segment's sum over the segment's size (the mean of no
-    entries is 0), and each segment's gradient scale is ``_mean_nll``'s
-    ``-1.0 * (upstream / n)``.  The target domain's ``affine`` sign is
-    folded into its scale: ``(-s) / c * m`` is ``-1.0 * (s / c * m)`` bit
-    for bit, zeros included.
+    source ``d``, the target's ``-1.0 * d + 1.0`` and the labelled source
+    probabilities, ``half`` entries each, then the selected targets'
+    pseudo-label probabilities.  The probabilities are one ``take`` at
+    their flat indices ``at`` in ``probs``.  One clamp, log and gradient
+    pass runs over the vector in place.  Each term's mean is its own
+    segment's sum over the segment's size (the mean of no entries is 0);
+    the three ``half``-entry sums are one reduction over their rows,
+    which gives each row the bits of its own.  Each segment's gradient
+    scale is ``_mean_nll``'s ``-1.0 * (upstream / n)``, and the target
+    domain's ``affine`` sign is folded into its scale: ``(-s) / c * m``
+    is ``-1.0 * (s / c * m)`` bit for bit, zeros included.
 
-    The head gradient is ``0.0 + g`` scattered into zeros, the engine's
-    ``np.add.at``, with the diversity gradient added on.  An entry either
-    head term leaves out is ``+0.0`` in the other's gradient and neither
-    holds a ``-0.0``, so each entry is the engine's one- or two-term sum.
-    The domain gradient is a view of the vector's tail.
+    The diversity rows are a 0/1 weight over the ``(2 * half, K)`` rows
+    of ``probs``: numpy reduces axis 0 row after row, and a left-out row
+    adds ``+0.0``, so the column sums are those of the chosen rows alone.
+    The head gradient is ``weight * row`` with the CE gradient added at
+    ``at``.  The probabilities are ``>= +0.0``, so ``weight * row`` holds
+    no ``-0.0``: where no row is chosen it is ``+0.0``, and adding a
+    ``-0.0`` CE gradient to it gives ``+0.0`` as the engine's scatter
+    ``0.0 + g`` does.  Each entry is thus the engine's one- or two-term
+    sum.  The domain gradient is a view of the gradient vector's head.
     """
     labels = _checked_labels(probs.shape[1:], source_labels, probs.shape[1],
                              target_scores, gamma)
     if mode not in DIVERSITY_MODES:
         raise ContractError(f"unknown diversity mode {mode!r}")
-    n_d = d[0].size
-    if n_d == 0:
+    if d[0].size == 0:
         raise ContractError("domain loss requires non-empty batches")
     scores = np.asarray(target_scores)
-    n_src = len(labels)
-    rows = np.arange(n_src)
+    half, k = probs.shape[1:]
     picked = (scores > w_alpha).nonzero()[0]
-    pseudo = probs[1, picked].argmax(axis=1)  # ties -> lowest index
     n_pl = len(picked)
-    p = np.concatenate((probs[0, rows, labels], probs[1, picked, pseudo],
-                        d[0].reshape(-1), -1.0 * d[1].reshape(-1) + 1.0))
-    s_d = -1.0 * (1.0 / n_d)
-    scale = np.repeat((-1.0 * (1.0 / n_src), -1.0 * (gamma / max(n_pl, 1)), s_d, -s_d),
-                      (n_src, n_pl, n_d, n_d))
-    clamped = np.maximum(p, PROB_FLOOR)
-    nll = -1.0 * np.log(clamped) + 0.0
-    grad = scale / clamped * (p > PROB_FLOOR)
+    row_at = np.arange(0, 2 * half * k, k)  # each row's first entry in probs
+    at = np.empty(half + n_pl, np.intp)
+    np.add(row_at[:half], labels, out=at[:half])
+    np.add(row_at[half:][picked], probs[1, picked].argmax(axis=1),  # ties -> lowest
+           out=at[half:])
+    p = np.empty(3 * half + n_pl)
+    p[:2 * half].reshape(d.shape)[...] = d
+    target_d = p[half:2 * half]
+    target_d *= -1.0
+    target_d += 1.0
+    probs.take(at, out=p[2 * half:], mode="clip")
+    s_d = -1.0 * (1.0 / half)
+    grad = np.array((s_d, -s_d, -1.0 * (1.0 / half), -1.0 * (gamma / max(n_pl, 1)))
+                    ).repeat((half, half, half, n_pl))
+    above = p > PROB_FLOOR
+    np.maximum(p, PROB_FLOOR, out=p)
+    grad /= p
+    grad *= above
+    nll = np.log(p, out=p)
+    nll *= -1.0
+    nll += 0.0
+    sum_ds, sum_dt, sum_src = np.add.reduce(nll[:3 * half].reshape(3, half), axis=1).tolist()
+    l_c = sum_src / half + (gamma * (float(np.add.reduce(nll[3 * half:])) / max(n_pl, 1))
+                            + 0.0)
+    l_d = sum_ds / half + sum_dt / half
 
-    a, b, c = n_src, n_src + n_pl, n_src + n_pl + n_d
-    l_c = (np.add.reduce(nll[:a]) / n_src
-           + (gamma * (np.add.reduce(nll[a:b]) / max(n_pl, 1)) + 0.0))
-    l_d = np.add.reduce(nll[b:c]) / n_d + np.add.reduce(nll[c:]) / n_d
-    g_probs = np.zeros(probs.shape)
-    g_probs[0, rows, labels] = 0.0 + grad[:a]
-    g_probs[1, picked, pseudo] = 0.0 + grad[a:b]
-
-    chosen = (scores > w_beta).nonzero()[0]
-    if mode == "off":
-        chosen = chosen[:0]
-    source = probs[0] if mode == "both" else probs[0, :0]
-    y_bars = np.concatenate((source, probs[1, chosen]))
-    n = max(len(y_bars), 1)  # with no rows the term is 0
-    means = np.add.reduce(y_bars, axis=0) / n
+    weight = np.zeros(2 * half)
+    if mode == "both":
+        weight[:half] = 1.0
+    if mode != "off":
+        weight[half:] = scores > w_beta
+    n_div = int(np.count_nonzero(weight[half:]))
+    n = max(half * (mode == "both") + n_div, 1)  # with no rows the term is 0
+    g_probs = probs.reshape(2 * half, k) * weight[:, None]
+    means = np.add.reduce(g_probs, axis=0) / n
     row = 2.0 * means / n
-    g_probs[0, :len(source)] += row
-    g_probs[1, chosen] += row
-    l_bd = np.add.reduce(means * means)
+    np.multiply(weight[:, None], row, out=g_probs)
+    g_probs.reshape(-1)[at] += grad[2 * half:]
+    l_bd = float(np.add.reduce(means * means))
 
-    total = l_c + l_bd + l_d
     breakdown = LossBreakdown(
-        l_c=float(l_c), l_bd=float(l_bd), l_d=float(l_d), total=float(total),
-        n_pseudo_selected=n_pl, n_diversity_selected=len(chosen))
-    return breakdown, g_probs, grad[b:].reshape(d.shape)
+        l_c=l_c, l_bd=l_bd, l_d=l_d, total=l_c + l_bd + l_d,
+        n_pseudo_selected=n_pl, n_diversity_selected=n_div)
+    return breakdown, g_probs.reshape(probs.shape), grad[:2 * half].reshape(d.shape)

@@ -182,11 +182,12 @@ class Mlp:
         Each layer's pre-activation ``h @ W + b`` is checked with
         ``check_finite``: ReLU, softmax and sigmoid map finite values to
         finite values, so it is the only place a finite input can turn
-        non-finite.  The bias add and the ReLU write into the fresh
-        product ``h @ W`` in place: the same ufuncs as ``h @ W + b`` and
-        ``maximum(h, 0)``, so the same bits with no extra temporaries.
-        The softmax's row maximum and row sum are ``row_max`` and
-        ``row_sum``, which give numpy's reductions bit for bit.
+        non-finite.  The bias add, the ReLU and the softmax write into
+        the fresh product ``h @ W`` in place: the same ufuncs as
+        ``h @ W + b``, ``maximum(h, 0)`` and ``exp(h - max) / sum``, so
+        the same bits with no extra temporaries.  The softmax's row
+        maximum and row sum are ``row_max`` and ``row_sum``, which give
+        numpy's reductions bit for bit.
         With ``tape``, appends each layer's input and then the output,
         which ``vjp_array`` reads; no array on the tape is written after
         it is appended.
@@ -203,8 +204,9 @@ class Mlp:
             if i < last:
                 np.maximum(h, 0.0, out=h)
         if self.spec.final_activation == "softmax":
-            e = np.exp(h - row_max(h)[..., None])
-            h = e / row_sum(e)[..., None]
+            h -= row_max(h)[..., None]
+            np.exp(h, out=h)
+            h /= row_sum(h)[..., None]
         elif self.spec.final_activation == "sigmoid":
             # the engine's ``where(h >= 0, 1 / (1 + e), e / (1 + e))``
             # with one sum and one division
@@ -228,8 +230,12 @@ class Mlp:
         layer's input ``h = max(a, 0)``, which equals the engine's
         ``a > 0.0``: ``a`` passed ``check_finite``.  It multiplies the
         fresh product ``g @ W.T`` in place, the engine's ``g * mask``.
-        The sums are ``np.add.reduce`` calls, the ufunc behind
-        ``ndarray.sum`` without its Python wrapper, so the same bits.
+        Where the layer's output width is 1, ``g @ W.T`` is a k = 1
+        product, ``0.0 + g * w`` per entry, which is ``g * W.T`` with a
+        ``-0.0`` product turned into ``+0.0``: that multiply and
+        ``+= 0.0`` give its bits without numpy's matmul call.  The sums
+        are ``np.add.reduce`` calls, the ufunc behind ``ndarray.sum``
+        without its Python wrapper, so the same bits.
         """
         y = tape[-1]
         if self.spec.final_activation == "softmax":
@@ -242,7 +248,12 @@ class Mlp:
             np.matmul(h.swapaxes(-1, -2), g, out=out[2 * i])
             if i == 0 and not input_grad:
                 return None
-            g = g @ self.weights[i].value.T
+            w = self.weights[i].value
+            if w.shape[1] == 1:
+                g = g * w.T
+                g += 0.0
+            else:
+                g = g @ w.T
             if i > 0:
                 g *= h > 0.0
         return g

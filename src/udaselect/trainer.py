@@ -103,6 +103,8 @@ class TrainConfig:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.grl_mode not in GRL_MODES:
             raise ConfigError(f"unknown grl_mode {self.grl_mode!r}")
         if self.diversity_mode not in ls.DIVERSITY_MODES:
@@ -155,7 +157,7 @@ class TrainState:
         self.v = np.zeros_like(self.model.values)
 
 
-def w_alpha(t: int, total_steps: int, w0: float, start: float = 1.5) -> float:
+def w_alpha(t: int, total_steps: int, w0: float, start: float) -> float:
     """Linearly decaying selection threshold from ``start`` down to ``w0``."""
     if total_steps < 1 or not 0 <= t <= total_steps:
         raise ContractError(f"need 0 <= t <= T with T >= 1, got t={t}, T={total_steps}")
@@ -244,7 +246,9 @@ def step_op(m: ModelBundle, x: np.ndarray, labels: np.ndarray, lam: float,
     def vjp(g):
         g_r = m.d.vjp_array(tape_d, g * g_d, m.half_views["d"])
         g_fc = m.c.vjp_array(tape_c, g * g_probs, m.half_views["c"])
-        m.f.vjp_array(tape_f, g_fc + -lam * g_r, m.half_views["f"], input_grad=False)
+        g_r *= -lam
+        g_r += g_fc
+        m.f.vjp_array(tape_f, g_r, m.half_views["f"], input_grad=False)
         return (m.halves[0] + m.halves[1],)
 
     return Node(breakdown.total, (m.flat,), "train_step", vjp), breakdown

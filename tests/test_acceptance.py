@@ -230,7 +230,7 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_threshold_schedule(self):
-        vals = [tr.w_alpha(t, 400, 1.0) for t in range(401)]
+        vals = [tr.w_alpha(t, 400, 1.0, 1.5) for t in range(401)]
         diffs = np.diff(vals)
         ok = (vals[0] == 1.5 and vals[-1] == 1.0
               and np.all(diffs <= 0)

@@ -91,6 +91,17 @@ class TestLossClassification:
             ls.compound_array(np.array([src.value, tgt.value]), np.full((2, 2, 1), 0.5),
                               y, scores, 0.5, 0.5, 0.6, "both")
 
+    @pytest.mark.parametrize("y", [[0], [0, 1, 2]])
+    def test_array_and_node_reject_labels_not_one_per_source_row(self, y):
+        src, _, tgt = self._inputs()
+        scores = np.array([1.0, 1.0])
+        msg = r"^source_labels must align with source_probs rows$"
+        with pytest.raises(ContractError, match=msg):
+            ls.loss_classification(src, np.array(y), tgt, scores, 0.5, 0.6)
+        with pytest.raises(ContractError, match=msg):
+            ls.compound_array(np.array([src.value, tgt.value]), np.full((2, 2, 1), 0.5),
+                              np.array(y), scores, 0.5, 0.5, 0.6, "both")
+
     def test_empty_source_rejected(self):
         tgt = prob_node([[0.5, 0.5]])
         with pytest.raises(ContractError):
@@ -303,6 +314,7 @@ class TestArrayLossesOnTheDomainStack:
                 == (want[0].n_pseudo_selected, want[0].n_diversity_selected))
         np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
         np.testing.assert_array_equal(bits(got[2]), bits(want[2]))
+        assert not np.signbit(got[1][got[1] == 0.0]).any()  # no head entry is -0.0
         return got
 
     @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
@@ -336,6 +348,16 @@ class TestArrayLossesOnTheDomainStack:
     @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
     def test_probabilities_at_the_floor(self, mode):
         self.check(*self._floor_stack(), mode=mode)
+
+    @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
+    def test_strided_stack_and_int32_labels(self, mode):
+        """A ``probs`` stack that is a strided view, every other column of
+        a wider table, and ``int32`` labels give the same bits."""
+        probs, d, labels, scores = self._floor_stack()
+        wide = np.zeros(probs.shape[:-1] + (2 * probs.shape[-1],))
+        wide[..., ::2] = probs
+        assert not wide[..., ::2].flags.c_contiguous
+        self.check(wide[..., ::2], d, labels.astype(np.int32), scores, mode=mode)
 
     def test_domain_outputs_at_the_edges(self):
         """``d`` at 0, ``PROB_FLOOR``, ``1 - PROB_FLOOR`` and 1 in both halves;

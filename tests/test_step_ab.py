@@ -23,10 +23,15 @@ def step_ab(base: Path, change: Path, run_dir: Path) -> list[str]:
     return out.splitlines()
 
 
+PHASE_LINE = (r"{side} +phases us/step: batch draw (N), forward (N), score (N), "
+              r"loss head (N), backward (N), update and log (N) \(total (N)\)"
+              ).replace("N", NUMBER)
+
+
 def test_self_ab_prints_the_summary(tmp_path):
     src = ROOT / "src"
     lines = step_ab(src, src, tmp_path)
-    assert len(lines) == 5, lines
+    assert len(lines) == 7, lines
     for side, line in zip(("base", "change"), lines):
         assert re.fullmatch(rf"{side} +{re.escape(str(src))}: median {NUMBER} us/step "
                             rf"\(quartiles {NUMBER}-{NUMBER}\)", line), line
@@ -34,8 +39,13 @@ def test_self_ab_prints_the_summary(tmp_path):
                         rf"\(quartiles {NUMBER}-{NUMBER}\)", lines[2]), lines[2]
     won = re.fullmatch(r"change faster in (\d+) of 2 blocks of 2 steps", lines[3])
     assert won and int(won.group(1)) <= 2, lines[3]
+    for side, line in zip(("base", "change"), lines[4:6]):
+        phases = re.fullmatch(PHASE_LINE.format(side=side), line)
+        assert phases, line
+        *parts, total = map(float, phases.groups())
+        assert abs(sum(parts) - total) < 0.5, line
     assert re.fullmatch(r"parameters and step logs bit-identical: \d+ values, 2 rows",
-                        lines[4]), lines[4]
+                        lines[6]), lines[6]
     assert not list(tmp_path.iterdir())  # the package copies are gone
 
 
@@ -65,3 +75,23 @@ def test_a_change_that_moves_only_a_logged_loss_is_flagged(tmp_path):
     last = patched_step_ab(tmp_path, "(b.l_c, b.l_bd,", "(b.l_c * 2.0, b.l_bd,")
     assert re.fullmatch(r"parameters bit-identical: \d+ values; "
                         r"step logs differ: 2 of 2 rows \(l_c\)", last), last
+
+
+def test_the_phase_split_restores_what_it_wraps(tmp_path):
+    """One side's ``phases`` call times each phase of a 2-step ``train``
+    and leaves every function it wrapped as it found it."""
+    script = f"""
+import sys
+from pathlib import Path
+sys.path.insert(0, {str(ROOT / "tools")!r})
+import step_ab
+side = step_ab.load_sides({{"base": Path({str(ROOT / "src")!r})}}, Path.cwd(), 2)["base"]
+mods = [sys.modules["udaselect_base." + name]
+        for name in ("trainer", "scoring", "losses", "autodiff")]
+before = [dict(vars(mod)) for mod in mods], dict(vars(mods[0].md.Mlp))
+phases = side.phases()
+assert ([dict(vars(mod)) for mod in mods], dict(vars(mods[0].md.Mlp))) == before
+assert list(phases) == list(step_ab.PHASES), phases
+assert all(us > 0.0 for us in phases.values()), phases
+"""
+    subprocess.run([sys.executable, "-c", script], cwd=tmp_path, check=True)

@@ -39,24 +39,24 @@ def tiny_cfg(**kw):
 
 class TestWAlphaSchedule:
     def test_starts_at_one_point_five(self):
-        assert tr.w_alpha(0, 100, 1.0) == 1.5
+        assert tr.w_alpha(0, 100, 1.0, 1.5) == 1.5
 
     def test_ends_at_w0(self):
-        assert tr.w_alpha(100, 100, 1.0) == 1.0
-        assert tr.w_alpha(50, 50, 0.7) == pytest.approx(0.7)
+        assert tr.w_alpha(100, 100, 1.0, 1.5) == 1.0
+        assert tr.w_alpha(50, 50, 0.7, 1.5) == pytest.approx(0.7)
 
     def test_midpoint(self):
-        assert tr.w_alpha(50, 100, 1.0) == pytest.approx(1.25)
+        assert tr.w_alpha(50, 100, 1.0, 1.5) == pytest.approx(1.25)
 
     def test_affine_and_nonincreasing(self):
-        vals = [tr.w_alpha(t, 200, 1.0) for t in range(201)]
+        vals = [tr.w_alpha(t, 200, 1.0, 1.5) for t in range(201)]
         diffs = np.diff(vals)
         assert np.all(diffs <= 0)
         np.testing.assert_allclose(diffs, diffs[0], atol=1e-12)
 
     def test_out_of_range_step(self):
         with pytest.raises(ContractError):
-            tr.w_alpha(5, 4, 1.0)
+            tr.w_alpha(5, 4, 1.0, 1.5)
 
 
 class TestConfig:
@@ -369,6 +369,10 @@ STEP_OP_CASES = [
     dict(batch_size=50),
     dict(batch_size=2),
     dict(batch_size=50, f_hidden=(64, 64), pseudo_labels=False, diversity_mode="off"),
+    # width-1 layers, whose VJP products have k = 1
+    dict(d_hidden=(1,)),
+    dict(d_hidden=(64, 1)),
+    dict(f_hidden=(64,), feature_dim=1, pseudo_labels=False),
 ]
 
 

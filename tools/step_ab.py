@@ -23,6 +23,18 @@ pair ratios spread from 0.89 to 1.12 for changes that did not touch
 training (``BENCH_11``, ``BENCH_12``), too wide to see a 5% change in
 the step, which is why this tool pairs blocks within one process.
 
+After the timed blocks, one more ``train`` call per side runs with a
+wall-clock timer around each phase of the step and prints that side's
+µs per step in each (``PHASES``), so a step claim can name its phase:
+the batch draw (each ``next`` on ``batches``' iterator), the three
+network forwards (``Mlp.forward_array``), the score
+(``scoring.scores_from_outputs``), the loss head
+(``losses.compound_array``), the backward (``autodiff.backward``) and
+the rest of ``train_step``: the input check, the step's ``Node``, the
+gradient check, the momentum update and the log row.  Each timer
+costs about half a microsecond per call, eight calls per step; the
+unwrapped blocks give the totals.
+
 Every block trains from the same seed, so two trees that train alike
 return the same model and step log.  The last line says whether the two
 sides' last returned ``model.values`` and step logs are bit-identical,
@@ -52,12 +64,16 @@ from bench_record import summary  # noqa: E402  (this script's directory)
 
 SIDES = ("base", "change")
 
+#: the step's phases in the order a step runs them
+PHASES = ("batch draw", "forward", "score", "loss head", "backward", "update and log")
+
 
 class Side:
     """One side's package, benchmark config and data, and last trained
     model and step log."""
 
     def __init__(self, package: str, steps: int):
+        self.package = package
         cli = importlib.import_module(f"{package}.cli")
         self.train = importlib.import_module(f"{package}.trainer").train
         self.cfg = cli.benchmark_config(seed=0, total_steps=steps)
@@ -69,6 +85,54 @@ class Side:
         start = time.process_time()
         self.model, self.log = self.train(self.src, self.tgt, self.cfg)
         return (time.process_time() - start) / self.cfg.total_steps
+
+    def phases(self) -> dict[str, float]:
+        """Wall µs per step of each of ``PHASES`` in one ``train`` call,
+        each phase's function wrapped in a timer for the call only."""
+        mod = {name: importlib.import_module(f"{self.package}.{name}")
+               for name in ("trainer", "model", "scoring", "losses", "autodiff")}
+        spent = dict.fromkeys((*PHASES[:-1], "step"), 0.0)
+
+        def timed(phase):
+            def wrap(fn):
+                def wrapper(*args, **kwargs):
+                    start = time.perf_counter()
+                    try:
+                        return fn(*args, **kwargs)
+                    finally:
+                        spent[phase] += time.perf_counter() - start
+                return wrapper
+            return wrap
+
+        def draw(fn):
+            def batches(*args, **kwargs):
+                it = fn(*args, **kwargs)
+                while True:
+                    start = time.perf_counter()
+                    batch = next(it, None)
+                    spent["batch draw"] += time.perf_counter() - start
+                    if batch is None:
+                        return
+                    yield batch
+            return batches
+
+        wraps = [(mod["trainer"], "batches", draw),
+                 (mod["model"].Mlp, "forward_array", timed("forward")),
+                 (mod["scoring"], "scores_from_outputs", timed("score")),
+                 (mod["losses"], "compound_array", timed("loss head")),
+                 (mod["autodiff"], "backward", timed("backward")),
+                 (mod["trainer"], "train_step", timed("step"))]
+        originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in wraps]
+        try:
+            for owner, attr, wrap in wraps:
+                setattr(owner, attr, wrap(getattr(owner, attr)))
+            self.train(self.src, self.tgt, self.cfg)
+        finally:
+            for owner, attr, fn in originals:
+                setattr(owner, attr, fn)
+        us = {phase: t / self.cfg.total_steps * 1e6 for phase, t in spent.items()}
+        us["update and log"] = us.pop("step") - sum(us[p] for p in PHASES[1:-1])
+        return us
 
 
 def load_sides(srcs: dict[str, Path], tmp: Path, steps: int) -> dict[str, Side]:
@@ -109,6 +173,14 @@ def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int) -> 
                  f"(quartiles {s['q1']:.4f}-{s['q3']:.4f})")
     lines.append(f"change faster in {won} of {len(ratios)} blocks of {steps} steps")
     return "\n".join(lines)
+
+
+def phase_report(phases: dict[str, dict[str, float]]) -> str:
+    """One line per side: its µs per step in each phase and their total."""
+    return "\n".join(
+        f"{name:<6} phases us/step: "
+        + ", ".join(f"{p} {phases[name][p]:.1f}" for p in PHASES)
+        + f" (total {sum(phases[name].values()):.1f})" for name in SIDES)
 
 
 def parameter_parity(base: np.ndarray, change: np.ndarray) -> str | None:
@@ -162,7 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sides = load_sides(srcs, Path(tmp), args.steps)
         times = run(sides, args.blocks)
+        phases = {name: side.phases() for name, side in sides.items()}
     print(report(times, srcs, args.steps))
+    print(phase_report(phases))
     print(parity(sides))
     return 0
 
