@@ -181,8 +181,10 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
         raise ContractError(f"unknown diversity mode {mode!r}")
     if d[0].size == 0:
         raise ContractError("domain loss requires non-empty batches")
-    scores = np.asarray(target_scores)
     half, k = probs.shape[1:]
+    if d.shape != (2, half, 1):
+        raise ContractError(f"d must be the (2, {half}, 1) domain stack, got {d.shape}")
+    scores = np.asarray(target_scores)
     picked = (scores > w_alpha).nonzero()[0]
     n_pl = len(picked)
     row_at = np.arange(0, 2 * half * k, k)  # each row's first entry in probs

@@ -230,12 +230,8 @@ class Mlp:
         layer's input ``h = max(a, 0)``, which equals the engine's
         ``a > 0.0``: ``a`` passed ``check_finite``.  It multiplies the
         fresh product ``g @ W.T`` in place, the engine's ``g * mask``.
-        Where the layer's output width is 1, ``g @ W.T`` is a k = 1
-        product, ``0.0 + g * w`` per entry, which is ``g * W.T`` with a
-        ``-0.0`` product turned into ``+0.0``: that multiply and
-        ``+= 0.0`` give its bits without numpy's matmul call.  The sums
-        are ``np.add.reduce`` calls, the ufunc behind ``ndarray.sum``
-        without its Python wrapper, so the same bits.
+        The sums are ``np.add.reduce`` calls, the ufunc behind
+        ``ndarray.sum`` without its Python wrapper, so the same bits.
         """
         y = tape[-1]
         if self.spec.final_activation == "softmax":
@@ -248,12 +244,7 @@ class Mlp:
             np.matmul(h.swapaxes(-1, -2), g, out=out[2 * i])
             if i == 0 and not input_grad:
                 return None
-            w = self.weights[i].value
-            if w.shape[1] == 1:
-                g = g * w.T
-                g += 0.0
-            else:
-                g = g @ w.T
+            g = g @ self.weights[i].value.T
             if i > 0:
                 g *= h > 0.0
         return g

@@ -373,6 +373,10 @@ class TestArrayLossesOnTheDomainStack:
         (dict(gamma=-1.0), r"^gamma must be >= 0, got -1.0$"),
         (dict(scores=np.ones(9)), r"^target_scores must align with target_probs rows$"),
         (dict(half=0), r"^source batch must be non-empty$"),
+        (dict(d=np.full((2, 9, 1), 0.5)),
+         r"^d must be the \(2, 10, 1\) domain stack, got \(2, 9, 1\)$"),
+        (dict(d=np.full((20, 1), 0.5)),
+         r"^d must be the \(2, 10, 1\) domain stack, got \(20, 1\)$"),
     ])
     def test_rejects_what_the_node_losses_reject(self, bad, msg):
         probs, d, labels, scores = self._stack(half=bad.pop("half", 10))

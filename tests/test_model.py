@@ -275,25 +275,6 @@ class TestArrayForward:
         for (name, p), got in zip(mlp.parameters(net), grads):
             np.testing.assert_array_equal(bits(got), bits(p.grad), err_msg=name)
 
-    @pytest.mark.parametrize("lead", [(), (2,)])
-    def test_width_one_product_has_matmuls_signed_zeros(self, lead):
-        """Through a layer of output width 1, ``g @ W.T`` is a k = 1
-        product, whose sum starts from +0.0: a product of -0.0 comes out
-        as +0.0 there, and ``vjp_array`` gives the engine's bits."""
-        mlp = md.Mlp(md.MlpSpec(3, (), 1), np.random.default_rng(0))
-        w = mlp.weights[0]
-        w.value[...] = [[-0.0], [0.0], [-2.0]]
-        g = np.array([[0.0], [-0.0], [1.5], [-1.5]])
-        g = np.stack([g, -g]) if lead else g
-        x = np.ones(lead + (4, 3))
-        tape = []
-        mlp.forward_array(x, tape)
-        g_x = mlp.vjp_array(tape, g, [np.empty(lead + p.shape) for _, p in mlp.parameters("")])
-        assert np.signbit(g * w.value.T)[(g * w.value.T) == 0.0].any()  # what matmul mends
-        for k in np.ndindex(lead):
-            want, _ = ad.matmul(Node(x[k]), w).vjp(g[k])
-            np.testing.assert_array_equal(bits(g_x[k]), bits(want))
-
     def test_input_grad_can_be_skipped(self):
         m = small_bundle()
         tape, grads = [], grad_out(m.f)
