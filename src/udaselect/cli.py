@@ -3,7 +3,11 @@
 Every run writes its artifacts into one directory (effective config,
 metrics log, checkpoint, evaluation report, score dump and histograms)
 plus a manifest listing them; reruns of the same plan overwrite with
-identical bytes.
+identical bytes.  A sweep or ablation grid trains each variant's seeds
+together, as the lanes of stacks of up to ``trainer.MAX_LANES`` runs
+(``trainer.train_lanes``), and then writes each run as
+``run_experiment`` would: every lane has the bits of its run trained
+alone, so the grid's artifacts are those of its runs one by one.
 """
 
 from __future__ import annotations
@@ -71,6 +75,13 @@ def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
     """Train, evaluate and write every artifact of one run.  A run that
     fails before its artifacts are written leaves no directory."""
     model, log = tr.train(src, tgt, cfg)
+    return write_run(name, cfg, model, log, src, tgt, spec, out_dir)
+
+
+def write_run(name: str, cfg: tr.TrainConfig, model: md.ModelBundle, log: np.ndarray,
+              src: dt.DomainDataset, tgt: dt.DomainDataset, spec: dt.LabelSetSpec,
+              out_dir: Path) -> ev.EvalReport:
+    """Evaluate the trained run and write every artifact of it."""
     report = ev.evaluate(model, tgt, spec, cfg.w0, cfg.scheme)
     domains = {"source": (sc.score_batch(model, src.features, cfg.scheme), src.labels),
                "target": (report.scores, tgt.labels)}
@@ -95,23 +106,38 @@ def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
     return report
 
 
+def run_lanes(name: str, cfgs: list[tr.TrainConfig], out_dirs: list[Path]
+              ) -> list[ev.EvalReport]:
+    """``run_experiment`` of the benchmark run of each config, which differ
+    only in seed, into its directory: the runs train together as lanes
+    (``trainer.train_lanes``), and none is written unless all trained.
+    A ``NumericError`` names the run by ``name`` and its seed."""
+    data = [make_benchmark(cfg) for cfg in cfgs]
+    try:
+        trained = tr.train_lanes([(src, tgt, cfg) for cfg, (src, tgt, _) in zip(cfgs, data)])
+    except NumericError as exc:
+        raise NumericError(f"{name} {exc}") from exc
+    return [write_run(name, cfg, model, log, src, tgt, spec, out_dir)
+            for cfg, (model, log), (src, tgt, spec), out_dir
+            in zip(cfgs, trained, data, out_dirs)]
+
+
 def _run_grid(variants: list[tuple[str, tr.TrainConfig]], seed: int, reps: int,
               table: Path) -> None:
     """Run every variant on ``reps`` consecutive seeds from ``seed`` and
-    write their accuracies, mean and std as a table beside the runs."""
+    write their accuracies, mean and std as a table beside the runs.
+    A run that fails stops the grid before any run of its variant is
+    written."""
     if reps < 1:
         raise ConfigError(f"--seeds must be >= 1, got {reps}")
     table.parent.mkdir(parents=True, exist_ok=True)
     lines = ["\t".join(["variant"] + [f"seed{seed + i}" for i in range(reps)]
                        + ["mean", "std"])]
     for name, base in variants:
-        accs = []
-        for i in range(reps):
-            cfg = replace(base, seed=base.seed + i)
-            src, tgt, spec = make_benchmark(cfg)
-            report = run_experiment(name, cfg, src, tgt, spec,
-                                    table.parent / f"{name}_seed{cfg.seed}")
-            accs.append(report.average_class_accuracy)
+        cfgs = [replace(base, seed=base.seed + i) for i in range(reps)]
+        reports = run_lanes(name, cfgs, [table.parent / f"{name}_seed{cfg.seed}"
+                                         for cfg in cfgs])
+        accs = [report.average_class_accuracy for report in reports]
         lines.append("\t".join([name] + [f"{a:.4f}" for a in accs]
                                + [f"{np.mean(accs):.4f}", f"{np.std(accs):.4f}"]))
     table.write_text("\n".join(lines) + "\n")

@@ -174,7 +174,8 @@ def gen_synthetic(spec: LabelSetSpec, dim: int, per_class: int,
 
 
 def batches(src: DomainDataset, tgt: DomainDataset, half: int, steps: int,
-            rng: np.random.Generator) -> Iterator[DomainBatch]:
+            rng: np.random.Generator, out: DomainBatch | None = None
+            ) -> Iterator[DomainBatch]:
     """``steps`` paired batches of ``half`` rows per domain, each row drawn
     uniformly with replacement.  A batch's ``source_y`` holds the drawn
     source rows' ``src.labels``.
@@ -182,13 +183,14 @@ def batches(src: DomainDataset, tgt: DomainDataset, half: int, steps: int,
     One ``integers`` call with the bounds ``((src.n,), (tgt.n,))`` draws
     the indices of up to ``BLOCK_STEPS`` steps: the same stream as a
     source then a target call with a scalar bound per step.  ``take``
-    gathers each step's rows into one buffer, so every batch yielded is
-    the same object, valid until the next one is drawn; both domains'
-    features must share a dtype.  Nothing is drawn before the first
+    gathers each step's rows into one buffer, ``out`` if given (a lane's
+    slice of a stack's batch), so every batch yielded is the same
+    object, valid until the next one is drawn; both domains' features
+    must share the buffer's dtype.  Nothing is drawn before the first
     batch is asked for.
     """
-    batch = DomainBatch(np.empty((2, half, src.dim), src.features.dtype),
-                        np.empty(half, src.labels.dtype))
+    batch = out if out is not None else DomainBatch(
+        np.empty((2, half, src.dim), src.features.dtype), np.empty(half, src.labels.dtype))
     for start in range(0, steps, BLOCK_STEPS):
         if src.n == 0 or tgt.n == 0:
             raise ContractError("cannot sample from an empty dataset")

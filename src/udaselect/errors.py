@@ -14,7 +14,11 @@ class ConfigError(UdaError, ValueError):
 
 
 class NumericError(UdaError, ArithmeticError):
-    """Non-finite values were produced during a forward or backward pass."""
+    """Non-finite values were produced during a forward or backward pass.
+    A training step of several runs sets ``lane`` to the index of the
+    run it arose in."""
+
+    lane: int | None = None
 
 
 class FeatureFileError(UdaError, ValueError):

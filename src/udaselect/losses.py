@@ -20,7 +20,8 @@ bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,7 @@ PROB_FLOOR = 1e-12
 DIVERSITY_MODES = ("off", "target_only", "both")
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     """Per-step loss values and selection counts."""
 
     l_c: float
@@ -139,95 +139,146 @@ def loss_compound(l_c: Node, l_bd: Node, l_d: Node,
 
 
 # ---------------------------------------------------------------------------
-# the same loss on arrays: its breakdown and the gradients of the two
-# domain stacks it takes, for a loss gradient of 1
+# the same loss on arrays, for a stack of lanes: each lane's breakdown and
+# the gradients of the two stacks it takes, for a loss gradient of 1
+
+
+@lru_cache
+def _layout(lanes: int, half: int, k: int, mode: str):
+    """Shared read-only constants of ``compound_array`` on ``(lanes, 2,
+    half, k)`` stacks: the flat index of the first entry of each source
+    row and of each target row, ``(lanes, half)`` each, the gradient
+    scale of each entry of the half-sized NLL segments, and the
+    diversity weight of the source rows under ``mode`` with no target
+    row chosen, ``(lanes, 2 * half, 1)``."""
+    starts = np.arange(0, lanes * 2 * half * k, k).reshape(lanes, 2, half)
+    src, tgt = starts[:, 0].copy(), starts[:, 1].copy()
+    s_d = -1.0 * (1.0 / half)
+    scale = np.array([s_d, -s_d] * lanes + [-1.0 * (1.0 / half)] * lanes).repeat(half)
+    weight = np.zeros((lanes, 2 * half, 1))
+    weight[:, :half] = float(mode == "both")
+    for a in (src, tgt, scale, weight):
+        a.flags.writeable = False
+    return src, tgt, scale, weight
 
 
 def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
                    target_scores: np.ndarray, w_alpha: float, w_beta: float,
                    gamma: float, mode: str
-                   ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    """``loss_compound`` of the three losses on the domain stacks ``probs``
-    and ``d`` (slice 0 the source, slice 1 the target, ``half`` rows
-    each): the breakdown and the gradients of ``probs`` and ``d``, each
-    shaped like its stack.
+                   ) -> tuple[list[LossBreakdown], np.ndarray, np.ndarray]:
+    """``loss_compound`` of the three losses, once per lane, on the stacks
+    ``probs`` ``(R, 2, half, K)`` and ``d`` ``(R, 2, half, 1)`` (lane r's
+    slice 0 its source, slice 1 its target): each lane's breakdown, and
+    the gradients of ``probs`` and ``d``, each shaped like its stack.
+    ``source_labels`` and ``target_scores`` are ``(R, half)``; each lane
+    selects its own targets, so the selection counts are per lane.  Every
+    lane gets the bits of the loss of its own.  One lane may come without
+    the lane axis, as ``(2, half, ·)`` and ``(half,)`` stacks
+    (``model.Lanes``).
 
-    Every NLL entry of the step goes into one vector, in segments: the
-    source ``d``, the target's ``-1.0 * d + 1.0`` and the labelled source
-    probabilities, ``half`` entries each, then the selected targets'
-    pseudo-label probabilities.  The probabilities are one ``take`` at
-    their flat indices ``at`` in ``probs``.  One clamp, log and gradient
-    pass runs over the vector in place.  Each term's mean is its own
-    segment's sum over the segment's size (the mean of no entries is 0);
-    the three ``half``-entry sums are one reduction over their rows,
-    which gives each row the bits of its own.  Each segment's gradient
-    scale is ``_mean_nll``'s ``-1.0 * (upstream / n)``, and the target
-    domain's ``affine`` sign is folded into its scale: ``(-s) / c * m``
-    is ``-1.0 * (s / c * m)`` bit for bit, zeros included.
+    Every NLL entry of the step goes into one vector, in segments: each
+    lane's source ``d`` and target ``-1.0 * d + 1.0``, then each lane's
+    labelled source probabilities, ``half`` entries each, then each
+    lane's selected targets' pseudo-label probabilities.  The
+    probabilities are one ``take`` at their flat indices ``at`` in
+    ``probs``.  One clamp, log and gradient pass runs over the vector in
+    place.  Each term's mean is its own segment's sum over the segment's
+    size (the mean of no entries is 0).  The ``half``-entry sums are one
+    reduction over their rows, which gives each row the bits of its own;
+    a lane's pseudo-label sum is one reduction of its own segment.  Each
+    segment's gradient scale is ``_mean_nll``'s ``-1.0 * (upstream /
+    n)``, and the target domain's ``affine`` sign is folded into its
+    scale: ``(-s) / c * m`` is ``-1.0 * (s / c * m)`` bit for bit, zeros
+    included.
 
-    The diversity rows are a 0/1 weight over the ``(2 * half, K)`` rows
-    of ``probs``: numpy reduces axis 0 row after row, and a left-out row
-    adds ``+0.0``, so the column sums are those of the chosen rows alone.
-    The head gradient is ``weight * row`` with the CE gradient added at
-    ``at``.  The probabilities are ``>= +0.0``, so ``weight * row`` holds
-    no ``-0.0``: where no row is chosen it is ``+0.0``, and adding a
-    ``-0.0`` CE gradient to it gives ``+0.0`` as the engine's scatter
-    ``0.0 + g`` does.  Each entry is thus the engine's one- or two-term
-    sum.  The domain gradient is a view of the gradient vector's head.
+    The diversity rows are a 0/1 weight over each lane's ``(2 * half,
+    K)`` rows of ``probs``: numpy reduces that axis row after row, and a
+    left-out row adds ``+0.0``, so the column sums are those of the
+    chosen rows alone.  The head gradient is ``weight * row`` with the
+    CE gradient added at ``at``.  The probabilities are ``>= +0.0``, so
+    ``weight * row`` holds no ``-0.0``: where no row is chosen it is
+    ``+0.0``, and adding a ``-0.0`` CE gradient to it gives ``+0.0`` as
+    the engine's scatter ``0.0 + g`` does.  Each entry is thus the
+    engine's one- or two-term sum.  The domain gradient is a view of the
+    gradient vector's head.
     """
-    labels = _checked_labels(probs.shape[1:], source_labels, probs.shape[1],
-                             target_scores, gamma)
+    lead = probs.shape[:-3]
+    if probs.ndim not in (3, 4) or probs.shape[-3] != 2:
+        raise ContractError(f"probs must be a (2, half, K) stack or a stack of them, "
+                            f"got {probs.shape}")
+    half, k = probs.shape[-2:]
+    if half == 0 or 0 in lead:
+        raise ContractError("source batch must be non-empty")
+    if gamma < 0:
+        raise ContractError(f"gamma must be >= 0, got {gamma}")
+    scores = np.asarray(target_scores)
+    if scores.shape != lead + (half,):
+        raise ContractError("target_scores must align with target_probs rows")
+    labels = np.asarray(source_labels, dtype=np.intp)
+    if labels.shape != lead + (half,):
+        raise ContractError("source_labels must align with source_probs rows")
+    # as an unsigned integer a negative label is above any class count
+    if np.maximum.reduce(labels.view(np.uintp), axis=None) >= k:
+        raise ContractError(f"source labels must lie in [0, {k})")
     if mode not in DIVERSITY_MODES:
         raise ContractError(f"unknown diversity mode {mode!r}")
-    if d[0].size == 0:
-        raise ContractError("domain loss requires non-empty batches")
-    half, k = probs.shape[1:]
-    if d.shape != (2, half, 1):
-        raise ContractError(f"d must be the (2, {half}, 1) domain stack, got {d.shape}")
-    scores = np.asarray(target_scores)
-    picked = (scores > w_alpha).nonzero()[0]
-    n_pl = len(picked)
-    row_at = np.arange(0, 2 * half * k, k)  # each row's first entry in probs
-    at = np.empty(half + n_pl, np.intp)
-    np.add(row_at[:half], labels, out=at[:half])
-    np.add(row_at[half:][picked], probs[1, picked].argmax(axis=1),  # ties -> lowest
-           out=at[half:])
-    p = np.empty(3 * half + n_pl)
-    p[:2 * half].reshape(d.shape)[...] = d
-    target_d = p[half:2 * half]
-    target_d *= -1.0
-    target_d += 1.0
-    probs.take(at, out=p[2 * half:], mode="clip")
-    s_d = -1.0 * (1.0 / half)
-    grad = np.array((s_d, -s_d, -1.0 * (1.0 / half), -1.0 * (gamma / max(n_pl, 1)))
-                    ).repeat((half, half, half, n_pl))
+    if d.shape != lead + (2, half, 1):
+        raise ContractError(f"d must be the {lead + (2, half, 1)} domain stack, "
+                            f"got {d.shape}")
+    shapes = probs.shape, d.shape
+    if not lead:
+        probs, d, scores, labels = probs[None], d[None], scores[None], labels[None]
+    lanes = len(probs)
+    src_at, tgt_at, scale, weight = _layout(lanes, half, k, mode)
+    fixed = len(scale)  # the entries of the half-sized segments
+    picked = scores > w_alpha
+    n_pl = np.add.reduce(picked, axis=1).tolist()
+    at = np.empty(lanes * half + sum(n_pl), np.intp)
+    np.add(src_at, labels, out=at[:lanes * half].reshape(lanes, half))
+    # ties -> lowest index
+    at[lanes * half:] = np.add(tgt_at, probs[:, 1].argmax(axis=-1))[picked]
+    p = np.empty(len(at) + 2 * lanes * half)
+    p[:2 * lanes * half].reshape(d.shape)[...] = d
+    target_d = p[:2 * lanes * half].reshape(lanes, 2, half)[:, 1]
+    # the engine's -1.0 * d + 1.0: adding -d is subtracting d
+    np.subtract(1.0, target_d, out=target_d)
+    probs.take(at, out=p[2 * lanes * half:], mode="clip")
+    grad = np.empty(len(p))
+    grad[:fixed] = scale
+    start = fixed
+    for n in n_pl:
+        grad[start:start + n] = -1.0 * (gamma / max(n, 1))
+        start += n
     above = p > PROB_FLOOR
     np.maximum(p, PROB_FLOOR, out=p)
     grad /= p
     grad *= above
     nll = np.log(p, out=p)
-    nll *= -1.0
-    nll += 0.0
-    sum_ds, sum_dt, sum_src = np.add.reduce(nll[:3 * half].reshape(3, half), axis=1).tolist()
-    l_c = sum_src / half + (gamma * (float(np.add.reduce(nll[3 * half:])) / max(n_pl, 1))
-                            + 0.0)
-    l_d = sum_ds / half + sum_dt / half
+    # the engine's -1.0 * x + 0.0: both are 0.0 - x, signed zeros included
+    np.subtract(0.0, nll, out=nll)
+    sums = np.add.reduce(nll[:fixed].reshape(3 * lanes, half), axis=1).tolist()
 
-    weight = np.zeros(2 * half)
-    if mode == "both":
-        weight[:half] = 1.0
+    n_div = [0] * lanes
     if mode != "off":
-        weight[half:] = scores > w_beta
-    n_div = int(np.count_nonzero(weight[half:]))
-    n = max(half * (mode == "both") + n_div, 1)  # with no rows the term is 0
-    g_probs = probs.reshape(2 * half, k) * weight[:, None]
-    means = np.add.reduce(g_probs, axis=0) / n
+        chosen = scores > w_beta
+        weight = weight.copy()
+        weight[:, half:, 0] = chosen
+        n_div = np.add.reduce(chosen, axis=1).tolist()
+    # with no rows the term is 0
+    n = np.array([[max(half * (mode == "both") + c, 1)] for c in n_div], float)
+    g_probs = probs.reshape(lanes, 2 * half, k) * weight
+    means = np.add.reduce(g_probs, axis=1) / n
     row = 2.0 * means / n
-    np.multiply(weight[:, None], row, out=g_probs)
-    g_probs.reshape(-1)[at] += grad[2 * half:]
-    l_bd = float(np.add.reduce(means * means))
+    np.multiply(weight, row[:, None], out=g_probs)
+    g_probs.reshape(-1)[at] += grad[2 * lanes * half:]
+    l_bds = np.add.reduce(means * means, axis=1).tolist()
 
-    breakdown = LossBreakdown(
-        l_c=l_c, l_bd=l_bd, l_d=l_d, total=l_c + l_bd + l_d,
-        n_pseudo_selected=n_pl, n_diversity_selected=n_div)
-    return breakdown, g_probs.reshape(probs.shape), grad[:2 * half].reshape(d.shape)
+    breakdowns, start = [], fixed
+    for sum_ds, sum_dt, sum_src, c_pl, c_div, l_bd in zip(
+            sums[:2 * lanes:2], sums[1:2 * lanes:2], sums[2 * lanes:], n_pl, n_div, l_bds):
+        sum_pl = float(np.add.reduce(nll[start:start + c_pl]))
+        start += c_pl
+        l_c = sum_src / half + (gamma * (sum_pl / max(c_pl, 1)) + 0.0)
+        l_d = sum_ds / half + sum_dt / half
+        breakdowns.append(LossBreakdown(l_c, l_bd, l_d, l_c + l_bd + l_d, c_pl, c_div))
+    return breakdowns, g_probs.reshape(shapes[0]), grad[:2 * lanes * half].reshape(shapes[1])

@@ -11,15 +11,22 @@ op behind a non-finite value.  ``Mlp.forward_array`` and
 ``Mlp.vjp_array`` are the same ops on plain numpy arrays, with the
 engine's expressions and so its bits; the training step and scoring run
 on them.  They take rows on the last two axes and stack independent
-batches on any axes before them: the training step stacks its source
-and target halves on a leading domain axis of 2, and its VJPs write
-their parameter gradients into the bundle's per-domain buffer
-``halves``.
+batches on any axes before them, and they take the parameters as
+arrays that broadcast over those axes.  The training step stacks its
+source and target halves on a domain axis of 2, and up to
+``trainer.MAX_LANES`` runs on a leading lane axis with one set of
+parameters per lane (``Lanes``); its VJPs write their parameter
+gradients into the stack's per-lane, per-domain buffer ``halves``.
+Each lane's products have the bits of that lane's own call: numpy's
+``matmul`` runs one BLAS product per stacked matrix, and a reduction
+over the rows or the columns of a stack reduces each lane's rows as it
+would reduce them alone.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,12 +180,22 @@ class Mlp:
         if x.ndim < 2 or x.shape[-1] != w0.shape[0]:
             raise ContractError(f"matmul shape mismatch: {x.shape[-2:]} x {w0.shape}")
 
-    def forward_array(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each layer's weight and bias values and the weight's transpose."""
+        return [(w.value, b.value, w.value.T) for w, b in zip(self.weights, self.biases)]
+
+    def forward_array(self, x: np.ndarray, tape: list | None = None,
+                      layers: list[tuple[np.ndarray, ...]] | None = None
+                      ) -> np.ndarray:
         """``forward`` on arrays: the same ops and expressions, so the same bits.
 
         ``x`` holds rows on its last two axes; any axes before them stack
-        independent batches (the training step stacks source over
-        target), and every slice gets the bits of its own 2-D call.
+        independent batches (the training step stacks its lanes and, in
+        each, source over target), and every slice gets the bits of its
+        own 2-D call.  ``layers`` are the layers' weight, bias and
+        transposed weight arrays (default ``layers()``); a stack of lanes
+        passes one of each per lane, shaped to broadcast over ``x``
+        (``Lanes.layers``).
         Each layer's pre-activation ``h @ W + b`` is checked with
         ``check_finite``: ReLU, softmax and sigmoid map finite values to
         finite values, so it is the only place a finite input can turn
@@ -195,11 +212,11 @@ class Mlp:
         self.check_input(x)
         h = x
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b, _) in enumerate(self.layers() if layers is None else layers):
             if tape is not None:
                 tape.append(h)
-            h = h @ w.value
-            h += b.value
+            h = h @ w
+            h += b
             check_finite(h)
             if i < last:
                 np.maximum(h, 0.0, out=h)
@@ -219,8 +236,10 @@ class Mlp:
         return h
 
     def vjp_array(self, tape: list, g: np.ndarray, out: list[np.ndarray],
+                  layers: list[tuple[np.ndarray, ...]] | None = None,
                   input_grad: bool = True) -> np.ndarray | None:
-        """The engine's backward through ``forward_array``'s ``tape``.
+        """The engine's backward through ``forward_array``'s ``tape``, with
+        the ``layers`` that forward ran on.
 
         ``g`` is the gradient of the output, stacked like it.  Writes the
         gradients of ``parameters()`` into ``out``, one array each in
@@ -229,10 +248,12 @@ class Mlp:
         ``input_grad``).  A hidden ReLU's mask is ``h > 0.0`` of the next
         layer's input ``h = max(a, 0)``, which equals the engine's
         ``a > 0.0``: ``a`` passed ``check_finite``.  It multiplies the
-        fresh product ``g @ W.T`` in place, the engine's ``g * mask``.
+        fresh product ``g @ W.T`` in place, the engine's ``g * mask``;
+        a lane's ``W.T`` is its own weight's transpose.
         The sums are ``np.add.reduce`` calls, the ufunc behind
         ``ndarray.sum`` without its Python wrapper, so the same bits.
         """
+        layers = self.layers() if layers is None else layers
         y = tape[-1]
         if self.spec.final_activation == "softmax":
             g = y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
@@ -244,7 +265,7 @@ class Mlp:
             np.matmul(h.swapaxes(-1, -2), g, out=out[2 * i])
             if i == 0 and not input_grad:
                 return None
-            g = g @ self.weights[i].value.T
+            g = g @ layers[i][2]
             if i > 0:
                 g *= h > 0.0
         return g
@@ -264,15 +285,9 @@ class ModelBundle:
     ``class_ids[j]`` is the dataset class id that classifier output j
     stands for, ids ascending; the classifier works in index space 0..K-1.
     Every parameter's ``value`` and ``grad`` are views into the flat
-    buffers ``values`` and ``grads``, in ``parameters()`` order, and
-    ``flat`` is one leaf over the whole of them (value ``values``, grad
-    ``grads``): the training step's op has it as its only parent.
-    ``halves`` holds the training step's parameter gradients per domain,
-    laid out like ``grads``: row 0 the source half, row 1 the target
-    half.  ``half_views[net]`` lists the ``(2, *shape)`` view of each of
-    that network's parameters, the ``out`` of its ``vjp_array``; each
-    slice of a view is C-contiguous, so ``np.matmul`` into it keeps its
-    BLAS path and its bits.
+    buffers ``values`` and ``grads``, in ``parameters()`` order; a
+    bundle trained as a lane has them as its row of the ``Lanes``
+    buffers (``bind``).
     """
 
     f: Mlp
@@ -281,9 +296,6 @@ class ModelBundle:
     class_ids: tuple[int, ...]
     values: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
-    flat: Node = field(init=False, repr=False)
-    halves: np.ndarray = field(init=False, repr=False)
-    half_views: dict[str, list[np.ndarray]] = field(init=False, repr=False)
     _parameters: tuple = field(init=False, repr=False)
     _ids: np.ndarray = field(init=False, repr=False)
 
@@ -298,16 +310,16 @@ class ModelBundle:
         self._parameters = tuple(self.f.parameters("f") + self.c.parameters("c")
                                  + self.d.parameters("d"))
         self.values = np.concatenate([p.value.ravel() for _, p in self.parameters()])
-        self.grads = np.zeros_like(self.values)
-        self.halves = np.zeros((2, self.values.size))
-        values, grads = self.views(self.values), self.views(self.grads)
-        halves = self.views(self.halves)
+        self.bind(self.values, np.zeros_like(self.values))
+
+    def bind(self, values: np.ndarray, grads: np.ndarray) -> None:
+        """Make the flat buffers ``values`` (the parameters copied into
+        it) and ``grads``, every parameter's value and grad views of them."""
+        values[...] = self.values
+        self.values, self.grads = values, grads
+        values, grads = self.views(values), self.views(grads)
         for name, p in self.parameters():
             p.value, p.grad = values[name], grads[name]
-        self.flat = Node(self.values)
-        self.flat.grad = self.grads
-        self.half_views = {net: [halves[name] for name, _ in mlp.parameters(net)]
-                           for net, mlp in (("f", self.f), ("c", self.c), ("d", self.d))}
 
     def parameters(self) -> tuple[tuple[str, Node], ...]:
         """Each parameter with its name, built once at construction."""
@@ -335,6 +347,68 @@ class ModelBundle:
             raise ContractError(f"label {labels[unknown][0]} is not one of the "
                                 f"model's class ids {list(self.class_ids)}")
         return pos
+
+
+class Lanes:
+    """Bundles of one architecture as the lanes of one stack: the training
+    step's view of the parameters of the runs it trains together.
+
+    Each lane stays a whole ``ModelBundle``, but its ``values`` and
+    ``grads`` become row r of the stack's ``(R, P)`` ``values`` and
+    ``grads``, so one SGD update covers every lane.  ``flat`` is one leaf
+    over all of them (value ``values``, grad ``grads``, shaped
+    ``lead + (P,)``): the training step's op has it as its only parent.
+
+    The step's operands carry the lanes on a leading axis of R, ``lead``.
+    ``layers[net]`` lists the weight, bias and transposed weight of each
+    of that network's layers as views of ``values`` that broadcast over
+    the step's ``(R, 2, half, ·)`` stacks: a weight as
+    ``(R, 1, in, out)``, a bias as ``(R, 1, 1, out)``, a transpose as
+    ``(R, 1, out, in)``.  ``halves`` holds the step's parameter
+    gradients per lane and domain, ``lead + (2, P)`` with slice 0 the
+    source half and slice 1 the target half, and ``half_views[net]``
+    lists its ``lead + (2, *shape)`` view of each of that network's
+    parameters, the ``out`` of its ``vjp_array``.  Each parameter's slice
+    of a view is C-contiguous, so ``np.matmul`` into it keeps its BLAS
+    path and its bits.  The networks' specs are lane 0's (``nets``);
+    every lane has the same.
+
+    One lane has no lane axis: ``lead`` is ``()``, its step runs on its
+    batch's ``(2, half, dim)`` stack, and its layers are its bundle's own
+    arrays.  numpy takes longer per call on a 4-D operand than on a 3-D
+    one, and over the step's ~150 calls a lane axis of 1 made a run
+    trained alone about 7 µs (3%) slower per step.
+    """
+
+    def __init__(self, models: Sequence[ModelBundle]):
+        self.models = list(models)
+        m = self.models[0]
+        self.nets = {"f": m.f, "c": m.c, "d": m.d}
+        if any((b.f.spec, b.c.spec, b.d.spec) != (m.f.spec, m.c.spec, m.d.spec)
+               for b in self.models):
+            raise ContractError("the lanes of a stack must share one architecture")
+        self.values = np.stack([b.values for b in self.models])
+        self.grads = np.zeros_like(self.values)
+        for b, values, grads in zip(self.models, self.values, self.grads):
+            b.bind(values, grads)
+        self.lead = self.values.shape[:1] if len(self.models) > 1 else ()
+        self.flat = Node(self.values.reshape(self.lead + (-1,)))
+        self.flat.grad = self.grads.reshape(self.lead + (-1,))
+        self.halves = np.zeros(self.lead + (2, self.values.shape[1]))
+        if self.lead:
+            # a lane axis of R, then unit axes up to the step's (2, half, ·)
+            params = {name: v.reshape(v.shape[:1] + (1,) * (4 - v.ndim) + v.shape[1:])
+                      for name, v in m.views(self.values).items()}
+        else:
+            params = {name: p.value for name, p in m.parameters()}
+        halves = m.views(self.halves)
+        self.layers = {}
+        for net, mlp in self.nets.items():
+            weights = [params[f"{net}.w{i}"] for i in range(len(mlp.weights))]
+            self.layers[net] = [(w, params[f"{net}.b{i}"], w.swapaxes(-1, -2))
+                                for i, w in enumerate(weights)]
+        self.half_views = {net: [halves[name] for name, _ in mlp.parameters(net)]
+                           for net, mlp in self.nets.items()}
 
 
 def init(spec_f: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int,

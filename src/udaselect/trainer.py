@@ -21,7 +21,8 @@ them read 0 and it counts one node per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -141,20 +142,31 @@ LOG_DTYPE = np.dtype([("l_c", np.float64), ("l_bd", np.float64), ("l_d", np.floa
                       ("total", np.float64), ("n_pseudo_selected", np.int64),
                       ("n_diversity_selected", np.int64), ("w_alpha", np.float64)])
 
+#: most runs one stack trains as its lanes.  About 165 µs of a 64-row
+#: benchmark step (one BLAS thread, a 2-vCPU Xeon) is per-call cost that
+#: does not grow with the rows, and a stack pays it once for all its
+#: lanes.  The whole step read 249, 160, 133, 126 and 122 µs per lane at
+#: 1 to 5 lanes, 119 at 6 and 8: past 4 lanes each one saves under 4 µs
+#: while the step's arrays outgrow the core's L1 and L2 caches, so the
+#: gain levels off and a variant's stack is best split into stacks of 4.
+MAX_LANES = 4
+
 
 @dataclass
 class TrainState:
-    """The model, the flat momentum buffer ``v`` (laid out like
-    ``model.values``), the step log with one row per step of the budget,
-    and the index ``t`` of the next step: rows before ``t`` are written."""
+    """The models of the runs trained together as the lanes of
+    ``lanes``, the momentum buffer ``v`` (laid out like
+    ``lanes.flat``), the step log with one row per lane and step of the
+    budget, ``(R, T)``, and the index ``t`` of the next step: each
+    lane's rows before ``t`` are written."""
 
-    model: ModelBundle
+    lanes: md.Lanes
     log: np.ndarray
     t: int = 0
     v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.v = np.zeros_like(self.model.values)
+        self.v = np.zeros_like(self.lanes.flat.value)
 
 
 def w_alpha(t: int, total_steps: int, w0: float, start: float) -> float:
@@ -171,15 +183,23 @@ def grl_coefficient(cfg: TrainConfig, t: int) -> float:
     return cfg.grl_lambda * (2.0 / (1.0 + math.exp(-10.0 * progress)) - 1.0)
 
 
-def init_state(src: DomainDataset, cfg: TrainConfig) -> TrainState:
-    # a sorted set, not ``np.unique``: that imports ``numpy.ma``, about
-    # 1 MB of peak RSS, which no run otherwise imports
-    class_ids = tuple(sorted({int(y) for y in src.labels.tolist()}))
-    spec_f = MlpSpec(src.dim, cfg.f_hidden, cfg.feature_dim)
-    spec_c = MlpSpec(cfg.feature_dim, (), len(class_ids), "softmax")
-    spec_d = MlpSpec(cfg.feature_dim, cfg.d_hidden, 1, "sigmoid")
-    return TrainState(model=md.init(spec_f, spec_c, spec_d, cfg.seed, class_ids=class_ids),
-                      log=np.zeros(cfg.total_steps, LOG_DTYPE))
+def init_state(sources: Sequence[DomainDataset], cfgs: Sequence[TrainConfig]) -> TrainState:
+    """One lane per run: lane r's model is built from ``sources[r]``'s
+    classes and ``cfgs[r]``'s seed.  The configs must differ in nothing
+    but the seed."""
+    if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
+        raise ContractError("the lanes of a stack must differ only in seed")
+    models = []
+    for src, cfg in zip(sources, cfgs, strict=True):
+        # a sorted set, not ``np.unique``: that imports ``numpy.ma``, about
+        # 1 MB of peak RSS, which no run otherwise imports
+        class_ids = tuple(sorted({int(y) for y in src.labels.tolist()}))
+        spec_f = MlpSpec(src.dim, cfg.f_hidden, cfg.feature_dim)
+        spec_c = MlpSpec(cfg.feature_dim, (), len(class_ids), "softmax")
+        spec_d = MlpSpec(cfg.feature_dim, cfg.d_hidden, 1, "sigmoid")
+        models.append(md.init(spec_f, spec_c, spec_d, cfg.seed, class_ids=class_ids))
+    return TrainState(lanes=md.Lanes(models),
+                      log=np.zeros((len(models), cfgs[0].total_steps), LOG_DTYPE))
 
 
 def _applied_w_alpha(cfg: TrainConfig, t: int) -> float:
@@ -193,8 +213,8 @@ def _applied_w_alpha(cfg: TrainConfig, t: int) -> float:
 
 def engine_loss(m: ModelBundle, x: np.ndarray, labels: np.ndarray, lam: float,
                 threshold: float, cfg: TrainConfig) -> tuple[Node, ls.LossBreakdown]:
-    """The compound loss as the engine graph, one node per op, on the
-    ``(2, half, dim)`` stack ``x`` of a ``DomainBatch``."""
+    """The compound loss of one lane as the engine graph, one node per
+    op, on the ``(2, half, dim)`` stack ``x`` of a ``DomainBatch``."""
     feats_s = md.features(m, x[0])
     feats_t = md.features(m, x[1])
     probs_s = md.label_probs(m, feats_s)
@@ -211,104 +231,173 @@ def engine_loss(m: ModelBundle, x: np.ndarray, labels: np.ndarray, lam: float,
     return ls.loss_compound(l_c, l_bd, l_d, n_pl, n_div)
 
 
-def step_op(m: ModelBundle, x: np.ndarray, labels: np.ndarray, lam: float,
-            threshold: float, cfg: TrainConfig) -> tuple[Node, ls.LossBreakdown]:
-    """``engine_loss`` as one op over ``m.flat``, with its value and
-    parameter gradients bit for bit.
+def step_op(lanes: md.Lanes, x: np.ndarray, labels: np.ndarray, lam: float,
+            threshold: float, cfg: TrainConfig) -> tuple[Node, list[ls.LossBreakdown]]:
+    """``engine_loss`` of every lane as one op over ``lanes.flat``, with
+    each lane's value and parameter gradients bit for bit.
 
-    Source and target run as the batch's one ``(2, half, dim)`` stack
-    ``x``, so each network has one forward and one VJP; slice 0 is the
-    source half and slice 1 the target half.  ``losses.compound_array``
-    takes the stacks of probabilities and domain outputs and returns the
-    breakdown and one gradient per stack for a loss gradient of 1.  The
-    VJP scales them by ``g`` and keeps the engine's op order: a tensor
-    used twice gets the sum of its two gradients where the engine sums
-    them.  Each network's VJP writes its parameter gradients per half
-    into ``m.halves``, and the gradient of ``m.flat`` is the source half
-    plus the target half.
-    Raises ``NumericError`` where ``engine_loss`` does: a non-finite
-    input, layer pre-activation or total (the returned ``Node`` checks
-    the total).  Its only caller, ``train_step``, runs it under the
-    step's ``np.errstate``.
+    ``x`` is the ``lanes.lead + (2, half, dim)`` stack of the lanes'
+    batches and ``labels`` the ``lanes.lead + (half,)`` stack of their
+    labels; slice 0 of a lane is its source half and slice 1 its target
+    half.  Each network
+    has one forward and one VJP over the whole stack, with each lane's
+    own parameters (``lanes.layers``).  ``losses.compound_array`` takes
+    the stacks of probabilities and domain outputs and returns each
+    lane's breakdown and one gradient per stack for a loss gradient of
+    1.  The VJP scales them by ``g`` (``backward`` passes 1.0, by which
+    it need not multiply) and keeps the engine's op order: a tensor used
+    twice gets the sum of its two gradients where the engine sums them.  Each network's VJP writes its parameter gradients per
+    lane and half into ``lanes.halves``, and the gradient of
+    ``lanes.flat`` is the source half plus the target half.  The op's
+    value is the sum of the lanes' totals; the lanes share no parameter,
+    so each lane's gradient is that of its own total.
+    Raises ``NumericError`` where ``engine_loss`` raises in some lane: a
+    non-finite input, layer pre-activation or total (the returned
+    ``Node`` checks the sum).  Its caller, ``step_lanes``, runs it under
+    the step's ``np.errstate``.
     ``lam`` must be >= 0, which ``TrainConfig`` ensures.
     """
     x = np.asarray(x, dtype=np.float64)
     md.check_finite(x)
+    nets, layers, out = lanes.nets, lanes.layers, lanes.half_views
     tape_f, tape_c, tape_d = [], [], []
-    feats = m.f.forward_array(x, tape_f)
-    probs = m.c.forward_array(feats, tape_c)
-    d = m.d.forward_array(feats, tape_d)
+    feats = nets["f"].forward_array(x, tape_f, layers["f"])
+    probs = nets["c"].forward_array(feats, tape_c, layers["c"])
+    d = nets["d"].forward_array(feats, tape_d, layers["d"])
 
-    scores = sc.scores_from_outputs(d[1, :, 0], probs[1], cfg.scheme)
-    breakdown, g_probs, g_d = ls.compound_array(
+    scores = sc.scores_from_outputs(d[..., 1, :, 0], probs[..., 1, :, :], cfg.scheme)
+    breakdowns, g_probs, g_d = ls.compound_array(
         probs, d, labels, scores, threshold, cfg.w_beta, cfg.gamma, cfg.diversity_mode)
 
     def vjp(g):
-        g_r = m.d.vjp_array(tape_d, g * g_d, m.half_views["d"])
-        g_fc = m.c.vjp_array(tape_c, g * g_probs, m.half_views["c"])
+        # 1.0 * a is a, bit for bit
+        scaled = (g_d, g_probs) if float(g) == 1.0 else (g * g_d, g * g_probs)
+        g_r = nets["d"].vjp_array(tape_d, scaled[0], out["d"], layers["d"])
+        g_fc = nets["c"].vjp_array(tape_c, scaled[1], out["c"], layers["c"])
         g_r *= -lam
         g_r += g_fc
-        m.f.vjp_array(tape_f, g_r, m.half_views["f"], input_grad=False)
-        return (m.halves[0] + m.halves[1],)
+        nets["f"].vjp_array(tape_f, g_r, out["f"], layers["f"], input_grad=False)
+        return (lanes.halves[..., 0, :] + lanes.halves[..., 1, :],)
 
-    return Node(breakdown.total, (m.flat,), "train_step", vjp), breakdown
+    total = sum([b.total for b in breakdowns])
+    return Node(total, (lanes.flat,), "train_step", vjp), breakdowns
+
+
+def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray,
+               cfg: TrainConfig) -> list[ls.LossBreakdown]:
+    """One forward/backward/SGD step of every lane; writes each lane's
+    log row ``t``, advances ``t`` and returns the lanes' loss breakdowns.
+    ``x`` stacks the lanes' batches and ``labels`` their classifier
+    indices (``ModelBundle.class_index``) as ``step_op`` takes them;
+    ``cfg`` is any lane's config, as they differ only in seed.
+
+    A non-finite value replays each lane on ``engine_loss`` in turn:
+    the first lane whose replay raises is the one named, as the
+    ``lane`` of the ``NumericError``, and its message names the op and
+    the step index.  If no replay raises, the step goes on with the
+    replays' losses.  A failed step leaves every lane's parameters,
+    momentum and log, and ``t``, as they were.  One ``np.errstate``
+    covers the whole step: no numpy warning escapes.
+    """
+    if state.t >= state.log.shape[1]:
+        raise ContractError(f"step {state.t} out of budget T={state.log.shape[1]}")
+    lanes, flat = state.lanes, state.lanes.flat
+    w_a = _applied_w_alpha(cfg, state.t)
+    lam = grl_coefficient(cfg, state.t)
+    lane = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            try:
+                total, breakdowns = step_op(lanes, x, labels, lam, w_a, cfg)
+                totals = (total,)
+            except NumericError:
+                totals, breakdowns = [], []
+                lead = (len(lanes.models), -1)
+                x, labels = np.reshape(x, lead + x.shape[-2:]), np.reshape(labels, lead)
+                for lane, m in enumerate(lanes.models):
+                    total, breakdown = engine_loss(m, x[lane], labels[lane], lam, w_a, cfg)
+                    totals.append(total)
+                    breakdowns.append(breakdown)
+                lane = None
+            flat.grad.fill(0.0)
+            for total in totals:
+                ad.backward(total)
+            if not np.isfinite(flat.grad).all():
+                lane = int(np.isfinite(lanes.grads).all(axis=1).argmin())
+                raise NumericError("non-finite gradient")
+        except NumericError as exc:
+            error = NumericError(f"step {state.t}: {exc}")
+            error.lane = lane
+            raise error from exc
+        state.v *= cfg.momentum
+        state.v += flat.grad
+        flat.value -= cfg.lr * state.v
+
+    for lane, b in enumerate(breakdowns):
+        state.log[lane, state.t] = (b.l_c, b.l_bd, b.l_d, b.total, b.n_pseudo_selected,
+                                    b.n_diversity_selected, w_a)
+    state.t += 1
+    return breakdowns
 
 
 def train_step(state: TrainState, batch: DomainBatch, cfg: TrainConfig,
                labels: np.ndarray) -> ls.LossBreakdown:
-    """One forward/backward/SGD step; writes log row ``t``, advances ``t``
-    and returns the loss breakdown.  ``labels`` are the classifier
-    indices (``ModelBundle.class_index``) of the source half's class ids.
-    ``batch.source_y`` holds the labels of the dataset it was drawn from:
-    ``train`` draws from indices and passes ``source_y`` itself, while a
-    batch drawn from class ids needs ``class_index(batch.source_y)``.
+    """``step_lanes`` of a one-lane state on ``batch``; returns the loss
+    breakdown.  ``labels`` are the classifier indices of the source
+    half's class ids.  ``batch.source_y`` holds the labels of the
+    dataset it was drawn from: ``train`` draws from indices and passes
+    ``source_y`` itself, while a batch drawn from class ids needs
+    ``class_index(batch.source_y)``."""
+    return step_lanes(state, batch.x, labels, cfg)[0]
 
-    A non-finite value replays the step on ``engine_loss``, so the
-    ``NumericError`` names the op and the step index; a failed step
-    leaves the parameters, the momentum, the log and ``t`` as they were.
-    One ``np.errstate`` covers the whole step: no numpy warning escapes.
-    """
-    if state.t >= len(state.log):
-        raise ContractError(f"step {state.t} out of budget T={len(state.log)}")
-    m = state.model
-    w_a = _applied_w_alpha(cfg, state.t)
-    args = (m, batch.x, labels, grl_coefficient(cfg, state.t), w_a, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            try:
-                total, breakdown = step_op(*args)
-            except NumericError:
-                total, breakdown = engine_loss(*args)
-            m.zero_grads()
-            ad.backward(total)
-            if not np.isfinite(m.grads).all():
-                raise NumericError("non-finite gradient")
-        except NumericError as exc:
-            raise NumericError(f"step {state.t}: {exc}") from exc
-        state.v *= cfg.momentum
-        state.v += m.grads
-        m.values -= cfg.lr * state.v
 
-    b = breakdown
-    state.log[state.t] = (b.l_c, b.l_bd, b.l_d, b.total, b.n_pseudo_selected,
-                          b.n_diversity_selected, w_a)
-    state.t += 1
-    return breakdown
+def _train_stack(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]]
+                 ) -> list[tuple[ModelBundle, np.ndarray]]:
+    """``train`` of every run, as the lanes of one stack.  Each lane draws
+    its batches from its own source, relabelled once with its classifier
+    indices, and its own stream, straight into its slice of the stack's
+    batch; a one-lane stack steps through ``train_step``."""
+    cfg = runs[0][2]
+    state = init_state([src for src, _, _ in runs], [c for _, _, c in runs])
+    half = cfg.batch_size // 2
+    x = np.empty((len(runs), 2, half, runs[0][0].dim))
+    labels = np.empty((len(runs), half), np.intp)
+    streams = [
+        batches(DomainDataset(src.features, m.class_index(src.labels)), tgt, half,
+                c.total_steps, np.random.default_rng([c.seed, 1]), DomainBatch(xr, yr))
+        for (src, tgt, c), m, xr, yr in zip(runs, state.lanes.models, x, labels)]
+    if len(runs) == 1:
+        for batch in streams[0]:
+            train_step(state, batch, cfg, batch.source_y)
+    else:
+        for _ in zip(*streams):
+            step_lanes(state, x, labels, cfg)
+    return [(m, log[:state.t]) for m, log in zip(state.lanes.models, state.log)]
 
 
 def train(src: DomainDataset, tgt: DomainDataset,
           cfg: TrainConfig) -> tuple[ModelBundle, np.ndarray]:
     """Run the full loop; (seed, cfg, data) determine the result exactly.
-    Returns the model and the rows of the log written, one per step.
-    The batches are drawn from the source relabelled once with its
-    classifier indices, so each batch's ``source_y`` holds the step's
-    ``labels``."""
-    state = init_state(src, cfg)
-    indexed = DomainDataset(src.features, state.model.class_index(src.labels))
-    rng = np.random.default_rng([cfg.seed, 1])
-    for batch in batches(indexed, tgt, cfg.batch_size // 2, cfg.total_steps, rng):
-        train_step(state, batch, cfg, batch.source_y)
-    return state.model, state.log[:state.t]
+    Returns the model and the rows of the log written, one per step."""
+    return _train_stack([(src, tgt, cfg)])[0]
+
+
+def train_lanes(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]]
+                ) -> list[tuple[ModelBundle, np.ndarray]]:
+    """``train`` of each ``(src, tgt, cfg)`` run, bit for bit, with the
+    runs trained as the lanes of stacks of up to ``MAX_LANES``.  The
+    configs must differ in nothing but the seed.  A ``NumericError``
+    names the failing run by its seed, and no run's result is returned."""
+    out = []
+    for start in range(0, len(runs), MAX_LANES):
+        stack = runs[start:start + MAX_LANES]
+        try:
+            out += _train_stack(stack)
+        except NumericError as exc:
+            if exc.lane is None:
+                raise
+            raise NumericError(f"seed {stack[exc.lane][2].seed}: {exc}") from exc
+    return out
 
 
 #: json's text for the non-finite floats, as ``repr`` spells them

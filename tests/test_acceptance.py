@@ -299,14 +299,16 @@ VARIANTS = {
 
 @pytest.fixture(scope="session")
 def benchmark_grid():
-    """Mean accuracy per variant over 3 seeds, plus the full-method models."""
+    """Mean accuracy per variant over 3 seeds, plus the full-method models.
+    Each variant's seeds train as the lanes of one stack, with the bits
+    of each run trained alone."""
     accs, full_runs = {}, []
     for name, kw in VARIANTS.items():
+        cfgs = [benchmark_config(seed=seed, **kw) for seed in SEEDS]
+        data = [make_benchmark(cfg) for cfg in cfgs]
+        trained = tr.train_lanes([(src, tgt, cfg) for cfg, (src, tgt, _) in zip(cfgs, data)])
         per_seed = []
-        for seed in SEEDS:
-            cfg = benchmark_config(seed=seed, **kw)
-            src, tgt, spec = make_benchmark(cfg)
-            model, _ = tr.train(src, tgt, cfg)
+        for cfg, (_, tgt, spec), (model, _) in zip(cfgs, data, trained):
             rep = evaluate(model, tgt, spec, cfg.w0, cfg.scheme)
             per_seed.append(rep.average_class_accuracy * 100)
             if name == "full":
@@ -355,7 +357,7 @@ class TestCriterion8:
     def test_degenerate_decision_thresholds(self):
         cfg = benchmark_config(seed=0)
         src, tgt, spec = make_benchmark(cfg)
-        model = tr.init_state(src, cfg).model
+        model = tr.init_state([src], [cfg]).lanes.models[0]
         with np.errstate(all="raise"):
             all_tau = evaluate(model, tgt, spec, 2.0)
             never_tau = evaluate(model, tgt, spec, 0.0)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from udaselect import evaluation as ev
 from udaselect import scoring as sc
 from udaselect import trainer as tr
 from udaselect.cli import EXIT_CONFIG, main
+from udaselect.errors import NumericError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 RUN_ARTIFACTS = ["config.json", "metrics.jsonl", "checkpoint.txt", "eval.json",
@@ -808,3 +810,62 @@ class TestAblate:
         _, rows = read_table(out / "ablation.tsv")
         assert [r[0] for r in rows] == ["diversity_off", "diversity_target_only",
                                        "diversity_both"]
+
+
+class TestGridLanes:
+    """A grid trains each variant's seeds as the lanes of one stack, and
+    writes each run as ``run_experiment`` writes it alone."""
+
+    def test_scoring_ablation_runs_are_byte_identical_to_runs_alone(self, tmp_path):
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--ablation", "scoring", "--seeds", "2",
+                     "--steps", "20", "--out", str(out)]) == 0
+        runs = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert runs == sorted(f"scheme_{s}_seed{seed}" for s in sc.SCHEMES for seed in (0, 1))
+        base = cli.benchmark_config(total_steps=20)
+        for scheme in sc.SCHEMES:
+            for seed in (0, 1):
+                cfg = cli.scheme_defaults(replace(base, seed=seed), scheme)
+                name, alone = f"scheme_{scheme}", tmp_path / "alone" / f"{scheme}_{seed}"
+                cli.run_experiment(name, cfg, *cli.make_benchmark(cfg), alone)
+                lane = out / f"{name}_seed{seed}"
+                assert sorted(p.name for p in lane.iterdir()) == sorted(RUN_ARTIFACTS)
+                for artifact in RUN_ARTIFACTS:
+                    assert (lane / artifact).read_bytes() == (alone / artifact).read_bytes(), (
+                        lane.name, artifact)
+
+    def test_seeds_beyond_one_stack_train_in_further_stacks(self, tmp_path, monkeypatch):
+        stacks = []
+        train_stack = tr._train_stack
+        monkeypatch.setattr(tr, "_train_stack",
+                            lambda runs: stacks.append(len(runs)) or train_stack(runs))
+        monkeypatch.setattr(tr, "MAX_LANES", 2)
+        assert main(["ablate", "--ablation", "diversity", "--seeds", "3",
+                     "--steps", "2", "--out", str(tmp_path / "ablate")]) == 0
+        assert stacks == [2, 1] * 3
+
+    def test_a_failing_lane_stops_its_variant_before_any_run_is_written(
+            self, tmp_path, capsys, monkeypatch):
+        """A non-finite feature in seed 1's source: the first variant's
+        stack stops where that run alone stops, exit code 3, and no run
+        directory is written."""
+        make_benchmark = cli.make_benchmark
+
+        def poisoned(cfg):
+            src, tgt, spec = make_benchmark(cfg)
+            if cfg.seed == 1:
+                features = src.features.copy()
+                features[17, 5] = np.nan
+                src = dt.DomainDataset(features, src.labels)
+            return src, tgt, spec
+
+        monkeypatch.setattr(cli, "make_benchmark", poisoned)
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--ablation", "scoring", "--seeds", "3",
+                     "--steps", "200", "--out", str(out)]) == cli.EXIT_NUMERIC
+        cfg = cli.benchmark_config(total_steps=200, seed=1)
+        with pytest.raises(NumericError) as alone:
+            tr.train(*poisoned(cfg)[:2], cfg)
+        assert capsys.readouterr().err == f"numeric abort: scheme_ours seed 1: {alone.value}\n"
+        assert str(alone.value).startswith("step ") and "op 'input'" in str(alone.value)
+        assert [p.name for p in out.iterdir()] == []

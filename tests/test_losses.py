@@ -90,6 +90,10 @@ class TestLossClassification:
         with pytest.raises(ContractError, match=msg):
             ls.compound_array(np.array([src.value, tgt.value]), np.full((2, 2, 1), 0.5),
                               y, scores, 0.5, 0.5, 0.6, "both")
+        with pytest.raises(ContractError, match=msg):  # the same lane in a stack
+            ls.compound_array(np.array([[src.value, tgt.value]] * 2),
+                              np.full((2, 2, 2, 1), 0.5), np.stack([[0, 1], y]),
+                              np.stack([scores] * 2), 0.5, 0.5, 0.6, "both")
 
     @pytest.mark.parametrize("y", [[0], [0, 1, 2]])
     def test_array_and_node_reject_labels_not_one_per_source_row(self, y):
@@ -264,10 +268,11 @@ class TestArrayLossesOnTheDomainStack:
     and domain outputs (slice 0 the source, slice 1 the target) and
     returns ``loss_compound``'s breakdown and one gradient per stack, bit
     for bit the engine's: the head stack is the gradient of the engine's
-    ``l_c + l_bd`` and the domain stack that of its ``l_d``."""
+    ``l_c + l_bd`` and the domain stack that of its ``l_d``.  A stack of
+    such lanes gives each lane the bits of its own call."""
 
-    def _stack(self, half=10):
-        rng = np.random.default_rng(0)
+    def _stack(self, half=10, seed=0):
+        rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(3), size=(2, half))
         d = rng.uniform(0.05, 0.95, size=(2, half, 1))
         return probs, d, rng.integers(0, 3, size=half), rng.uniform(0.0, 2.0, size=half)
@@ -300,22 +305,35 @@ class TestArrayLossesOnTheDomainStack:
         backward(total)
         return breakdown, g_probs, g_d
 
-    def check(self, probs, d, labels, scores, w_alpha=0.5, w_beta=0.5, gamma=0.6,
-              mode="both"):
-        """``compound_array`` against the engine; returns the array result."""
-        args = (probs, d, labels, scores, w_alpha, w_beta, gamma, mode)
-        got = ls.compound_array(*args)
-        want = self._engine(*args)
-        for (b, g_probs, g_d), stacks in ((got, (probs, d)), (want, (probs, d))):
+    @staticmethod
+    def _assert_equal(got, want):
+        """One lane's breakdown and gradients against the engine's."""
+        for (b, g_probs, g_d), stacks in ((got, want[1:]), (want, want[1:])):
             assert g_probs.shape == stacks[0].shape and g_d.shape == stacks[1].shape
         values = [[b.l_c, b.l_bd, b.l_d, b.total] for b, *_ in (got, want)]
         np.testing.assert_array_equal(bits(values[0]), bits(values[1]))
         assert ((got[0].n_pseudo_selected, got[0].n_diversity_selected)
                 == (want[0].n_pseudo_selected, want[0].n_diversity_selected))
+        assert all(type(n) is int for n in got[0][4:])
         np.testing.assert_array_equal(bits(got[1]), bits(want[1]))
         np.testing.assert_array_equal(bits(got[2]), bits(want[2]))
         assert not np.signbit(got[1][got[1] == 0.0]).any()  # no head entry is -0.0
-        return got
+
+    def check(self, probs, d, labels, scores, w_alpha=0.5, w_beta=0.5, gamma=0.6,
+              mode="both"):
+        """``compound_array`` against the engine, on the one lane and as
+        lane 1 of three whose other lanes hold other data; returns the
+        one-lane result."""
+        args = (w_alpha, w_beta, gamma, mode)
+        (b,), g_probs, g_d = ls.compound_array(probs, d, labels, scores, *args)
+        self._assert_equal((b, g_probs, g_d), self._engine(probs, d, labels, scores, *args))
+        lanes = [self._stack(len(labels), seed=1), (probs, d, labels, scores),
+                 self._stack(len(labels), seed=2)]
+        stacked = ls.compound_array(*(np.stack(a) for a in zip(*lanes)), *args)
+        assert len(stacked[0]) == 3
+        for lane, inputs in enumerate(lanes):
+            self._assert_equal([part[lane] for part in stacked], self._engine(*inputs, *args))
+        return b, g_probs, g_d
 
     @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
     @pytest.mark.parametrize("w_alpha", [0.0, 1.0, math.inf])
@@ -377,6 +395,10 @@ class TestArrayLossesOnTheDomainStack:
          r"^d must be the \(2, 10, 1\) domain stack, got \(2, 9, 1\)$"),
         (dict(d=np.full((20, 1), 0.5)),
          r"^d must be the \(2, 10, 1\) domain stack, got \(20, 1\)$"),
+        (dict(probs=np.full((3, 10, 3), 1 / 3)),
+         r"^probs must be a \(2, half, K\) stack or a stack of them, got \(3, 10, 3\)$"),
+        (dict(probs=np.full((1, 1, 2, 10, 3), 1 / 3)),
+         r"^probs must be a \(2, half, K\) stack or a stack of them, got \(1, 1, 2, 10, 3\)$"),
     ])
     def test_rejects_what_the_node_losses_reject(self, bad, msg):
         probs, d, labels, scores = self._stack(half=bad.pop("half", 10))

@@ -198,22 +198,45 @@ class TestCheckpoint:
 
 
 def assert_packed(m: md.ModelBundle) -> None:
-    """Every parameter's value and grad are views into the flat buffers,
-    which are the value and grad of the leaf ``flat``, and its
-    per-domain gradients a view into ``halves`` whose two slices are
-    C-contiguous."""
+    """Every parameter's value and grad are views into the flat buffers."""
     params = [p for _, p in m.parameters()]
     assert m.values.size == m.grads.size == sum(p.value.size for p in params)
-    assert m.flat.value is m.values and m.flat.grad is m.grads
-    assert m.halves.shape == (2, m.values.size)
     for p in params:
         assert np.shares_memory(p.value, m.values)
         assert np.shares_memory(p.grad, m.grads)
-    halves = [v for net in ("f", "c", "d") for v in m.half_views[net]]
-    assert [v.shape for v in halves] == [(2, *p.shape) for p in params]
+
+
+def assert_lanes_packed(lanes: md.Lanes) -> None:
+    """Each lane's flat buffers are its row of the stack's, which are the
+    value and grad of the leaf ``flat``; each layer's arrays are views of
+    the stack's values that broadcast over a ``lead + (2, n, ·)`` stack,
+    and the per-domain gradients views into ``halves`` whose slices are
+    C-contiguous."""
+    r, size = lanes.values.shape
+    assert lanes.lead == ((r,) if r > 1 else ())
+    for m, values, grads in zip(lanes.models, lanes.values, lanes.grads, strict=True):
+        assert_packed(m)
+        assert m.values.base is lanes.values and np.array_equal(m.values, values)
+        assert m.grads.base is lanes.grads and m.grads.shape == grads.shape
+    assert lanes.flat.value.shape == lanes.flat.grad.shape == lanes.lead + (size,)
+    assert lanes.flat.value.base is lanes.values and lanes.flat.grad.base is lanes.grads
+    assert lanes.halves.shape == lanes.lead + (2, size)
+    params = [p for _, p in lanes.models[0].parameters()]
+    layers = [a for net in ("f", "c", "d") for layer in lanes.layers[net] for a in layer]
+    unit = (r, 1) if r > 1 else ()
+    assert [a.shape for a in layers] == [
+        shape for w, b in zip(params[::2], params[1::2])
+        for shape in (unit + w.shape, unit + (1,) * (r > 1) + b.shape, unit + w.shape[::-1])]
+    for a in layers:
+        assert np.shares_memory(a, lanes.values)
+    for w, _, w_t in (layer for net in ("f", "c", "d") for layer in lanes.layers[net]):
+        np.testing.assert_array_equal(w_t, w.swapaxes(-1, -2))
+    halves = [v for net in ("f", "c", "d") for v in lanes.half_views[net]]
+    assert [v.shape for v in halves] == [lanes.lead + (2, *p.shape) for p in params]
     for v in halves:
-        assert np.shares_memory(v, m.halves)
-        assert v[0].flags.c_contiguous and v[1].flags.c_contiguous
+        assert np.shares_memory(v, lanes.halves)
+        for k in np.ndindex(v.shape[:len(lanes.lead) + 1]):  # each lane's each domain
+            assert v[k].flags.c_contiguous
 
 
 def grad_out(mlp: md.Mlp) -> list[np.ndarray]:
@@ -224,6 +247,25 @@ def grad_out(mlp: md.Mlp) -> list[np.ndarray]:
 class TestFlatBuffers:
     def test_init_packs_parameters(self):
         assert_packed(small_bundle(3))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_lanes_pack_their_bundles_and_keep_their_values(self, r):
+        bundles = [small_bundle(seed) for seed in range(r)]
+        before = [m.values.copy() for m in bundles]
+        lanes = md.Lanes(bundles)
+        assert_lanes_packed(lanes)
+        for m, values in zip(bundles, before):
+            np.testing.assert_array_equal(m.values, values)
+        # an update of the stack is an update of each lane's parameters
+        lanes.values += 1.0
+        for m, values in zip(bundles, before):
+            np.testing.assert_array_equal(m.f.weights[0].value.ravel(), values[:32] + 1.0)
+
+    def test_lanes_must_share_one_architecture(self):
+        other = md.init(MlpSpec(4, (8,), 6), MlpSpec(6, (), 3, "softmax"),
+                        MlpSpec(6, (5,), 1, "sigmoid"), seed=0, class_ids=(0, 1, 2))
+        with pytest.raises(ContractError, match="one architecture"):
+            md.Lanes([small_bundle(), other])
 
     def test_load_checkpoint_packs_parameters(self, tmp_path):
         m = small_bundle(3)
@@ -306,11 +348,11 @@ class TestStackedArrays:
         cfg = cli.benchmark_config(seed=n)
         if arch == "default":
             cfg = tr.TrainConfig(seed=n)
-        m = tr.init_state(cli.make_benchmark(cfg)[0], cfg).model
+        lanes = tr.init_state([cli.make_benchmark(cfg)[0]], [cfg]).lanes
         rng = np.random.default_rng(n)
         for name in ("f", "c", "d"):
-            # the stacked VJP writes into the bundle's per-domain views
-            net, grads = getattr(m, name), m.half_views[name]
+            # the stacked VJP writes into the one lane's per-domain views
+            net, grads = lanes.nets[name], lanes.half_views[name]
             x = rng.normal(size=(2, n, net.spec.input_dim)) * 2
             g = rng.normal(size=(2, n, net.spec.output_dim))
             tape = []
@@ -325,6 +367,32 @@ class TestStackedArrays:
                 assert len(grads) == len(grads_k)
                 for got, want in zip(grads, grads_k):
                     np.testing.assert_array_equal(bits(got[k]), bits(want))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("n", [1, 25, 32])
+    def test_lanes_with_their_own_parameters_equal_their_own_calls_bitwise(self, r, n):
+        """``r`` lanes of the benchmark's networks, each with its own
+        seed's parameters: each lane of the stacked forward and VJP has
+        the bits of that lane's bundle's own calls on its own rows."""
+        cfgs = [cli.benchmark_config(seed=seed) for seed in range(r)]
+        lanes = tr.init_state([cli.make_benchmark(cfg)[0] for cfg in cfgs], cfgs).lanes
+        rng = np.random.default_rng(n)
+        for name in ("f", "c", "d"):
+            net, layers, grads = lanes.nets[name], lanes.layers[name], lanes.half_views[name]
+            x = rng.normal(size=(r, 2, n, net.spec.input_dim)) * 2
+            g = rng.normal(size=(r, 2, n, net.spec.output_dim))
+            tape = []
+            out = net.forward_array(x, tape, layers)
+            g_x = net.vjp_array(tape, g, grads, layers)
+            for lane, m in enumerate(lanes.models):
+                own = getattr(m, name)
+                tape_k, grads_k = [], [np.empty((2, *p.shape)) for _, p in own.parameters("")]
+                np.testing.assert_array_equal(bits(out[lane]),
+                                              bits(own.forward_array(x[lane], tape_k)))
+                np.testing.assert_array_equal(bits(g_x[lane]),
+                                              bits(own.vjp_array(tape_k, g[lane], grads_k)))
+                for got, want in zip(grads, grads_k, strict=True):
+                    np.testing.assert_array_equal(bits(got[lane]), bits(want))
 
     def test_wrong_input_dim_of_a_stack_quotes_one_slice(self):
         with pytest.raises(ContractError, match=r"matmul shape mismatch: \(2, 3\) x \(4, 8\)"):
@@ -367,7 +435,7 @@ import hashlib, sys
 import numpy as np
 from udaselect import cli, model as md, trainer as tr
 cfg = cli.benchmark_config(seed=0)
-m = tr.init_state(cli.make_benchmark(cfg)[0], cfg).model
+m = tr.init_state([cli.make_benchmark(cfg)[0]], [cfg]).lanes.models[0]
 x = np.random.default_rng(0).normal(size=(int(sys.argv[1]), 8))
 probs, d = md.predict(m, x)
 print(hashlib.sha256(probs.tobytes() + d.tobytes()).hexdigest())

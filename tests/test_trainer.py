@@ -1,6 +1,8 @@
 """Unit tests for the training loop, schedule and optimizer contract."""
 
+import functools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -27,7 +29,16 @@ def tiny_data(seed=0):
 
 def step(state, batch, cfg):
     """``train_step`` on a batch of the test's own, its labels mapped."""
-    return tr.train_step(state, batch, cfg, state.model.class_index(batch.source_y))
+    return tr.train_step(state, batch, cfg, state.lanes.models[0].class_index(batch.source_y))
+
+
+def engine_op(lanes, x, labels, *rest):
+    """``step_op`` as the engine graph: each lane's ``engine_loss``, their
+    totals summed by engine ``add`` nodes."""
+    lead = (len(lanes.models), -1)
+    pairs = [tr.engine_loss(m, x_r, y_r, *rest) for m, x_r, y_r in zip(
+        lanes.models, np.reshape(x, lead + x.shape[-2:]), np.reshape(labels, lead))]
+    return functools.reduce(ad.add, [t for t, _ in pairs]), [b for _, b in pairs]
 
 
 def tiny_cfg(**kw):
@@ -137,7 +148,7 @@ class TestTrain:
         src, tgt = tiny_data()
         cfg = tiny_cfg(total_steps=0)
         model, log = tr.train(src, tgt, cfg)
-        fresh = tr.init_state(src, cfg).model
+        fresh = tr.init_state([src], [cfg]).lanes.models[0]
         assert log.shape == (0,) and log.dtype == tr.LOG_DTYPE
         for (_, a), (_, b) in zip(model.parameters(), fresh.parameters()):
             np.testing.assert_array_equal(a.value, b.value)
@@ -160,7 +171,7 @@ class TestTrain:
     def test_step_budget_enforced(self):
         src, tgt = tiny_data()
         cfg = tiny_cfg(total_steps=1)
-        state = tr.init_state(src, cfg)
+        state = tr.init_state([src], [cfg])
         rng = np.random.default_rng(0)
         step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
         with pytest.raises(ContractError):
@@ -180,24 +191,24 @@ class TestStepLog:
     def test_row_t_holds_the_steps_breakdown_and_threshold(self):
         src, tgt = tiny_data()
         cfg = tiny_cfg(total_steps=3)
-        state = tr.init_state(src, cfg)
-        assert state.log.shape == (3,) and state.log.dtype == tr.LOG_DTYPE
+        state = tr.init_state([src], [cfg])
+        assert state.log.shape == (1, 3) and state.log.dtype == tr.LOG_DTYPE
         rng = np.random.default_rng(0)
         for t in range(3):
             b = step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
             assert state.t == t + 1
-            assert state.log[t].tolist() == (
+            assert state.log[0, t].tolist() == (
                 b.l_c, b.l_bd, b.l_d, b.total, b.n_pseudo_selected,
                 b.n_diversity_selected, tr.w_alpha(t, 3, cfg.w0, cfg.w_alpha_start))
 
     def test_failed_step_leaves_log_and_t_untouched(self):
         src, tgt = tiny_data()
         cfg = tiny_cfg(total_steps=3)
-        state = tr.init_state(src, cfg)
+        state = tr.init_state([src], [cfg])
         rng = np.random.default_rng(0)
         step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
         log = state.log.copy()
-        state.model.f.weights[0].value[...] = np.finfo(float).max
+        state.lanes.models[0].f.weights[0].value[...] = np.finfo(float).max
         with pytest.raises(NumericError, match="step 1: "):
             step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
         assert state.t == 1
@@ -206,7 +217,7 @@ class TestStepLog:
     def test_full_log_raises_out_of_budget(self):
         src, tgt = tiny_data()
         cfg = tiny_cfg(total_steps=2)
-        state = tr.init_state(src, cfg)
+        state = tr.init_state([src], [cfg])
         rng = np.random.default_rng(0)
         for _ in range(2):
             step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
@@ -249,13 +260,13 @@ class TestOptimizerContract:
         src, tgt = tiny_data()
         cfg = tiny_cfg(total_steps=1, momentum=0.0, lr=1e-3)
         batch = dt.sample_batch(src, tgt, 8, np.random.default_rng([cfg.seed, 1]))
-        state = tr.init_state(src, cfg)
-        before = {n: p.value.copy() for n, p in state.model.parameters()}
+        state = tr.init_state([src], [cfg])
+        before = {n: p.value.copy() for n, p in state.lanes.models[0].parameters()}
         step(state, batch, cfg)
-        for name, p in state.model.parameters():
+        for name, p in state.lanes.models[0].parameters():
             # with mu = 0 the velocity buffer is exactly the raw gradient,
             # and the update is exactly value - lr * grad
-            np.testing.assert_array_equal(state.model.views(state.v)[name], p.grad)
+            np.testing.assert_array_equal(state.lanes.models[0].views(state.v)[name], p.grad)
             np.testing.assert_array_equal(
                 p.value, before[name] - cfg.lr * p.grad)
 
@@ -282,13 +293,13 @@ class TestOptimizerContract:
 class TestFlatMomentum:
     def test_velocity_entries_are_views_of_one_buffer(self):
         src, _ = tiny_data()
-        state = tr.init_state(src, tiny_cfg())
-        assert state.v.size == state.model.values.size
-        assert list(state.model.views(state.v)) == [
-            n for n, _ in state.model.parameters()]
-        for name, p in state.model.parameters():
-            assert state.model.views(state.v)[name].shape == p.shape
-            assert np.shares_memory(state.model.views(state.v)[name], state.v)
+        state = tr.init_state([src], [tiny_cfg()])
+        assert state.v.size == state.lanes.models[0].values.size
+        assert list(state.lanes.models[0].views(state.v)) == [
+            n for n, _ in state.lanes.models[0].parameters()]
+        for name, p in state.lanes.models[0].parameters():
+            assert state.lanes.models[0].views(state.v)[name].shape == p.shape
+            assert np.shares_memory(state.lanes.models[0].views(state.v)[name], state.v)
 
     def test_train_equals_per_parameter_momentum_loop_bitwise(self):
         src, tgt = tiny_data()
@@ -296,8 +307,8 @@ class TestFlatMomentum:
         trained, _ = tr.train(src, tgt, cfg)
 
         # the same steps, each update undone and redone one parameter at a time
-        state = tr.init_state(src, cfg)
-        m = state.model
+        state = tr.init_state([src], [cfg])
+        m = state.lanes.models[0]
         rng = np.random.default_rng([cfg.seed, 1])
         velocity = {name: np.zeros_like(p.value) for name, p in m.parameters()}
         for _ in range(cfg.total_steps):
@@ -322,9 +333,9 @@ class TestBackwardOracleOnEngineGraph:
     @pytest.fixture(autouse=True)
     def engine_graph(self, monkeypatch):
         def loss(*args):
-            total, breakdown = tr.engine_loss(*args)
+            total, breakdowns = engine_op(*args)
             assert total.op == "add" and len(ref.topo_order(total)) > 40
-            return total, breakdown
+            return total, breakdowns
 
         monkeypatch.setattr(tr, "step_op", loss)
 
@@ -377,37 +388,48 @@ STEP_OP_CASES = [
 
 
 class TestStepOpOracle:
-    """The step op against the engine graph of the same step, bit for bit."""
+    """The step op against the engine graph of the same step, bit for bit,
+    on one lane and on stacks of 2 and 3 lanes with seeds of their own:
+    each lane's loss breakdown and parameter gradients are those of its
+    own engine step, and each lane's run (parameters and step log) is the
+    run trained alone."""
 
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
     @pytest.mark.parametrize("case", STEP_OP_CASES, ids=lambda c: ",".join(
         f"{k}={v}" for k, v in c.items()))
-    def test_value_and_parameter_grads_equal_engine_bitwise(self, monkeypatch, case):
+    def test_value_and_parameter_grads_equal_engine_bitwise(self, monkeypatch, case, lanes):
         step_op, seen = tr.step_op, []
 
-        def both(m, *rest):
-            engine_total, engine_breakdown = tr.engine_loss(m, *rest)
-            m.zero_grads()
+        def both(stack, *rest):
+            engine_total, engine_breakdowns = engine_op(stack, *rest)
+            stack.grads.fill(0.0)
             ad.backward(engine_total)
-            expected = m.grads.copy()
-            total, breakdown = step_op(m, *rest)
-            assert total.op == "train_step" and total.parents == (m.flat,)
+            expected = stack.grads.copy()
+            total, breakdowns = step_op(stack, *rest)
+            assert total.op == "train_step" and total.parents == (stack.flat,)
             # the step op's VJP must write every entry of the per-domain buffer
-            m.halves.fill(np.nan)
-            m.zero_grads()
+            stack.halves.fill(np.nan)
+            stack.grads.fill(0.0)
             ad.backward(total)
-            np.testing.assert_array_equal(bits(m.grads), bits(expected))
-            np.testing.assert_array_equal(bits(total.value), bits(engine_total.value))
-            assert breakdown == engine_breakdown
-            seen.append(breakdown)
-            return total, breakdown
+            np.testing.assert_array_equal(bits(stack.grads), bits(expected))
+            np.testing.assert_array_equal(bits([b.total for b in breakdowns]),
+                                          bits([b.total for b in engine_breakdowns]))
+            assert breakdowns == engine_breakdowns and len(breakdowns) == lanes
+            seen.extend(breakdowns)
+            return total, breakdowns
 
-        monkeypatch.setattr(tr, "step_op", both)
         scheme = case.get("scheme", "ours")
         cfg = cli.scheme_defaults(cli.benchmark_config(total_steps=6), scheme)
         cfg = replace(cfg, **{k: v for k, v in case.items() if k != "scheme"})
-        src, tgt, _ = cli.make_benchmark(cfg)
-        tr.train(src, tgt, cfg)
-        assert len(seen) == cfg.total_steps
+        runs = [(*cli.make_benchmark(c)[:2], c)
+                for c in (replace(cfg, seed=seed) for seed in range(lanes))]
+        alone = [tr.train(*run) for run in runs]
+        monkeypatch.setattr(tr, "step_op", both)
+        together = tr.train_lanes(runs)
+        assert len(seen) == cfg.total_steps * lanes
+        for (m, log), (m_alone, log_alone) in zip(together, alone, strict=True):
+            np.testing.assert_array_equal(bits(m.values), bits(m_alone.values))
+            assert log.tobytes() == log_alone.tobytes()
         if cfg.pseudo_labels and cfg.diversity_mode == "both":
             assert any(b.n_pseudo_selected for b in seen)
             assert any(b.n_diversity_selected for b in seen)
@@ -420,12 +442,12 @@ class TestNumericErrorReplay:
     def setup(self, **kw):
         cfg = cli.benchmark_config(total_steps=4, **kw)
         src, tgt, _ = cli.make_benchmark(cfg)
-        state = tr.init_state(src, cfg)
+        state = tr.init_state([src], [cfg])
         rng = np.random.default_rng([cfg.seed, 1])
         return cfg, state, [dt.sample_batch(src, tgt, cfg.batch_size, rng) for _ in range(2)]
 
     def check(self, monkeypatch, state, batch, cfg):
-        m = state.model
+        m = state.lanes.models[0]
         before = (state.t, m.values.copy(), state.v.copy(), state.log.copy())
         with pytest.raises(NumericError) as fused:
             step(state, batch, cfg)
@@ -433,7 +455,7 @@ class TestNumericErrorReplay:
         np.testing.assert_array_equal(bits(m.values), bits(before[1]))
         np.testing.assert_array_equal(bits(state.v), bits(before[2]))
         with monkeypatch.context() as mp:
-            mp.setattr(tr, "step_op", tr.engine_loss)
+            mp.setattr(tr, "step_op", engine_op)
             with pytest.raises(NumericError) as engine:
                 step(state, batch, cfg)
         assert str(fused.value) == str(engine.value)
@@ -442,7 +464,7 @@ class TestNumericErrorReplay:
     @pytest.mark.parametrize("net", ["f", "c", "d"])
     def test_matmul_overflow(self, monkeypatch, net):
         cfg, state, batches = self.setup()
-        getattr(state.model, net).weights[0].value[...] = np.finfo(float).max
+        getattr(state.lanes.models[0], net).weights[0].value[...] = np.finfo(float).max
         assert self.check(monkeypatch, state, batches[0], cfg) == (
             "step 0: non-finite values produced by op 'matmul'")
 
@@ -465,6 +487,67 @@ class TestNumericErrorReplay:
             "step 1: non-finite values produced by op 'matmul'")
 
 
+class TestNumericErrorInALane:
+    """A non-finite value in one lane of a stack replays the lanes on the
+    engine graph: the error names that lane, and no lane's state moves."""
+
+    def setup(self, lanes):
+        cfgs = [cli.benchmark_config(total_steps=4, seed=seed) for seed in range(lanes)]
+        data = [cli.make_benchmark(cfg)[:2] for cfg in cfgs]
+        state = tr.init_state([src for src, _ in data], cfgs)
+        draws = [[dt.sample_batch(src, tgt, cfg.batch_size, np.random.default_rng([s, 1]))
+                  for s in range(2)] for (src, tgt), cfg in zip(data, cfgs)]
+        stacks = [(np.stack([lane[i].x for lane in draws]),
+                   np.stack([m.class_index(lane[i].source_y)
+                             for m, lane in zip(state.lanes.models, draws)]))
+                  for i in range(2)]
+        return cfgs[0], state, stacks
+
+    @pytest.mark.parametrize("lanes, bad", [(2, 0), (2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("fault", ["input", "matmul"])
+    def test_names_the_lane_and_leaves_every_lane_as_it_was(self, lanes, bad, fault):
+        cfg, state, stacks = self.setup(lanes)
+        tr.step_lanes(state, *stacks[0], cfg)
+        x, labels = stacks[1]
+        if fault == "input":
+            x[bad, 1, 3, 2] = np.nan
+        else:
+            state.lanes.models[bad].d.weights[0].value[...] = np.finfo(float).max
+        before = (state.t, state.lanes.values.copy(), state.v.copy(), state.log.copy())
+        with pytest.raises(NumericError) as raised:
+            tr.step_lanes(state, x, labels, cfg)
+        assert raised.value.lane == bad
+        assert str(raised.value) == f"step 1: non-finite values produced by op '{fault}'"
+        assert state.t == before[0] and state.log.tobytes() == before[3].tobytes()
+        np.testing.assert_array_equal(bits(state.lanes.values), bits(before[1]))
+        np.testing.assert_array_equal(bits(state.v), bits(before[2]))
+
+    def test_non_finite_gradient_names_its_lane(self):
+        cfg, state, stacks = self.setup(3)
+        cfg = replace(cfg, grl_lambda=1.7e308)
+        with pytest.raises(NumericError, match="^step 0: non-finite gradient$") as raised:
+            tr.step_lanes(state, *stacks[0], cfg)
+        assert raised.value.lane == 0
+
+    def test_train_lanes_names_the_seed_of_the_run_alone(self):
+        """A non-finite feature in one seed's source fails that run at the
+        step that first draws it, alone or as a lane of a stack."""
+        cfgs = [cli.benchmark_config(total_steps=200, seed=seed) for seed in range(3)]
+        runs = [(*cli.make_benchmark(cfg)[:2], cfg) for cfg in cfgs]
+        src = runs[1][0]
+        features = src.features.copy()
+        features[17, 5] = np.inf
+        runs[1] = (dt.DomainDataset(features, src.labels), *runs[1][1:])
+        with pytest.raises(NumericError) as alone:
+            tr.train(*runs[1])
+        assert re.fullmatch(r"step \d+: non-finite values produced by op 'input'",
+                            str(alone.value))
+        with pytest.raises(NumericError) as together:
+            tr.train_lanes(runs)
+        assert str(together.value) == f"seed 1: {alone.value}"
+        assert together.value.lane is None
+
+
 class TestStepTape:
     """A finite step builds one ``Node``, the step op over the flat
     parameter leaf; only a replay builds the engine graph.  Nodes are
@@ -474,7 +557,7 @@ class TestStepTape:
     def nodes_per_step(self, monkeypatch, steps):
         cfg = cli.benchmark_config(total_steps=steps)
         src, tgt, _ = cli.make_benchmark(cfg)
-        state = tr.init_state(src, cfg)
+        state = tr.init_state([src], [cfg])
         rng = np.random.default_rng([cfg.seed, 1])
         node_init, built = Node.__dict__["__init__"], []
 
@@ -494,7 +577,7 @@ class TestStepTape:
     def test_finite_step_builds_one_op_over_the_flat_leaf(self, monkeypatch):
         state, per_step = self.nodes_per_step(monkeypatch, 20)
         assert [[(n.op, n.parents) for n in nodes] for nodes in per_step] == (
-            [[("train_step", (state.model.flat,))]] * 20)
+            [[("train_step", (state.lanes.flat,))]] * 20)
 
     def test_forced_replay_builds_the_engine_graph_and_the_same_step(self, monkeypatch):
         plain, _ = self.nodes_per_step(monkeypatch, 3)
@@ -506,7 +589,7 @@ class TestStepTape:
         replayed, per_step = self.nodes_per_step(monkeypatch, 3)
         assert all(len(nodes) > 40 for nodes in per_step)
         assert replayed.t == plain.t and replayed.log.tobytes() == plain.log.tobytes()
-        np.testing.assert_array_equal(bits(replayed.model.values), bits(plain.model.values))
+        np.testing.assert_array_equal(bits(replayed.lanes.values), bits(plain.lanes.values))
         np.testing.assert_array_equal(bits(replayed.v), bits(plain.v))
 
 
@@ -524,7 +607,7 @@ class TestLabels:
 
         def checked(state, batch, cfg, labels):
             assert labels is batch.source_y
-            seen.append((state.model, batch.x.copy(), labels.copy()))
+            seen.append((state.lanes.models[0], batch.x.copy(), labels.copy()))
             return train_step(state, batch, cfg, labels)
 
         monkeypatch.setattr(tr, "train_step", checked)
@@ -547,7 +630,7 @@ class TestSelectionAtStartup:
         from udaselect.cli import benchmark_config, make_benchmark
         cfg = benchmark_config()
         src, tgt, _ = make_benchmark(cfg)
-        state = tr.init_state(src, cfg)
+        state = tr.init_state([src], [cfg])
         batch = dt.sample_batch(src, tgt, cfg.batch_size,
                                 np.random.default_rng([cfg.seed, 1]))
         breakdown = step(state, batch, cfg)
