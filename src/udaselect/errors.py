@@ -15,8 +15,8 @@ class ConfigError(UdaError, ValueError):
 
 class NumericError(UdaError, ArithmeticError):
     """Non-finite values were produced during a forward or backward pass.
-    A training step of several runs sets ``lane`` to the index of the
-    run it arose in."""
+    A training step sets ``lane`` to the index of the lane (the run) of
+    its stack that it arose in."""
 
     lane: int | None = None
 

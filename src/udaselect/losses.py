@@ -71,21 +71,24 @@ def loss_classification(source_probs: Node, source_labels: np.ndarray,
     return loss, int(len(selected))
 
 
-def _checked_labels(source_shape: tuple[int, int], source_labels: np.ndarray,
+def _checked_labels(source_shape: tuple[int, ...], source_labels: np.ndarray,
                     n_target: int, target_scores: np.ndarray, gamma: float) -> np.ndarray:
-    """``loss_classification``'s argument checks; the labels as indices."""
-    if source_shape[0] == 0:
+    """``loss_classification``'s argument checks for sources of
+    ``source_shape``, ``lead + (rows, K)``, and ``n_target`` targets per
+    lead index; the labels as indices."""
+    *lead, rows, k = source_shape
+    if rows == 0 or 0 in lead:
         raise ContractError("source batch must be non-empty")
     if gamma < 0:
         raise ContractError(f"gamma must be >= 0, got {gamma}")
-    if len(target_scores) != n_target:
+    if np.shape(target_scores) != (*lead, n_target):
         raise ContractError("target_scores must align with target_probs rows")
     labels = np.asarray(source_labels, dtype=np.intp)
-    if len(labels) != source_shape[0]:
+    if labels.shape != (*lead, rows):
         raise ContractError("source_labels must align with source_probs rows")
     # as an unsigned integer a negative label is above any class count
-    if labels.size and np.maximum.reduce(labels.view(np.uintp), axis=None) >= source_shape[1]:
-        raise ContractError(f"source labels must lie in [0, {source_shape[1]})")
+    if np.maximum.reduce(labels.view(np.uintp), axis=None) >= k:
+        raise ContractError(f"source labels must lie in [0, {k})")
     return labels
 
 
@@ -144,7 +147,7 @@ def loss_compound(l_c: Node, l_bd: Node, l_d: Node,
 
 
 @lru_cache
-def _layout(lanes: int, half: int, k: int, mode: str):
+def _layout(lanes: int, half: int, k: int, mode: str) -> tuple[np.ndarray, ...]:
     """Shared read-only constants of ``compound_array`` on ``(lanes, 2,
     half, k)`` stacks: the flat index of the first entry of each source
     row and of each target row, ``(lanes, half)`` each, the gradient
@@ -207,19 +210,8 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
         raise ContractError(f"probs must be a (2, half, K) stack or a stack of them, "
                             f"got {probs.shape}")
     half, k = probs.shape[-2:]
-    if half == 0 or 0 in lead:
-        raise ContractError("source batch must be non-empty")
-    if gamma < 0:
-        raise ContractError(f"gamma must be >= 0, got {gamma}")
+    labels = _checked_labels(lead + (half, k), source_labels, half, target_scores, gamma)
     scores = np.asarray(target_scores)
-    if scores.shape != lead + (half,):
-        raise ContractError("target_scores must align with target_probs rows")
-    labels = np.asarray(source_labels, dtype=np.intp)
-    if labels.shape != lead + (half,):
-        raise ContractError("source_labels must align with source_probs rows")
-    # as an unsigned integer a negative label is above any class count
-    if np.maximum.reduce(labels.view(np.uintp), axis=None) >= k:
-        raise ContractError(f"source labels must lie in [0, {k})")
     if mode not in DIVERSITY_MODES:
         raise ContractError(f"unknown diversity mode {mode!r}")
     if d.shape != lead + (2, half, 1):
@@ -232,6 +224,8 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     src_at, tgt_at, scale, weight = _layout(lanes, half, k, mode)
     fixed = len(scale)  # the entries of the half-sized segments
     picked = scores > w_alpha
+    # the counts as Python ints: numpy's own ints are slow in the per-lane
+    # arithmetic below
     n_pl = np.add.reduce(picked, axis=1).tolist()
     at = np.empty(lanes * half + sum(n_pl), np.intp)
     np.add(src_at, labels, out=at[:lanes * half].reshape(lanes, half))

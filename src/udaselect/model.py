@@ -377,7 +377,9 @@ class Lanes:
     batch's ``(2, half, dim)`` stack, and its layers are its bundle's own
     arrays.  numpy takes longer per call on a 4-D operand than on a 3-D
     one, and over the step's ~150 calls a lane axis of 1 made a run
-    trained alone about 7 µs (3%) slower per step.
+    trained alone slower per step: median pair ratios 1.004 and 1.022 in
+    two in-process A/Bs (``tools/step_ab.py``'s blocks, 40 x 1000 and
+    60 x 500 steps).
     """
 
     def __init__(self, models: Sequence[ModelBundle]):
@@ -395,18 +397,16 @@ class Lanes:
         self.flat = Node(self.values.reshape(self.lead + (-1,)))
         self.flat.grad = self.grads.reshape(self.lead + (-1,))
         self.halves = np.zeros(self.lead + (2, self.values.shape[1]))
+        self.layers = {net: mlp.layers() for net, mlp in self.nets.items()}
         if self.lead:
             # a lane axis of R, then unit axes up to the step's (2, half, ·)
-            params = {name: v.reshape(v.shape[:1] + (1,) * (4 - v.ndim) + v.shape[1:])
-                      for name, v in m.views(self.values).items()}
-        else:
-            params = {name: p.value for name, p in m.parameters()}
+            views = {name: v.reshape(v.shape[:1] + (1,) * (4 - v.ndim) + v.shape[1:])
+                     for name, v in m.views(self.values).items()}
+            for net, layers in self.layers.items():
+                for i in range(len(layers)):
+                    w = views[f"{net}.w{i}"]
+                    layers[i] = (w, views[f"{net}.b{i}"], w.swapaxes(-1, -2))
         halves = m.views(self.halves)
-        self.layers = {}
-        for net, mlp in self.nets.items():
-            weights = [params[f"{net}.w{i}"] for i in range(len(mlp.weights))]
-            self.layers[net] = [(w, params[f"{net}.b{i}"], w.swapaxes(-1, -2))
-                                for i, w in enumerate(weights)]
         self.half_views = {net: [halves[name] for name, _ in mlp.parameters(net)]
                            for net, mlp in self.nets.items()}
 

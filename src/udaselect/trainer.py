@@ -5,17 +5,27 @@ parameters at once; the reversal layer inside the domain branch makes
 that single step adversarial for the feature extractor.
 
 A step's loss is one autodiff op (``step_op``) whose one parent is the
-model's flat parameter leaf: its value and loss gradients come from the
-array forwards and losses, and its VJP chains the networks' hand-derived
-backwards.  The source and target halves share every network, so they
-run stacked on a leading domain axis: one forward and one backward per
-network per step.  ``autodiff.backward`` adds its gradient into the
-flat ``grads`` with one add.  ``engine_loss`` builds the same loss from
-one node per op; it is the oracle the step op is tested against bit for
-bit, and the replay that names the op when a step meets a non-finite
-value.  A step calls the node forwards and node losses only when it
-replays, so on a run with no replay the benchmark's per-layer spans of
-them read 0 and it counts one node per step.
+flat parameter leaf of its lanes: its value and loss gradients come
+from the array forwards and losses, and its VJP chains the networks'
+hand-derived backwards.  The source and target halves share every
+network, so they run stacked on a domain axis: one forward and one
+backward per network per step.  ``autodiff.backward`` adds its gradient
+into the flat ``grads`` with one add.  ``engine_loss`` builds the same
+loss from one node per op; it is the oracle the step op is tested
+against bit for bit, and the replay that names the op when a step meets
+a non-finite value.  A step calls the node forwards and node losses
+only when it replays, so on a run with no replay the benchmark's
+per-layer spans of them read 0 and it counts one node per step.
+
+Runs whose configs differ only in seed train together as the lanes of
+one step (``step_lanes``, ``train_lanes``): a leading lane axis stacks
+their batches, and each lane has its own parameters, batch stream,
+momentum and log rows and the bits of its run trained alone.  Most of a
+benchmark step is per-call cost that does not grow with the rows, and
+a stack pays it once for all its lanes; ``MAX_LANES`` caps a stack
+where that gain levels off.  A run trained alone is a stack of one lane
+and steps through ``train_step``, the step the benchmark's tracer
+wraps; a stack of more lanes steps through ``step_lanes`` directly.
 """
 
 from __future__ import annotations
@@ -145,10 +155,11 @@ LOG_DTYPE = np.dtype([("l_c", np.float64), ("l_bd", np.float64), ("l_d", np.floa
 #: most runs one stack trains as its lanes.  About 165 µs of a 64-row
 #: benchmark step (one BLAS thread, a 2-vCPU Xeon) is per-call cost that
 #: does not grow with the rows, and a stack pays it once for all its
-#: lanes.  The whole step read 249, 160, 133, 126 and 122 µs per lane at
-#: 1 to 5 lanes, 119 at 6 and 8: past 4 lanes each one saves under 4 µs
-#: while the step's arrays outgrow the core's L1 and L2 caches, so the
-#: gain levels off and a variant's stack is best split into stacks of 4.
+#: lanes.  The whole step read 260, 190, 168, 158, 151, 150 and 143 µs
+#: per lane at 1 to 6 and 8 lanes (best of 11 runs of 300 steps in CPU
+#: time): past 4 lanes each further lane saves under 5% of a lane's
+#: step, while the stack's arrays keep growing, so the gain has levelled
+#: off and a variant's seeds train in stacks of up to 4.
 MAX_LANES = 4
 
 
@@ -239,18 +250,18 @@ def step_op(lanes: md.Lanes, x: np.ndarray, labels: np.ndarray, lam: float,
     ``x`` is the ``lanes.lead + (2, half, dim)`` stack of the lanes'
     batches and ``labels`` the ``lanes.lead + (half,)`` stack of their
     labels; slice 0 of a lane is its source half and slice 1 its target
-    half.  Each network
-    has one forward and one VJP over the whole stack, with each lane's
-    own parameters (``lanes.layers``).  ``losses.compound_array`` takes
-    the stacks of probabilities and domain outputs and returns each
-    lane's breakdown and one gradient per stack for a loss gradient of
-    1.  The VJP scales them by ``g`` (``backward`` passes 1.0, by which
-    it need not multiply) and keeps the engine's op order: a tensor used
-    twice gets the sum of its two gradients where the engine sums them.  Each network's VJP writes its parameter gradients per
-    lane and half into ``lanes.halves``, and the gradient of
-    ``lanes.flat`` is the source half plus the target half.  The op's
-    value is the sum of the lanes' totals; the lanes share no parameter,
-    so each lane's gradient is that of its own total.
+    half.  Each network has one forward and one VJP over the whole stack,
+    with each lane's own parameters (``lanes.layers``).
+    ``losses.compound_array`` takes the stacks of probabilities and
+    domain outputs and returns each lane's breakdown and one gradient per
+    stack for a loss gradient of 1.  The VJP scales them by ``g``
+    (``backward`` passes 1.0, by which it need not multiply) and keeps
+    the engine's op order: a tensor used twice gets the sum of its two
+    gradients where the engine sums them.  Each network's VJP writes its
+    parameter gradients per lane and half into ``lanes.halves``, and the
+    gradient of ``lanes.flat`` is the source half plus the target half.
+    The op's value is the sum of the lanes' totals; the lanes share no
+    parameter, so each lane's gradient is that of its own total.
     Raises ``NumericError`` where ``engine_loss`` raises in some lane: a
     non-finite input, layer pre-activation or total (the returned
     ``Node`` checks the sum).  Its caller, ``step_lanes``, runs it under
