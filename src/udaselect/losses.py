@@ -76,15 +76,15 @@ def _checked_labels(source_shape: tuple[int, ...], source_labels: np.ndarray,
     """``loss_classification``'s argument checks for sources of
     ``source_shape``, ``lead + (rows, K)``, and ``n_target`` targets per
     lead index; the labels as indices."""
-    *lead, rows, k = source_shape
+    lead, (rows, k) = source_shape[:-2], source_shape[-2:]
     if rows == 0 or 0 in lead:
         raise ContractError("source batch must be non-empty")
     if gamma < 0:
         raise ContractError(f"gamma must be >= 0, got {gamma}")
-    if np.shape(target_scores) != (*lead, n_target):
+    if np.shape(target_scores) != lead + (n_target,):
         raise ContractError("target_scores must align with target_probs rows")
     labels = np.asarray(source_labels, dtype=np.intp)
-    if labels.shape != (*lead, rows):
+    if labels.shape != lead + (rows,):
         raise ContractError("source_labels must align with source_probs rows")
     # as an unsigned integer a negative label is above any class count
     if np.maximum.reduce(labels.view(np.uintp), axis=None) >= k:
@@ -223,10 +223,14 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     lanes = len(probs)
     src_at, tgt_at, scale, weight = _layout(lanes, half, k, mode)
     fixed = len(scale)  # the entries of the half-sized segments
-    picked = scores > w_alpha
+    # each lane's pseudo-labelled targets, then its diversity targets
+    chosen = np.zeros((2, lanes, half), bool)
+    picked = np.greater(scores, w_alpha, out=chosen[0])
+    if mode != "off":
+        np.greater(scores, w_beta, out=chosen[1])
     # the counts as Python ints: numpy's own ints are slow in the per-lane
     # arithmetic below
-    n_pl = np.add.reduce(picked, axis=1).tolist()
+    n_pl, n_div = np.add.reduce(chosen, axis=2).tolist()
     at = np.empty(lanes * half + sum(n_pl), np.intp)
     np.add(src_at, labels, out=at[:lanes * half].reshape(lanes, half))
     # ties -> lowest index
@@ -252,14 +256,11 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     np.subtract(0.0, nll, out=nll)
     sums = np.add.reduce(nll[:fixed].reshape(3 * lanes, half), axis=1).tolist()
 
-    n_div = [0] * lanes
     if mode != "off":
-        chosen = scores > w_beta
         weight = weight.copy()
-        weight[:, half:, 0] = chosen
-        n_div = np.add.reduce(chosen, axis=1).tolist()
+        weight[:, half:, 0] = chosen[1]
     # with no rows the term is 0
-    n = np.array([[max(half * (mode == "both") + c, 1)] for c in n_div], float)
+    n = np.array([max(half * (mode == "both") + c, 1) for c in n_div], float)[:, None]
     g_probs = probs.reshape(lanes, 2 * half, k) * weight
     means = np.add.reduce(g_probs, axis=1) / n
     row = 2.0 * means / n

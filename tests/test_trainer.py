@@ -522,12 +522,22 @@ class TestNumericErrorInALane:
         np.testing.assert_array_equal(bits(state.lanes.values), bits(before[1]))
         np.testing.assert_array_equal(bits(state.v), bits(before[2]))
 
-    def test_non_finite_gradient_names_its_lane(self):
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_non_finite_gradient_names_its_lane(self, bad):
+        """A reversal coefficient of 1.7e308 overflows the extractor's
+        gradient in every lane but those whose domain head passes it no
+        gradient: here every lane but ``bad``."""
         cfg, state, stacks = self.setup(3)
         cfg = replace(cfg, grl_lambda=1.7e308)
+        for lane, m in enumerate(state.lanes.models):
+            if lane != bad:
+                m.d.weights[0].value[...] = 0.0
+        before = state.lanes.values.copy()
         with pytest.raises(NumericError, match="^step 0: non-finite gradient$") as raised:
             tr.step_lanes(state, *stacks[0], cfg)
-        assert raised.value.lane == 0
+        assert raised.value.lane == bad
+        assert state.t == 0 and state.log.tobytes() == np.zeros_like(state.log).tobytes()
+        np.testing.assert_array_equal(bits(state.lanes.values), bits(before))
 
     def test_train_lanes_names_the_seed_of_the_run_alone(self):
         """A non-finite feature in one seed's source fails that run at the
