@@ -10,10 +10,10 @@ descends on its own loss.
 
 Each loss exists twice: on autodiff nodes (the engine graph, which is
 the gradient oracle and the replay path) and on arrays.  The array
-mirror is one function, ``compound_array``: the breakdown of
-``loss_compound`` and the gradients of the training step's two domain
-stacks, ``(2, half, ·)`` with slice 0 the source and slice 1 the
-target, for a loss gradient of 1.  It is written with the engine's
+mirror is one function, ``compound_array``: each lane's breakdown of
+``loss_compound`` and the gradients of the training step's two stacks
+of lanes, ``(R, 2, half, ·)`` with a lane's slice 0 its source and
+slice 1 its target, for a loss gradient of 1.  It is written with the engine's
 expressions, so that the step's hand-derived backward has the engine's
 bits.
 """
@@ -175,9 +175,7 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     the gradients of ``probs`` and ``d``, each shaped like its stack.
     ``source_labels`` and ``target_scores`` are ``(R, half)``; each lane
     selects its own targets, so the selection counts are per lane.  Every
-    lane gets the bits of the loss of its own.  One lane may come without
-    the lane axis, as ``(2, half, ·)`` and ``(half,)`` stacks
-    (``model.Lanes``).
+    lane gets the bits of the loss of its own.
 
     Every NLL entry of the step goes into one vector, in segments: each
     lane's source ``d`` and target ``-1.0 * d + 1.0``, then each lane's
@@ -188,11 +186,11 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     place.  Each term's mean is its own segment's sum over the segment's
     size (the mean of no entries is 0).  The ``half``-entry sums are one
     reduction over their rows, which gives each row the bits of its own;
-    a lane's pseudo-label sum is one reduction of its own segment.  Each
-    segment's gradient scale is ``_mean_nll``'s ``-1.0 * (upstream /
-    n)``, and the target domain's ``affine`` sign is folded into its
-    scale: ``(-s) / c * m`` is ``-1.0 * (s / c * m)`` bit for bit, zeros
-    included.
+    a lane's pseudo-label sum is one reduction of its own segment
+    (``add.reduceat`` sums a segment in another order).  Each segment's
+    gradient scale is ``_mean_nll``'s ``-1.0 * (upstream / n)``, and the
+    target domain's ``affine`` sign is folded into its scale: ``(-s) / c
+    * m`` is ``-1.0 * (s / c * m)`` bit for bit, zeros included.
 
     The diversity rows are a 0/1 weight over each lane's ``(2 * half,
     K)`` rows of ``probs``: numpy reduces that axis row after row, and a
@@ -205,24 +203,19 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     engine's one- or two-term sum.  The domain gradient is a view of the
     gradient vector's head.
     """
-    lead = probs.shape[:-3]
-    if probs.ndim not in (3, 4) or probs.shape[-3] != 2:
-        raise ContractError(f"probs must be a (2, half, K) stack or a stack of them, "
+    if probs.ndim != 4 or probs.shape[1] != 2:
+        raise ContractError(f"probs must be an (R, 2, half, K) stack of lanes, "
                             f"got {probs.shape}")
-    half, k = probs.shape[-2:]
-    labels = _checked_labels(lead + (half, k), source_labels, half, target_scores, gamma)
+    lanes, _, half, k = probs.shape
+    labels = _checked_labels((lanes, half, k), source_labels, half, target_scores, gamma)
     scores = np.asarray(target_scores)
     if mode not in DIVERSITY_MODES:
         raise ContractError(f"unknown diversity mode {mode!r}")
-    if d.shape != lead + (2, half, 1):
-        raise ContractError(f"d must be the {lead + (2, half, 1)} domain stack, "
+    if d.shape != (lanes, 2, half, 1):
+        raise ContractError(f"d must be the {(lanes, 2, half, 1)} domain stack, "
                             f"got {d.shape}")
-    shapes = probs.shape, d.shape
-    if not lead:
-        probs, d, scores, labels = probs[None], d[None], scores[None], labels[None]
-    lanes = len(probs)
     src_at, tgt_at, scale, weight = _layout(lanes, half, k, mode)
-    fixed = len(scale)  # the entries of the half-sized segments
+    fixed = 3 * lanes * half  # the entries of the half-sized segments
     # each lane's pseudo-labelled targets, then its diversity targets
     chosen = np.zeros((2, lanes, half), bool)
     picked = np.greater(scores, w_alpha, out=chosen[0])
@@ -236,10 +229,10 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     # ties -> lowest index
     at[lanes * half:] = np.add(tgt_at, probs[:, 1].argmax(axis=-1))[picked]
     p = np.empty(len(at) + 2 * lanes * half)
-    p[:2 * lanes * half].reshape(d.shape)[...] = d
-    target_d = p[:2 * lanes * half].reshape(lanes, 2, half)[:, 1]
+    p_d = p[:2 * lanes * half].reshape(d.shape)
+    p_d[:, 0] = d[:, 0]
     # the engine's -1.0 * d + 1.0: adding -d is subtracting d
-    np.subtract(1.0, target_d, out=target_d)
+    np.subtract(1.0, d[:, 1], out=p_d[:, 1])
     probs.take(at, out=p[2 * lanes * half:], mode="clip")
     grad = np.empty(len(p))
     grad[:fixed] = scale
@@ -276,4 +269,4 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
         l_c = sum_src / half + (gamma * (sum_pl / max(c_pl, 1)) + 0.0)
         l_d = sum_ds / half + sum_dt / half
         breakdowns.append(LossBreakdown(l_c, l_bd, l_d, l_c + l_bd + l_d, c_pl, c_div))
-    return breakdowns, g_probs.reshape(shapes[0]), grad[:2 * lanes * half].reshape(shapes[1])
+    return breakdowns, g_probs.reshape(probs.shape), grad[:2 * lanes * half].reshape(d.shape)

@@ -351,35 +351,28 @@ class ModelBundle:
 
 class Lanes:
     """Bundles of one architecture as the lanes of one stack: the training
-    step's view of the parameters of the runs it trains together.
+    step's view of the parameters of the runs it trains together.  A run
+    trained alone is a stack of one lane.
 
     Each lane stays a whole ``ModelBundle``, but its ``values`` and
     ``grads`` become row r of the stack's ``(R, P)`` ``values`` and
     ``grads``, so one SGD update covers every lane.  ``flat`` is one leaf
-    over all of them (value ``values``, grad ``grads``, shaped
-    ``lead + (P,)``): the training step's op has it as its only parent.
+    over all of them (value ``values``, grad ``grads``): the training
+    step's op has it as its only parent.
 
-    The step's operands carry the lanes on a leading axis of R, ``lead``.
+    The step's operands carry the lanes on a leading axis of R.
     ``layers[net]`` lists the weight, bias and transposed weight of each
     of that network's layers as views of ``values`` that broadcast over
     the step's ``(R, 2, half, ·)`` stacks: a weight as
     ``(R, 1, in, out)``, a bias as ``(R, 1, 1, out)``, a transpose as
     ``(R, 1, out, in)``.  ``halves`` holds the step's parameter
-    gradients per lane and domain, ``lead + (2, P)`` with slice 0 the
-    source half and slice 1 the target half, and ``half_views[net]``
-    lists its ``lead + (2, *shape)`` view of each of that network's
-    parameters, the ``out`` of its ``vjp_array``.  Each parameter's slice
-    of a view is C-contiguous, so ``np.matmul`` into it keeps its BLAS
-    path and its bits.  The networks' specs are lane 0's (``nets``);
-    every lane has the same.
-
-    One lane has no lane axis: ``lead`` is ``()``, its step runs on its
-    batch's ``(2, half, dim)`` stack, and its layers are its bundle's own
-    arrays.  numpy takes longer per call on a 4-D operand than on a 3-D
-    one, and over the step's ~150 calls a lane axis of 1 made a run
-    trained alone slower per step: median pair ratios 1.004 and 1.022 in
-    two in-process A/Bs (``tools/step_ab.py``'s blocks, 40 x 1000 and
-    60 x 500 steps).
+    gradients per lane and domain, ``(R, 2, P)`` with slice 0 the source
+    half and slice 1 the target half, and ``half_views[net]`` lists its
+    ``(R, 2, *shape)`` view of each of that network's parameters, the
+    ``out`` of its ``vjp_array``.  Each parameter's slice of a view is
+    C-contiguous, so ``np.matmul`` into it keeps its BLAS path and its
+    bits.  The networks' specs are lane 0's (``nets``); every lane has
+    the same.
     """
 
     def __init__(self, models: Sequence[ModelBundle]):
@@ -393,19 +386,16 @@ class Lanes:
         self.grads = np.zeros_like(self.values)
         for b, values, grads in zip(self.models, self.values, self.grads):
             b.bind(values, grads)
-        self.lead = self.values.shape[:1] if len(self.models) > 1 else ()
-        self.flat = Node(self.values.reshape(self.lead + (-1,)))
-        self.flat.grad = self.grads.reshape(self.lead + (-1,))
-        self.halves = np.zeros(self.lead + (2, self.values.shape[1]))
-        self.layers = {net: mlp.layers() for net, mlp in self.nets.items()}
-        if self.lead:
-            # a lane axis of R, then unit axes up to the step's (2, half, ·)
-            views = {name: v.reshape(v.shape[:1] + (1,) * (4 - v.ndim) + v.shape[1:])
-                     for name, v in m.views(self.values).items()}
-            for net, layers in self.layers.items():
-                for i in range(len(layers)):
-                    w = views[f"{net}.w{i}"]
-                    layers[i] = (w, views[f"{net}.b{i}"], w.swapaxes(-1, -2))
+        self.flat = Node(self.values)
+        self.flat.grad = self.grads
+        self.halves = np.zeros((len(self.models), 2, self.values.shape[1]))
+        # a lane axis of R, then unit axes up to the step's (R, 2, half, ·)
+        views = {name: v.reshape(v.shape[:1] + (1,) * (4 - v.ndim) + v.shape[1:])
+                 for name, v in m.views(self.values).items()}
+        self.layers = {net: [(views[f"{net}.w{i}"], views[f"{net}.b{i}"],
+                              views[f"{net}.w{i}"].swapaxes(-1, -2))
+                             for i in range(len(mlp.weights))]
+                       for net, mlp in self.nets.items()}
         halves = m.views(self.halves)
         self.half_views = {net: [halves[name] for name, _ in mlp.parameters(net)]
                            for net, mlp in self.nets.items()}

@@ -247,16 +247,14 @@ def step_op(lanes: md.Lanes, x: np.ndarray, labels: np.ndarray, lam: float,
     """``engine_loss`` of every lane as one op over ``lanes.flat``, with
     each lane's value and parameter gradients bit for bit.
 
-    ``x`` is the ``lanes.lead + (2, half, dim)`` stack of the lanes'
-    batches and ``labels`` the ``lanes.lead + (half,)`` stack of their
-    labels; slice 0 of a lane is its source half and slice 1 its target
-    half.  Each network has one forward and one VJP over the whole stack,
+    ``x`` is the ``(R, 2, half, dim)`` stack of the R lanes' batches and
+    ``labels`` the ``(R, half)`` stack of their labels; slice 0 of a lane
+    is its source half and slice 1 its target half.  Each network has one forward and one VJP over the whole stack,
     with each lane's own parameters (``lanes.layers``).
     ``losses.compound_array`` takes the stacks of probabilities and
     domain outputs and returns each lane's breakdown and one gradient per
-    stack for a loss gradient of 1.  The VJP scales them by ``g``
-    (``backward`` passes 1.0, by which it need not multiply) and keeps
-    the engine's op order: a tensor used twice gets the sum of its two
+    stack for a loss gradient of 1.  The VJP scales them by ``g`` and
+    keeps the engine's op order: a tensor used twice gets the sum of its two
     gradients where the engine sums them.  Each network's VJP writes its
     parameter gradients per lane and half into ``lanes.halves``, and the
     gradient of ``lanes.flat`` is the source half plus the target half.
@@ -276,19 +274,17 @@ def step_op(lanes: md.Lanes, x: np.ndarray, labels: np.ndarray, lam: float,
     probs = nets["c"].forward_array(feats, tape_c, layers["c"])
     d = nets["d"].forward_array(feats, tape_d, layers["d"])
 
-    scores = sc.scores_from_outputs(d[..., 1, :, 0], probs[..., 1, :, :], cfg.scheme)
+    scores = sc.scores_from_outputs(d[:, 1, :, 0], probs[:, 1], cfg.scheme)
     breakdowns, g_probs, g_d = ls.compound_array(
         probs, d, labels, scores, threshold, cfg.w_beta, cfg.gamma, cfg.diversity_mode)
 
     def vjp(g):
-        # 1.0 * a is a, bit for bit
-        scaled = (g_d, g_probs) if float(g) == 1.0 else (g * g_d, g * g_probs)
-        g_r = nets["d"].vjp_array(tape_d, scaled[0], out["d"], layers["d"])
-        g_fc = nets["c"].vjp_array(tape_c, scaled[1], out["c"], layers["c"])
+        g_r = nets["d"].vjp_array(tape_d, g * g_d, out["d"], layers["d"])
+        g_fc = nets["c"].vjp_array(tape_c, g * g_probs, out["c"], layers["c"])
         g_r *= -lam
         g_r += g_fc
         nets["f"].vjp_array(tape_f, g_r, out["f"], layers["f"], input_grad=False)
-        return (lanes.halves[..., 0, :] + lanes.halves[..., 1, :],)
+        return (lanes.halves[:, 0] + lanes.halves[:, 1],)
 
     total = sum([b.total for b in breakdowns])
     return Node(total, (lanes.flat,), "train_step", vjp), breakdowns
@@ -323,8 +319,6 @@ def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray,
                 totals = (total,)
             except NumericError:
                 totals, breakdowns = [], []
-                lead = (len(lanes.models), -1)
-                x, labels = np.reshape(x, lead + x.shape[-2:]), np.reshape(labels, lead)
                 for lane, m in enumerate(lanes.models):
                     total, breakdown = engine_loss(m, x[lane], labels[lane], lam, w_a, cfg)
                     totals.append(total)
@@ -354,12 +348,14 @@ def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray,
 def train_step(state: TrainState, batch: DomainBatch, cfg: TrainConfig,
                labels: np.ndarray) -> ls.LossBreakdown:
     """``step_lanes`` of a one-lane state on ``batch``; returns the loss
-    breakdown.  ``labels`` are the classifier indices of the source
+    breakdown.  This is the step of a run trained alone, and the one the
+    benchmark's tracer wraps: it reads the breakdown's selection counts
+    and ``batch.target_x``.  ``labels`` are the classifier indices of the source
     half's class ids.  ``batch.source_y`` holds the labels of the
     dataset it was drawn from: ``train`` draws from indices and passes
     ``source_y`` itself, while a batch drawn from class ids needs
     ``class_index(batch.source_y)``."""
-    return step_lanes(state, batch.x, labels, cfg)[0]
+    return step_lanes(state, batch.x[None], np.asarray(labels)[None], cfg)[0]
 
 
 def _train_stack(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]]

@@ -88,8 +88,8 @@ class TestLossClassification:
         with pytest.raises(ContractError, match=msg):
             ls.loss_classification(src, y, tgt, scores, 0.5, 0.6)
         with pytest.raises(ContractError, match=msg):
-            ls.compound_array(np.array([src.value, tgt.value]), np.full((2, 2, 1), 0.5),
-                              y, scores, 0.5, 0.5, 0.6, "both")
+            ls.compound_array(np.array([[src.value, tgt.value]]), np.full((1, 2, 2, 1), 0.5),
+                              y[None], scores[None], 0.5, 0.5, 0.6, "both")
         with pytest.raises(ContractError, match=msg):  # the same lane in a stack
             ls.compound_array(np.array([[src.value, tgt.value]] * 2),
                               np.full((2, 2, 2, 1), 0.5), np.stack([[0, 1], y]),
@@ -103,8 +103,8 @@ class TestLossClassification:
         with pytest.raises(ContractError, match=msg):
             ls.loss_classification(src, np.array(y), tgt, scores, 0.5, 0.6)
         with pytest.raises(ContractError, match=msg):
-            ls.compound_array(np.array([src.value, tgt.value]), np.full((2, 2, 1), 0.5),
-                              np.array(y), scores, 0.5, 0.5, 0.6, "both")
+            ls.compound_array(np.array([[src.value, tgt.value]]), np.full((1, 2, 2, 1), 0.5),
+                              np.array([y]), scores[None], 0.5, 0.5, 0.6, "both")
 
     def test_empty_source_rejected(self):
         tgt = prob_node([[0.5, 0.5]])
@@ -264,12 +264,13 @@ class TestLossCompound:
 
 
 class TestArrayLossesOnTheDomainStack:
-    """``compound_array`` takes the ``(2, half, ·)`` stacks of probabilities
-    and domain outputs (slice 0 the source, slice 1 the target) and
-    returns ``loss_compound``'s breakdown and one gradient per stack, bit
-    for bit the engine's: the head stack is the gradient of the engine's
-    ``l_c + l_bd`` and the domain stack that of its ``l_d``.  A stack of
-    such lanes gives each lane the bits of its own call."""
+    """``compound_array`` takes lanes of the ``(2, half, ·)`` stacks of
+    probabilities and domain outputs (slice 0 the source, slice 1 the
+    target) and returns each lane's ``loss_compound`` breakdown and one
+    gradient per stack, bit for bit the engine's: the head stack is the
+    gradient of the engine's ``l_c + l_bd`` and the domain stack that of
+    its ``l_d``.  Each lane of a stack of several gets the bits of its
+    own one-lane call."""
 
     def _stack(self, half=10, seed=0):
         rng = np.random.default_rng(seed)
@@ -321,11 +322,13 @@ class TestArrayLossesOnTheDomainStack:
 
     def check(self, probs, d, labels, scores, w_alpha=0.5, w_beta=0.5, gamma=0.6,
               mode="both"):
-        """``compound_array`` against the engine, on the one lane and as
-        lane 1 of three whose other lanes hold other data; returns the
-        one-lane result."""
+        """``compound_array`` against the engine, as a stack of one lane and
+        as lane 1 of three whose other lanes hold other data; returns the
+        one-lane result without its lane axis."""
         args = (w_alpha, w_beta, gamma, mode)
-        (b,), g_probs, g_d = ls.compound_array(probs, d, labels, scores, *args)
+        (b,), g_probs, g_d = ls.compound_array(probs[None], d[None], labels[None],
+                                               scores[None], *args)
+        g_probs, g_d = g_probs[0], g_d[0]
         self._assert_equal((b, g_probs, g_d), self._engine(probs, d, labels, scores, *args))
         lanes = [self._stack(len(labels), seed=1), (probs, d, labels, scores),
                  self._stack(len(labels), seed=2)]
@@ -389,19 +392,20 @@ class TestArrayLossesOnTheDomainStack:
     @pytest.mark.parametrize("bad, msg", [
         (dict(mode="sometimes"), r"^unknown diversity mode 'sometimes'$"),
         (dict(gamma=-1.0), r"^gamma must be >= 0, got -1.0$"),
-        (dict(scores=np.ones(9)), r"^target_scores must align with target_probs rows$"),
+        (dict(scores=np.ones((1, 9))), r"^target_scores must align with target_probs rows$"),
         (dict(half=0), r"^source batch must be non-empty$"),
-        (dict(d=np.full((2, 9, 1), 0.5)),
-         r"^d must be the \(2, 10, 1\) domain stack, got \(2, 9, 1\)$"),
-        (dict(d=np.full((20, 1), 0.5)),
-         r"^d must be the \(2, 10, 1\) domain stack, got \(20, 1\)$"),
-        (dict(probs=np.full((3, 10, 3), 1 / 3)),
-         r"^probs must be a \(2, half, K\) stack or a stack of them, got \(3, 10, 3\)$"),
-        (dict(probs=np.full((1, 1, 2, 10, 3), 1 / 3)),
-         r"^probs must be a \(2, half, K\) stack or a stack of them, got \(1, 1, 2, 10, 3\)$"),
+        (dict(d=np.full((1, 2, 9, 1), 0.5)),
+         r"^d must be the \(1, 2, 10, 1\) domain stack, got \(1, 2, 9, 1\)$"),
+        (dict(d=np.full((1, 20, 1), 0.5)),
+         r"^d must be the \(1, 2, 10, 1\) domain stack, got \(1, 20, 1\)$"),
+        (dict(probs=np.full((1, 3, 10, 3), 1 / 3)),
+         r"^probs must be an \(R, 2, half, K\) stack of lanes, got \(1, 3, 10, 3\)$"),
+        (dict(probs=np.full((2, 10, 3), 1 / 3)),
+         r"^probs must be an \(R, 2, half, K\) stack of lanes, got \(2, 10, 3\)$"),
     ])
     def test_rejects_what_the_node_losses_reject(self, bad, msg):
-        probs, d, labels, scores = self._stack(half=bad.pop("half", 10))
+        """Each case's stacks are one lane's; ``bad`` replaces one of them."""
+        probs, d, labels, scores = (a[None] for a in self._stack(half=bad.pop("half", 10)))
         args = dict(probs=probs, d=d, source_labels=labels, target_scores=scores,
                     w_alpha=0.5, w_beta=0.5, gamma=0.6, mode="both")
         args.update({"target_scores" if k == "scores" else k: v for k, v in bad.items()})

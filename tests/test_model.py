@@ -209,33 +209,30 @@ def assert_packed(m: md.ModelBundle) -> None:
 def assert_lanes_packed(lanes: md.Lanes) -> None:
     """Each lane's flat buffers are its row of the stack's, which are the
     value and grad of the leaf ``flat``; each layer's arrays are views of
-    the stack's values that broadcast over a ``lead + (2, n, ·)`` stack,
-    and the per-domain gradients views into ``halves`` whose slices are
+    the stack's values that broadcast over an ``(R, 2, n, ·)`` stack, and
+    the per-domain gradients views into ``halves`` whose slices are
     C-contiguous."""
     r, size = lanes.values.shape
-    assert lanes.lead == ((r,) if r > 1 else ())
     for m, values, grads in zip(lanes.models, lanes.values, lanes.grads, strict=True):
         assert_packed(m)
         assert m.values.base is lanes.values and np.array_equal(m.values, values)
         assert m.grads.base is lanes.grads and m.grads.shape == grads.shape
-    assert lanes.flat.value.shape == lanes.flat.grad.shape == lanes.lead + (size,)
-    assert lanes.flat.value.base is lanes.values and lanes.flat.grad.base is lanes.grads
-    assert lanes.halves.shape == lanes.lead + (2, size)
+    assert lanes.flat.value is lanes.values and lanes.flat.grad is lanes.grads
+    assert lanes.halves.shape == (r, 2, size)
     params = [p for _, p in lanes.models[0].parameters()]
     layers = [a for net in ("f", "c", "d") for layer in lanes.layers[net] for a in layer]
-    unit = (r, 1) if r > 1 else ()
     assert [a.shape for a in layers] == [
         shape for w, b in zip(params[::2], params[1::2])
-        for shape in (unit + w.shape, unit + (1,) * (r > 1) + b.shape, unit + w.shape[::-1])]
+        for shape in ((r, 1) + w.shape, (r, 1, 1) + b.shape, (r, 1) + w.shape[::-1])]
     for a in layers:
         assert np.shares_memory(a, lanes.values)
     for w, _, w_t in (layer for net in ("f", "c", "d") for layer in lanes.layers[net]):
         np.testing.assert_array_equal(w_t, w.swapaxes(-1, -2))
     halves = [v for net in ("f", "c", "d") for v in lanes.half_views[net]]
-    assert [v.shape for v in halves] == [lanes.lead + (2, *p.shape) for p in params]
+    assert [v.shape for v in halves] == [(r, 2, *p.shape) for p in params]
     for v in halves:
         assert np.shares_memory(v, lanes.halves)
-        for k in np.ndindex(v.shape[:len(lanes.lead) + 1]):  # each lane's each domain
+        for k in np.ndindex(v.shape[:2]):  # each lane's each domain
             assert v[k].flags.c_contiguous
 
 
@@ -352,7 +349,7 @@ class TestStackedArrays:
         rng = np.random.default_rng(n)
         for name in ("f", "c", "d"):
             # the stacked VJP writes into the one lane's per-domain views
-            net, grads = lanes.nets[name], lanes.half_views[name]
+            net, grads = lanes.nets[name], [v[0] for v in lanes.half_views[name]]
             x = rng.normal(size=(2, n, net.spec.input_dim)) * 2
             g = rng.normal(size=(2, n, net.spec.output_dim))
             tape = []

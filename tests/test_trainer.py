@@ -35,9 +35,8 @@ def step(state, batch, cfg):
 def engine_op(lanes, x, labels, *rest):
     """``step_op`` as the engine graph: each lane's ``engine_loss``, their
     totals summed by engine ``add`` nodes."""
-    lead = (len(lanes.models), -1)
-    pairs = [tr.engine_loss(m, x_r, y_r, *rest) for m, x_r, y_r in zip(
-        lanes.models, np.reshape(x, lead + x.shape[-2:]), np.reshape(labels, lead))]
+    pairs = [tr.engine_loss(m, x_r, y_r, *rest)
+             for m, x_r, y_r in zip(lanes.models, x, labels, strict=True)]
     return functools.reduce(ad.add, [t for t, _ in pairs]), [b for _, b in pairs]
 
 
@@ -266,7 +265,7 @@ class TestOptimizerContract:
         for name, p in state.lanes.models[0].parameters():
             # with mu = 0 the velocity buffer is exactly the raw gradient,
             # and the update is exactly value - lr * grad
-            np.testing.assert_array_equal(state.lanes.models[0].views(state.v)[name], p.grad)
+            np.testing.assert_array_equal(state.lanes.models[0].views(state.v[0])[name], p.grad)
             np.testing.assert_array_equal(
                 p.value, before[name] - cfg.lr * p.grad)
 
@@ -295,11 +294,11 @@ class TestFlatMomentum:
         src, _ = tiny_data()
         state = tr.init_state([src], [tiny_cfg()])
         assert state.v.size == state.lanes.models[0].values.size
-        assert list(state.lanes.models[0].views(state.v)) == [
+        assert list(state.lanes.models[0].views(state.v[0])) == [
             n for n, _ in state.lanes.models[0].parameters()]
         for name, p in state.lanes.models[0].parameters():
-            assert state.lanes.models[0].views(state.v)[name].shape == p.shape
-            assert np.shares_memory(state.lanes.models[0].views(state.v)[name], state.v)
+            assert state.lanes.models[0].views(state.v[0])[name].shape == p.shape
+            assert np.shares_memory(state.lanes.models[0].views(state.v[0])[name], state.v)
 
     def test_train_equals_per_parameter_momentum_loop_bitwise(self):
         src, tgt = tiny_data()
