@@ -41,7 +41,7 @@ class Node:
     def __init__(self, value, parents: Sequence["Node"] = (), op: str = "leaf",
                  backward: Vjp | None = None):
         value = np.asarray(value, dtype=np.float64)
-        if not np.isfinite(value).all():
+        if not np.logical_and.reduce(np.isfinite(value), axis=None):
             raise NumericError(f"non-finite values produced by op '{op}'")
         self.value = value
         self.grad = np.zeros_like(value) if backward is None else None

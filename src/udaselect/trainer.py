@@ -249,15 +249,16 @@ def step_op(lanes: md.Lanes, x: np.ndarray, labels: np.ndarray, lam: float,
 
     ``x`` is the ``(R, 2, half, dim)`` stack of the R lanes' batches and
     ``labels`` the ``(R, half)`` stack of their labels; slice 0 of a lane
-    is its source half and slice 1 its target half.  Each network has one forward and one VJP over the whole stack,
-    with each lane's own parameters (``lanes.layers``).
-    ``losses.compound_array`` takes the stacks of probabilities and
-    domain outputs and returns each lane's breakdown and one gradient per
-    stack for a loss gradient of 1.  The VJP scales them by ``g`` and
-    keeps the engine's op order: a tensor used twice gets the sum of its two
-    gradients where the engine sums them.  Each network's VJP writes its
-    parameter gradients per lane and half into ``lanes.halves``, and the
-    gradient of ``lanes.flat`` is the source half plus the target half.
+    is its source half and slice 1 its target half.  Each network has one
+    forward and one VJP over the whole stack, with each lane's own
+    parameters (``lanes.layers``).  ``losses.compound_array`` takes the
+    stacks of probabilities and domain outputs and returns each lane's
+    breakdown and one gradient per stack for a loss gradient of 1.  The
+    VJP scales them by ``g`` and keeps the engine's op order: a tensor
+    used twice gets the sum of its two gradients where the engine sums
+    them.  Each network's VJP writes its parameter gradients per lane and
+    half into ``lanes.halves``, and the gradient of ``lanes.flat`` is the
+    source half plus the target half.
     The op's value is the sum of the lanes' totals; the lanes share no
     parameter, so each lane's gradient is that of its own total.
     Raises ``NumericError`` where ``engine_loss`` raises in some lane: a
@@ -327,7 +328,7 @@ def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray,
             flat.grad.fill(0.0)
             for total in totals:
                 ad.backward(total)
-            if not np.isfinite(flat.grad).all():
+            if not np.logical_and.reduce(np.isfinite(flat.grad), axis=None):
                 lane = int(np.isfinite(lanes.grads).all(axis=1).argmin())
                 raise NumericError("non-finite gradient")
         except NumericError as exc:
@@ -350,8 +351,8 @@ def train_step(state: TrainState, batch: DomainBatch, cfg: TrainConfig,
     """``step_lanes`` of a one-lane state on ``batch``; returns the loss
     breakdown.  This is the step of a run trained alone, and the one the
     benchmark's tracer wraps: it reads the breakdown's selection counts
-    and ``batch.target_x``.  ``labels`` are the classifier indices of the source
-    half's class ids.  ``batch.source_y`` holds the labels of the
+    and ``batch.target_x``.  ``labels`` are the classifier indices of the
+    source half's class ids.  ``batch.source_y`` holds the labels of the
     dataset it was drawn from: ``train`` draws from indices and passes
     ``source_y`` itself, while a batch drawn from class ids needs
     ``class_index(batch.source_y)``."""
