@@ -433,6 +433,21 @@ class TestStepOpOracle:
             assert any(b.n_pseudo_selected for b in seen)
             assert any(b.n_diversity_selected for b in seen)
 
+    def test_vjp_scales_by_its_upstream_gradient(self):
+        """The step op's VJP multiplies its loss gradients by ``g``: with
+        ``g`` a power of two every parameter gradient scales exactly."""
+        cfg = cli.benchmark_config(total_steps=1)
+        src, tgt, _ = cli.make_benchmark(cfg)
+        state = tr.init_state([src], [cfg])
+        batch = dt.sample_batch(src, tgt, cfg.batch_size, np.random.default_rng(0))
+        labels = state.lanes.models[0].class_index(batch.source_y)
+        total, _ = tr.step_op(state.lanes, batch.x[None], labels[None], cfg.grl_lambda,
+                              1.0, cfg)
+        (once,) = total.vjp(np.ones(()))
+        (twice,) = total.vjp(np.full((), 2.0))
+        assert once.any()
+        np.testing.assert_array_equal(bits(twice), bits(2.0 * once))
+
 
 class TestNumericErrorReplay:
     """A non-finite value in the step op replays the step on the engine
