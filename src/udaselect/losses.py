@@ -252,8 +252,8 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     if mode != "off":
         weight = weight.copy()
         weight[:, half:, 0] = chosen[1]
-    # with no rows the term is 0
-    n = np.array([max(half * (mode == "both") + c, 1) for c in n_div], float)[:, None]
+    # each lane's chosen rows, exact as a sum of 0/1; with no rows the term is 0
+    n = np.maximum(np.add.reduce(weight, axis=1), 1.0)
     g_probs = probs.reshape(lanes, 2 * half, k) * weight
     means = np.add.reduce(g_probs, axis=1) / n
     row = 2.0 * means / n

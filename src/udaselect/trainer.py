@@ -339,9 +339,9 @@ def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray,
         state.v += flat.grad
         flat.value -= cfg.lr * state.v
 
+    # a breakdown's fields are the log row's first six, in order
     for lane, b in enumerate(breakdowns):
-        state.log[lane, state.t] = (b.l_c, b.l_bd, b.l_d, b.total, b.n_pseudo_selected,
-                                    b.n_diversity_selected, w_a)
+        state.log[lane, state.t] = (*b, w_a)
     state.t += 1
     return breakdowns
 
