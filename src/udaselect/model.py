@@ -353,8 +353,8 @@ class Lanes:
     """Bundles of one architecture as the lanes of one stack: the training
     step's view of the parameters of the runs it trains together.  A run
     trained alone is a stack of one lane: its step read no slower than
-    the same step with no lane axis (``tools/step_ab.py``, 30 blocks of
-    500 steps: ratio 0.996, quartiles 0.973-1.030).
+    the same step with no lane axis (``tools/step_ab.py`` on a 2-vCPU
+    Xeon, 30 blocks of 500 steps: ratio 0.996, quartiles 0.973-1.030).
 
     Each lane stays a whole ``ModelBundle``, but its ``values`` and
     ``grads`` become row r of the stack's ``(R, P)`` ``values`` and

@@ -72,7 +72,7 @@ def test_a_change_that_trains_differently_is_flagged(tmp_path):
 
 
 def test_a_change_that_moves_only_a_logged_loss_is_flagged(tmp_path):
-    last = patched_step_ab(tmp_path, "(b.l_c, b.l_bd,", "(b.l_c * 2.0, b.l_bd,")
+    last = patched_step_ab(tmp_path, "(*b, w_a)", "(b.l_c * 2.0, *b[1:], w_a)")
     assert re.fullmatch(r"parameters bit-identical: \d+ values; "
                         r"step logs differ: 2 of 2 rows \(l_c\)", last), last
 
