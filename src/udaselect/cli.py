@@ -3,11 +3,13 @@
 Every run writes its artifacts into one directory (effective config,
 metrics log, checkpoint, evaluation report, score dump and histograms)
 plus a manifest listing them; reruns of the same plan overwrite with
-identical bytes.  A sweep or ablation grid trains each variant's seeds
+identical bytes.  A sweep or ablation grid trains all its runs
 together, as the lanes of stacks of up to ``trainer.MAX_LANES`` runs
-(``trainer.train_lanes``), and then writes each run as
-``run_experiment`` would: every lane has the bits of its run trained
-alone, so the grid's artifacts are those of its runs one by one.
+(``trainer.train_stacks``): a stack holds runs of any variants that
+differ only in seed, scheme and thresholds, in grid order.  It writes
+each variant's runs as ``run_experiment`` would as soon as the
+variant's last run has trained: every lane has the bits of its run
+trained alone, so the grid's artifacts are those of its runs one by one.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -106,38 +109,58 @@ def write_run(name: str, cfg: tr.TrainConfig, model: md.ModelBundle, log: np.nda
     return report
 
 
-def run_lanes(name: str, cfgs: list[tr.TrainConfig], out_dirs: list[Path]
-              ) -> list[ev.EvalReport]:
-    """``run_experiment`` of the benchmark run of each config, which differ
-    only in seed, into its directory: the runs train together as lanes
-    (``trainer.train_lanes``), and none is written unless all trained.
-    A ``NumericError`` names the run by ``name`` and its seed."""
-    data = [make_benchmark(cfg) for cfg in cfgs]
+def run_lanes(runs: list[tuple[str, tr.TrainConfig, Path]]) -> list[float]:
+    """``run_experiment`` of the benchmark run of each ``(name, cfg,
+    out_dir)`` into its directory; returns each run's average class
+    accuracy.  The runs train together as lanes
+    (``trainer.train_stacks``), each run's data is made when its stack
+    is about to train, and the runs of one name are written as soon as
+    the last of them has trained.  A ``NumericError`` names the failing
+    run by its name and seed and stops the runs: no run of a name whose
+    runs had not all trained by then is written."""
+    left = Counter(name for name, _, _ in runs)
+    data, trained, accs = {}, {}, [None] * len(runs)
+
+    def benchmark(i: int) -> tuple[dt.DomainDataset, dt.DomainDataset]:
+        data[i] = make_benchmark(runs[i][1])
+        return data[i][:2]
+
     try:
-        trained = tr.train_lanes([(src, tgt, cfg) for cfg, (src, tgt, _) in zip(cfgs, data)])
+        for stack in tr.train_stacks([cfg for _, cfg, _ in runs], benchmark):
+            for i, result in stack:
+                trained[i] = result
+                left[runs[i][0]] -= 1
+            for i in sorted(i for i in trained if not left[runs[i][0]]):
+                (name, cfg, out_dir), (src, tgt, spec) = runs[i], data.pop(i)
+                report = write_run(name, cfg, *trained.pop(i), src, tgt, spec, out_dir)
+                accs[i] = report.average_class_accuracy
     except NumericError as exc:
-        raise NumericError(f"{name} {exc}") from exc
-    return [write_run(name, cfg, model, log, src, tgt, spec, out_dir)
-            for cfg, (model, log), (src, tgt, spec), out_dir
-            in zip(cfgs, trained, data, out_dirs)]
+        if exc.run is None:
+            raise
+        raise NumericError(f"{runs[exc.run][0]} {exc}") from exc
+    return accs
 
 
 def _run_grid(variants: list[tuple[str, tr.TrainConfig]], seed: int, reps: int,
               table: Path) -> None:
     """Run every variant on ``reps`` consecutive seeds from ``seed`` and
     write their accuracies, mean and std as a table beside the runs.
-    A run that fails stops the grid before any run of its variant is
-    written."""
+    All the runs train as lanes in one ``run_lanes``, and each variant's
+    runs are written once its last run has trained.  A run that fails
+    stops the grid: no run of the variants in its stack, or of any
+    variant trained after it, is written, while the variants that
+    finished training before it stay written."""
     if reps < 1:
         raise ConfigError(f"--seeds must be >= 1, got {reps}")
     table.parent.mkdir(parents=True, exist_ok=True)
+    runs = [(name, replace(base, seed=base.seed + i)) for name, base in variants
+            for i in range(reps)]
+    all_accs = run_lanes([(name, cfg, table.parent / f"{name}_seed{cfg.seed}")
+                          for name, cfg in runs])
     lines = ["\t".join(["variant"] + [f"seed{seed + i}" for i in range(reps)]
                        + ["mean", "std"])]
-    for name, base in variants:
-        cfgs = [replace(base, seed=base.seed + i) for i in range(reps)]
-        reports = run_lanes(name, cfgs, [table.parent / f"{name}_seed{cfg.seed}"
-                                         for cfg in cfgs])
-        accs = [report.average_class_accuracy for report in reports]
+    for v, (name, _) in enumerate(variants):
+        accs = all_accs[v * reps:(v + 1) * reps]
         lines.append("\t".join([name] + [f"{a:.4f}" for a in accs]
                                + [f"{np.mean(accs):.4f}", f"{np.std(accs):.4f}"]))
     table.write_text("\n".join(lines) + "\n")

@@ -16,9 +16,11 @@ class ConfigError(UdaError, ValueError):
 class NumericError(UdaError, ArithmeticError):
     """Non-finite values were produced during a forward or backward pass.
     A training step sets ``lane`` to the index of the lane (the run) of
-    its stack that it arose in."""
+    its stack that it arose in, and ``trainer.train_stacks`` sets ``run``
+    to that run's index in the runs it was given."""
 
     lane: int | None = None
+    run: int | None = None
 
 
 class FeatureFileError(UdaError, ValueError):

@@ -166,7 +166,7 @@ def _layout(lanes: int, half: int, k: int, mode: str) -> tuple[np.ndarray, ...]:
 
 
 def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
-                   target_scores: np.ndarray, w_alpha: float, w_beta: float,
+                   target_scores: np.ndarray, w_alpha: np.ndarray, w_beta: np.ndarray,
                    gamma: float, mode: str
                    ) -> tuple[list[LossBreakdown], np.ndarray, np.ndarray]:
     """``loss_compound`` of the three losses, once per lane, on the stacks
@@ -174,8 +174,10 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     slice 0 its source, slice 1 its target): each lane's breakdown, and
     the gradients of ``probs`` and ``d``, each shaped like its stack.
     ``source_labels`` and ``target_scores`` are ``(R, half)``; each lane
-    selects its own targets, so the selection counts are per lane.  Every
-    lane gets the bits of the loss of its own.
+    selects its own targets against its own thresholds, the ``(R, 1)``
+    columns ``w_alpha`` and ``w_beta`` (a scalar is every lane's), so the
+    selection counts are per lane.  Every lane gets the bits of the loss
+    of its own.
 
     Every NLL entry of the step goes into one vector, in segments: each
     lane's source ``d`` and target ``-1.0 * d + 1.0``, then each lane's

@@ -17,22 +17,24 @@ a non-finite value.  A step calls the node forwards and node losses
 only when it replays, so on a run with no replay the benchmark's
 per-layer spans of them read 0 and it counts one node per step.
 
-Runs whose configs differ only in seed train together as the lanes of
-one step (``step_lanes``, ``train_lanes``): a leading lane axis stacks
-their batches, and each lane has its own parameters, batch stream,
-momentum and log rows and the bits of its run trained alone.  Most of a
-benchmark step is per-call cost that does not grow with the rows, and
-a stack pays it once for all its lanes; ``MAX_LANES`` caps a stack
-where that gain levels off.  A run trained alone is a stack of one lane
-and steps through ``train_step``, the step the benchmark's tracer
-wraps; a stack of more lanes steps through ``step_lanes`` directly.
+Runs train together as the lanes of one step (``step_lanes``,
+``train_lanes``) when their configs differ only in ``LANE_FIELDS``: the
+seed, and the scheme and thresholds, which act after the forward.  A
+leading lane axis stacks their batches, and each lane has its own
+parameters, batch stream, momentum, score, thresholds and log rows and
+the bits of its run trained alone.  Most of a benchmark step is
+per-call cost that does not grow with the rows, and a stack pays it
+once for all its lanes; ``MAX_LANES`` caps a stack where that gain
+levels off.  A run trained alone is a stack of one lane and steps
+through ``train_step``, the step the benchmark's tracer wraps; a stack
+of more lanes steps through ``step_lanes`` directly.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -152,32 +154,68 @@ LOG_DTYPE = np.dtype([("l_c", np.float64), ("l_bd", np.float64), ("l_d", np.floa
                       ("total", np.float64), ("n_pseudo_selected", np.int64),
                       ("n_diversity_selected", np.int64), ("w_alpha", np.float64)])
 
-#: most runs one stack trains as its lanes.  About 165 µs of a 64-row
-#: benchmark step (one BLAS thread, a 2-vCPU Xeon) is per-call cost that
-#: does not grow with the rows, and a stack pays it once for all its
-#: lanes.  The whole step read 260, 190, 168, 158, 151, 150 and 143 µs
-#: per lane at 1 to 6 and 8 lanes (best of 11 runs of 300 steps in CPU
-#: time): past 4 lanes each further lane saves under 5% of a lane's
-#: step, while the stack's arrays keep growing, so the gain has levelled
-#: off and a variant's seeds train in stacks of up to 4.
+#: most runs one stack trains as its lanes, whatever their variants.
+#: About 165 µs of a 64-row benchmark step (one BLAS thread, a 2-vCPU
+#: Xeon) is per-call cost that does not grow with the rows, and a stack
+#: pays it once for all its lanes.  The whole step read 260, 190, 168,
+#: 158, 151, 150 and 143 µs per lane at 1 to 6 and 8 lanes (best of 11
+#: runs of 300 steps in CPU time): past 4 lanes each further lane saves
+#: under 5% of a lane's step, while the stack's arrays keep growing.  On
+#: the benchmark's ``ablate_scoring`` (10 runs of 100 steps; seeds 4-6,
+#: 10 s each, same host) the stacks of 2 of each variant read ``wall_s``
+#: 0.481-0.508 s; this cap, filling stacks of 4, 4 and 2 in grid order,
+#: 0.428-0.468 s at +1.0 MB of peak RSS (+2.4%); balanced stacks of 4,
+#: 3 and 3, 0.448-0.490 s; and a cap of 8, stacks of 8 and 2, 0.494-0.520
+#: s at +2.3 MB (+5.4%, past the benchmark's 5% bound).  So the cap stays
+#: 4 and stacks fill in order.
 MAX_LANES = 4
+
+#: the fields in which the lanes of one stack may differ: the seed, and
+#: the six that act on a step only through its score and thresholds,
+#: after the forward.  The lanes share every other field.
+LANE_FIELDS = ("seed", "scheme", "w0", "w_beta", "w_alpha_start", "static_w_alpha",
+               "pseudo_labels")
+
+
+def _shared_fields(cfg: TrainConfig) -> tuple[tuple[str, object], ...]:
+    """``cfg``'s ``(name, value)`` pairs outside ``LANE_FIELDS``: runs can
+    be lanes of one stack when theirs are equal."""
+    return tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg)
+                 if f.name not in LANE_FIELDS)
 
 
 @dataclass
 class TrainState:
     """The models of the runs trained together as the lanes of
-    ``lanes``, the momentum buffer ``v`` (laid out like
-    ``lanes.flat``), the step log with one row per lane and step of the
-    budget, ``(R, T)``, and the index ``t`` of the next step: each
-    lane's rows before ``t`` are written."""
+    ``lanes``, their configs ``cfgs``, the momentum buffer ``v`` (laid
+    out like ``lanes.flat``), the step log with one row per lane and
+    step of the budget, ``(R, T)``, and the index ``t`` of the next
+    step: each lane's rows before ``t`` are written.
+
+    The lanes' thresholds are computed once per stack: ``w_alpha`` holds
+    each lane's pseudo-label threshold at each step, ``(R, T)``, the bits
+    of ``_applied_w_alpha`` (+inf where none applies), and ``w_beta``
+    each lane's diversity threshold, ``(R, 1)``.  ``schemes`` maps each
+    scheme to the index array of its lanes, in lane order."""
 
     lanes: md.Lanes
+    cfgs: tuple[TrainConfig, ...]
     log: np.ndarray
     t: int = 0
     v: np.ndarray = field(init=False, repr=False)
+    w_alpha: np.ndarray = field(init=False, repr=False)
+    w_beta: np.ndarray = field(init=False, repr=False)
+    schemes: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.v = np.zeros_like(self.lanes.flat.value)
+        self.w_alpha = np.array([[_applied_w_alpha(c, t) for t in range(c.total_steps)]
+                                 for c in self.cfgs], np.float64)
+        self.w_beta = np.array([[c.w_beta] for c in self.cfgs])
+        lanes = {}
+        for lane, c in enumerate(self.cfgs):
+            lanes.setdefault(c.scheme, []).append(lane)
+        self.schemes = {scheme: np.array(rows) for scheme, rows in lanes.items()}
 
 
 def w_alpha(t: int, total_steps: int, w0: float, start: float) -> float:
@@ -196,10 +234,13 @@ def grl_coefficient(cfg: TrainConfig, t: int) -> float:
 
 def init_state(sources: Sequence[DomainDataset], cfgs: Sequence[TrainConfig]) -> TrainState:
     """One lane per run: lane r's model is built from ``sources[r]``'s
-    classes and ``cfgs[r]``'s seed.  The configs must differ in nothing
-    but the seed."""
-    if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
-        raise ContractError("the lanes of a stack must differ only in seed")
+    classes and ``cfgs[r]``'s seed, and it steps under ``cfgs[r]``'s
+    scheme and thresholds.  The configs must differ in nothing outside
+    ``LANE_FIELDS``; a ``ContractError`` names a field they differ in."""
+    for name, value in _shared_fields(cfgs[0]):
+        if any(getattr(c, name) != value for c in cfgs):
+            raise ContractError(f"the lanes of a stack must share {name}, got "
+                                f"{[getattr(c, name) for c in cfgs]}")
     models = []
     for src, cfg in zip(sources, cfgs, strict=True):
         # a sorted set, not ``np.unique``: that imports ``numpy.ma``, about
@@ -209,7 +250,7 @@ def init_state(sources: Sequence[DomainDataset], cfgs: Sequence[TrainConfig]) ->
         spec_c = MlpSpec(cfg.feature_dim, (), len(class_ids), "softmax")
         spec_d = MlpSpec(cfg.feature_dim, cfg.d_hidden, 1, "sigmoid")
         models.append(md.init(spec_f, spec_c, spec_d, cfg.seed, class_ids=class_ids))
-    return TrainState(lanes=md.Lanes(models),
+    return TrainState(lanes=md.Lanes(models), cfgs=tuple(cfgs),
                       log=np.zeros((len(models), cfgs[0].total_steps), LOG_DTYPE))
 
 
@@ -242,23 +283,41 @@ def engine_loss(m: ModelBundle, x: np.ndarray, labels: np.ndarray, lam: float,
     return ls.loss_compound(l_c, l_bd, l_d, n_pl, n_div)
 
 
-def step_op(lanes: md.Lanes, x: np.ndarray, labels: np.ndarray, lam: float,
-            threshold: float, cfg: TrainConfig) -> tuple[Node, list[ls.LossBreakdown]]:
-    """``engine_loss`` of every lane as one op over ``lanes.flat``, with
-    each lane's value and parameter gradients bit for bit.
+def _scores(schemes: dict[str, np.ndarray], d: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Each lane's target scores, ``(R, half)``, under its own scheme from
+    the ``(R, half)`` domain outputs ``d`` and ``(R, half, K)`` ``probs``:
+    one call per scheme, over that scheme's lanes."""
+    if len(schemes) == 1:
+        (scheme,) = schemes
+        return sc.scores_from_outputs(d, probs, scheme)
+    scores = np.empty(d.shape)
+    for scheme, rows in schemes.items():
+        scores[rows] = sc.scores_from_outputs(d[rows], probs[rows], scheme)
+    return scores
+
+
+def step_op(state: TrainState, x: np.ndarray, labels: np.ndarray, lam: float,
+            cfg: TrainConfig) -> tuple[Node, list[ls.LossBreakdown]]:
+    """``engine_loss`` of every lane of ``state`` at its step ``t`` as one
+    op over ``lanes.flat``, with each lane's value and parameter
+    gradients bit for bit.
 
     ``x`` is the ``(R, 2, half, dim)`` stack of the R lanes' batches and
     ``labels`` the ``(R, half)`` stack of their labels; slice 0 of a lane
     is its source half and slice 1 its target half.  Each network has one
     forward and one VJP over the whole stack, with each lane's own
-    parameters (``lanes.layers``).  ``losses.compound_array`` takes the
-    stacks of probabilities and domain outputs and returns each lane's
-    breakdown and one gradient per stack for a loss gradient of 1.  The
-    VJP scales them by ``g`` and keeps the engine's op order: a tensor
-    used twice gets the sum of its two gradients where the engine sums
-    them.  Each network's VJP writes its parameter gradients per lane and
-    half into ``lanes.halves``, and the gradient of ``lanes.flat`` is the
-    source half plus the target half.
+    parameters (``lanes.layers``).  Each lane's targets are scored under
+    its own scheme, one score call per scheme (``state.schemes``).
+    ``losses.compound_array`` takes the stacks of probabilities and
+    domain outputs, the lanes' thresholds at step ``t`` as ``(R, 1)``
+    columns (``state.w_alpha``, ``state.w_beta``) and ``cfg``'s shared
+    ``gamma`` and diversity mode, and returns each lane's breakdown and
+    one gradient per stack for a loss gradient of 1.  The VJP scales them
+    by ``g`` and keeps the engine's op order: a tensor used twice gets
+    the sum of its two gradients where the engine sums them.  Each
+    network's VJP writes its parameter gradients per lane and half into
+    ``lanes.halves``, and the gradient of ``lanes.flat`` is the source
+    half plus the target half.
     The op's value is the sum of the lanes' totals; the lanes share no
     parameter, so each lane's gradient is that of its own total.
     Raises ``NumericError`` where ``engine_loss`` raises in some lane: a
@@ -269,15 +328,17 @@ def step_op(lanes: md.Lanes, x: np.ndarray, labels: np.ndarray, lam: float,
     """
     x = np.asarray(x, dtype=np.float64)
     md.check_finite(x)
+    lanes = state.lanes
     nets, layers, out = lanes.nets, lanes.layers, lanes.half_views
     tape_f, tape_c, tape_d = [], [], []
     feats = nets["f"].forward_array(x, tape_f, layers["f"])
     probs = nets["c"].forward_array(feats, tape_c, layers["c"])
     d = nets["d"].forward_array(feats, tape_d, layers["d"])
 
-    scores = sc.scores_from_outputs(d[:, 1, :, 0], probs[:, 1], cfg.scheme)
+    scores = _scores(state.schemes, d[:, 1, :, 0], probs[:, 1])
     breakdowns, g_probs, g_d = ls.compound_array(
-        probs, d, labels, scores, threshold, cfg.w_beta, cfg.gamma, cfg.diversity_mode)
+        probs, d, labels, scores, state.w_alpha[:, state.t, None], state.w_beta,
+        cfg.gamma, cfg.diversity_mode)
 
     def vjp(g):
         g_r = nets["d"].vjp_array(tape_d, g * g_d, out["d"], layers["d"])
@@ -296,10 +357,14 @@ def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray,
     """One forward/backward/SGD step of every lane; writes each lane's
     log row ``t``, advances ``t`` and returns the lanes' loss breakdowns.
     ``x`` stacks the lanes' batches and ``labels`` their classifier
-    indices (``ModelBundle.class_index``) as ``step_op`` takes them;
-    ``cfg`` is any lane's config, as they differ only in seed.
+    indices (``ModelBundle.class_index``) as ``step_op`` takes them.
+    ``cfg`` is any lane's config: it gives the fields the lanes share
+    (the reversal, ``gamma``, the diversity mode, the learning rate and
+    momentum), and each lane steps under its own scheme and thresholds,
+    those of the config ``init_state`` built it from.
 
-    A non-finite value replays each lane on ``engine_loss`` in turn:
+    A non-finite value replays each lane on ``engine_loss``, under its
+    own config and threshold, in turn:
     the first lane whose replay raises is the one named, as the
     ``lane`` of the ``NumericError``, and its message names the op and
     the step index.  If no replay raises, the step goes on with the
@@ -310,18 +375,19 @@ def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray,
     if state.t >= state.log.shape[1]:
         raise ContractError(f"step {state.t} out of budget T={state.log.shape[1]}")
     lanes, flat = state.lanes, state.lanes.flat
-    w_a = _applied_w_alpha(cfg, state.t)
+    thresholds = state.w_alpha[:, state.t].tolist()
     lam = grl_coefficient(cfg, state.t)
     lane = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             try:
-                total, breakdowns = step_op(lanes, x, labels, lam, w_a, cfg)
+                total, breakdowns = step_op(state, x, labels, lam, cfg)
                 totals = (total,)
             except NumericError:
                 totals, breakdowns = [], []
-                for lane, m in enumerate(lanes.models):
-                    total, breakdown = engine_loss(m, x[lane], labels[lane], lam, w_a, cfg)
+                for lane, (m, c) in enumerate(zip(lanes.models, state.cfgs)):
+                    total, breakdown = engine_loss(m, x[lane], labels[lane], lam,
+                                                   thresholds[lane], c)
                     totals.append(total)
                     breakdowns.append(breakdown)
                 lane = None
@@ -340,7 +406,7 @@ def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray,
         flat.value -= cfg.lr * state.v
 
     # a breakdown's fields are the log row's first six, in order
-    for lane, b in enumerate(breakdowns):
+    for lane, (b, w_a) in enumerate(zip(breakdowns, thresholds)):
         state.log[lane, state.t] = (*b, w_a)
     state.t += 1
     return breakdowns
@@ -390,21 +456,44 @@ def train(src: DomainDataset, tgt: DomainDataset,
     return _train_stack([(src, tgt, cfg)])[0]
 
 
+def train_stacks(cfgs: Sequence[TrainConfig],
+                 data: Callable[[int], tuple[DomainDataset, DomainDataset]]
+                 ) -> Iterator[list[tuple[int, tuple[ModelBundle, np.ndarray]]]]:
+    """``train`` of each run, bit for bit, with the runs trained as the
+    lanes of stacks: runs whose configs share every field outside
+    ``LANE_FIELDS`` fill stacks of up to ``MAX_LANES`` in their order.
+    Run i has the config ``cfgs[i]`` and the source and target
+    ``data(i)``, which is called only when run i's stack is about to
+    train, so a caller can make each run's data as late as that.  Yields
+    each stack, once it has trained, as the ``(i, (model, log))`` pair of
+    each of its runs.  A ``NumericError`` names the failing run by its
+    seed and sets its ``run`` to i; no further stack trains."""
+    groups = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_shared_fields(cfg), []).append(i)
+    for group in groups.values():
+        for start in range(0, len(group), MAX_LANES):
+            stack = group[start:start + MAX_LANES]
+            try:
+                trained = _train_stack([(*data(i), cfgs[i]) for i in stack])
+            except NumericError as exc:
+                if exc.lane is None:
+                    raise
+                error = NumericError(f"seed {cfgs[stack[exc.lane]].seed}: {exc}")
+                error.run = stack[exc.lane]
+                raise error from exc
+            yield list(zip(stack, trained))
+
+
 def train_lanes(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]]
                 ) -> list[tuple[ModelBundle, np.ndarray]]:
-    """``train`` of each ``(src, tgt, cfg)`` run, bit for bit, with the
-    runs trained as the lanes of stacks of up to ``MAX_LANES``.  The
-    configs must differ in nothing but the seed.  A ``NumericError``
-    names the failing run by its seed, and no run's result is returned."""
-    out = []
-    for start in range(0, len(runs), MAX_LANES):
-        stack = runs[start:start + MAX_LANES]
-        try:
-            out += _train_stack(stack)
-        except NumericError as exc:
-            if exc.lane is None:
-                raise
-            raise NumericError(f"seed {stack[exc.lane][2].seed}: {exc}") from exc
+    """``train`` of each ``(src, tgt, cfg)`` run, in order, trained as
+    ``train_stacks`` trains them.  A ``NumericError`` names the failing
+    run by its seed, and no run's result is returned."""
+    out = [None] * len(runs)
+    for stack in train_stacks([cfg for _, _, cfg in runs], lambda i: runs[i][:2]):
+        for i, result in stack:
+            out[i] = result
     return out
 
 

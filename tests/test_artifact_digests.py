@@ -5,9 +5,10 @@ asserts the whole line only on a host whose fingerprint is in
 ``KNOWN_LINES``: the numpy version, the BLAS name and version, numpy's
 SIMD extensions found on the CPU, and the OpenBLAS core.  On any other
 host it checks that the tool digests every artifact, and that the runs
-trained as lanes of one stack have the digests of their runs alone, and
-prints the fingerprint and the line so that the host can be added.  A
-change that moves the line on purpose updates this table and says why.
+trained as lanes of one stack, of two schemes, have the digests of
+their runs alone, and prints the fingerprint and the line so that the
+host can be added.  A change that moves the line on purpose updates
+this table and says why.
 """
 
 import ctypes
@@ -23,8 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 KNOWN_LINES = {
     ("numpy 2.4.6", "scipy-openblas 0.3.31.188.0",
      "X86_V3 X86_V4 AVX512_ICL AVX512_SPR", "SkylakeX"):
-    "143 artifacts, list sha256 "
-    "2f60d89441f08b730f28d4ae3bff7525b74c268c38f29d89897c5e22a98e7fb6",
+    "159 artifacts, list sha256 "
+    "c2dfe04c6d5fd928b067eaff8c2fbe7be512fa2de975a411b61d2af9b292e318",
 }
 
 
@@ -54,10 +55,11 @@ def test_digest_tool_runs_and_lists_every_artifact():
     print(f"fingerprint {host}\n{last}")
     if host in KNOWN_LINES:
         assert last == KNOWN_LINES[host]
-    assert re.fullmatch(r"143 artifacts, list sha256 [0-9a-f]{64}", last), last
-    assert len(lines) == 143
-    # the runs trained as lanes of one stack have the bytes of their runs alone
+    assert re.fullmatch(r"159 artifacts, list sha256 [0-9a-f]{64}", last), last
+    assert len(lines) == 159
+    # the runs trained as lanes of one stack, of two schemes, have the bytes
+    # of their runs alone
     table = dict(line.split("\t") for line in lines)
     lanes = {name: digest for name, digest in table.items() if name.startswith("lanes/")}
-    assert len(lanes) == 16
+    assert len(lanes) == 32
     assert all(table[name.removeprefix("lanes/")] == digest for name, digest in lanes.items())

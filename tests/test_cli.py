@@ -812,21 +812,32 @@ class TestAblate:
                                        "diversity_both"]
 
 
-class TestGridLanes:
-    """A grid trains each variant's seeds as the lanes of one stack, and
-    writes each run as ``run_experiment`` writes it alone."""
+def grid_configs(ablation: str, steps: int) -> dict[str, tr.TrainConfig]:
+    """The seed-0 config of each variant of an ``ablate`` grid at its defaults."""
+    base = cli.benchmark_config(total_steps=steps)
+    if ablation == "scoring":
+        return {f"scheme_{s}": cli.scheme_defaults(base, s) for s in sc.SCHEMES}
+    return {"full": base, "no_pseudo_labels": replace(base, pseudo_labels=False),
+            "w_alpha_0": replace(base, static_w_alpha=0.0),
+            "static_w_alpha_1.2": replace(base, static_w_alpha=1.2)}
 
-    def test_scoring_ablation_runs_are_byte_identical_to_runs_alone(self, tmp_path):
+
+class TestGridLanes:
+    """A grid trains all its runs as the lanes of stacks, whatever their
+    variants, and writes each run as ``run_experiment`` writes it alone."""
+
+    @pytest.mark.parametrize("ablation", ["scoring", "pseudo"])
+    def test_ablation_runs_are_byte_identical_to_runs_alone(self, tmp_path, ablation):
         out = tmp_path / "ablate"
-        assert main(["ablate", "--ablation", "scoring", "--seeds", "2",
+        assert main(["ablate", "--ablation", ablation, "--seeds", "2",
                      "--steps", "20", "--out", str(out)]) == 0
+        variants = grid_configs(ablation, 20)
         runs = sorted(p.name for p in out.iterdir() if p.is_dir())
-        assert runs == sorted(f"scheme_{s}_seed{seed}" for s in sc.SCHEMES for seed in (0, 1))
-        base = cli.benchmark_config(total_steps=20)
-        for scheme in sc.SCHEMES:
+        assert runs == sorted(f"{name}_seed{seed}" for name in variants for seed in (0, 1))
+        for name, base in variants.items():
             for seed in (0, 1):
-                cfg = cli.scheme_defaults(replace(base, seed=seed), scheme)
-                name, alone = f"scheme_{scheme}", tmp_path / "alone" / f"{scheme}_{seed}"
+                cfg = replace(base, seed=seed)
+                alone = tmp_path / "alone" / f"{name}_{seed}"
                 cli.run_experiment(name, cfg, *cli.make_benchmark(cfg), alone)
                 lane = out / f"{name}_seed{seed}"
                 assert sorted(p.name for p in lane.iterdir()) == sorted(RUN_ARTIFACTS)
@@ -834,15 +845,23 @@ class TestGridLanes:
                     assert (lane / artifact).read_bytes() == (alone / artifact).read_bytes(), (
                         lane.name, artifact)
 
-    def test_seeds_beyond_one_stack_train_in_further_stacks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("ablation, seeds, max_lanes, want", [
+        ("scoring", 2, 4, [4, 4, 2]),
+        ("pseudo", 3, 4, [4, 4, 4]),
+        # its variants differ in the diversity mode, which a stack's lanes share
+        ("diversity", 3, 4, [3, 3, 3]),
+        ("diversity", 3, 2, [2, 1] * 3),
+    ])
+    def test_seeds_beyond_one_stack_train_in_further_stacks(
+            self, tmp_path, monkeypatch, ablation, seeds, max_lanes, want):
         stacks = []
         train_stack = tr._train_stack
         monkeypatch.setattr(tr, "_train_stack",
                             lambda runs: stacks.append(len(runs)) or train_stack(runs))
-        monkeypatch.setattr(tr, "MAX_LANES", 2)
-        assert main(["ablate", "--ablation", "diversity", "--seeds", "3",
+        monkeypatch.setattr(tr, "MAX_LANES", max_lanes)
+        assert main(["ablate", "--ablation", ablation, "--seeds", str(seeds),
                      "--steps", "2", "--out", str(tmp_path / "ablate")]) == 0
-        assert stacks == [2, 1] * 3
+        assert stacks == want
 
     def test_a_failing_lane_stops_its_variant_before_any_run_is_written(
             self, tmp_path, capsys, monkeypatch):
@@ -869,3 +888,31 @@ class TestGridLanes:
         assert capsys.readouterr().err == f"numeric abort: scheme_ours seed 1: {alone.value}\n"
         assert str(alone.value).startswith("step ") and "op 'input'" in str(alone.value)
         assert [p.name for p in out.iterdir()] == []
+
+    def test_a_failing_lane_names_its_own_variant_and_stops_later_variants(
+            self, tmp_path, capsys, monkeypatch):
+        """A non-finite feature in ``uan`` seed 1's source only.  The first
+        stack, ``ours`` seeds 0-2 and ``uan`` seed 0, trains and writes
+        ``ours``; the second, ``uan`` seeds 1 and 2 and ``entropy`` seeds 0
+        and 1, stops where that run alone stops.  No run of ``uan``, of
+        ``entropy`` or of a later variant is written."""
+        make_benchmark = cli.make_benchmark
+
+        def poisoned(cfg):
+            src, tgt, spec = make_benchmark(cfg)
+            if cfg.scheme == "uan" and cfg.seed == 1:
+                features = src.features.copy()
+                features[17, 5] = np.nan
+                src = dt.DomainDataset(features, src.labels)
+            return src, tgt, spec
+
+        monkeypatch.setattr(cli, "make_benchmark", poisoned)
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--ablation", "scoring", "--seeds", "3",
+                     "--steps", "200", "--out", str(out)]) == cli.EXIT_NUMERIC
+        cfg = cli.scheme_defaults(cli.benchmark_config(total_steps=200, seed=1), "uan")
+        with pytest.raises(NumericError) as alone:
+            tr.train(*poisoned(cfg)[:2], cfg)
+        assert capsys.readouterr().err == f"numeric abort: scheme_uan seed 1: {alone.value}\n"
+        assert str(alone.value).startswith("step ") and "op 'input'" in str(alone.value)
+        assert sorted(p.name for p in out.iterdir()) == [f"scheme_ours_seed{s}" for s in range(3)]

@@ -13,11 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 NUMBER = r"\d+\.\d+"
 
 
-def step_ab(base: Path, change: Path, run_dir: Path) -> list[str]:
+def step_ab(base: Path, change: Path, run_dir: Path, *flags: str) -> list[str]:
     """The script's output lines for two blocks of two steps per side."""
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "step_ab.py"), "--base", str(base),
-         "--change", str(change), "--blocks", "2", "--steps", "2"],
+         "--change", str(change), "--blocks", "2", "--steps", "2", *flags],
         cwd=run_dir, env={**os.environ, "TMPDIR": str(run_dir)},
         check=True, capture_output=True, text=True).stdout
     return out.splitlines()
@@ -49,7 +49,23 @@ def test_self_ab_prints_the_summary(tmp_path):
     assert not list(tmp_path.iterdir())  # the package copies are gone
 
 
-def patched_step_ab(tmp_path: Path, old: str, new: str) -> str:
+def test_grid_self_ab_prints_the_summary_with_faults(tmp_path):
+    src = ROOT / "src"
+    lines = step_ab(src, src, tmp_path, "--grid")
+    assert len(lines) == 5, lines
+    for side, line in zip(("base", "change"), lines):
+        assert re.fullmatch(rf"{side} +{re.escape(str(src))}: median {NUMBER} ms/call "
+                            rf"\(quartiles {NUMBER}-{NUMBER}\), minor faults median \d+ "
+                            rf"\(quartiles \d+-\d+\)", line), line
+    assert re.fullmatch(rf"ratio change/base: median {NUMBER} "
+                        rf"\(quartiles {NUMBER}-{NUMBER}\)", lines[2]), lines[2]
+    assert re.fullmatch(r"change faster in [012] of 2 grid calls of 2 steps", lines[3]), lines[3]
+    # 10 runs of 8 files each, and the table
+    assert lines[4] == "runs byte-identical: 81 files, 10 run directories", lines[4]
+    assert not list(tmp_path.iterdir())  # the package copies and runs are gone
+
+
+def patched_step_ab(tmp_path: Path, old: str, new: str, *flags: str) -> str:
     """The last line of an A/B of this tree against a copy whose
     ``trainer.py`` has its one ``old`` replaced by ``new``."""
     changed = tmp_path / "changed"
@@ -61,7 +77,7 @@ def patched_step_ab(tmp_path: Path, old: str, new: str) -> str:
     trainer.write_text(text.replace(old, new))
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    return step_ab(ROOT / "src", changed, run_dir)[-1]
+    return step_ab(ROOT / "src", changed, run_dir, *flags)[-1]
 
 
 def test_a_change_that_trains_differently_is_flagged(tmp_path):
@@ -69,6 +85,15 @@ def test_a_change_that_trains_differently_is_flagged(tmp_path):
                            "state.v *= cfg.momentum * 0.5\n")
     assert re.fullmatch(r"parameters differ: [1-9]\d* of \d+ bit patterns; "
                         r"step logs bit-identical: 2 rows", last), last
+
+
+def test_a_grid_change_that_trains_differently_is_flagged(tmp_path):
+    last = patched_step_ab(tmp_path, "state.v *= cfg.momentum\n",
+                           "state.v *= cfg.momentum * 0.5\n", "--grid")
+    match = re.fullmatch(r"runs differ: (\d+) of 81 files, 10 run directories \((.*)\)", last)
+    assert match, last
+    # every run's checkpoint moves, and so the table of accuracies may
+    assert int(match.group(1)) >= 10 and "checkpoint.txt" in match.group(2), last
 
 
 def test_a_change_that_moves_only_a_logged_loss_is_flagged(tmp_path):

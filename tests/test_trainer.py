@@ -32,11 +32,14 @@ def step(state, batch, cfg):
     return tr.train_step(state, batch, cfg, state.lanes.models[0].class_index(batch.source_y))
 
 
-def engine_op(lanes, x, labels, *rest):
-    """``step_op`` as the engine graph: each lane's ``engine_loss``, their
-    totals summed by engine ``add`` nodes."""
-    pairs = [tr.engine_loss(m, x_r, y_r, *rest)
-             for m, x_r, y_r in zip(lanes.models, x, labels, strict=True)]
+def engine_op(state, x, labels, lam, cfg):
+    """``step_op`` as the engine graph: each lane's ``engine_loss`` under
+    its own config and threshold, their totals summed by engine ``add``
+    nodes."""
+    pairs = [tr.engine_loss(m, x_r, y_r, lam, w_a, c)
+             for m, x_r, y_r, w_a, c in zip(state.lanes.models, x, labels,
+                                            state.w_alpha[:, state.t].tolist(), state.cfgs,
+                                            strict=True)]
     return functools.reduce(ad.add, [t for t, _ in pairs]), [b for _, b in pairs]
 
 
@@ -388,23 +391,25 @@ STEP_OP_CASES = [
 
 class TestStepOpOracle:
     """The step op against the engine graph of the same step, bit for bit,
-    on one lane and on stacks of 2 and 3 lanes with seeds of their own:
-    each lane's loss breakdown and parameter gradients are those of its
-    own engine step, and each lane's run (parameters and step log) is the
+    on one lane, on stacks of 2 and 3 lanes with seeds of their own, and
+    on a stack whose lanes differ in scheme and thresholds too: each
+    lane's loss breakdown and parameter gradients are those of its own
+    engine step, and each lane's run (parameters and step log) is the
     run trained alone."""
 
-    @pytest.mark.parametrize("lanes", [1, 2, 3])
-    @pytest.mark.parametrize("case", STEP_OP_CASES, ids=lambda c: ",".join(
-        f"{k}={v}" for k, v in c.items()))
-    def test_value_and_parameter_grads_equal_engine_bitwise(self, monkeypatch, case, lanes):
+    def check(self, monkeypatch, runs, train):
+        """Train ``runs`` with ``train`` under a step op checked against
+        the engine at every step, and each run against its run alone;
+        returns every lane's breakdowns."""
         step_op, seen = tr.step_op, []
 
-        def both(stack, *rest):
-            engine_total, engine_breakdowns = engine_op(stack, *rest)
+        def both(state, *rest):
+            stack = state.lanes
+            engine_total, engine_breakdowns = engine_op(state, *rest)
             stack.grads.fill(0.0)
             ad.backward(engine_total)
             expected = stack.grads.copy()
-            total, breakdowns = step_op(stack, *rest)
+            total, breakdowns = step_op(state, *rest)
             assert total.op == "train_step" and total.parents == (stack.flat,)
             # the step op's VJP must write every entry of the per-domain buffer
             stack.halves.fill(np.nan)
@@ -413,24 +418,52 @@ class TestStepOpOracle:
             np.testing.assert_array_equal(bits(stack.grads), bits(expected))
             np.testing.assert_array_equal(bits([b.total for b in breakdowns]),
                                           bits([b.total for b in engine_breakdowns]))
-            assert breakdowns == engine_breakdowns and len(breakdowns) == lanes
+            assert breakdowns == engine_breakdowns and len(breakdowns) == len(runs)
             seen.extend(breakdowns)
             return total, breakdowns
 
+        alone = [tr.train(*run) for run in runs]
+        with monkeypatch.context() as mp:
+            mp.setattr(tr, "step_op", both)
+            together = train(runs)
+        assert len(seen) == runs[0][2].total_steps * len(runs)
+        for (m, log), (m_alone, log_alone) in zip(together, alone, strict=True):
+            np.testing.assert_array_equal(bits(m.values), bits(m_alone.values))
+            assert log.tobytes() == log_alone.tobytes()
+        return seen
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize("case", STEP_OP_CASES, ids=lambda c: ",".join(
+        f"{k}={v}" for k, v in c.items()))
+    def test_value_and_parameter_grads_equal_engine_bitwise(self, monkeypatch, case, lanes):
         scheme = case.get("scheme", "ours")
         cfg = cli.scheme_defaults(cli.benchmark_config(total_steps=6), scheme)
         cfg = replace(cfg, **{k: v for k, v in case.items() if k != "scheme"})
         runs = [(*cli.make_benchmark(c)[:2], c)
                 for c in (replace(cfg, seed=seed) for seed in range(lanes))]
-        alone = [tr.train(*run) for run in runs]
-        monkeypatch.setattr(tr, "step_op", both)
-        together = tr.train_lanes(runs)
-        assert len(seen) == cfg.total_steps * lanes
-        for (m, log), (m_alone, log_alone) in zip(together, alone, strict=True):
-            np.testing.assert_array_equal(bits(m.values), bits(m_alone.values))
-            assert log.tobytes() == log_alone.tobytes()
+        seen = self.check(monkeypatch, runs, tr.train_lanes)
         if cfg.pseudo_labels and cfg.diversity_mode == "both":
             assert any(b.n_pseudo_selected for b in seen)
+            assert any(b.n_diversity_selected for b in seen)
+
+    @pytest.mark.parametrize("mode", ls.DIVERSITY_MODES)
+    def test_lanes_of_other_schemes_and_thresholds_equal_engine_bitwise(
+            self, monkeypatch, mode):
+        """One stack of six lanes: ``ours``, ``uan``, ``entropy`` and
+        ``ours_no_maxy`` at their default thresholds, an ``ours`` lane
+        with no pseudo-labels and one with a static threshold."""
+        base = cli.benchmark_config(total_steps=6, diversity_mode=mode)
+        cfgs = [*(cli.scheme_defaults(replace(base, seed=seed), scheme) for seed, scheme
+                  in enumerate(("ours", "uan", "entropy", "ours_no_maxy"))),
+                replace(base, seed=4, pseudo_labels=False),
+                replace(base, seed=5, static_w_alpha=0.0)]
+        runs = [(*cli.make_benchmark(c)[:2], c) for c in cfgs]
+        seen = self.check(monkeypatch, runs, tr._train_stack)
+        assert len({c.scheme for c in cfgs}) == 4
+        # the static lane picks every target, the lane with no pseudo-labels none
+        assert all(b.n_pseudo_selected == 32 for b in seen[5::6])
+        assert not any(b.n_pseudo_selected for b in seen[4::6])
+        if mode != "off":
             assert any(b.n_diversity_selected for b in seen)
 
     def test_vjp_scales_by_its_upstream_gradient(self):
@@ -441,12 +474,53 @@ class TestStepOpOracle:
         state = tr.init_state([src], [cfg])
         batch = dt.sample_batch(src, tgt, cfg.batch_size, np.random.default_rng(0))
         labels = state.lanes.models[0].class_index(batch.source_y)
-        total, _ = tr.step_op(state.lanes, batch.x[None], labels[None], cfg.grl_lambda,
-                              1.0, cfg)
+        total, _ = tr.step_op(state, batch.x[None], labels[None], cfg.grl_lambda, cfg)
         (once,) = total.vjp(np.ones(()))
         (twice,) = total.vjp(np.full((), 2.0))
         assert once.any()
         np.testing.assert_array_equal(bits(twice), bits(2.0 * once))
+
+
+class TestLaneRule:
+    """The lanes of one stack may differ in seed, scheme and thresholds
+    (``LANE_FIELDS``) and share every other field."""
+
+    @pytest.mark.parametrize("name, value", [("lr", 0.02), ("gamma", 0.3),
+                                             ("diversity_mode", "off"), ("total_steps", 7)])
+    def test_init_state_refuses_lanes_that_differ_in_a_shared_field(self, name, value):
+        src, _ = tiny_data()
+        cfg = tiny_cfg()
+        with pytest.raises(ContractError, match=f"^the lanes of a stack must share {name}, "):
+            tr.init_state([src, src], [cfg, replace(cfg, seed=1, **{name: value})])
+
+    def test_each_lane_gets_its_own_thresholds_and_scheme(self):
+        src, _ = tiny_data()
+        cfgs = [tiny_cfg(total_steps=4), tiny_cfg(seed=1, scheme="uan"),
+                tiny_cfg(seed=2, static_w_alpha=0.25, w_beta=1.5),
+                tiny_cfg(seed=3, pseudo_labels=False)]
+        state = tr.init_state([src] * 4, [replace(c, total_steps=4) for c in cfgs])
+        want = [[tr.w_alpha(t, 4, c.w0, c.w_alpha_start) for t in range(4)] for c in cfgs[:2]]
+        assert state.w_alpha.tolist() == [*want, [0.25] * 4, [math.inf] * 4]
+        assert state.w_beta.tolist() == [[0.8], [-0.19999999999999996], [1.5], [0.8]]
+        assert {k: v.tolist() for k, v in state.schemes.items()} == {"ours": [0, 2, 3],
+                                                                    "uan": [1]}
+
+    def test_train_lanes_stacks_runs_that_share_their_fields_in_order(self, monkeypatch):
+        """Runs of two shared configs, interleaved: each config's runs fill
+        stacks in their order, and every run returns its result alone."""
+        src, tgt = tiny_data()
+        cfgs = [tiny_cfg(seed=0), tiny_cfg(seed=1, lr=0.02), tiny_cfg(seed=2, scheme="entropy"),
+                tiny_cfg(seed=3, lr=0.02, scheme="uan"), tiny_cfg(seed=4, pseudo_labels=False)]
+        stacks, train_stack = [], tr._train_stack
+        monkeypatch.setattr(tr, "_train_stack", lambda runs: stacks.append(
+            [c.seed for _, _, c in runs]) or train_stack(runs))
+        monkeypatch.setattr(tr, "MAX_LANES", 2)
+        together = tr.train_lanes([(src, tgt, c) for c in cfgs])
+        assert stacks == [[0, 2], [4], [1, 3]]
+        for (m, log), cfg in zip(together, cfgs, strict=True):
+            m_alone, log_alone = train_stack([(src, tgt, cfg)])[0]
+            np.testing.assert_array_equal(bits(m.values), bits(m_alone.values))
+            assert log.tobytes() == log_alone.tobytes()
 
 
 class TestNumericErrorReplay:
@@ -569,7 +643,7 @@ class TestNumericErrorInALane:
         with pytest.raises(NumericError) as together:
             tr.train_lanes(runs)
         assert str(together.value) == f"seed 1: {alone.value}"
-        assert together.value.lane is None
+        assert together.value.lane is None and together.value.run == 1
 
 
 class TestStepTape:

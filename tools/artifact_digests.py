@@ -8,15 +8,15 @@ It trains and evaluates, in a temporary directory, with the ``udaselect``
 found in ``--src`` (default: this checkout's ``src/``), and prints one
 ``name<TAB>sha256`` line per artifact, sorted by name, then the sha256
 of those lines.  Running it on two commits and comparing the last line
-is the byte-identity check.  The 143 artifacts are:
+is the byte-identity check.  The 159 artifacts are:
 
 - ``<scheme>_s<seed>/<file>``: the 8 files of
   ``run_experiment`` for ``scheme_defaults(benchmark_config(seed=seed,
   total_steps=300), scheme)``, for every scheme and seeds 0 and 1;
 - ``lanes/<scheme>_s<seed>/<file>``: the same 8 files of the ``ours``
-  runs of seeds 0 and 1 trained together as two lanes of one stack
-  (``cli.run_lanes``), as ``sweep`` and ``ablate`` train a variant's
-  seeds; each must equal its run trained alone;
+  and ``uan`` runs of seeds 0 and 1 trained together as the four lanes
+  of one stack (``cli.run_lanes``), as ``sweep`` and ``ablate`` train a
+  grid's runs; each must equal its run trained alone;
 - ``<variant>/<file>``: the 8 files of ``run_experiment`` for
   ``benchmark_config(seed=0, total_steps=300, **VARIANTS[variant])``:
   25-row halves through a hidden extractor, a step whose target
@@ -38,9 +38,11 @@ is the byte-identity check.  The 143 artifacts are:
 
 Every run is named ``r``, because ``manifest.json`` records the name.
 ``tests/test_artifact_digests.py`` holds the last line per known host.
-Before the lane runs were added it read ``127 artifacts, list sha256
-db7e3eb8…485b``, before the static, target-only, ramped variant ``119
-artifacts, list sha256 eba30e0e…db22``, before the file-read scores
+Before the ``uan`` lanes joined the ``ours`` lanes' stack it read ``143
+artifacts, list sha256 2f60d894…7fb6``, before the lane runs were added
+``127 artifacts, list sha256 db7e3eb8…485b``, before the static,
+target-only, ramped variant ``119 artifacts, list sha256
+eba30e0e…db22``, before the file-read scores
 ``114 artifacts, list sha256 2f56b38d…9aee``, before the score columns
 ``109 artifacts, list sha256 02d7794f…cda2``, and before the first two
 variants ``93 artifacts, list sha256 be11c31f…e8c``.
@@ -89,10 +91,11 @@ def digests(work: Path) -> dict[str, str]:
         for seed in SEEDS:
             cfg = cli.benchmark_config(seed=seed, total_steps=SHORT_STEPS)
             run(f"{scheme}_s{seed}", cli.scheme_defaults(cfg, scheme))
-    keys = [f"lanes/ours_s{seed}" for seed in SEEDS]
-    cli.run_lanes("r", [cli.benchmark_config(seed=seed, total_steps=SHORT_STEPS)
-                        for seed in SEEDS], [work / key for key in keys])
-    for key in keys:
+    lanes = {f"lanes/{scheme}_s{seed}": cli.scheme_defaults(
+        cli.benchmark_config(seed=seed, total_steps=SHORT_STEPS), scheme)
+        for scheme in ("ours", "uan") for seed in SEEDS}
+    cli.run_lanes([("r", cfg, work / key) for key, cfg in lanes.items()])
+    for key in lanes:
         for path in sorted((work / key).iterdir()):
             out[f"{key}/{path.name}"] = sha256(path.read_bytes())
     for key, overrides in VARIANTS.items():

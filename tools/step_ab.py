@@ -1,8 +1,9 @@
-"""Interleaved in-process A/B of ``trainer.train`` between two source trees.
+"""Interleaved in-process A/B of ``trainer.train``, or of a grid, between two source trees.
 
 Run from the root of a checkout:
 
     python3 tools/step_ab.py --base ../parent/src --change src [--blocks 20] [--steps 3000]
+    python3 tools/step_ab.py --grid --base ../parent/src --change src [--blocks 20] [--steps 100]
 
 Each ``--base``/``--change`` is a ``src`` directory holding a
 ``udaselect`` package.  The script copies each package under its own
@@ -40,6 +41,19 @@ return the same model and step log.  The last line says whether the two
 sides' last returned ``model.values`` and step logs are bit-identical,
 and names what differs: a faster step that moves any bit of the
 training, or only a logged value, shows there.
+
+With ``--grid`` a block is instead one in-process ``udaselect ablate
+--ablation scoring --seeds 2 --steps <steps>`` (``cli.main``, its
+console output discarded), the operation of the benchmark's
+``ablate_scoring`` workload at its default 100 steps: 10 runs trained
+and written.  Each side writes its runs into a directory of its own,
+and each block reruns the grid over them.  Blocks alternate as above
+and are timed in process CPU time; each side's line also gives the
+median and quartiles of its blocks' minor page faults (``ru_minflt``),
+since a grid's allocations of 128 KiB and more can come from fresh
+pages on every call, which costs time that a step A/B does not see.
+There is no phase split.  The last line compares the bytes of every
+file of every run directory between the two sides.
 """
 
 from __future__ import annotations
@@ -51,7 +65,10 @@ for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib  # noqa: E402
+import io  # noqa: E402
+import resource  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -135,8 +152,35 @@ class Side:
         return us
 
 
-def load_sides(srcs: dict[str, Path], tmp: Path, steps: int) -> dict[str, Side]:
-    """Copy each ``<src>/udaselect`` to ``tmp/udaselect_<side>`` and load it."""
+class GridSide:
+    """One side's package and run directory for the grid A/B, and the
+    minor page faults of each of its blocks."""
+
+    def __init__(self, package: str, steps: int, out: Path):
+        self.main = importlib.import_module(f"{package}.cli").main
+        self.out = out
+        self.argv = ["ablate", "--ablation", "scoring", "--seeds", "2",
+                     "--steps", str(steps), "--out", str(out)]
+        self.faults = []
+
+    def block(self) -> float:
+        """CPU seconds of one grid call."""
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.process_time()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = self.main(self.argv)
+        spent = time.process_time() - start
+        self.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+        if code != 0:
+            raise SystemExit(f"udaselect {' '.join(self.argv)} exited with {code}")
+        return spent
+
+
+def load_sides(srcs: dict[str, Path], tmp: Path, steps: int,
+               grid: bool = False) -> dict[str, Side | GridSide]:
+    """Copy each ``<src>/udaselect`` to ``tmp/udaselect_<side>`` and load
+    it as a ``Side``, or with ``grid`` as a ``GridSide`` writing its runs
+    under ``tmp/runs_<side>``."""
     for side, src in srcs.items():
         package = src / "udaselect"
         if not (package / "__init__.py").is_file():
@@ -144,10 +188,13 @@ def load_sides(srcs: dict[str, Path], tmp: Path, steps: int) -> dict[str, Side]:
         shutil.copytree(package, tmp / f"udaselect_{side}",
                         ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, str(tmp))
+    if grid:
+        return {side: GridSide(f"udaselect_{side}", steps, tmp / f"runs_{side}")
+                for side in srcs}
     return {side: Side(f"udaselect_{side}", steps) for side in srcs}
 
 
-def run(sides: dict[str, Side], blocks: int) -> dict[str, list[float]]:
+def run(sides: dict[str, Side | GridSide], blocks: int) -> dict[str, list[float]]:
     """Per-step CPU seconds of each side's blocks, after one untimed
     warm-up block each."""
     for side in sides.values():
@@ -159,19 +206,28 @@ def run(sides: dict[str, Side], blocks: int) -> dict[str, list[float]]:
     return times
 
 
-def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int) -> str:
+def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int,
+           faults: dict[str, list[int]] | None = None) -> str:
+    """The summary of a step A/B, in µs per step, or with ``faults`` (one
+    list per side) of a grid A/B, in ms per call."""
+    scale, unit, block = ((1e3, "ms/call", "grid calls") if faults
+                          else (1e6, "us/step", "blocks"))
     lines = []
     for name in SIDES:
         s = summary(times[name])
-        q1, med, q3 = (s[k] * 1e6 for k in ("q1", "median", "q3"))
-        lines.append(f"{name:<6} {srcs[name]}: median {med:.1f} us/step "
-                     f"(quartiles {q1:.1f}-{q3:.1f})")
+        q1, med, q3 = (s[k] * scale for k in ("q1", "median", "q3"))
+        line = f"{name:<6} {srcs[name]}: median {med:.1f} {unit} (quartiles {q1:.1f}-{q3:.1f})"
+        if faults:
+            f = summary(faults[name])
+            line += (f", minor faults median {f['median']:.0f} "
+                     f"(quartiles {f['q1']:.0f}-{f['q3']:.0f})")
+        lines.append(line)
     ratios = [c / b for b, c in zip(times["base"], times["change"])]
     s = summary(ratios)
     won = sum(r < 1.0 for r in ratios)
     lines.append(f"ratio change/base: median {s['median']:.4f} "
                  f"(quartiles {s['q1']:.4f}-{s['q3']:.4f})")
-    lines.append(f"change faster in {won} of {len(ratios)} blocks of {steps} steps")
+    lines.append(f"change faster in {won} of {len(ratios)} {block} of {steps} steps")
     return "\n".join(lines)
 
 
@@ -221,21 +277,45 @@ def parity(sides: dict[str, Side]) -> str:
                       logs or f"step logs bit-identical: {len(base_log)} rows"))
 
 
+def run_parity(base: Path, change: Path) -> str:
+    """Whether every file under the two sides' run directories has the
+    same bytes, and which differ."""
+    files = {out: {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+             for out in (base, change)}
+    names = sorted(set(files[base]) | set(files[change]))
+    differ = [str(n) for n in names if files[base].get(n) != files[change].get(n)]
+    runs = len({n.parts[0] for n in names if len(n.parts) > 1})
+    if differ:
+        return (f"runs differ: {len(differ)} of {len(names)} files, {runs} run directories "
+                f"({', '.join(differ[:3])}{', ...' if len(differ) > 3 else ''})")
+    return f"runs byte-identical: {len(names)} files, {runs} run directories"
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="the base side's src/")
     ap.add_argument("--change", type=Path, required=True, help="the changed side's src/")
     ap.add_argument("--blocks", type=int, default=20, help="timed blocks per side")
-    ap.add_argument("--steps", type=int, default=3000, help="training steps per block")
+    ap.add_argument("--steps", type=int,
+                    help="training steps per run (default 3000, with --grid 100)")
+    ap.add_argument("--grid", action="store_true",
+                    help="time the benchmark's scoring ablation instead of one train call")
     args = ap.parse_args(argv)
-    if args.blocks < 1 or args.steps < 1:
+    steps = args.steps if args.steps is not None else 100 if args.grid else 3000
+    if args.blocks < 1 or steps < 1:
         ap.error("--blocks and --steps must be >= 1")
     srcs = {"base": args.base.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory() as tmp:
-        sides = load_sides(srcs, Path(tmp), args.steps)
+        sides = load_sides(srcs, Path(tmp), steps, args.grid)
         times = run(sides, args.blocks)
+        if args.grid:
+            # the warm-up block's faults are left out, like its time
+            print(report(times, srcs, steps,
+                         {name: side.faults[1:] for name, side in sides.items()}))
+            print(run_parity(sides["base"].out, sides["change"].out))
+            return 0
         phases = {name: side.phases() for name, side in sides.items()}
-    print(report(times, srcs, args.steps))
+    print(report(times, srcs, steps))
     print(phase_report(phases))
     print(parity(sides))
     return 0
