@@ -50,10 +50,12 @@ and written.  Each side writes its runs into a directory of its own,
 and each block reruns the grid over them.  Blocks alternate as above
 and are timed in process CPU time; each side's line also gives the
 median and quartiles of its blocks' minor page faults (``ru_minflt``),
-since a grid's allocations of 128 KiB and more can come from fresh
-pages on every call, which costs time that a step A/B does not see.
-There is no phase split.  The last line compares the bytes of every
-file of every run directory between the two sides.
+since fresh pages for a step's large temporaries cost time that a step
+A/B of one lane does not see.  Both sides share one heap, so a side's
+faults can depend on the other's allocations: with stacks of 4 lanes
+against stacks of 2 one run read about 800 faults per call and another
+about 10,000.  There is no phase split.  The last line compares the
+bytes of every file of every run directory between the two sides.
 """
 
 from __future__ import annotations
@@ -195,8 +197,8 @@ def load_sides(srcs: dict[str, Path], tmp: Path, steps: int,
 
 
 def run(sides: dict[str, Side | GridSide], blocks: int) -> dict[str, list[float]]:
-    """Per-step CPU seconds of each side's blocks, after one untimed
-    warm-up block each."""
+    """CPU seconds of each side's blocks, per step or per grid call,
+    after one untimed warm-up block each."""
     for side in sides.values():
         side.block()
     times = {name: [] for name in sides}
