@@ -459,7 +459,6 @@ class TestStepOpOracle:
                 replace(base, seed=5, static_w_alpha=0.0)]
         runs = [(*cli.make_benchmark(c)[:2], c) for c in cfgs]
         seen = self.check(monkeypatch, runs, tr._train_stack)
-        assert len({c.scheme for c in cfgs}) == 4
         # the static lane picks every target, the lane with no pseudo-labels none
         assert all(b.n_pseudo_selected == 32 for b in seen[5::6])
         assert not any(b.n_pseudo_selected for b in seen[4::6])
