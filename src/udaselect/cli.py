@@ -113,25 +113,21 @@ def run_lanes(runs: list[tuple[str, tr.TrainConfig, Path]]) -> list[float]:
     """``run_experiment`` of the benchmark run of each ``(name, cfg,
     out_dir)`` into its directory; returns each run's average class
     accuracy.  The runs train together as lanes
-    (``trainer.train_stacks``), each run's data is made when its stack
-    is about to train, and the runs of one name are written as soon as
-    the last of them has trained.  A ``NumericError`` names the failing
-    run by its name and seed and stops the runs: no run of a name whose
-    runs had not all trained by then is written."""
+    (``trainer.train_stacks``), and the runs of one name are written as
+    soon as the last of them has trained.  A ``NumericError`` names the
+    failing run by its name and seed and stops the runs: no run of a
+    name whose runs had not all trained by then is written."""
+    data = [make_benchmark(cfg) for _, cfg, _ in runs]
     left = Counter(name for name, _, _ in runs)
-    data, trained, accs = {}, {}, [None] * len(runs)
-
-    def benchmark(i: int) -> tuple[dt.DomainDataset, dt.DomainDataset]:
-        data[i] = make_benchmark(runs[i][1])
-        return data[i][:2]
-
+    trained, accs = {}, [None] * len(runs)
     try:
-        for stack in tr.train_stacks([cfg for _, cfg, _ in runs], benchmark):
+        for stack in tr.train_stacks([(src, tgt, cfg) for (_, cfg, _), (src, tgt, _)
+                                      in zip(runs, data)]):
             for i, result in stack:
                 trained[i] = result
                 left[runs[i][0]] -= 1
             for i in sorted(i for i in trained if not left[runs[i][0]]):
-                (name, cfg, out_dir), (src, tgt, spec) = runs[i], data.pop(i)
+                (name, cfg, out_dir), (src, tgt, spec) = runs[i], data[i]
                 report = write_run(name, cfg, *trained.pop(i), src, tgt, spec, out_dir)
                 accs[i] = report.average_class_accuracy
     except NumericError as exc:

@@ -18,7 +18,7 @@ only when it replays, so on a run with no replay the benchmark's
 per-layer spans of them read 0 and it counts one node per step.
 
 Runs train together as the lanes of one step (``step_lanes``,
-``train_lanes``) when their configs differ only in ``LANE_FIELDS``: the
+``train_stacks``) when their configs differ only in ``LANE_FIELDS``: the
 seed, and the scheme and thresholds, which act after the forward.  A
 leading lane axis stacks their batches, and each lane has its own
 parameters, batch stream, momentum, score, thresholds and log rows and
@@ -33,7 +33,7 @@ of more lanes steps through ``step_lanes`` directly.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -287,17 +287,14 @@ def _scores(schemes: dict[str, np.ndarray], d: np.ndarray, probs: np.ndarray) ->
     """Each lane's target scores, ``(R, half)``, under its own scheme from
     the ``(R, half)`` domain outputs ``d`` and ``(R, half, K)`` ``probs``:
     one call per scheme, over that scheme's lanes."""
-    if len(schemes) == 1:
-        (scheme,) = schemes
-        return sc.scores_from_outputs(d, probs, scheme)
     scores = np.empty(d.shape)
     for scheme, rows in schemes.items():
         scores[rows] = sc.scores_from_outputs(d[rows], probs[rows], scheme)
     return scores
 
 
-def step_op(state: TrainState, x: np.ndarray, labels: np.ndarray, lam: float,
-            cfg: TrainConfig) -> tuple[Node, list[ls.LossBreakdown]]:
+def step_op(state: TrainState, x: np.ndarray, labels: np.ndarray,
+            lam: float) -> tuple[Node, list[ls.LossBreakdown]]:
     """``engine_loss`` of every lane of ``state`` at its step ``t`` as one
     op over ``lanes.flat``, with each lane's value and parameter
     gradients bit for bit.
@@ -310,7 +307,7 @@ def step_op(state: TrainState, x: np.ndarray, labels: np.ndarray, lam: float,
     its own scheme, one score call per scheme (``state.schemes``).
     ``losses.compound_array`` takes the stacks of probabilities and
     domain outputs, the lanes' thresholds at step ``t`` as ``(R, 1)``
-    columns (``state.w_alpha``, ``state.w_beta``) and ``cfg``'s shared
+    columns (``state.w_alpha``, ``state.w_beta``) and the lanes' shared
     ``gamma`` and diversity mode, and returns each lane's breakdown and
     one gradient per stack for a loss gradient of 1.  The VJP scales them
     by ``g`` and keeps the engine's op order: a tensor used twice gets
@@ -328,7 +325,7 @@ def step_op(state: TrainState, x: np.ndarray, labels: np.ndarray, lam: float,
     """
     x = np.asarray(x, dtype=np.float64)
     md.check_finite(x)
-    lanes = state.lanes
+    cfg, lanes = state.cfgs[0], state.lanes
     nets, layers, out = lanes.nets, lanes.layers, lanes.half_views
     tape_f, tape_c, tape_d = [], [], []
     feats = nets["f"].forward_array(x, tape_f, layers["f"])
@@ -352,16 +349,16 @@ def step_op(state: TrainState, x: np.ndarray, labels: np.ndarray, lam: float,
     return Node(total, (lanes.flat,), "train_step", vjp), breakdowns
 
 
-def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray,
-               cfg: TrainConfig) -> list[ls.LossBreakdown]:
+def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray
+               ) -> list[ls.LossBreakdown]:
     """One forward/backward/SGD step of every lane; writes each lane's
     log row ``t``, advances ``t`` and returns the lanes' loss breakdowns.
     ``x`` stacks the lanes' batches and ``labels`` their classifier
     indices (``ModelBundle.class_index``) as ``step_op`` takes them.
-    ``cfg`` is any lane's config: it gives the fields the lanes share
-    (the reversal, ``gamma``, the diversity mode, the learning rate and
-    momentum), and each lane steps under its own scheme and thresholds,
-    those of the config ``init_state`` built it from.
+    Each lane steps under the config ``init_state`` built it from: the
+    lanes share the reversal, ``gamma``, the diversity mode, the
+    learning rate and momentum, and each has its own scheme and
+    thresholds.
 
     A non-finite value replays each lane on ``engine_loss``, under its
     own config and threshold, in turn:
@@ -374,14 +371,14 @@ def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray,
     """
     if state.t >= state.log.shape[1]:
         raise ContractError(f"step {state.t} out of budget T={state.log.shape[1]}")
-    lanes, flat = state.lanes, state.lanes.flat
+    cfg, lanes, flat = state.cfgs[0], state.lanes, state.lanes.flat
     thresholds = state.w_alpha[:, state.t].tolist()
     lam = grl_coefficient(cfg, state.t)
     lane = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             try:
-                total, breakdowns = step_op(state, x, labels, lam, cfg)
+                total, breakdowns = step_op(state, x, labels, lam)
                 totals = (total,)
             except NumericError:
                 totals, breakdowns = [], []
@@ -417,12 +414,13 @@ def train_step(state: TrainState, batch: DomainBatch, cfg: TrainConfig,
     """``step_lanes`` of a one-lane state on ``batch``; returns the loss
     breakdown.  This is the step of a run trained alone, and the one the
     benchmark's tracer wraps: it reads the breakdown's selection counts
-    and ``batch.target_x``.  ``labels`` are the classifier indices of the
-    source half's class ids.  ``batch.source_y`` holds the labels of the
+    and ``batch.target_x``.  ``cfg`` is the run's config, which the
+    state holds too and steps under.  ``labels`` are the classifier
+    indices of the source half's class ids.  ``batch.source_y`` holds the labels of the
     dataset it was drawn from: ``train`` draws from indices and passes
     ``source_y`` itself, while a batch drawn from class ids needs
     ``class_index(batch.source_y)``."""
-    return step_lanes(state, batch.x[None], np.asarray(labels)[None], cfg)[0]
+    return step_lanes(state, batch.x[None], np.asarray(labels)[None])[0]
 
 
 def _train_stack(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]]
@@ -445,7 +443,7 @@ def _train_stack(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]
             train_step(state, batch, cfg, batch.source_y)
     else:
         for _ in zip(*streams):
-            step_lanes(state, x, labels, cfg)
+            step_lanes(state, x, labels)
     return [(m, log[:state.t]) for m, log in zip(state.lanes.models, state.log)]
 
 
@@ -456,45 +454,30 @@ def train(src: DomainDataset, tgt: DomainDataset,
     return _train_stack([(src, tgt, cfg)])[0]
 
 
-def train_stacks(cfgs: Sequence[TrainConfig],
-                 data: Callable[[int], tuple[DomainDataset, DomainDataset]]
+def train_stacks(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]]
                  ) -> Iterator[list[tuple[int, tuple[ModelBundle, np.ndarray]]]]:
-    """``train`` of each run, bit for bit, with the runs trained as the
-    lanes of stacks: runs whose configs share every field outside
-    ``LANE_FIELDS`` fill stacks of up to ``MAX_LANES`` in their order.
-    Run i has the config ``cfgs[i]`` and the source and target
-    ``data(i)``, which is called only when run i's stack is about to
-    train, so a caller can make each run's data as late as that.  Yields
-    each stack, once it has trained, as the ``(i, (model, log))`` pair of
-    each of its runs.  A ``NumericError`` names the failing run by its
-    seed and sets its ``run`` to i; no further stack trains."""
+    """``train`` of each ``(src, tgt, cfg)`` run, bit for bit, with the
+    runs trained as the lanes of stacks: runs whose configs share every
+    field outside ``LANE_FIELDS`` fill stacks of up to ``MAX_LANES`` in
+    their order.  Yields each stack, once it has trained, as the
+    ``(i, (model, log))`` pair of each of its runs, i its index in
+    ``runs``.  A ``NumericError`` names the failing run by its seed and
+    sets its ``run`` to i; no further stack trains."""
     groups = {}
-    for i, cfg in enumerate(cfgs):
+    for i, (_, _, cfg) in enumerate(runs):
         groups.setdefault(_shared_fields(cfg), []).append(i)
     for group in groups.values():
         for start in range(0, len(group), MAX_LANES):
             stack = group[start:start + MAX_LANES]
             try:
-                trained = _train_stack([(*data(i), cfgs[i]) for i in stack])
+                trained = _train_stack([runs[i] for i in stack])
             except NumericError as exc:
                 if exc.lane is None:
                     raise
-                error = NumericError(f"seed {cfgs[stack[exc.lane]].seed}: {exc}")
+                error = NumericError(f"seed {runs[stack[exc.lane]][2].seed}: {exc}")
                 error.run = stack[exc.lane]
                 raise error from exc
             yield list(zip(stack, trained))
-
-
-def train_lanes(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]]
-                ) -> list[tuple[ModelBundle, np.ndarray]]:
-    """``train`` of each ``(src, tgt, cfg)`` run, in order, trained as
-    ``train_stacks`` trains them.  A ``NumericError`` names the failing
-    run by its seed, and no run's result is returned."""
-    out = [None] * len(runs)
-    for stack in train_stacks([cfg for _, _, cfg in runs], lambda i: runs[i][:2]):
-        for i, result in stack:
-            out[i] = result
-    return out
 
 
 #: json's text for the non-finite floats, as ``repr`` spells them

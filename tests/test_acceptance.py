@@ -300,15 +300,17 @@ VARIANTS = {
 @pytest.fixture(scope="session")
 def benchmark_grid():
     """Mean accuracy per variant over 3 seeds, plus the full-method models.
-    All 21 runs train in one ``train_lanes`` call: the variants differ
+    All 21 runs train in one ``train_stacks`` call: the variants differ
     only in scheme and thresholds, so they fill 6 stacks of lanes of
     mixed variants, with the bits of each run trained alone."""
     runs = [(name, benchmark_config(seed=seed, **kw))
             for name, kw in VARIANTS.items() for seed in SEEDS]
     data = [make_benchmark(cfg) for _, cfg in runs]
-    trained = tr.train_lanes([(src, tgt, cfg) for (_, cfg), (src, tgt, _) in zip(runs, data)])
+    trained = dict(pair for stack in tr.train_stacks(
+        [(src, tgt, cfg) for (_, cfg), (src, tgt, _) in zip(runs, data)]) for pair in stack)
     per_seed, full_runs = {name: [] for name in VARIANTS}, []
-    for (name, cfg), (_, tgt, spec), (model, _) in zip(runs, data, trained):
+    for i, ((name, cfg), (_, tgt, spec)) in enumerate(zip(runs, data)):
+        model, _ = trained[i]
         rep = evaluate(model, tgt, spec, cfg.w0, cfg.scheme)
         per_seed[name].append(rep.average_class_accuracy * 100)
         if name == "full":

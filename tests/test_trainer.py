@@ -32,7 +32,7 @@ def step(state, batch, cfg):
     return tr.train_step(state, batch, cfg, state.lanes.models[0].class_index(batch.source_y))
 
 
-def engine_op(state, x, labels, lam, cfg):
+def engine_op(state, x, labels, lam):
     """``step_op`` as the engine graph: each lane's ``engine_loss`` under
     its own config and threshold, their totals summed by engine ``add``
     nodes."""
@@ -41,6 +41,12 @@ def engine_op(state, x, labels, lam, cfg):
                                             state.w_alpha[:, state.t].tolist(), state.cfgs,
                                             strict=True)]
     return functools.reduce(ad.add, [t for t, _ in pairs]), [b for _, b in pairs]
+
+
+def train_runs(runs):
+    """Each run's ``(model, log)`` from ``train_stacks``, in run order."""
+    trained = dict(pair for stack in tr.train_stacks(runs) for pair in stack)
+    return [trained[i] for i in range(len(runs))]
 
 
 def tiny_cfg(**kw):
@@ -441,7 +447,7 @@ class TestStepOpOracle:
         cfg = replace(cfg, **{k: v for k, v in case.items() if k != "scheme"})
         runs = [(*cli.make_benchmark(c)[:2], c)
                 for c in (replace(cfg, seed=seed) for seed in range(lanes))]
-        seen = self.check(monkeypatch, runs, tr.train_lanes)
+        seen = self.check(monkeypatch, runs, train_runs)
         if cfg.pseudo_labels and cfg.diversity_mode == "both":
             assert any(b.n_pseudo_selected for b in seen)
             assert any(b.n_diversity_selected for b in seen)
@@ -473,7 +479,7 @@ class TestStepOpOracle:
         state = tr.init_state([src], [cfg])
         batch = dt.sample_batch(src, tgt, cfg.batch_size, np.random.default_rng(0))
         labels = state.lanes.models[0].class_index(batch.source_y)
-        total, _ = tr.step_op(state, batch.x[None], labels[None], cfg.grl_lambda, cfg)
+        total, _ = tr.step_op(state, batch.x[None], labels[None], cfg.grl_lambda)
         (once,) = total.vjp(np.ones(()))
         (twice,) = total.vjp(np.full((), 2.0))
         assert once.any()
@@ -504,7 +510,7 @@ class TestLaneRule:
         assert {k: v.tolist() for k, v in state.schemes.items()} == {"ours": [0, 2, 3],
                                                                     "uan": [1]}
 
-    def test_train_lanes_stacks_runs_that_share_their_fields_in_order(self, monkeypatch):
+    def test_train_stacks_stacks_runs_that_share_their_fields_in_order(self, monkeypatch):
         """Runs of two shared configs, interleaved: each config's runs fill
         stacks in their order, and every run returns its result alone."""
         src, tgt = tiny_data()
@@ -514,7 +520,7 @@ class TestLaneRule:
         monkeypatch.setattr(tr, "_train_stack", lambda runs: stacks.append(
             [c.seed for _, _, c in runs]) or train_stack(runs))
         monkeypatch.setattr(tr, "MAX_LANES", 2)
-        together = tr.train_lanes([(src, tgt, c) for c in cfgs])
+        together = train_runs([(src, tgt, c) for c in cfgs])
         assert stacks == [[0, 2], [4], [1, 3]]
         for (m, log), cfg in zip(together, cfgs, strict=True):
             m_alone, log_alone = train_stack([(src, tgt, cfg)])[0]
@@ -578,8 +584,8 @@ class TestNumericErrorInALane:
     """A non-finite value in one lane of a stack replays the lanes on the
     engine graph: the error names that lane, and no lane's state moves."""
 
-    def setup(self, lanes):
-        cfgs = [cli.benchmark_config(total_steps=4, seed=seed) for seed in range(lanes)]
+    def setup(self, lanes, **kw):
+        cfgs = [cli.benchmark_config(total_steps=4, seed=seed, **kw) for seed in range(lanes)]
         data = [cli.make_benchmark(cfg)[:2] for cfg in cfgs]
         state = tr.init_state([src for src, _ in data], cfgs)
         draws = [[dt.sample_batch(src, tgt, cfg.batch_size, np.random.default_rng([s, 1]))
@@ -588,13 +594,13 @@ class TestNumericErrorInALane:
                    np.stack([m.class_index(lane[i].source_y)
                              for m, lane in zip(state.lanes.models, draws)]))
                   for i in range(2)]
-        return cfgs[0], state, stacks
+        return state, stacks
 
     @pytest.mark.parametrize("lanes, bad", [(2, 0), (2, 1), (3, 1), (3, 2)])
     @pytest.mark.parametrize("fault", ["input", "matmul"])
     def test_names_the_lane_and_leaves_every_lane_as_it_was(self, lanes, bad, fault):
-        cfg, state, stacks = self.setup(lanes)
-        tr.step_lanes(state, *stacks[0], cfg)
+        state, stacks = self.setup(lanes)
+        tr.step_lanes(state, *stacks[0])
         x, labels = stacks[1]
         if fault == "input":
             x[bad, 1, 3, 2] = np.nan
@@ -602,7 +608,7 @@ class TestNumericErrorInALane:
             state.lanes.models[bad].d.weights[0].value[...] = np.finfo(float).max
         before = (state.t, state.lanes.values.copy(), state.v.copy(), state.log.copy())
         with pytest.raises(NumericError) as raised:
-            tr.step_lanes(state, x, labels, cfg)
+            tr.step_lanes(state, x, labels)
         assert raised.value.lane == bad
         assert str(raised.value) == f"step 1: non-finite values produced by op '{fault}'"
         assert state.t == before[0] and state.log.tobytes() == before[3].tobytes()
@@ -614,19 +620,18 @@ class TestNumericErrorInALane:
         """A reversal coefficient of 1.7e308 overflows the extractor's
         gradient in every lane but those whose domain head passes it no
         gradient: here every lane but ``bad``."""
-        cfg, state, stacks = self.setup(3)
-        cfg = replace(cfg, grl_lambda=1.7e308)
+        state, stacks = self.setup(3, grl_lambda=1.7e308)
         for lane, m in enumerate(state.lanes.models):
             if lane != bad:
                 m.d.weights[0].value[...] = 0.0
         before = state.lanes.values.copy()
         with pytest.raises(NumericError, match="^step 0: non-finite gradient$") as raised:
-            tr.step_lanes(state, *stacks[0], cfg)
+            tr.step_lanes(state, *stacks[0])
         assert raised.value.lane == bad
         assert state.t == 0 and state.log.tobytes() == np.zeros_like(state.log).tobytes()
         np.testing.assert_array_equal(bits(state.lanes.values), bits(before))
 
-    def test_train_lanes_names_the_seed_of_the_run_alone(self):
+    def test_train_stacks_names_the_seed_of_the_run_alone(self):
         """A non-finite feature in one seed's source fails that run at the
         step that first draws it, alone or as a lane of a stack."""
         cfgs = [cli.benchmark_config(total_steps=200, seed=seed) for seed in range(3)]
@@ -640,7 +645,7 @@ class TestNumericErrorInALane:
         assert re.fullmatch(r"step \d+: non-finite values produced by op 'input'",
                             str(alone.value))
         with pytest.raises(NumericError) as together:
-            tr.train_lanes(runs)
+            train_runs(runs)
         assert str(together.value) == f"seed 1: {alone.value}"
         assert together.value.lane is None and together.value.run == 1
 
