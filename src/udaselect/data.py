@@ -107,14 +107,22 @@ class DomainDataset:
 class DomainBatch:
     """One paired mini-batch: ``x`` stacks the labeled source half (slice
     0) over the unlabeled target half (slice 1), and ``source_y`` holds
-    the source half's labels from the dataset its rows were drawn from."""
+    the source half's labels from the dataset its rows were drawn from.
+
+    A training step takes the batch of a stack of R lanes in the same
+    form with a leading lane axis: ``x`` is ``(R, 2, half, dim)`` and
+    ``source_y`` the ``(R, half)`` classifier indices of each lane's
+    source rows (``ModelBundle.class_index``)."""
 
     x: np.ndarray
     source_y: np.ndarray
 
     @property
     def target_x(self) -> np.ndarray:
-        return self.x[1]
+        """Every target row, ``(half, dim)`` or a stack's ``(R * half,
+        dim)`` in lane order: a view of ``x`` for one lane, a copy for
+        more."""
+        return self.x[..., 1, :, :].reshape(-1, self.x.shape[-1])
 
 
 def _rotation_matrix(dim: int, angle: float, rng: np.random.Generator) -> np.ndarray:

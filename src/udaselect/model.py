@@ -335,9 +335,6 @@ class ModelBundle:
             start += p.value.size
         return out
 
-    def zero_grads(self) -> None:
-        self.grads.fill(0.0)
-
     def class_index(self, labels: np.ndarray) -> np.ndarray:
         """The classifier output index of each dataset class id in ``labels``."""
         labels = np.asarray(labels)
@@ -352,9 +349,12 @@ class ModelBundle:
 class Lanes:
     """Bundles of one architecture as the lanes of one stack: the training
     step's view of the parameters of the runs it trains together.  A run
-    trained alone is a stack of one lane: its step read no slower than
-    the same step with no lane axis (``tools/step_ab.py`` on a 2-vCPU
-    Xeon, 30 blocks of 500 steps: ratio 0.996, quartiles 0.973-1.030).
+    trained alone is a stack of one lane.  Against the same step with no
+    lane axis, ``tools/step_ab.py`` read that step's ratio as 0.996
+    (quartiles 0.973-1.030; 30 blocks of 500 steps on a 2-vCPU Xeon),
+    while the benchmark's whole 3000-step run (``BENCH_30``
+    ``train_single``) read 1.159 -> 1.201 s, higher in 10 of 10 pairs.
+    Where that cost goes is ROADMAP item 9.
 
     Each lane stays a whole ``ModelBundle``, but its ``values`` and
     ``grads`` become row r of the stack's ``(R, P)`` ``values`` and

@@ -17,7 +17,7 @@ a non-finite value.  A step calls the node forwards and node losses
 only when it replays, so on a run with no replay the benchmark's
 per-layer spans of them read 0 and it counts one node per step.
 
-Runs train together as the lanes of one step (``step_lanes``,
+Runs train together as the lanes of one step (``train_step``,
 ``train_stacks``) when their configs differ only in ``LANE_FIELDS``: the
 seed, and the scheme and thresholds, which act after the forward.  A
 leading lane axis stacks their batches, and each lane has its own
@@ -25,9 +25,9 @@ parameters, batch stream, momentum, score, thresholds and log rows and
 the bits of its run trained alone.  Most of a benchmark step is
 per-call cost that does not grow with the rows, and a stack pays it
 once for all its lanes; ``MAX_LANES`` caps a stack where that gain
-levels off.  A run trained alone is a stack of one lane and steps
-through ``train_step``, the step the benchmark's tracer wraps; a stack
-of more lanes steps through ``step_lanes`` directly.
+levels off.  A run trained alone is a stack of one lane.  Every stack,
+of one lane or more, steps through ``train_step``, the step the
+benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def step_op(state: TrainState, x: np.ndarray, labels: np.ndarray,
     parameter, so each lane's gradient is that of its own total.
     Raises ``NumericError`` where ``engine_loss`` raises in some lane: a
     non-finite input, layer pre-activation or total (the returned
-    ``Node`` checks the sum).  Its caller, ``step_lanes``, runs it under
+    ``Node`` checks the sum).  Its caller, ``train_step``, runs it under
     the step's ``np.errstate``.
     ``lam`` must be >= 0, which ``TrainConfig`` ensures.
     """
@@ -349,14 +349,18 @@ def step_op(state: TrainState, x: np.ndarray, labels: np.ndarray,
     return Node(total, (lanes.flat,), "train_step", vjp), breakdowns
 
 
-def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray
-               ) -> list[ls.LossBreakdown]:
-    """One forward/backward/SGD step of every lane; writes each lane's
-    log row ``t``, advances ``t`` and returns the lanes' loss breakdowns.
-    ``x`` stacks the lanes' batches and ``labels`` their classifier
-    indices (``ModelBundle.class_index``) as ``step_op`` takes them.
-    Each lane steps under the config ``init_state`` built it from: the
-    lanes share the reversal, ``gamma``, the diversity mode, the
+def train_step(state: TrainState, batch: DomainBatch) -> ls.LossBreakdown:
+    """One forward/backward/SGD step of every lane of ``state`` on the
+    stack ``batch``; writes each lane's log row ``t``, advances ``t`` and
+    returns the step's loss breakdown: a one-lane stack's own, and for
+    more lanes each field summed over the lanes in lane order.  This is
+    the step of every stack, and the one the benchmark's tracer wraps: it
+    reads the breakdown's selection counts and ``batch.target_x``.
+
+    ``batch.x`` stacks the lanes' batches and ``batch.source_y`` their
+    classifier indices (``ModelBundle.class_index``) as ``step_op`` takes
+    them.  Each lane steps under the config ``init_state`` built it from:
+    the lanes share the reversal, ``gamma``, the diversity mode, the
     learning rate and momentum, and each has its own scheme and
     thresholds.
 
@@ -372,6 +376,7 @@ def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray
     if state.t >= state.log.shape[1]:
         raise ContractError(f"step {state.t} out of budget T={state.log.shape[1]}")
     cfg, lanes, flat = state.cfgs[0], state.lanes, state.lanes.flat
+    x, labels = batch.x, batch.source_y
     thresholds = state.w_alpha[:, state.t].tolist()
     lam = grl_coefficient(cfg, state.t)
     lane = None
@@ -406,21 +411,10 @@ def step_lanes(state: TrainState, x: np.ndarray, labels: np.ndarray
     for lane, (b, w_a) in enumerate(zip(breakdowns, thresholds)):
         state.log[lane, state.t] = (*b, w_a)
     state.t += 1
-    return breakdowns
-
-
-def train_step(state: TrainState, batch: DomainBatch, cfg: TrainConfig,
-               labels: np.ndarray) -> ls.LossBreakdown:
-    """``step_lanes`` of a one-lane state on ``batch``; returns the loss
-    breakdown.  This is the step of a run trained alone, and the one the
-    benchmark's tracer wraps: it reads the breakdown's selection counts
-    and ``batch.target_x``.  ``cfg`` is the run's config, which the
-    state holds too and steps under.  ``labels`` are the classifier
-    indices of the source half's class ids.  ``batch.source_y`` holds the labels of the
-    dataset it was drawn from: ``train`` draws from indices and passes
-    ``source_y`` itself, while a batch drawn from class ids needs
-    ``class_index(batch.source_y)``."""
-    return step_lanes(state, batch.x[None], np.asarray(labels)[None])[0]
+    if len(breakdowns) == 1:
+        # not summed from 0, which would turn a -0.0 into +0.0
+        return breakdowns[0]
+    return ls.LossBreakdown._make(sum(v[1:], v[0]) for v in zip(*breakdowns))
 
 
 def _train_stack(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]]
@@ -428,22 +422,18 @@ def _train_stack(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]
     """``train`` of every run, as the lanes of one stack.  Each lane draws
     its batches from its own source, relabelled once with its classifier
     indices, and its own stream, straight into its slice of the stack's
-    batch; a one-lane stack steps through ``train_step``."""
-    cfg = runs[0][2]
+    batch."""
     state = init_state([src for src, _, _ in runs], [c for _, _, c in runs])
-    half = cfg.batch_size // 2
-    x = np.empty((len(runs), 2, half, runs[0][0].dim))
-    labels = np.empty((len(runs), half), np.intp)
+    half = runs[0][2].batch_size // 2
+    batch = DomainBatch(np.empty((len(runs), 2, half, runs[0][0].dim)),
+                        np.empty((len(runs), half), np.intp))
     streams = [
         batches(DomainDataset(src.features, m.class_index(src.labels)), tgt, half,
                 c.total_steps, np.random.default_rng([c.seed, 1]), DomainBatch(xr, yr))
-        for (src, tgt, c), m, xr, yr in zip(runs, state.lanes.models, x, labels)]
-    if len(runs) == 1:
-        for batch in streams[0]:
-            train_step(state, batch, cfg, batch.source_y)
-    else:
-        for _ in zip(*streams):
-            step_lanes(state, x, labels)
+        for (src, tgt, c), m, xr, yr in zip(runs, state.lanes.models, batch.x,
+                                            batch.source_y)]
+    for _ in zip(*streams):
+        train_step(state, batch)
     return [(m, log[:state.t]) for m, log in zip(state.lanes.models, state.log)]
 
 

@@ -160,7 +160,7 @@ class TestCriterion1:
         for C and D; the extractor descends the reversal-free surrogate
         with the domain term scaled by -lam, so its oracle uses that.
         """
-        m.zero_grads()
+        m.grads.fill(0.0)
         backward(compound_loss(m, xs, ys, xt))
         analytic = {name: p.grad.copy() for name, p in m.parameters()}
         for name, p in m.parameters():
@@ -262,7 +262,7 @@ class TestCriterion5:
             scores = sc.scores_from_outputs(d_t, probs_t.value, "ours")
             loss, _ = ls.loss_classification(probs_s, ys, probs_t, scores,
                                              W_ALPHA, GAMMA)
-            m.zero_grads()
+            m.grads.fill(0.0)
             backward(loss)
             return scores, [p.grad.copy() for _, p in m.parameters()]
 

@@ -143,6 +143,15 @@ class TestSampleBatch:
         assert batch.source_y.shape[0] == 4
         assert batch.target_x.shape[0] == 4
 
+    def test_a_stacks_target_x_is_every_lanes_target_rows_in_lane_order(self):
+        src, tgt = self._pair()
+        lanes = [dt.sample_batch(src, tgt, 8, np.random.default_rng(seed)) for seed in range(3)]
+        stack = dt.DomainBatch(np.stack([b.x for b in lanes]),
+                               np.stack([b.source_y for b in lanes]))
+        np.testing.assert_array_equal(stack.target_x,
+                                      np.concatenate([b.target_x for b in lanes]))
+        assert np.shares_memory(lanes[0].target_x, lanes[0].x)
+
     def test_seeded_rng_is_deterministic(self):
         src, tgt = self._pair()
         b1 = [dt.sample_batch(src, tgt, 6, np.random.default_rng(3))

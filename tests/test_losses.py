@@ -242,11 +242,11 @@ class TestLossCompound:
 
     def test_domain_net_gradient_equals_domain_loss_alone(self):
         m, total, l_d, _ = self._graphs(True)
-        m.zero_grads()
+        m.grads.fill(0.0)
         backward(total)
         full = [w.grad.copy() for w in m.d.weights]
         m2, _, l_d2, _ = self._graphs(True)
-        m2.zero_grads()
+        m2.grads.fill(0.0)
         backward(l_d2)
         alone = [w.grad.copy() for w in m2.d.weights]
         for a, b in zip(full, alone):
@@ -254,11 +254,11 @@ class TestLossCompound:
 
     def test_extractor_domain_gradient_is_negated_by_grl(self):
         m1, _, l_d1, _ = self._graphs(True, lam=1.0)
-        m1.zero_grads()
+        m1.grads.fill(0.0)
         backward(l_d1)
         g_with = m1.f.weights[0].grad.copy()
         m2, _, l_d2, _ = self._graphs(False)
-        m2.zero_grads()
+        m2.grads.fill(0.0)
         backward(l_d2)
         np.testing.assert_allclose(g_with, -m2.f.weights[0].grad, atol=1e-12)
 

@@ -104,7 +104,7 @@ class TestForwardDomain:
         assert np.all(d > 0.0) and np.all(d < 1.0)
 
     def _domain_loss_grads(self, m, x, lam, use_grl=True):
-        m.zero_grads()
+        m.grads.fill(0.0)
         feats = md.features(m, x)
         head_in = ad.grad_reverse(feats, lam) if use_grl else feats
         d = m.d.forward(head_in)
@@ -277,15 +277,6 @@ class TestFlatBuffers:
         backward(bias)
         assert_packed(m)
         np.testing.assert_array_equal(bias.grad, [1.0])
-
-    def test_zero_grads_clears_every_parameter(self):
-        m = small_bundle()
-        x = np.random.default_rng(0).normal(size=(5, 4))
-        backward(ad.sum_all(md.label_probs(m, md.features(m, x))))
-        assert np.any(m.grads != 0.0)
-        m.zero_grads()
-        for _, p in m.parameters():
-            assert np.array_equal(p.grad, np.zeros(p.shape))
 
 
 def bits(a):

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from udaselect import cli
 from udaselect import scoring as sc
+from udaselect import trainer as tr
 from udaselect.autodiff import Node
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,6 +45,39 @@ def test_score_batch_length_counts_rows(scheme):
     from test_model import small_bundle
     x = np.random.default_rng(0).normal(size=(7, 4))
     assert len(sc.score_batch(small_bundle(), x, scheme)) == len(x)
+
+
+def train_pairs(runs):
+    """Every run's ``(model, log)``, as the grid trains them."""
+    return [pair for stack in tr.train_stacks(runs) for _, pair in stack]
+
+
+@pytest.mark.parametrize("train, schemes", [
+    (lambda runs: [tr.train(*runs[0])], ("ours",)),
+    (train_pairs, ("ours", "uan")),
+], ids=["one lane through train", "two lanes through train_stacks"])
+def test_the_tracer_sees_every_step_of_every_stack(train, schemes):
+    """The tracer wraps ``trainer.train_step``, the step of a stack of one
+    lane or more: one span and one node per step, and every lane's
+    target rows and selections."""
+    cfgs = [cli.scheme_defaults(cli.benchmark_config(total_steps=5, seed=seed), scheme)
+            for seed, scheme in enumerate(schemes)]
+    runs = [(*cli.make_benchmark(cfg)[:2], cfg) for cfg in cfgs]
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.root("train"):
+        logs = [log for _, log in train(runs)]
+    steps = [s for s in tracer.spans if s[tracing.NAME] == "trainer.train_step"]
+    assert [s[tracing.NODES1] - s[tracing.NODES0] for s in steps] == [1] * 5
+    counters = tracer.counters
+    assert counters["target_rows"] == 5 * 32 * len(runs)
+    assert counters["pseudo_selected"] == sum(int(log["n_pseudo_selected"].sum())
+                                              for log in logs) > 0
+    assert counters["diversity_selected"] == sum(int(log["n_diversity_selected"].sum())
+                                                 for log in logs) > 0
+    layers = tracer.layer_metrics(0.0)
+    assert layers["trainer.train_step.us_p50"] > 0
+    assert layers["autodiff.nodes_per_step"] == 1.0
+    assert layers["scoring.scores_from_outputs.us"] > 0
 
 
 def test_benchmark_selftest_passes():

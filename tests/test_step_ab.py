@@ -23,15 +23,17 @@ def step_ab(base: Path, change: Path, run_dir: Path, *flags: str) -> list[str]:
     return out.splitlines()
 
 
-PHASE_LINE = (r"{side} +phases us/step: batch draw (N), forward (N), score (N), "
-              r"loss head (N), backward (N), update and log (N) \(total (N)\)"
-              ).replace("N", NUMBER)
+#: a phase's median and quartiles
+SPREAD = rf"{NUMBER} \({NUMBER}-{NUMBER}\)"
+
+PHASE_PARTS = (r"batch draw S, forward S, score S, loss head S, backward S, "
+               r"update and log S, total S").replace("S", SPREAD)
 
 
 def test_self_ab_prints_the_summary(tmp_path):
     src = ROOT / "src"
     lines = step_ab(src, src, tmp_path)
-    assert len(lines) == 7, lines
+    assert len(lines) == 8, lines
     for side, line in zip(("base", "change"), lines):
         assert re.fullmatch(rf"{side} +{re.escape(str(src))}: median {NUMBER} us/step "
                             rf"\(quartiles {NUMBER}-{NUMBER}\)", line), line
@@ -40,12 +42,12 @@ def test_self_ab_prints_the_summary(tmp_path):
     won = re.fullmatch(r"change faster in (\d+) of 2 blocks of 2 steps", lines[3])
     assert won and int(won.group(1)) <= 2, lines[3]
     for side, line in zip(("base", "change"), lines[4:6]):
-        phases = re.fullmatch(PHASE_LINE.format(side=side), line)
-        assert phases, line
-        *parts, total = map(float, phases.groups())
-        assert abs(sum(parts) - total) < 0.5, line
+        assert re.fullmatch(rf"{side} +phases us/step, median \(quartiles\) of 9 calls: "
+                            + PHASE_PARTS, line), line
+    assert re.fullmatch(r"phase ratio change/base, median \(quartiles\) of 9 pairs: "
+                        + PHASE_PARTS, lines[6]), lines[6]
     assert re.fullmatch(r"parameters and step logs bit-identical: \d+ values, 2 rows",
-                        lines[6]), lines[6]
+                        lines[7]), lines[7]
     assert not list(tmp_path.iterdir())  # the package copies are gone
 
 

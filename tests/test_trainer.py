@@ -27,9 +27,17 @@ def tiny_data(seed=0):
     return dt.gen_synthetic(spec, 4, 8, dt.ShiftConfig(0.3, 0.5), seed=seed)
 
 
-def step(state, batch, cfg):
-    """``train_step`` on a batch of the test's own, its labels mapped."""
-    return tr.train_step(state, batch, cfg, state.lanes.models[0].class_index(batch.source_y))
+def stack(state, draws):
+    """The stack batch of one drawn batch per lane of ``state``, each
+    lane's labels mapped to its classifier indices."""
+    return dt.DomainBatch(np.stack([b.x for b in draws]),
+                          np.stack([m.class_index(b.source_y)
+                                    for m, b in zip(state.lanes.models, draws, strict=True)]))
+
+
+def step(state, batch):
+    """``train_step`` of a one-lane state on a batch of the test's own."""
+    return tr.train_step(state, stack(state, [batch]))
 
 
 def engine_op(state, x, labels, lam):
@@ -181,9 +189,9 @@ class TestTrain:
         cfg = tiny_cfg(total_steps=1)
         state = tr.init_state([src], [cfg])
         rng = np.random.default_rng(0)
-        step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+        step(state, dt.sample_batch(src, tgt, 8, rng))
         with pytest.raises(ContractError):
-            step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+            step(state, dt.sample_batch(src, tgt, 8, rng))
 
     def test_numeric_blowup_reports_step_index(self):
         src, tgt = tiny_data()
@@ -203,7 +211,7 @@ class TestStepLog:
         assert state.log.shape == (1, 3) and state.log.dtype == tr.LOG_DTYPE
         rng = np.random.default_rng(0)
         for t in range(3):
-            b = step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+            b = step(state, dt.sample_batch(src, tgt, 8, rng))
             assert state.t == t + 1
             assert state.log[0, t].tolist() == (
                 b.l_c, b.l_bd, b.l_d, b.total, b.n_pseudo_selected,
@@ -214,11 +222,11 @@ class TestStepLog:
         cfg = tiny_cfg(total_steps=3)
         state = tr.init_state([src], [cfg])
         rng = np.random.default_rng(0)
-        step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+        step(state, dt.sample_batch(src, tgt, 8, rng))
         log = state.log.copy()
         state.lanes.models[0].f.weights[0].value[...] = np.finfo(float).max
         with pytest.raises(NumericError, match="step 1: "):
-            step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+            step(state, dt.sample_batch(src, tgt, 8, rng))
         assert state.t == 1
         assert state.log.tobytes() == log.tobytes()
 
@@ -228,10 +236,10 @@ class TestStepLog:
         state = tr.init_state([src], [cfg])
         rng = np.random.default_rng(0)
         for _ in range(2):
-            step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+            step(state, dt.sample_batch(src, tgt, 8, rng))
         log = state.log.copy()
         with pytest.raises(ContractError, match="step 2 out of budget T=2"):
-            step(state, dt.sample_batch(src, tgt, 8, rng), cfg)
+            step(state, dt.sample_batch(src, tgt, 8, rng))
         assert state.t == 2 and state.log.tobytes() == log.tobytes()
 
     def test_write_metrics_lines(self, tmp_path):
@@ -270,7 +278,7 @@ class TestOptimizerContract:
         batch = dt.sample_batch(src, tgt, 8, np.random.default_rng([cfg.seed, 1]))
         state = tr.init_state([src], [cfg])
         before = {n: p.value.copy() for n, p in state.lanes.models[0].parameters()}
-        step(state, batch, cfg)
+        step(state, batch)
         for name, p in state.lanes.models[0].parameters():
             # with mu = 0 the velocity buffer is exactly the raw gradient,
             # and the update is exactly value - lr * grad
@@ -321,7 +329,7 @@ class TestFlatMomentum:
         velocity = {name: np.zeros_like(p.value) for name, p in m.parameters()}
         for _ in range(cfg.total_steps):
             before = m.values.copy()
-            step(state, dt.sample_batch(src, tgt, cfg.batch_size, rng), cfg)
+            step(state, dt.sample_batch(src, tgt, cfg.batch_size, rng))
             m.values[...] = before
             for name, p in m.parameters():
                 v = velocity[name]
@@ -486,6 +494,55 @@ class TestStepOpOracle:
         np.testing.assert_array_equal(bits(twice), bits(2.0 * once))
 
 
+def hexes(values):
+    """Each float's ``float.hex``, which tells -0.0 from 0.0, and each int."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestStepBreakdown:
+    """``train_step`` returns one ``LossBreakdown``: a one-lane stack's own,
+    the first six fields of its log row, and for more lanes each field
+    summed over the lanes in lane order."""
+
+    def returned(self, monkeypatch, train, runs):
+        """Each step's returned breakdown and each run's log, from ``train``."""
+        train_step, returned = tr.train_step, []
+        monkeypatch.setattr(tr, "train_step", lambda state, batch: returned.append(
+            train_step(state, batch)) or returned[-1])
+        return returned, [log for _, log in train(runs)]
+
+    def test_one_lane_returns_its_log_row_bit_for_bit(self, monkeypatch):
+        """Even a -0.0, which a sum from 0 would turn into 0.0."""
+        step_op = tr.step_op
+
+        def negative_zero(*args):
+            total, breakdowns = step_op(*args)
+            return total, [b._replace(l_bd=-0.0) for b in breakdowns]
+
+        monkeypatch.setattr(tr, "step_op", negative_zero)
+        cfg = cli.benchmark_config(total_steps=4, diversity_mode="off")
+        returned, (log,) = self.returned(
+            monkeypatch, lambda runs: [tr.train(*runs[0])], [(*cli.make_benchmark(cfg)[:2], cfg)])
+        assert len(returned) == 4
+        for b, row in zip(returned, log.tolist(), strict=True):
+            assert isinstance(b, ls.LossBreakdown)
+            assert hexes(b) == hexes(row[:6]) and b.l_bd.hex() == "-0x0.0p+0"
+
+    def test_lanes_return_their_field_sums_in_lane_order(self, monkeypatch):
+        base = cli.benchmark_config(total_steps=4)
+        cfgs = [cli.scheme_defaults(replace(base, seed=seed), scheme)
+                for seed, scheme in enumerate(("ours", "uan", "entropy"))]
+        returned, logs = self.returned(
+            monkeypatch, tr._train_stack, [(*cli.make_benchmark(c)[:2], c) for c in cfgs])
+        assert len(returned) == 4
+        for t, b in enumerate(returned):
+            rows = [log[t].tolist()[:6] for log in logs]
+            assert isinstance(b, ls.LossBreakdown)
+            assert hexes(b) == hexes(sum(col[1:], col[0]) for col in zip(*rows))
+        assert sum(b.n_pseudo_selected for b in returned) > 0
+        assert sum(b.n_diversity_selected for b in returned) > 0
+
+
 class TestLaneRule:
     """The lanes of one stack may differ in seed, scheme and thresholds
     (``LANE_FIELDS``) and share every other field."""
@@ -537,46 +594,46 @@ class TestNumericErrorReplay:
         src, tgt, _ = cli.make_benchmark(cfg)
         state = tr.init_state([src], [cfg])
         rng = np.random.default_rng([cfg.seed, 1])
-        return cfg, state, [dt.sample_batch(src, tgt, cfg.batch_size, rng) for _ in range(2)]
+        return state, [dt.sample_batch(src, tgt, cfg.batch_size, rng) for _ in range(2)]
 
-    def check(self, monkeypatch, state, batch, cfg):
+    def check(self, monkeypatch, state, batch):
         m = state.lanes.models[0]
         before = (state.t, m.values.copy(), state.v.copy(), state.log.copy())
         with pytest.raises(NumericError) as fused:
-            step(state, batch, cfg)
+            step(state, batch)
         assert state.t == before[0] and state.log.tobytes() == before[3].tobytes()
         np.testing.assert_array_equal(bits(m.values), bits(before[1]))
         np.testing.assert_array_equal(bits(state.v), bits(before[2]))
         with monkeypatch.context() as mp:
             mp.setattr(tr, "step_op", engine_op)
             with pytest.raises(NumericError) as engine:
-                step(state, batch, cfg)
+                step(state, batch)
         assert str(fused.value) == str(engine.value)
         return str(fused.value)
 
     @pytest.mark.parametrize("net", ["f", "c", "d"])
     def test_matmul_overflow(self, monkeypatch, net):
-        cfg, state, batches = self.setup()
+        state, batches = self.setup()
         getattr(state.lanes.models[0], net).weights[0].value[...] = np.finfo(float).max
-        assert self.check(monkeypatch, state, batches[0], cfg) == (
+        assert self.check(monkeypatch, state, batches[0]) == (
             "step 0: non-finite values produced by op 'matmul'")
 
     def test_nan_input(self, monkeypatch):
-        cfg, state, batches = self.setup()
+        state, batches = self.setup()
         batches[0].target_x[3, 1] = np.nan
-        assert self.check(monkeypatch, state, batches[0], cfg) == (
+        assert self.check(monkeypatch, state, batches[0]) == (
             "step 0: non-finite values produced by op 'input'")
 
     @pytest.mark.filterwarnings("error")
     def test_gamma_overflow(self, monkeypatch):
-        cfg, state, batches = self.setup(gamma=1.7e308, static_w_alpha=0.0)
-        assert self.check(monkeypatch, state, batches[0], cfg) == (
+        state, batches = self.setup(gamma=1.7e308, static_w_alpha=0.0)
+        assert self.check(monkeypatch, state, batches[0]) == (
             "step 0: non-finite values produced by op 'affine'")
 
     def test_huge_learning_rate(self, monkeypatch):
-        cfg, state, batches = self.setup(lr=1e200)
-        step(state, batches[0], cfg)
-        assert self.check(monkeypatch, state, batches[1], cfg) == (
+        state, batches = self.setup(lr=1e200)
+        step(state, batches[0])
+        assert self.check(monkeypatch, state, batches[1]) == (
             "step 1: non-finite values produced by op 'matmul'")
 
 
@@ -590,25 +647,20 @@ class TestNumericErrorInALane:
         state = tr.init_state([src for src, _ in data], cfgs)
         draws = [[dt.sample_batch(src, tgt, cfg.batch_size, np.random.default_rng([s, 1]))
                   for s in range(2)] for (src, tgt), cfg in zip(data, cfgs)]
-        stacks = [(np.stack([lane[i].x for lane in draws]),
-                   np.stack([m.class_index(lane[i].source_y)
-                             for m, lane in zip(state.lanes.models, draws)]))
-                  for i in range(2)]
-        return state, stacks
+        return state, [stack(state, [lane[i] for lane in draws]) for i in range(2)]
 
     @pytest.mark.parametrize("lanes, bad", [(2, 0), (2, 1), (3, 1), (3, 2)])
     @pytest.mark.parametrize("fault", ["input", "matmul"])
     def test_names_the_lane_and_leaves_every_lane_as_it_was(self, lanes, bad, fault):
         state, stacks = self.setup(lanes)
-        tr.step_lanes(state, *stacks[0])
-        x, labels = stacks[1]
+        tr.train_step(state, stacks[0])
         if fault == "input":
-            x[bad, 1, 3, 2] = np.nan
+            stacks[1].x[bad, 1, 3, 2] = np.nan
         else:
             state.lanes.models[bad].d.weights[0].value[...] = np.finfo(float).max
         before = (state.t, state.lanes.values.copy(), state.v.copy(), state.log.copy())
         with pytest.raises(NumericError) as raised:
-            tr.step_lanes(state, x, labels)
+            tr.train_step(state, stacks[1])
         assert raised.value.lane == bad
         assert str(raised.value) == f"step 1: non-finite values produced by op '{fault}'"
         assert state.t == before[0] and state.log.tobytes() == before[3].tobytes()
@@ -626,7 +678,7 @@ class TestNumericErrorInALane:
                 m.d.weights[0].value[...] = 0.0
         before = state.lanes.values.copy()
         with pytest.raises(NumericError, match="^step 0: non-finite gradient$") as raised:
-            tr.step_lanes(state, *stacks[0])
+            tr.train_step(state, stacks[0])
         assert raised.value.lane == bad
         assert state.t == 0 and state.log.tobytes() == np.zeros_like(state.log).tobytes()
         np.testing.assert_array_equal(bits(state.lanes.values), bits(before))
@@ -672,7 +724,7 @@ class TestStepTape:
         for _ in range(steps):
             batch = dt.sample_batch(src, tgt, cfg.batch_size, rng)
             before = len(built)
-            step(state, batch, cfg)
+            step(state, batch)
             per_step.append(built[before:])
         return state, per_step
 
@@ -698,19 +750,19 @@ class TestStepTape:
 class TestLabels:
     @pytest.mark.parametrize("steps", [1, 64, 70])
     def test_each_steps_labels_are_its_batchs_source_y(self, monkeypatch, steps):
-        """``train`` passes each batch's ``source_y`` as the step's labels,
-        and they are the class indices of the class ids ``sample_batch``
-        draws for that step.  Ids that are not their own indices; 70 steps
+        """``train`` steps on a one-lane stack batch whose ``source_y``
+        holds the class indices of the class ids ``sample_batch`` draws
+        for that step.  Ids that are not their own indices; 70 steps
         cross a block of draws."""
         spec = dt.LabelSetSpec(shared=(3, 8), source_private=(5,), target_private=(1,))
         src, tgt = dt.gen_synthetic(spec, 4, 8, dt.ShiftConfig(0.3, 0.5), seed=0)
         cfg = tiny_cfg(total_steps=steps)
         train_step, seen = tr.train_step, []
 
-        def checked(state, batch, cfg, labels):
-            assert labels is batch.source_y
-            seen.append((state.lanes.models[0], batch.x.copy(), labels.copy()))
-            return train_step(state, batch, cfg, labels)
+        def checked(state, batch):
+            assert batch.x.shape == (1, 2, 4, 4) and batch.source_y.shape == (1, 4)
+            seen.append((state.lanes.models[0], batch.x[0].copy(), batch.source_y[0].copy()))
+            return train_step(state, batch)
 
         monkeypatch.setattr(tr, "train_step", checked)
         tr.train(src, tgt, cfg)
@@ -735,7 +787,7 @@ class TestSelectionAtStartup:
         state = tr.init_state([src], [cfg])
         batch = dt.sample_batch(src, tgt, cfg.batch_size,
                                 np.random.default_rng([cfg.seed, 1]))
-        breakdown = step(state, batch, cfg)
+        breakdown = step(state, batch)
         assert breakdown.n_pseudo_selected == 0
 
 

@@ -24,17 +24,22 @@ pair ratios spread from 0.89 to 1.12 for changes that did not touch
 training (``BENCH_11``, ``BENCH_12``), too wide to see a 5% change in
 the step, which is why this tool pairs blocks within one process.
 
-After the timed blocks, one more ``train`` call per side runs with a
-wall-clock timer around each phase of the step and prints that side's
-µs per step in each (``PHASES``), so a step claim can name its phase:
+After the timed blocks, ``PHASE_CALLS`` more ``train`` calls per side,
+interleaved like the blocks, run with a wall-clock timer around each
+phase of the step, so a step claim can name its phase (``PHASES``):
 the batch draw (each ``next`` on ``batches``' iterator), the three
 network forwards (``Mlp.forward_array``), the score
 (``scoring.scores_from_outputs``), the loss head
 (``losses.compound_array``), the backward (``autodiff.backward``) and
 the rest of ``train_step``: the input check, the step's ``Node``, the
-gradient check, the momentum update and the log row.  Each timer
-costs about half a microsecond per call, eight calls per step; the
-unwrapped blocks give the totals.
+gradient check, the momentum update, the log rows and the returned
+breakdown.  Each side's line gives the median and quartiles over its
+calls of its µs per step in each phase and in their total, and one more
+line the median and quartiles of each phase's per-pair ratio
+change/base.  One call's split is not enough: the parent's phase total
+of a single call differed from its block median by -18% to +56% over
+eight runs.  Each timer costs about half a microsecond per call, eight
+calls per step; the unwrapped blocks give the totals.
 
 Every block trains from the same seed, so two trees that train alike
 return the same model and step log.  The last line says whether the two
@@ -85,6 +90,9 @@ SIDES = ("base", "change")
 
 #: the step's phases in the order a step runs them
 PHASES = ("batch draw", "forward", "score", "loss head", "backward", "update and log")
+
+#: timed ``train`` calls per side of the phase split
+PHASE_CALLS = 9
 
 
 class Side:
@@ -196,16 +204,22 @@ def load_sides(srcs: dict[str, Path], tmp: Path, steps: int,
     return {side: Side(f"udaselect_{side}", steps) for side in srcs}
 
 
+def interleaved(call, count: int) -> dict[str, list]:
+    """``count`` results of ``call(name)`` per side, the first side
+    alternating from one pair of calls to the next."""
+    results = {name: [] for name in SIDES}
+    for i in range(count):
+        for name in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            results[name].append(call(name))
+    return results
+
+
 def run(sides: dict[str, Side | GridSide], blocks: int) -> dict[str, list[float]]:
     """CPU seconds of each side's blocks, per step or per grid call,
     after one untimed warm-up block each."""
     for side in sides.values():
         side.block()
-    times = {name: [] for name in sides}
-    for i in range(blocks):
-        for name in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            times[name].append(sides[name].block())
-    return times
+    return interleaved(lambda name: sides[name].block(), blocks)
 
 
 def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int,
@@ -233,12 +247,26 @@ def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int,
     return "\n".join(lines)
 
 
-def phase_report(phases: dict[str, dict[str, float]]) -> str:
-    """One line per side: its µs per step in each phase and their total."""
-    return "\n".join(
-        f"{name:<6} phases us/step: "
-        + ", ".join(f"{p} {phases[name][p]:.1f}" for p in PHASES)
-        + f" (total {sum(phases[name].values()):.1f})" for name in SIDES)
+def phase_report(phases: dict[str, list[dict[str, float]]]) -> str:
+    """One line per side, the median and quartiles over its calls of its
+    µs per step in each phase and in their total, and one line of each
+    phase's per-pair ratio change/base."""
+    def spread(values, digits):
+        s = summary(values)
+        return f"{s['median']:.{digits}f} ({s['q1']:.{digits}f}-{s['q3']:.{digits}f})"
+
+    columns = {name: {p: [call[p] for call in calls] for p in PHASES}
+               for name, calls in phases.items()}
+    for calls, column in zip(phases.values(), columns.values()):
+        column["total"] = [sum(call.values()) for call in calls]
+    lines = [f"{name:<6} phases us/step, median (quartiles) of {len(phases[name])} calls: "
+             + ", ".join(f"{p} {spread(v, 1)}" for p, v in columns[name].items())
+             for name in SIDES]
+    ratios = {p: [c / b for b, c in zip(base, columns["change"][p])]
+              for p, base in columns["base"].items()}
+    lines.append(f"phase ratio change/base, median (quartiles) of {len(phases['base'])} "
+                 "pairs: " + ", ".join(f"{p} {spread(v, 3)}" for p, v in ratios.items()))
+    return "\n".join(lines)
 
 
 def parameter_parity(base: np.ndarray, change: np.ndarray) -> str | None:
@@ -316,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
                          {name: side.faults[1:] for name, side in sides.items()}))
             print(run_parity(sides["base"].out, sides["change"].out))
             return 0
-        phases = {name: side.phases() for name, side in sides.items()}
+        phases = interleaved(lambda name: sides[name].phases(), PHASE_CALLS)
     print(report(times, srcs, steps))
     print(phase_report(phases))
     print(parity(sides))
