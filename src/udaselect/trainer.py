@@ -412,9 +412,10 @@ def train_step(state: TrainState, batch: DomainBatch) -> ls.LossBreakdown:
         state.log[lane, state.t] = (*b, w_a)
     state.t += 1
     if len(breakdowns) == 1:
-        # not summed from 0, which would turn a -0.0 into +0.0
         return breakdowns[0]
-    return ls.LossBreakdown._make(sum(v[1:], v[0]) for v in zip(*breakdowns))
+    # each field summed from lane 0's, not from 0, which would turn a -0.0
+    # into +0.0
+    return ls.LossBreakdown._make(map(sum, zip(*breakdowns[1:]), breakdowns[0]))
 
 
 def _train_stack(runs: Sequence[tuple[DomainDataset, DomainDataset, TrainConfig]]
