@@ -255,10 +255,9 @@ def phase_report(phases: dict[str, list[dict[str, float]]]) -> str:
         s = summary(values)
         return f"{s['median']:.{digits}f} ({s['q1']:.{digits}f}-{s['q3']:.{digits}f})"
 
-    columns = {name: {p: [call[p] for call in calls] for p in PHASES}
+    columns = {name: {**{p: [call[p] for call in calls] for p in PHASES},
+                      "total": [sum(call.values()) for call in calls]}
                for name, calls in phases.items()}
-    for calls, column in zip(phases.values(), columns.values()):
-        column["total"] = [sum(call.values()) for call in calls]
     lines = [f"{name:<6} phases us/step, median (quartiles) of {len(phases[name])} calls: "
              + ", ".join(f"{p} {spread(v, 1)}" for p, v in columns[name].items())
              for name in SIDES]
