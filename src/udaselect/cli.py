@@ -116,8 +116,15 @@ def run_lanes(runs: list[tuple[str, tr.TrainConfig, Path]]) -> list[float]:
     (``trainer.train_stacks``), and the runs of one name are written as
     soon as the last of them has trained.  A ``NumericError`` names the
     failing run by its name and seed and stops the runs: no run of a
-    name whose runs had not all trained by then is written."""
-    data = [make_benchmark(cfg) for _, cfg, _ in runs]
+    name whose runs had not all trained by then is written.
+
+    The benchmark data is made once per seed: equal seeds make the same
+    bits, and the lanes and ``write_run`` only read it."""
+    by_seed = {}
+    for _, cfg, _ in runs:
+        if cfg.seed not in by_seed:
+            by_seed[cfg.seed] = make_benchmark(cfg)
+    data = [by_seed[cfg.seed] for _, cfg, _ in runs]
     left = Counter(name for name, _, _ in runs)
     trained, accs = {}, [None] * len(runs)
     try:

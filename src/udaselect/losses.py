@@ -150,19 +150,21 @@ def loss_compound(l_c: Node, l_bd: Node, l_d: Node,
 def _layout(lanes: int, half: int, k: int, mode: str) -> tuple[np.ndarray, ...]:
     """Shared read-only constants of ``compound_array`` on ``(lanes, 2,
     half, k)`` stacks: the flat index of the first entry of each source
-    row and of each target row, ``(lanes, half)`` each, the gradient
-    scale of each entry of the half-sized NLL segments, and the
+    row and of each target row, ``(2, lanes, half)``; the selection with
+    every source row and no target row chosen, ``(3, lanes, half)``; the
+    gradient scale of each entry of the half-sized NLL segments; and the
     diversity weight of the source rows under ``mode`` with no target
     row chosen, ``(lanes, 2 * half, 1)``."""
-    starts = np.arange(0, lanes * 2 * half * k, k).reshape(lanes, 2, half)
-    src, tgt = starts[:, 0].copy(), starts[:, 1].copy()
+    starts = np.arange(0, lanes * 2 * half * k, k).reshape(lanes, 2, half).swapaxes(0, 1).copy()
+    unchosen = np.zeros((3, lanes, half), bool)
+    unchosen[0] = True
     s_d = -1.0 * (1.0 / half)
     scale = np.array([s_d, -s_d] * lanes + [-1.0 * (1.0 / half)] * lanes).repeat(half)
     weight = np.zeros((lanes, 2 * half, 1))
     weight[:, :half] = float(mode == "both")
-    for a in (src, tgt, scale, weight):
+    for a in (starts, unchosen, scale, weight):
         a.flags.writeable = False
-    return src, tgt, scale, weight
+    return starts, unchosen, scale, weight
 
 
 def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
@@ -197,7 +199,8 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     The diversity rows are a 0/1 weight over each lane's ``(2 * half,
     K)`` rows of ``probs``: numpy reduces that axis row after row, and a
     left-out row adds ``+0.0``, so the column sums are those of the
-    chosen rows alone.  The head gradient is ``weight * row`` with the
+    chosen rows alone.  Their divisor is each lane's count of chosen
+    rows, made from the Python ints of the counts.  The head gradient is ``weight * row`` with the
     CE gradient added at ``at``.  The probabilities are ``>= +0.0``, so
     ``weight * row`` holds no ``-0.0``: where no row is chosen it is
     ``+0.0``, and adding a ``-0.0`` CE gradient to it gives ``+0.0`` as
@@ -216,20 +219,24 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     if d.shape != (lanes, 2, half, 1):
         raise ContractError(f"d must be the {(lanes, 2, half, 1)} domain stack, "
                             f"got {d.shape}")
-    src_at, tgt_at, scale, weight = _layout(lanes, half, k, mode)
+    starts, chosen, scale, weight = _layout(lanes, half, k, mode)
     fixed = 3 * lanes * half  # the entries of the half-sized segments
-    # each lane's pseudo-labelled targets, then its diversity targets
-    chosen = np.zeros((2, lanes, half), bool)
-    picked = np.greater(scores, w_alpha, out=chosen[0])
+    # each lane's source rows, its pseudo-labelled targets and its
+    # diversity targets
+    chosen = chosen.copy()
+    np.greater(scores, w_alpha, out=chosen[1])
     if mode != "off":
-        np.greater(scores, w_beta, out=chosen[1])
+        np.greater(scores, w_beta, out=chosen[2])
     # the counts as Python ints: numpy's own ints are slow in the per-lane
     # arithmetic below
-    n_pl, n_div = np.add.reduce(chosen, axis=2).tolist()
-    at = np.empty(lanes * half + sum(n_pl), np.intp)
-    np.add(src_at, labels, out=at[:lanes * half].reshape(lanes, half))
-    # ties -> lowest index
-    at[lanes * half:] = np.add(tgt_at, probs[:, 1].argmax(axis=-1))[picked]
+    n_pl, n_div = np.add.reduce(chosen[1:], axis=2).tolist()
+    # each row's labelled entry, its label or its pseudo-label (ties ->
+    # lowest index), as a flat index into probs; the chosen ones in order
+    at = np.empty(starts.shape, np.intp)
+    at[0] = labels
+    probs[:, 1].argmax(axis=-1, out=at[1])
+    at += starts
+    at = at[chosen[:2]]
     p = np.empty(len(at) + 2 * lanes * half)
     p_d = p[:2 * lanes * half].reshape(d.shape)
     p_d[:, 0] = d[:, 0]
@@ -253,9 +260,9 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
 
     if mode != "off":
         weight = weight.copy()
-        weight[:, half:, 0] = chosen[1]
-    # each lane's chosen rows, exact as a sum of 0/1; with no rows the term is 0
-    n = np.maximum(np.add.reduce(weight, axis=1), 1.0)
+        weight[:, half:, 0] = chosen[2]
+    # each lane's chosen rows, from its count; with no rows the term is 0
+    n = np.array([max(half * (mode == "both") + c, 1) for c in n_div], np.float64)[:, None]
     g_probs = probs.reshape(lanes, 2 * half, k) * weight
     means = np.add.reduce(g_probs, axis=1) / n
     row = 2.0 * means / n

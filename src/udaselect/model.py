@@ -26,6 +26,7 @@ would reduce them alone.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -81,7 +82,7 @@ _BLOCK_ROWS = 512
 #: reduces each row of a ``(n, K)`` table by its own inner-loop call, so
 #: K - 1 whole-column ufunc calls win from a few hundred rows; below
 #: that (the training step's 64-row stacks) numpy's call is faster.
-#: There, as in ``check_finite``, they call the ufunc's ``reduce``
+#: There, as in ``all_finite``, they call the ufunc's ``reduce``
 #: itself: ``max``, ``sum`` and ``all`` without numpy's Python wrappers.
 _FOLD_ROWS = 256
 
@@ -133,9 +134,23 @@ def row_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.
+
+    An infinity or a NaN among the entries makes the sum of their squares
+    non-finite, so a finite ``vdot(a, a)`` answers for the whole array in
+    one BLAS call, which sets no numpy warning and makes no temporary of
+    a contiguous ``a``.  Only a non-finite one, from such an entry or
+    from finite entries above about 1e154, whose squares overflow,
+    checks the entries one by one.
+    """
+    return (math.isfinite(np.vdot(a, a))
+            or bool(np.logical_and.reduce(np.isfinite(a), axis=None)))
+
+
 def check_finite(a: np.ndarray) -> None:
     """Raise ``NumericError`` unless every entry of ``a`` is finite."""
-    if not np.logical_and.reduce(np.isfinite(a), axis=None):
+    if not all_finite(a):
         raise NumericError("non-finite value in an array forward")
 
 
@@ -349,12 +364,8 @@ class ModelBundle:
 class Lanes:
     """Bundles of one architecture as the lanes of one stack: the training
     step's view of the parameters of the runs it trains together.  A run
-    trained alone is a stack of one lane.  Against the same step with no
-    lane axis, ``tools/step_ab.py`` read that step's ratio as 0.996
-    (quartiles 0.973-1.030; 30 blocks of 500 steps on a 2-vCPU Xeon),
-    while the benchmark's whole 3000-step run (``BENCH_30``
-    ``train_single``) read 1.159 -> 1.201 s, higher in 10 of 10 pairs.
-    Where that cost goes is ROADMAP item 9.
+    trained alone is a stack of one lane; ``tools/step_ab.py`` against a
+    tree whose step has no lane axis measures what the axis costs it.
 
     Each lane stays a whole ``ModelBundle``, but its ``values`` and
     ``grads`` become row r of the stack's ``(R, P)`` ``values`` and
@@ -462,9 +473,10 @@ def predict(m: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows unevenly for some row counts, and the whole forward's bits then
     move with the thread count; a block is below that size.)  The shape
     check runs before the loop, so an input with no rows still fails it.
+    Each block's rows are checked finite before its forward, so no check
+    makes a temporary of the whole input.
     """
     x = np.asarray(x, dtype=np.float64)
-    check_finite(x)
     m.f.check_input(x)
     lead = x.shape[:-1]
     probs = np.empty(lead + (m.c.spec.output_dim,))
@@ -475,6 +487,7 @@ def predict(m: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in zip(starts, [*starts[1:], lead[-1]]):
             rows = slice(start, stop)
+            check_finite(x[..., rows, :])
             feats = m.f.forward_array(x[..., rows, :])
             probs[..., rows, :] = m.c.forward_array(feats)
             d[..., rows, :] = m.d.forward_array(feats)

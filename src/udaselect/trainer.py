@@ -22,12 +22,15 @@ Runs train together as the lanes of one step (``train_step``,
 seed, and the scheme and thresholds, which act after the forward.  A
 leading lane axis stacks their batches, and each lane has its own
 parameters, batch stream, momentum, score, thresholds and log rows and
-the bits of its run trained alone.  Most of a benchmark step is
-per-call cost that does not grow with the rows, and a stack pays it
-once for all its lanes; ``MAX_LANES`` caps a stack where that gain
-levels off.  A run trained alone is a stack of one lane.  Every stack,
-of one lane or more, steps through ``train_step``, the step the
-benchmark's tracer wraps.
+the bits of its run trained alone.  A stack makes each numpy call of
+the step once for all its lanes, but each lane's parameter work and
+per-lane calls grow with the lanes, so a lane costs more than its rows:
+a 4-lane stack of 64-row lanes read 615.5 µs per step against 523.0 µs
+for one lane of 256 rows (one BLAS thread, a 2-vCPU Xeon).
+``MAX_LANES`` caps a stack where the gain of a further lane levels off.
+A run trained alone is a stack of one lane.  Every stack, of one lane or
+more, steps through ``train_step``, the step the benchmark's tracer
+wraps.
 """
 
 from __future__ import annotations
@@ -155,12 +158,13 @@ LOG_DTYPE = np.dtype([("l_c", np.float64), ("l_bd", np.float64), ("l_d", np.floa
                       ("n_diversity_selected", np.int64), ("w_alpha", np.float64)])
 
 #: most runs one stack trains as its lanes, whatever their variants.
-#: About 165 µs of a 64-row benchmark step (one BLAS thread, a 2-vCPU
-#: Xeon) is per-call cost that does not grow with the rows, and a stack
-#: pays it once for all its lanes.  The whole step read 260, 190, 168,
-#: 158, 151, 150 and 143 µs per lane at 1 to 6 and 8 lanes (best of 11
-#: runs of 300 steps in CPU time): past 4 lanes each further lane saves
-#: under 5% of a lane's step, while the stack's arrays keep growing.  On
+#: A stack makes each numpy call of the step once for all its lanes,
+#: while each lane's parameter work and per-lane calls grow with the
+#: lanes.  ``tools/step_ab.py --lanes R`` times a stack of R benchmark
+#: runs per lane-step; the best of 15 stacks of 100 steps read 223.5,
+#: 157.2, 137.8, 134.1, 133.6 and 129.5 µs at 1 to 6 lanes (one BLAS
+#: thread, a 2-vCPU Xeon): past 4 lanes each further lane saves under 4%
+#: of a lane's step, while the stack's arrays keep growing.  On
 #: the benchmark's ``ablate_scoring`` (10 runs of 100 steps; seeds 4-6,
 #: 10 s each, same host) the stacks of 2 of each variant read ``wall_s``
 #: 0.481-0.508 s; this cap, filling stacks of 4, 4 and 2 in grid order,
@@ -195,8 +199,12 @@ class TrainState:
     The lanes' thresholds are computed once per stack: ``w_alpha`` holds
     each lane's pseudo-label threshold at each step, ``(R, T)``, the bits
     of ``_applied_w_alpha`` (+inf where none applies), and ``w_beta``
-    each lane's diversity threshold, ``(R, 1)``.  ``schemes`` maps each
-    scheme to the index array of its lanes, in lane order."""
+    each lane's diversity threshold, ``(R, 1)``.  The log's ``w_alpha``
+    column is filled from it at once, and a step writes the other six
+    fields of its rows through ``breakdowns``, a view of ``log``.
+    ``schemes`` maps each scheme to its lanes, in lane order: a slice
+    where they are contiguous, so that the score reads and writes views
+    of the step's stacks, and an index array where they are not."""
 
     lanes: md.Lanes
     cfgs: tuple[TrainConfig, ...]
@@ -205,17 +213,22 @@ class TrainState:
     v: np.ndarray = field(init=False, repr=False)
     w_alpha: np.ndarray = field(init=False, repr=False)
     w_beta: np.ndarray = field(init=False, repr=False)
-    schemes: dict[str, np.ndarray] = field(init=False, repr=False)
+    schemes: dict[str, slice | np.ndarray] = field(init=False, repr=False)
+    breakdowns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.v = np.zeros_like(self.lanes.flat.value)
         self.w_alpha = np.array([[_applied_w_alpha(c, t) for t in range(c.total_steps)]
                                  for c in self.cfgs], np.float64)
         self.w_beta = np.array([[c.w_beta] for c in self.cfgs])
+        self.log["w_alpha"] = self.w_alpha
+        self.breakdowns = self.log[list(ls.LossBreakdown._fields)]
         lanes = {}
         for lane, c in enumerate(self.cfgs):
             lanes.setdefault(c.scheme, []).append(lane)
-        self.schemes = {scheme: np.array(rows) for scheme, rows in lanes.items()}
+        self.schemes = {scheme: slice(rows[0], rows[-1] + 1)
+                        if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows)
+                        for scheme, rows in lanes.items()}
 
 
 def w_alpha(t: int, total_steps: int, w0: float, start: float) -> float:
@@ -283,10 +296,14 @@ def engine_loss(m: ModelBundle, x: np.ndarray, labels: np.ndarray, lam: float,
     return ls.loss_compound(l_c, l_bd, l_d, n_pl, n_div)
 
 
-def _scores(schemes: dict[str, np.ndarray], d: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def _scores(schemes: dict[str, slice | np.ndarray], d: np.ndarray,
+            probs: np.ndarray) -> np.ndarray:
     """Each lane's target scores, ``(R, half)``, under its own scheme from
     the ``(R, half)`` domain outputs ``d`` and ``(R, half, K)`` ``probs``:
-    one call per scheme, over that scheme's lanes."""
+    one call per scheme, over that scheme's lanes (``TrainState.schemes``).
+    A slice of lanes scores views of ``d`` and ``probs``, and an index
+    array copies of their lanes; each lane's score has the bits of its
+    own call either way."""
     scores = np.empty(d.shape)
     for scheme, rows in schemes.items():
         scores[rows] = sc.scores_from_outputs(d[rows], probs[rows], scheme)
@@ -319,12 +336,13 @@ def step_op(state: TrainState, x: np.ndarray, labels: np.ndarray,
     parameter, so each lane's gradient is that of its own total.
     Raises ``NumericError`` where ``engine_loss`` raises in some lane: a
     non-finite input, layer pre-activation or total (the returned
-    ``Node`` checks the sum).  Its caller, ``train_step``, runs it under
-    the step's ``np.errstate``.
+    ``Node`` checks the sum).  The input needs no check of its own: a
+    non-finite entry makes every entry of its row's first pre-activation
+    non-finite, whatever the finite weights.  Its caller, ``train_step``,
+    runs it under the step's ``np.errstate``.
     ``lam`` must be >= 0, which ``TrainConfig`` ensures.
     """
     x = np.asarray(x, dtype=np.float64)
-    md.check_finite(x)
     cfg, lanes = state.cfgs[0], state.lanes
     nets, layers, out = lanes.nets, lanes.layers, lanes.half_views
     tape_f, tape_c, tape_d = [], [], []
@@ -377,7 +395,6 @@ def train_step(state: TrainState, batch: DomainBatch) -> ls.LossBreakdown:
         raise ContractError(f"step {state.t} out of budget T={state.log.shape[1]}")
     cfg, lanes, flat = state.cfgs[0], state.lanes, state.lanes.flat
     x, labels = batch.x, batch.source_y
-    thresholds = state.w_alpha[:, state.t].tolist()
     lam = grl_coefficient(cfg, state.t)
     lane = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -387,16 +404,16 @@ def train_step(state: TrainState, batch: DomainBatch) -> ls.LossBreakdown:
                 totals = (total,)
             except NumericError:
                 totals, breakdowns = [], []
-                for lane, (m, c) in enumerate(zip(lanes.models, state.cfgs)):
-                    total, breakdown = engine_loss(m, x[lane], labels[lane], lam,
-                                                   thresholds[lane], c)
+                thresholds = state.w_alpha[:, state.t].tolist()
+                for lane, (m, c, w_a) in enumerate(zip(lanes.models, state.cfgs, thresholds)):
+                    total, breakdown = engine_loss(m, x[lane], labels[lane], lam, w_a, c)
                     totals.append(total)
                     breakdowns.append(breakdown)
                 lane = None
             flat.grad.fill(0.0)
             for total in totals:
                 ad.backward(total)
-            if not np.logical_and.reduce(np.isfinite(flat.grad), axis=None):
+            if not md.all_finite(flat.grad):
                 lane = int(np.isfinite(lanes.grads).all(axis=1).argmin())
                 raise NumericError("non-finite gradient")
         except NumericError as exc:
@@ -407,9 +424,7 @@ def train_step(state: TrainState, batch: DomainBatch) -> ls.LossBreakdown:
         state.v += flat.grad
         flat.value -= cfg.lr * state.v
 
-    # a breakdown's fields are the log row's first six, in order
-    for lane, (b, w_a) in enumerate(zip(breakdowns, thresholds)):
-        state.log[lane, state.t] = (*b, w_a)
+    state.breakdowns[:, state.t] = breakdowns
     state.t += 1
     if len(breakdowns) == 1:
         return breakdowns[0]

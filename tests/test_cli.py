@@ -863,6 +863,23 @@ class TestGridLanes:
                      "--steps", "2", "--out", str(tmp_path / "ablate")]) == 0
         assert stacks == want
 
+    def test_the_runs_of_a_seed_share_one_dataset(self, tmp_path, monkeypatch):
+        """The scoring grid's 10 runs come from 2 seeds: the grid makes 2
+        datasets, and every run of a seed trains on the same objects."""
+        made, trained = [], []
+        make_benchmark, train_stacks = cli.make_benchmark, tr.train_stacks
+        monkeypatch.setattr(cli, "make_benchmark",
+                            lambda cfg: made.append(cfg.seed) or make_benchmark(cfg))
+        monkeypatch.setattr(tr, "train_stacks",
+                            lambda runs: trained.extend(runs) or train_stacks(runs))
+        assert main(["ablate", "--ablation", "scoring", "--seeds", "2",
+                     "--steps", "2", "--out", str(tmp_path / "ablate")]) == 0
+        assert made == [0, 1] and len(trained) == 10
+        for seed in (0, 1):
+            data = {(id(src), id(tgt)) for src, tgt, cfg in trained if cfg.seed == seed}
+            assert len(data) == 1
+        assert trained[0][0] is not trained[1][0]
+
     def test_a_failing_lane_stops_its_variant_before_any_run_is_written(
             self, tmp_path, capsys, monkeypatch):
         """A non-finite feature in seed 1's source: the first variant's
@@ -895,24 +912,25 @@ class TestGridLanes:
         stack, ``ours`` seeds 0-2 and ``uan`` seed 0, trains and writes
         ``ours``; the second, ``uan`` seeds 1 and 2 and ``entropy`` seeds 0
         and 1, stops where that run alone stops.  No run of ``uan``, of
-        ``entropy`` or of a later variant is written."""
-        make_benchmark = cli.make_benchmark
-
-        def poisoned(cfg):
-            src, tgt, spec = make_benchmark(cfg)
+        ``entropy`` or of a later variant is written.  The grid makes one
+        dataset per seed, so the feature is poisoned in the runs it trains."""
+        def poisoned(src, cfg):
             if cfg.scheme == "uan" and cfg.seed == 1:
                 features = src.features.copy()
                 features[17, 5] = np.nan
                 src = dt.DomainDataset(features, src.labels)
-            return src, tgt, spec
+            return src
 
-        monkeypatch.setattr(cli, "make_benchmark", poisoned)
+        train_stacks = tr.train_stacks
+        monkeypatch.setattr(tr, "train_stacks", lambda runs: train_stacks(
+            [(poisoned(src, cfg), tgt, cfg) for src, tgt, cfg in runs]))
         out = tmp_path / "ablate"
         assert main(["ablate", "--ablation", "scoring", "--seeds", "3",
                      "--steps", "200", "--out", str(out)]) == cli.EXIT_NUMERIC
         cfg = cli.scheme_defaults(cli.benchmark_config(total_steps=200, seed=1), "uan")
+        src, tgt, _ = cli.make_benchmark(cfg)
         with pytest.raises(NumericError) as alone:
-            tr.train(*poisoned(cfg)[:2], cfg)
+            tr.train(poisoned(src, cfg), tgt, cfg)
         assert capsys.readouterr().err == f"numeric abort: scheme_uan seed 1: {alone.value}\n"
         assert str(alone.value).startswith("step ") and "op 'input'" in str(alone.value)
         assert sorted(p.name for p in out.iterdir()) == [f"scheme_ours_seed{s}" for s in range(3)]

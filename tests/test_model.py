@@ -325,6 +325,46 @@ class TestArrayForward:
             md.predict(m, np.ones((2, 4)))
 
 
+BIG = np.finfo(float).max
+
+
+class TestAllFinite:
+    """``all_finite`` is ``np.isfinite(a).all()``: one sum of squares where
+    it is finite, and the entries one by one where it is not."""
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((0, 3)), np.float64(2.5), np.arange(12.0).reshape(1, 2, 3, 2),
+        np.array([-0.0, 5e-324, -BIG]),
+        # finite entries whose squares overflow
+        np.array([BIG, 1e155, 1.0]), np.full((2, 3), -1e200),
+        np.ones((4, 6))[:, ::2],
+    ], ids=["empty", "0-d", "4-d", "edges", "overflow", "overflow-neg", "strided"])
+    def test_finite(self, a):
+        assert md.all_finite(a) is True
+        md.check_finite(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 5, -1])
+    def test_one_non_finite_entry(self, bad, where):
+        a = np.ones((3, 4))
+        a.flat[where] = bad
+        assert md.all_finite(a) is False
+        assert md.all_finite(a[:, ::-1]) is False
+        with pytest.raises(NumericError, match="^non-finite value in an array forward$"):
+            md.check_finite(a)
+        assert md.all_finite(np.array([BIG, 1e200, bad])) is False
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 64, 4927])
+    def test_every_position_of_a_non_finite_entry(self, n):
+        """BLAS kernels take the entries in SIMD blocks and a tail."""
+        a = np.random.default_rng(n).normal(size=n)
+        for i in range(n):
+            for bad in (np.nan, np.inf, -np.inf):
+                b = a.copy()
+                b[i] = bad
+                assert md.all_finite(b) is False, (i, bad)
+
+
 class TestStackedArrays:
     """A leading axis stacks independent batches, as the training step
     stacks source over target: each slice of the stacked forward and VJP

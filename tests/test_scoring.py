@@ -246,6 +246,20 @@ class TestScoreBatch:
             with pytest.raises(NumericError, match="op 'matmul'"):
                 sc.score_batch(small_bundle(), x, "ours")
 
+    @pytest.mark.parametrize("row", [0, md._BLOCK_ROWS - 1, md._BLOCK_ROWS, -1])
+    def test_a_non_finite_row_in_any_block_names_the_input(self, row):
+        """``predict`` checks each block's rows before its forward; a
+        non-finite row in any block replays the engine over the input."""
+        from test_model import small_bundle
+        x = np.ones((2 * md._BLOCK_ROWS + 3, 4))
+        x[row, 1] = np.inf
+        with pytest.raises(NumericError, match="non-finite value in an array forward"):
+            md.predict(small_bundle(), x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^scoring: .*op 'input'"):
+                sc.score_batch(small_bundle(), x, "ours")
+
     @pytest.mark.parametrize("where", ["input", "matmul", "add_bias"])
     def test_non_finite_names_the_engine_op(self, where):
         from test_model import small_bundle

@@ -51,6 +51,25 @@ def test_self_ab_prints_the_summary(tmp_path):
     assert not list(tmp_path.iterdir())  # the package copies are gone
 
 
+def test_lanes_self_ab_prints_the_summary_per_lane_step(tmp_path):
+    src = ROOT / "src"
+    lines = step_ab(src, src, tmp_path, "--lanes", "3")
+    assert len(lines) == 8, lines
+    for side, line in zip(("base", "change"), lines):
+        assert re.fullmatch(rf"{side} +{re.escape(str(src))}: median {NUMBER} us/lane-step "
+                            rf"\(quartiles {NUMBER}-{NUMBER}\)", line), line
+    assert re.fullmatch(r"change faster in [012] of 2 blocks of 3 lanes of 2 steps",
+                        lines[3]), lines[3]
+    for side, line in zip(("base", "change"), lines[4:6]):
+        assert re.fullmatch(rf"{side} +phases us/lane-step, median \(quartiles\) of 9 calls: "
+                            + PHASE_PARTS, line), line
+    # every lane's parameters and its 2 rows
+    values = int(re.fullmatch(r"parameters and step logs bit-identical: (\d+) values, 6 rows",
+                              lines[7]).group(1))
+    assert values % 3 == 0 and values > 3000, lines[7]
+    assert not list(tmp_path.iterdir())
+
+
 def test_grid_self_ab_prints_the_summary_with_faults(tmp_path):
     src = ROOT / "src"
     lines = step_ab(src, src, tmp_path, "--grid")
@@ -99,9 +118,19 @@ def test_a_grid_change_that_trains_differently_is_flagged(tmp_path):
 
 
 def test_a_change_that_moves_only_a_logged_loss_is_flagged(tmp_path):
-    last = patched_step_ab(tmp_path, "(*b, w_a)", "(b.l_c * 2.0, *b[1:], w_a)")
+    last = patched_step_ab(tmp_path, "= breakdowns\n",
+                           "= [(b.l_c * 2.0, *b[1:]) for b in breakdowns]\n")
     assert re.fullmatch(r"parameters bit-identical: \d+ values; "
                         r"step logs differ: 2 of 2 rows \(l_c\)", last), last
+
+
+def test_a_change_to_a_later_lanes_log_is_flagged(tmp_path):
+    """The parity line compares every lane, not only the first."""
+    last = patched_step_ab(tmp_path, "= breakdowns\n",
+                           "= breakdowns[:1] + [(b.l_c * 2.0, *b[1:]) for b in breakdowns[1:]]\n",
+                           "--lanes", "2")
+    assert re.fullmatch(r"parameters bit-identical: \d+ values; "
+                        r"step logs differ: 2 of 4 rows \(l_c\)", last), last
 
 
 def test_the_phase_split_restores_what_it_wraps(tmp_path):

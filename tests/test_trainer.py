@@ -479,6 +479,24 @@ class TestStepOpOracle:
         if mode != "off":
             assert any(b.n_diversity_selected for b in seen)
 
+    @pytest.mark.parametrize("schemes, paths", [
+        (("ours", "uan", "ours"), {"ours": np.ndarray, "uan": slice}),
+        (("uan", "ours", "ours", "uan"), {"uan": np.ndarray, "ours": slice}),
+        (("ours", "ours", "uan"), {"ours": slice, "uan": slice}),
+    ])
+    def test_schemes_whose_lanes_are_not_contiguous(self, monkeypatch, schemes, paths):
+        """A scheme whose lanes are not contiguous scores copies of its
+        lanes, one whose lanes are contiguous views of them: every lane
+        trains as its run alone either way."""
+        base = cli.benchmark_config(total_steps=6)
+        cfgs = [cli.scheme_defaults(replace(base, seed=seed), scheme)
+                for seed, scheme in enumerate(schemes)]
+        runs = [(*cli.make_benchmark(c)[:2], c) for c in cfgs]
+        state = tr.init_state([src for src, _, _ in runs], cfgs)
+        assert {k: type(v) for k, v in state.schemes.items()} == paths
+        seen = self.check(monkeypatch, runs, tr._train_stack)
+        assert any(b.n_pseudo_selected for b in seen)
+
     def test_vjp_scales_by_its_upstream_gradient(self):
         """The step op's VJP multiplies its loss gradients by ``g``: with
         ``g`` a power of two every parameter gradient scales exactly."""
@@ -564,8 +582,23 @@ class TestLaneRule:
         want = [[tr.w_alpha(t, 4, c.w0, c.w_alpha_start) for t in range(4)] for c in cfgs[:2]]
         assert state.w_alpha.tolist() == [*want, [0.25] * 4, [math.inf] * 4]
         assert state.w_beta.tolist() == [[0.8], [-0.19999999999999996], [1.5], [0.8]]
-        assert {k: v.tolist() for k, v in state.schemes.items()} == {"ours": [0, 2, 3],
-                                                                    "uan": [1]}
+        # the log's threshold column is written before any step
+        assert state.log["w_alpha"].tolist() == state.w_alpha.tolist()
+        # lanes that are not contiguous are an index array, and contiguous a slice
+        assert list(state.schemes) == ["ours", "uan"]
+        assert state.schemes["ours"].tolist() == [0, 2, 3]
+        assert state.schemes["uan"] == slice(1, 2)
+
+    @pytest.mark.parametrize("schemes, want", [
+        (("ours",), {"ours": slice(0, 1)}),
+        (("ours", "ours", "uan", "uan"), {"ours": slice(0, 2), "uan": slice(2, 4)}),
+        (("uan", "ours", "ours"), {"uan": slice(0, 1), "ours": slice(1, 3)}),
+    ])
+    def test_contiguous_lanes_of_a_scheme_are_a_slice(self, schemes, want):
+        src, _ = tiny_data()
+        state = tr.init_state([src] * len(schemes), [tiny_cfg(seed=seed, scheme=scheme)
+                                                    for seed, scheme in enumerate(schemes)])
+        assert state.schemes == want
 
     def test_train_stacks_stacks_runs_that_share_their_fields_in_order(self, monkeypatch):
         """Runs of two shared configs, interleaved: each config's runs fill
@@ -676,11 +709,11 @@ class TestNumericErrorInALane:
         for lane, m in enumerate(state.lanes.models):
             if lane != bad:
                 m.d.weights[0].value[...] = 0.0
-        before = state.lanes.values.copy()
+        before, log = state.lanes.values.copy(), state.log.copy()
         with pytest.raises(NumericError, match="^step 0: non-finite gradient$") as raised:
             tr.train_step(state, stacks[0])
         assert raised.value.lane == bad
-        assert state.t == 0 and state.log.tobytes() == np.zeros_like(state.log).tobytes()
+        assert state.t == 0 and state.log.tobytes() == log.tobytes()
         np.testing.assert_array_equal(bits(state.lanes.values), bits(before))
 
     def test_train_stacks_names_the_seed_of_the_run_alone(self):

@@ -3,6 +3,7 @@
 Run from the root of a checkout:
 
     python3 tools/step_ab.py --base ../parent/src --change src [--blocks 20] [--steps 3000]
+    python3 tools/step_ab.py --lanes 4 --base ../parent/src --change src [--blocks 20]
     python3 tools/step_ab.py --grid --base ../parent/src --change src [--blocks 20] [--steps 100]
 
 Each ``--base``/``--change`` is a ``src`` directory holding a
@@ -19,7 +20,15 @@ alternate between the sides, the first side alternating from one pair
 of blocks to the next, and each block is timed in process CPU time.  It
 prints each side's median µs per step with its quartiles, the median
 and quartiles of the per-pair ratio change/base, and in how many pairs
-the change's block was faster.  The full benchmark's ``train_single``
+the change's block was faster.
+
+With ``--lanes R`` a block is instead one ``trainer._train_stack`` of
+the benchmark runs of seeds 0 to R-1, trained as the R lanes of one
+stack, and every time is given in µs per lane-step: the block's time
+over ``R * steps``.  Comparing the lines of several R on one tree shows
+what a lane costs in a stack (``trainer.MAX_LANES``).  With one lane,
+the default, a block is one ``trainer.train`` call, which trees without
+``_train_stack`` have too.  The full benchmark's ``train_single``
 pair ratios spread from 0.89 to 1.12 for changes that did not touch
 training (``BENCH_11``, ``BENCH_12``), too wide to see a 5% change in
 the step, which is why this tool pairs blocks within one process.
@@ -31,21 +40,23 @@ the batch draw (each ``next`` on ``batches``' iterator), the three
 network forwards (``Mlp.forward_array``), the score
 (``scoring.scores_from_outputs``), the loss head
 (``losses.compound_array``), the backward (``autodiff.backward``) and
-the rest of ``train_step``: the input check, the step's ``Node``, the
-gradient check, the momentum update, the log rows and the returned
-breakdown.  Each side's line gives the median and quartiles over its
-calls of its µs per step in each phase and in their total, and one more
+the rest of ``train_step``: the indexing of each scheme's lanes around
+its score, the step's ``Node``, the gradient check, the momentum
+update, the log rows and the returned breakdown.
+Each side's line gives the median and quartiles over its calls of its
+µs per step (per lane-step with ``--lanes``) in each phase and in their
+total, and one more
 line the median and quartiles of each phase's per-pair ratio
 change/base.  One call's split is not enough: the parent's phase total
 of a single call differed from its block median by -18% to +56% over
 eight runs.  Each timer costs about half a microsecond per call, eight
 calls per step; the unwrapped blocks give the totals.
 
-Every block trains from the same seed, so two trees that train alike
-return the same model and step log.  The last line says whether the two
-sides' last returned ``model.values`` and step logs are bit-identical,
-and names what differs: a faster step that moves any bit of the
-training, or only a logged value, shows there.
+Every block trains from the same seeds, so two trees that train alike
+return the same models and step logs.  The last line says whether the
+two sides' last returned ``model.values`` and step logs, of every lane,
+are bit-identical, and names what differs: a faster step that moves any
+bit of the training, or only a logged value, shows there.
 
 With ``--grid`` a block is instead one in-process ``udaselect ablate
 --ablation scoring --seeds 2 --steps <steps>`` (``cli.main``, its
@@ -96,25 +107,33 @@ PHASE_CALLS = 9
 
 
 class Side:
-    """One side's package, benchmark config and data, and last trained
-    model and step log."""
+    """One side's package, the benchmark runs of its lanes, and each
+    lane's last trained model and step log."""
 
-    def __init__(self, package: str, steps: int):
+    def __init__(self, package: str, steps: int, lanes: int = 1):
         self.package = package
         cli = importlib.import_module(f"{package}.cli")
-        self.train = importlib.import_module(f"{package}.trainer").train
-        self.cfg = cli.benchmark_config(seed=0, total_steps=steps)
-        self.src, self.tgt, _ = cli.make_benchmark(self.cfg)
-        self.model = self.log = None
+        self.trainer = importlib.import_module(f"{package}.trainer")
+        cfgs = [cli.benchmark_config(seed=seed, total_steps=steps) for seed in range(lanes)]
+        self.runs = [(*cli.make_benchmark(cfg)[:2], cfg) for cfg in cfgs]
+        self.lane_steps = steps * lanes
+        self.trained = None
+
+    def train(self) -> list:
+        """Each lane's ``(model, log)``: one ``train`` call for one lane,
+        else one ``_train_stack`` of the lanes."""
+        if len(self.runs) == 1:
+            return [self.trainer.train(*self.runs[0])]
+        return self.trainer._train_stack(self.runs)
 
     def block(self) -> float:
-        """CPU seconds per step of one ``train`` call."""
+        """CPU seconds per lane-step of one ``train``."""
         start = time.process_time()
-        self.model, self.log = self.train(self.src, self.tgt, self.cfg)
-        return (time.process_time() - start) / self.cfg.total_steps
+        self.trained = self.train()
+        return (time.process_time() - start) / self.lane_steps
 
     def phases(self) -> dict[str, float]:
-        """Wall µs per step of each of ``PHASES`` in one ``train`` call,
+        """Wall µs per lane-step of each of ``PHASES`` in one ``train``,
         each phase's function wrapped in a timer for the call only."""
         mod = {name: importlib.import_module(f"{self.package}.{name}")
                for name in ("trainer", "model", "scoring", "losses", "autodiff")}
@@ -153,11 +172,11 @@ class Side:
         try:
             for owner, attr, wrap in wraps:
                 setattr(owner, attr, wrap(getattr(owner, attr)))
-            self.train(self.src, self.tgt, self.cfg)
+            self.train()
         finally:
             for owner, attr, fn in originals:
                 setattr(owner, attr, fn)
-        us = {phase: t / self.cfg.total_steps * 1e6 for phase, t in spent.items()}
+        us = {phase: t / self.lane_steps * 1e6 for phase, t in spent.items()}
         us["update and log"] = us.pop("step") - sum(us[p] for p in PHASES[1:-1])
         return us
 
@@ -187,10 +206,10 @@ class GridSide:
 
 
 def load_sides(srcs: dict[str, Path], tmp: Path, steps: int,
-               grid: bool = False) -> dict[str, Side | GridSide]:
+               grid: bool = False, lanes: int = 1) -> dict[str, Side | GridSide]:
     """Copy each ``<src>/udaselect`` to ``tmp/udaselect_<side>`` and load
-    it as a ``Side``, or with ``grid`` as a ``GridSide`` writing its runs
-    under ``tmp/runs_<side>``."""
+    it as a ``Side`` of ``lanes`` lanes, or with ``grid`` as a
+    ``GridSide`` writing its runs under ``tmp/runs_<side>``."""
     for side, src in srcs.items():
         package = src / "udaselect"
         if not (package / "__init__.py").is_file():
@@ -201,7 +220,7 @@ def load_sides(srcs: dict[str, Path], tmp: Path, steps: int,
     if grid:
         return {side: GridSide(f"udaselect_{side}", steps, tmp / f"runs_{side}")
                 for side in srcs}
-    return {side: Side(f"udaselect_{side}", steps) for side in srcs}
+    return {side: Side(f"udaselect_{side}", steps, lanes) for side in srcs}
 
 
 def interleaved(call, count: int) -> dict[str, list]:
@@ -215,7 +234,7 @@ def interleaved(call, count: int) -> dict[str, list]:
 
 
 def run(sides: dict[str, Side | GridSide], blocks: int) -> dict[str, list[float]]:
-    """CPU seconds of each side's blocks, per step or per grid call,
+    """CPU seconds of each side's blocks, per lane-step or per grid call,
     after one untimed warm-up block each."""
     for side in sides.values():
         side.block()
@@ -223,11 +242,13 @@ def run(sides: dict[str, Side | GridSide], blocks: int) -> dict[str, list[float]
 
 
 def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int,
-           faults: dict[str, list[int]] | None = None) -> str:
-    """The summary of a step A/B, in µs per step, or with ``faults`` (one
-    list per side) of a grid A/B, in ms per call."""
+           faults: dict[str, list[int]] | None = None, lanes: int = 1) -> str:
+    """The summary of a step A/B, in µs per step, or per lane-step of
+    blocks of more than one lane, or with ``faults`` (one list per side)
+    of a grid A/B, in ms per call."""
     scale, unit, block = ((1e3, "ms/call", "grid calls") if faults
-                          else (1e6, "us/step", "blocks"))
+                          else (1e6, "us/step", "blocks") if lanes == 1
+                          else (1e6, "us/lane-step", f"blocks of {lanes} lanes"))
     lines = []
     for name in SIDES:
         s = summary(times[name])
@@ -247,10 +268,10 @@ def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int,
     return "\n".join(lines)
 
 
-def phase_report(phases: dict[str, list[dict[str, float]]]) -> str:
+def phase_report(phases: dict[str, list[dict[str, float]]], unit: str = "us/step") -> str:
     """One line per side, the median and quartiles over its calls of its
-    µs per step in each phase and in their total, and one line of each
-    phase's per-pair ratio change/base."""
+    µs per step (``unit``) in each phase and in their total, and one line
+    of each phase's per-pair ratio change/base."""
     def spread(values, digits):
         s = summary(values)
         return f"{s['median']:.{digits}f} ({s['q1']:.{digits}f}-{s['q3']:.{digits}f})"
@@ -258,7 +279,7 @@ def phase_report(phases: dict[str, list[dict[str, float]]]) -> str:
     columns = {name: {**{p: [call[p] for call in calls] for p in PHASES},
                       "total": [sum(call.values()) for call in calls]}
                for name, calls in phases.items()}
-    lines = [f"{name:<6} phases us/step, median (quartiles) of {len(phases[name])} calls: "
+    lines = [f"{name:<6} phases {unit}, median (quartiles) of {len(phases[name])} calls: "
              + ", ".join(f"{p} {spread(v, 1)}" for p, v in columns[name].items())
              for name in SIDES]
     ratios = {p: [c / b for b, c in zip(base, columns["change"][p])]
@@ -295,9 +316,11 @@ def log_parity(base: np.ndarray, change: np.ndarray) -> str | None:
 
 def parity(sides: dict[str, Side]) -> str:
     """Whether the two sides' last returned models have bit-identical
-    parameters and their step logs bit-identical rows."""
+    parameters and their step logs bit-identical rows, every lane's in
+    lane order."""
     (base, base_log), (change, change_log) = (
-        (sides[name].model.values, sides[name].log) for name in SIDES)
+        (np.concatenate([m.values.ravel() for m, _ in sides[name].trained]),
+         np.concatenate([log for _, log in sides[name].trained])) for name in SIDES)
     params, logs = parameter_parity(base, change), log_parity(base_log, change_log)
     if params is None and logs is None:
         return (f"parameters and step logs bit-identical: {base.size} values, "
@@ -329,13 +352,17 @@ def main(argv: list[str] | None = None) -> int:
                     help="training steps per run (default 3000, with --grid 100)")
     ap.add_argument("--grid", action="store_true",
                     help="time the benchmark's scoring ablation instead of one train call")
+    ap.add_argument("--lanes", type=int, default=1,
+                    help="train the runs of seeds 0..R-1 as the lanes of one stack")
     args = ap.parse_args(argv)
     steps = args.steps if args.steps is not None else 100 if args.grid else 3000
-    if args.blocks < 1 or steps < 1:
-        ap.error("--blocks and --steps must be >= 1")
+    if args.blocks < 1 or steps < 1 or args.lanes < 1:
+        ap.error("--blocks, --steps and --lanes must be >= 1")
+    if args.grid and args.lanes != 1:
+        ap.error("--lanes does not apply to --grid")
     srcs = {"base": args.base.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory() as tmp:
-        sides = load_sides(srcs, Path(tmp), steps, args.grid)
+        sides = load_sides(srcs, Path(tmp), steps, args.grid, args.lanes)
         times = run(sides, args.blocks)
         if args.grid:
             # the warm-up block's faults are left out, like its time
@@ -344,8 +371,8 @@ def main(argv: list[str] | None = None) -> int:
             print(run_parity(sides["base"].out, sides["change"].out))
             return 0
         phases = interleaved(lambda name: sides[name].phases(), PHASE_CALLS)
-    print(report(times, srcs, steps))
-    print(phase_report(phases))
+    print(report(times, srcs, steps, lanes=args.lanes))
+    print(phase_report(phases, "us/step" if args.lanes == 1 else "us/lane-step"))
     print(parity(sides))
     return 0
 
