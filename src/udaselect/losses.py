@@ -155,7 +155,8 @@ def _layout(lanes: int, half: int, k: int, mode: str) -> tuple[np.ndarray, ...]:
     gradient scale of each entry of the half-sized NLL segments; and the
     diversity weight of the source rows under ``mode`` with no target
     row chosen, ``(lanes, 2 * half, 1)``."""
-    starts = np.arange(0, lanes * 2 * half * k, k).reshape(lanes, 2, half).swapaxes(0, 1).copy()
+    starts = np.arange(0, lanes * 2 * half * k, k).reshape(lanes, 2, half)
+    starts = starts.swapaxes(0, 1).copy()
     unchosen = np.zeros((3, lanes, half), bool)
     unchosen[0] = True
     s_d = -1.0 * (1.0 / half)
@@ -199,8 +200,8 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     The diversity rows are a 0/1 weight over each lane's ``(2 * half,
     K)`` rows of ``probs``: numpy reduces that axis row after row, and a
     left-out row adds ``+0.0``, so the column sums are those of the
-    chosen rows alone.  Their divisor is each lane's count of chosen
-    rows, made from the Python ints of the counts.  The head gradient is ``weight * row`` with the
+    chosen rows alone, and their divisor is made from the Python ints of
+    each lane's count.  The head gradient is ``weight * row`` with the
     CE gradient added at ``at``.  The probabilities are ``>= +0.0``, so
     ``weight * row`` holds no ``-0.0``: where no row is chosen it is
     ``+0.0``, and adding a ``-0.0`` CE gradient to it gives ``+0.0`` as
@@ -219,11 +220,11 @@ def compound_array(probs: np.ndarray, d: np.ndarray, source_labels: np.ndarray,
     if d.shape != (lanes, 2, half, 1):
         raise ContractError(f"d must be the {(lanes, 2, half, 1)} domain stack, "
                             f"got {d.shape}")
-    starts, chosen, scale, weight = _layout(lanes, half, k, mode)
+    starts, unchosen, scale, weight = _layout(lanes, half, k, mode)
     fixed = 3 * lanes * half  # the entries of the half-sized segments
     # each lane's source rows, its pseudo-labelled targets and its
     # diversity targets
-    chosen = chosen.copy()
+    chosen = unchosen.copy()
     np.greater(scores, w_alpha, out=chosen[1])
     if mode != "off":
         np.greater(scores, w_beta, out=chosen[2])

@@ -82,8 +82,8 @@ _BLOCK_ROWS = 512
 #: reduces each row of a ``(n, K)`` table by its own inner-loop call, so
 #: K - 1 whole-column ufunc calls win from a few hundred rows; below
 #: that (the training step's 64-row stacks) numpy's call is faster.
-#: There, as in ``all_finite``, they call the ufunc's ``reduce``
-#: itself: ``max``, ``sum`` and ``all`` without numpy's Python wrappers.
+#: There they call the ufunc's ``reduce`` itself: ``max`` and ``sum``
+#: without numpy's Python wrappers.
 _FOLD_ROWS = 256
 
 

@@ -20,7 +20,10 @@ alternate between the sides, the first side alternating from one pair
 of blocks to the next, and each block is timed in process CPU time.  It
 prints each side's median µs per step with its quartiles, the median
 and quartiles of the per-pair ratio change/base, and in how many pairs
-the change's block was faster.
+the change's block was faster.  The full benchmark's ``train_single``
+pair ratios spread from 0.89 to 1.12 for changes that did not touch
+training (``BENCH_11``, ``BENCH_12``), too wide to see a 5% change in
+the step, which is why this tool pairs blocks within one process.
 
 With ``--lanes R`` a block is instead one ``trainer._train_stack`` of
 the benchmark runs of seeds 0 to R-1, trained as the R lanes of one
@@ -28,10 +31,7 @@ stack, and every time is given in µs per lane-step: the block's time
 over ``R * steps``.  Comparing the lines of several R on one tree shows
 what a lane costs in a stack (``trainer.MAX_LANES``).  With one lane,
 the default, a block is one ``trainer.train`` call, which trees without
-``_train_stack`` have too.  The full benchmark's ``train_single``
-pair ratios spread from 0.89 to 1.12 for changes that did not touch
-training (``BENCH_11``, ``BENCH_12``), too wide to see a 5% change in
-the step, which is why this tool pairs blocks within one process.
+``_train_stack`` have too.
 
 After the timed blocks, ``PHASE_CALLS`` more ``train`` calls per side,
 interleaved like the blocks, run with a wall-clock timer around each
@@ -42,11 +42,10 @@ network forwards (``Mlp.forward_array``), the score
 (``losses.compound_array``), the backward (``autodiff.backward``) and
 the rest of ``train_step``: the indexing of each scheme's lanes around
 its score, the step's ``Node``, the gradient check, the momentum
-update, the log rows and the returned breakdown.
-Each side's line gives the median and quartiles over its calls of its
-µs per step (per lane-step with ``--lanes``) in each phase and in their
-total, and one more
-line the median and quartiles of each phase's per-pair ratio
+update, the log rows and the returned breakdown.  Each side's line
+gives the median and quartiles over its calls of its µs per step (per
+lane-step with ``--lanes``) in each phase and in their total, and one
+more line the median and quartiles of each phase's per-pair ratio
 change/base.  One call's split is not enough: the parent's phase total
 of a single call differed from its block median by -18% to +56% over
 eight runs.  Each timer costs about half a microsecond per call, eight
