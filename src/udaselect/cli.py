@@ -84,10 +84,16 @@ def run_experiment(name: str, cfg: tr.TrainConfig, src: dt.DomainDataset,
 def write_run(name: str, cfg: tr.TrainConfig, model: md.ModelBundle, log: np.ndarray,
               src: dt.DomainDataset, tgt: dt.DomainDataset, spec: dt.LabelSetSpec,
               out_dir: Path) -> ev.EvalReport:
-    """Evaluate the trained run and write every artifact of it."""
-    report = ev.evaluate(model, tgt, spec, cfg.w0, cfg.scheme)
+    """Evaluate the trained run and write every artifact of it.
+
+    The score dump and the histograms need the score table of the whole
+    target, so it is made by one ``score_batch`` call, as the source's is,
+    and the report counts it as a single block (``ev.tally``): no domain
+    is scored twice, and the report is the one ``ev.evaluate`` gives."""
+    target = sc.score_batch(model, tgt.features, cfg.scheme)
+    report = ev.tally([(target, tgt.labels)], spec, cfg.w0, model.class_ids)
     domains = {"source": (sc.score_batch(model, src.features, cfg.scheme), src.labels),
-               "target": (report.scores, tgt.labels)}
+               "target": (target, tgt.labels)}
 
     out_dir.mkdir(parents=True, exist_ok=True)
     tr.write_metrics(out_dir / "metrics.jsonl", log)

@@ -458,15 +458,26 @@ def domain_prob(m: ModelBundle, feats: Node, lam: float) -> Node:
     return m.d.forward(ad.grad_reverse(feats, lam))
 
 
+def row_blocks(n: int, size: int) -> list[slice]:
+    """Slices of ``size`` rows that cover ``range(n)`` in order, the last
+    holding what is left.  A last block of one row joins the block before
+    it: numpy multiplies a lone row by its vector path, whose bits differ
+    from those of the matrix product.  So the blocks of ``size`` times k
+    rows, each cut into blocks of ``size``, are the blocks of ``size``
+    of all ``n`` rows.  No rows make one empty block."""
+    starts = list(range(0, max(n - 1, 1), size))
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
+
+
 def predict(m: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``label_probs`` and ``domain_prob`` values for the rows of ``x`` by
     the array forward (the reversal layer is the identity forward).
     Raises ``NumericError`` where the engine would; its message names no op.
 
     The rows run through ``f``, ``c`` and ``d`` in blocks of
-    ``_BLOCK_ROWS`` into preallocated outputs, so no activation of the
-    whole input is held: on a 20k-row file that was the process's peak
-    memory.  Every op is row-wise, and a block's product rows are those
+    ``_BLOCK_ROWS`` (``row_blocks``) into preallocated outputs, so no
+    activation of the whole input is held: on a 20k-row file that was the
+    process's peak memory.  Every op is row-wise, and a block's product rows are those
     of the whole input's product, so the bits are those of one forward
     over all of ``x`` on one BLAS thread.  (On more threads OpenBLAS
     splits the domain head's matrix-vector product of several thousand
@@ -481,12 +492,8 @@ def predict(m: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead = x.shape[:-1]
     probs = np.empty(lead + (m.c.spec.output_dim,))
     d = np.empty(lead + (m.d.spec.output_dim,))
-    # no block of one row among more: numpy multiplies a lone row by its
-    # vector path, whose bits differ from those of the matrix product
-    starts = range(0, max(lead[-1] - 1, 1), _BLOCK_ROWS)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in zip(starts, [*starts[1:], lead[-1]]):
-            rows = slice(start, stop)
+        for rows in row_blocks(lead[-1], _BLOCK_ROWS):
             check_finite(x[..., rows, :])
             feats = m.f.forward_array(x[..., rows, :])
             probs[..., rows, :] = m.c.forward_array(feats)
@@ -499,7 +506,9 @@ def predict(m: ModelBundle, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_checkpoint(m: ModelBundle, path) -> None:
-    """Write a deterministic text checkpoint (hex floats, named arrays)."""
+    """Write a deterministic text checkpoint (hex floats, named arrays).
+    A non-finite parameter, which ``load_checkpoint`` would refuse, raises
+    ``NumericError`` naming it before the file is opened."""
     meta = {
         "feature_dim": m.f.spec.output_dim,
         "num_source_classes": m.c.spec.output_dim,
@@ -512,6 +521,8 @@ def save_checkpoint(m: ModelBundle, path) -> None:
     }
     lines = [json.dumps(meta, sort_keys=True)]
     for name, p in m.parameters():
+        if not all_finite(p.value):
+            raise NumericError(f"checkpoint: parameter {name} has a non-finite value")
         shape = " ".join(str(s) for s in p.value.shape)
         lines.append(f"{name} {shape}")
         lines.append(" ".join(map(float.hex, p.value.ravel().tolist())))

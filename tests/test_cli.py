@@ -14,6 +14,7 @@ import pytest
 from udaselect import cli
 from udaselect import data as dt
 from udaselect import evaluation as ev
+from udaselect import model as md
 from udaselect import scoring as sc
 from udaselect import trainer as tr
 from udaselect.cli import EXIT_CONFIG, main
@@ -632,9 +633,14 @@ class TestRunExperimentReadSide:
         score_batch = sc.score_batch
         monkeypatch.setattr(sc, "score_batch",
                             lambda m, x, s: rows.append(len(x)) or score_batch(m, x, s))
-        src, tgt, _, report, dump = self.run(tmp_path)
-        assert rows == [tgt.n, src.n]  # evaluate's, then the source's
-        assert [float(r[6]) for r in dump[src.n:]] == report.scores.w.tolist()
+        src, tgt, spec, report, dump = self.run(tmp_path)
+        assert rows == [tgt.n, src.n]  # the target's, then the source's
+        monkeypatch.setattr(sc, "score_batch", score_batch)
+        model = md.load_checkpoint(tmp_path / "r" / "checkpoint.txt")
+        assert [float(r[6]) for r in dump[src.n:]] == score_batch(
+            model, tgt.features, "ours").w.tolist()
+        # the report counts that one table: evaluate's report, in blocks
+        assert report == ev.evaluate(model, tgt, spec, cli.benchmark_config().w0)
 
     def test_histograms_follow_the_per_row_rule(self, tmp_path):
         src, tgt, spec, _, dump = self.run(tmp_path)

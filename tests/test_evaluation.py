@@ -1,17 +1,21 @@
 """Unit tests for decisions, the macro-recall report and histogram exports."""
 
+import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from udaselect import cli
 from udaselect import data as dt
 from udaselect import evaluation as ev
 from udaselect import model as md
 from udaselect import scoring as sc
 from udaselect.data import TAU, DomainDataset, LabelSetSpec
-from udaselect.errors import ContractError
+from udaselect import trainer as tr
+from udaselect.errors import ContractError, NumericError
 from udaselect.model import MlpSpec
 from udaselect.scoring import ScoreTable
 
@@ -142,15 +146,13 @@ class TestEvaluate:
             ev.evaluate(oracle_bundle(), tgt, ORACLE_SPEC, 1.0)
 
     @pytest.mark.parametrize("w0", [0.0, 1.0, 1.3])
-    def test_kept_scores_reproduce_the_report_through_decide(self, w0):
+    def test_the_report_is_the_per_row_rule_on_the_score_table(self, w0):
         m, base = oracle_bundle(), oracle_target()
         rng = np.random.default_rng(0)
         tgt = DomainDataset(base.features.repeat(20, axis=0) + rng.normal(0, 6, (100, 2)),
                             base.labels.repeat(20))
         report = ev.evaluate(m, tgt, ORACLE_SPEC, w0)
-        scores = report.scores
-        assert len(scores) == tgt.n
-        assert scores.w.tobytes() == sc.score_batch(m, tgt.features, "ours").w.tobytes()
+        scores = sc.score_batch(m, tgt.features, "ours")
         decisions = ev.decide(scores.w, scores.y_bar, w0, m.class_ids)
         truth = np.where(np.isin(tgt.labels, ORACLE_SPEC.shared), tgt.labels, TAU)
         assert report.counts == {cls: int((truth == cls).sum()) for cls in report.counts}
@@ -158,13 +160,10 @@ class TestEvaluate:
             cls: float((decisions[truth == cls] == cls).mean()) for cls in report.counts}
         assert report.micro_accuracy == float((decisions == truth).mean())
 
-    def test_kept_scores_stay_out_of_json_repr_and_equality(self):
-        a = ev.evaluate(oracle_bundle(), oracle_target(), ORACLE_SPEC, 1.0)
-        b = ev.evaluate(oracle_bundle(), oracle_target(), ORACLE_SPEC, 1.0)
-        b.scores.w[...] = 0.0
-        assert "scores" not in json.loads(a.to_json())
-        assert "scores" not in repr(a)
-        assert a == b
+    def test_the_report_holds_its_json_fields_only(self):
+        # no score table, nor anything else of the target's size
+        report = ev.evaluate(oracle_bundle(), oracle_target(), ORACLE_SPEC, 1.0)
+        assert sorted(vars(report)) == sorted(json.loads(report.to_json()))
 
     def test_json_round_trip(self):
         report = ev.evaluate(oracle_bundle(), oracle_target(), ORACLE_SPEC, 1.0)
@@ -176,6 +175,85 @@ class TestEvaluate:
         report = ev.evaluate(oracle_bundle(), oracle_target(), ORACLE_SPEC, 1.0)
         assert "tau" in report.summary()
         assert "average class accuracy" in report.summary()
+
+
+B = ev.EVAL_BLOCK_ROWS
+
+
+@pytest.fixture(scope="module")
+def large():
+    """A briefly trained benchmark model, the benchmark's label sets and a
+    20k-row target drawn as the ``eval_large`` workload draws its own."""
+    cfg = cli.benchmark_config(total_steps=300)
+    src, tgt, spec = cli.make_benchmark(cfg)
+    model, _ = tr.train(src, tgt, cfg)
+    _, big = dt.gen_synthetic(spec, dim=8, per_class=2000, shift=dt.benchmark_shift(),
+                              seed=11)
+    return model, spec, big
+
+
+def target_of(big, rows):
+    """``rows`` rows of ``big`` in a random order, or all of it as drawn."""
+    if rows is None:
+        return big
+    order = np.random.default_rng(rows).permutation(big.n)[:rows]
+    return DomainDataset(big.features[order], big.labels[order])
+
+
+ROWS = [B - 1, B, B + 1, 2 * B + 1, None]
+
+
+class TestEvaluateInBlocks:
+    """``evaluate`` scores the target in blocks of ``EVAL_BLOCK_ROWS`` rows
+    and gives what one table of the whole target gives."""
+
+    @pytest.mark.parametrize("scheme", sc.SCHEMES)
+    @pytest.mark.parametrize("rows", ROWS, ids=lambda r: "20k" if r is None else str(r))
+    def test_blocks_count_what_one_table_counts(self, large, rows, scheme):
+        model, spec, big = large
+        tgt = target_of(big, rows)
+        w0 = tr.TrainConfig(scheme=scheme).w0
+        whole = ev.tally([(sc.score_batch(model, tgt.features, scheme), tgt.labels)],
+                         spec, w0, model.class_ids)
+        report = ev.evaluate(model, tgt, spec, w0, scheme)
+        assert 0.0 < report.average_class_accuracy < 1.0
+        assert report.to_json() == whole.to_json()
+        assert report == whole
+
+    @pytest.mark.parametrize("scheme", sc.SCHEMES)
+    @pytest.mark.parametrize("rows", ROWS, ids=lambda r: "20k" if r is None else str(r))
+    def test_the_blocks_scores_are_the_whole_tables_bits(self, large, rows, scheme,
+                                                          monkeypatch):
+        model, spec, big = large
+        tgt = target_of(big, rows)
+        whole = sc.score_batch(model, tgt.features, scheme)
+        parts = []
+        score_batch = sc.score_batch
+        monkeypatch.setattr(sc, "score_batch",
+                            lambda m, x, s: parts.append(score_batch(m, x, s)) or parts[-1])
+        ev.evaluate(model, tgt, spec, tr.TrainConfig(scheme=scheme).w0, scheme)
+        assert [len(part) for part in parts] == [
+            len(range(tgt.n)[rows]) for rows in md.row_blocks(tgt.n, B)]
+        for col in dataclasses.fields(ScoreTable):
+            assert (np.concatenate([getattr(part, col.name) for part in parts]).tobytes()
+                    == getattr(whole, col.name).tobytes()), col.name
+
+    def test_a_nan_row_in_a_later_block_raises_the_whole_targets_message(self, large):
+        model, spec, big = large
+        tgt = target_of(big, 2 * B + 1)
+        x = tgt.features.copy()
+        # an input row whose first product overflows, in the first block,
+        # and a NaN input row in the second
+        x[5] = np.copysign(1e308, model.f.weights[0].value[:, 0])
+        x[B + 7] = np.nan
+        with pytest.raises(NumericError) as whole:
+            sc.score_batch(model, x, "ours")
+        with pytest.raises(NumericError) as first:
+            sc.score_batch(model, x[:B], "ours")
+        assert str(whole.value) == "scoring: non-finite values produced by op 'input'"
+        assert str(first.value) != str(whole.value)  # the first block alone names another op
+        with pytest.raises(NumericError, match=f"^{re.escape(str(whole.value))}$"):
+            ev.evaluate(model, DomainDataset(x, tgt.labels), spec, 1.0)
 
 
 def read_hist(path):

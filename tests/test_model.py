@@ -190,6 +190,20 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=where):
             md.load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, index, value", [
+        ("f.w0", (0, 0), np.nan), ("c.b0", (2,), np.inf), ("d.w0", (7, 0), -np.inf)])
+    def test_a_non_finite_parameter_is_refused_before_the_file_opens(
+            self, tmp_path, name, index, value):
+        # load_checkpoint refuses such a file, so save writes none
+        cfg = cli.benchmark_config(total_steps=5)
+        m, _ = tr.train(*cli.make_benchmark(cfg)[:2], cfg)
+        dict(m.parameters())[name].value[index] = value
+        path = tmp_path / "ckpt.txt"
+        with pytest.raises(NumericError,
+                           match=rf"^checkpoint: parameter {name} has a non-finite value$"):
+            md.save_checkpoint(m, path)
+        assert not path.exists()
+
     def test_save_is_deterministic(self, tmp_path):
         m = small_bundle(2)
         md.save_checkpoint(m, tmp_path / "a.txt")
@@ -471,6 +485,24 @@ print(hashlib.sha256(probs.tobytes() + d.tobytes()).hexdigest())
 
 
 class TestPredictBlocks:
+    @pytest.mark.parametrize("size", [1, 4, 5])
+    def test_row_blocks_cover_the_rows_with_no_lone_last_row(self, size):
+        for n in range(4 * size + 3):
+            blocks = md.row_blocks(n, size)
+            assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+            assert all(rows.stop - rows.start == size for rows in blocks[:-1])
+            assert n < 2 or blocks[-1].stop - blocks[-1].start > 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_blocks_of_k_sizes_cut_into_sizes_are_the_blocks_of_size(self, k):
+        # so a caller that scores in blocks of k * _BLOCK_ROWS rows runs
+        # every forward row in the block predict gives it over all rows
+        for n in range(3 * k * 4 + 3):
+            inner = [slice(outer.start + rows.start, outer.start + rows.stop)
+                     for outer in md.row_blocks(n, k * 4)
+                     for rows in md.row_blocks(outer.stop - outer.start, 4)]
+            assert inner == md.row_blocks(n, 4), n
+
     def test_stacked_slices_equal_their_own_calls_bitwise(self):
         m = small_bundle()
         x = np.random.default_rng(0).normal(size=(2, md._BLOCK_ROWS + 2, 4))

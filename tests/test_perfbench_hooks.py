@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 from udaselect import cli
+from udaselect import data as dt
+from udaselect import evaluation as ev
+from udaselect import model as md
 from udaselect import scoring as sc
 from udaselect import trainer as tr
 from udaselect.autodiff import Node
@@ -78,6 +81,29 @@ def test_the_tracer_sees_every_step_of_every_stack(train, schemes):
     assert layers["trainer.train_step.us_p50"] > 0
     assert layers["autodiff.nodes_per_step"] == 1.0
     assert layers["scoring.scores_from_outputs.us"] > 0
+
+
+def test_the_tracer_counts_every_row_of_an_evaluate_in_blocks():
+    """``evaluate`` scores the target in blocks, one ``score_batch`` span
+    each, and the rows counted over them are the whole target's, so
+    ``scoring.score_batch.rows_per_s`` stays the target's rows over the
+    time spent scoring them."""
+    spec = dt.benchmark_label_spec()
+    _, tgt = dt.gen_synthetic(spec, dim=8, per_class=2000, shift=dt.benchmark_shift(),
+                              seed=11)
+    cfg = cli.benchmark_config(total_steps=5)
+    model, _ = tr.train(*cli.make_benchmark(cfg)[:2], cfg)
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.root("eval"):
+        ev.evaluate(model, tgt, spec, cfg.w0)
+    assert tracer.counters["score_rows"] == tgt.n == 20000
+    scored = [s for s in tracer.spans if s[tracing.NAME] == "scoring.score_batch"]
+    assert len(scored) == len(md.row_blocks(tgt.n, ev.EVAL_BLOCK_ROWS)) > 1
+    assert {tracer.spans[s[tracing.PARENT]][tracing.NAME] for s in scored} == {
+        "evaluation.evaluate"}
+    layers = tracer.layer_metrics(0.0)
+    assert layers["scoring.score_batch.rows_per_s"] > 0
+    assert layers["evaluation.evaluate.self_ms"] > 0
 
 
 def test_benchmark_selftest_passes():

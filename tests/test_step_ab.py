@@ -86,16 +86,33 @@ def test_grid_self_ab_prints_the_summary_with_faults(tmp_path):
     assert not list(tmp_path.iterdir())  # the package copies and runs are gone
 
 
-def patched_step_ab(tmp_path: Path, old: str, new: str, *flags: str) -> str:
+def test_eval_self_ab_prints_the_summary_with_faults(tmp_path):
+    src = ROOT / "src"
+    lines = step_ab(src, src, tmp_path, "--eval")
+    assert len(lines) == 5, lines
+    for side, line in zip(("base", "change"), lines):
+        assert re.fullmatch(rf"{side} +{re.escape(str(src))}: median {NUMBER} ms/call "
+                            rf"\(quartiles {NUMBER}-{NUMBER}\), minor faults median \d+ "
+                            rf"\(quartiles \d+-\d+\)", line), line
+    assert re.fullmatch(rf"ratio change/base: median {NUMBER} "
+                        rf"\(quartiles {NUMBER}-{NUMBER}\)", lines[2]), lines[2]
+    assert re.fullmatch(r"change faster in [012] of 2 eval calls of 20000 rows",
+                        lines[3]), lines[3]
+    assert re.fullmatch(r"eval\.json byte-identical: \d+ bytes", lines[4]), lines[4]
+    assert not list(tmp_path.iterdir())  # the package copies, inputs and outputs are gone
+
+
+def patched_step_ab(tmp_path: Path, old: str, new: str, *flags: str,
+                    module: str = "trainer.py") -> str:
     """The last line of an A/B of this tree against a copy whose
-    ``trainer.py`` has its one ``old`` replaced by ``new``."""
+    ``module`` has its one ``old`` replaced by ``new``."""
     changed = tmp_path / "changed"
     shutil.copytree(ROOT / "src" / "udaselect", changed / "udaselect",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    trainer = changed / "udaselect" / "trainer.py"
-    text = trainer.read_text()
+    path = changed / "udaselect" / module
+    text = path.read_text()
     assert text.count(old) == 1
-    trainer.write_text(text.replace(old, new))
+    path.write_text(text.replace(old, new))
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     return step_ab(ROOT / "src", changed, run_dir, *flags)[-1]
@@ -115,6 +132,14 @@ def test_a_grid_change_that_trains_differently_is_flagged(tmp_path):
     assert match, last
     # every run's checkpoint moves, and so the table of accuracies may
     assert int(match.group(1)) >= 10 and "checkpoint.txt" in match.group(2), last
+
+
+def test_an_eval_change_that_counts_differently_is_flagged(tmp_path):
+    last = patched_step_ab(tmp_path, "micro_accuracy=sum(hits) / n,",
+                           "micro_accuracy=sum(hits) / (n + 1),", "--eval",
+                           module="evaluation.py")
+    assert re.fullmatch(r"eval\.json differs: \d+ and \d+ bytes, first at byte \d+",
+                        last), last
 
 
 def test_a_change_that_moves_only_a_logged_loss_is_flagged(tmp_path):

@@ -1,10 +1,11 @@
-"""Interleaved in-process A/B of ``trainer.train``, or of a grid, between two source trees.
+"""Interleaved in-process A/B of ``trainer.train``, a grid or an eval between two source trees.
 
 Run from the root of a checkout:
 
     python3 tools/step_ab.py --base ../parent/src --change src [--blocks 20] [--steps 3000]
     python3 tools/step_ab.py --lanes 4 --base ../parent/src --change src [--blocks 20]
     python3 tools/step_ab.py --grid --base ../parent/src --change src [--blocks 20] [--steps 100]
+    python3 tools/step_ab.py --eval --base ../parent/src --change src [--blocks 20] [--steps 3000]
 
 Each ``--base``/``--change`` is a ``src`` directory holding a
 ``udaselect`` package.  The script copies each package under its own
@@ -71,6 +72,15 @@ faults can depend on the other's allocations: with stacks of 4 lanes
 against stacks of 2 one run read about 800 faults per call and another
 about 10,000.  There is no phase split.  The last line compares the
 bytes of every file of every run directory between the two sides.
+
+With ``--eval`` a block is instead one in-process ``udaselect eval``
+(``cli.main``) of the checkpoint of the benchmark run of seed 0, trained
+``--steps`` steps, on a 20k-row benchmark target (2000 rows per class,
+seed 0) at the run's scheme and ``w0``: the operation of the benchmark's
+``eval_large`` workload.  The base side's package writes those inputs
+once, and both sides read them.  Blocks are timed and their minor page
+faults counted as with ``--grid``, and the last line compares the bytes
+of the two sides' last ``eval.json``.
 """
 
 from __future__ import annotations
@@ -85,6 +95,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
@@ -103,6 +114,10 @@ PHASES = ("batch draw", "forward", "score", "loss head", "backward", "update and
 
 #: timed ``train`` calls per side of the phase split
 PHASE_CALLS = 9
+
+#: rows per class of the ``--eval`` target: 10 classes, 20k rows, as
+#: the benchmark's ``eval_large`` workload
+EVAL_PER_CLASS = 2000
 
 
 class Side:
@@ -180,19 +195,19 @@ class Side:
         return us
 
 
-class GridSide:
-    """One side's package and run directory for the grid A/B, and the
-    minor page faults of each of its blocks."""
+class CliSide:
+    """One side's package, the ``udaselect`` arguments of its block and
+    the directory they write under, and the minor page faults of each of
+    its blocks."""
 
-    def __init__(self, package: str, steps: int, out: Path):
+    def __init__(self, package: str, argv: list[str], out: Path):
         self.main = importlib.import_module(f"{package}.cli").main
+        self.argv = argv
         self.out = out
-        self.argv = ["ablate", "--ablation", "scoring", "--seeds", "2",
-                     "--steps", str(steps), "--out", str(out)]
         self.faults = []
 
     def block(self) -> float:
-        """CPU seconds of one grid call."""
+        """CPU seconds of one call."""
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.process_time()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -204,11 +219,36 @@ class GridSide:
         return spent
 
 
+def eval_inputs(package: str, steps: int, out: Path) -> list[str]:
+    """Write ``--eval``'s inputs under ``out`` with ``package``: the
+    benchmark target of seed 0 at ``EVAL_PER_CLASS`` rows per class, its
+    label sets, and the run of seed 0 trained ``steps`` steps.  Returns
+    the ``eval`` arguments that read them, without ``--out``."""
+    cli = importlib.import_module(f"{package}.cli")
+    dt = importlib.import_module(f"{package}.data")
+    spec = dt.benchmark_label_spec()
+    _, tgt = dt.gen_synthetic(spec, dim=8, per_class=EVAL_PER_CLASS,
+                              shift=dt.benchmark_shift(), seed=0)
+    out.mkdir()
+    dt.save_features(out / "target.features.txt", tgt)
+    (out / "labelset.json").write_text(json.dumps({
+        "shared": list(spec.shared), "source_private": list(spec.source_private),
+        "target_private": list(spec.target_private)}))
+    cfg = cli.benchmark_config(seed=0, total_steps=steps)
+    cli.run_experiment("checkpoint", cfg, *cli.make_benchmark(cfg), out / "train")
+    return ["eval", "--checkpoint", str(out / "train" / "checkpoint.txt"),
+            "--target", str(out / "target.features.txt"),
+            "--labelset", str(out / "labelset.json"),
+            "--w0", repr(cfg.w0), "--scheme", cfg.scheme]
+
+
 def load_sides(srcs: dict[str, Path], tmp: Path, steps: int,
-               grid: bool = False, lanes: int = 1) -> dict[str, Side | GridSide]:
+               op: str = "train", lanes: int = 1) -> dict[str, Side | CliSide]:
     """Copy each ``<src>/udaselect`` to ``tmp/udaselect_<side>`` and load
-    it as a ``Side`` of ``lanes`` lanes, or with ``grid`` as a
-    ``GridSide`` writing its runs under ``tmp/runs_<side>``."""
+    it as a ``Side`` of ``lanes`` lanes (``op`` "train"), or as a
+    ``CliSide`` writing under ``tmp/runs_<side>`` whose block is the
+    scoring grid (``op`` "grid") or an eval of ``eval_inputs`` (``op``
+    "eval")."""
     for side, src in srcs.items():
         package = src / "udaselect"
         if not (package / "__init__.py").is_file():
@@ -216,8 +256,17 @@ def load_sides(srcs: dict[str, Path], tmp: Path, steps: int,
         shutil.copytree(package, tmp / f"udaselect_{side}",
                         ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, str(tmp))
-    if grid:
-        return {side: GridSide(f"udaselect_{side}", steps, tmp / f"runs_{side}")
+    if op == "grid":
+        return {side: CliSide(f"udaselect_{side}",
+                              ["ablate", "--ablation", "scoring", "--seeds", "2",
+                               "--steps", str(steps), "--out", str(tmp / f"runs_{side}")],
+                              tmp / f"runs_{side}")
+                for side in srcs}
+    if op == "eval":
+        argv = eval_inputs("udaselect_base", steps, tmp / "eval_inputs")
+        return {side: CliSide(f"udaselect_{side}",
+                              [*argv, "--out", str(tmp / f"runs_{side}" / "eval.json")],
+                              tmp / f"runs_{side}")
                 for side in srcs}
     return {side: Side(f"udaselect_{side}", steps, lanes) for side in srcs}
 
@@ -232,22 +281,22 @@ def interleaved(call, count: int) -> dict[str, list]:
     return results
 
 
-def run(sides: dict[str, Side | GridSide], blocks: int) -> dict[str, list[float]]:
-    """CPU seconds of each side's blocks, per lane-step or per grid call,
+def run(sides: dict[str, Side | CliSide], blocks: int) -> dict[str, list[float]]:
+    """CPU seconds of each side's blocks, per lane-step or per call,
     after one untimed warm-up block each."""
     for side in sides.values():
         side.block()
     return interleaved(lambda name: sides[name].block(), blocks)
 
 
-def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int,
+def report(times: dict[str, list[float]], srcs: dict[str, Path], blocks: str,
            faults: dict[str, list[int]] | None = None, lanes: int = 1) -> str:
     """The summary of a step A/B, in µs per step, or per lane-step of
     blocks of more than one lane, or with ``faults`` (one list per side)
-    of a grid A/B, in ms per call."""
-    scale, unit, block = ((1e3, "ms/call", "grid calls") if faults
-                          else (1e6, "us/step", "blocks") if lanes == 1
-                          else (1e6, "us/lane-step", f"blocks of {lanes} lanes"))
+    of a grid or eval A/B, in ms per call.  ``blocks`` names the blocks
+    in the line of the pairs the change won."""
+    scale, unit = ((1e3, "ms/call") if faults else (1e6, "us/step") if lanes == 1
+                   else (1e6, "us/lane-step"))
     lines = []
     for name in SIDES:
         s = summary(times[name])
@@ -263,7 +312,7 @@ def report(times: dict[str, list[float]], srcs: dict[str, Path], steps: int,
     won = sum(r < 1.0 for r in ratios)
     lines.append(f"ratio change/base: median {s['median']:.4f} "
                  f"(quartiles {s['q1']:.4f}-{s['q3']:.4f})")
-    lines.append(f"change faster in {won} of {len(ratios)} {block} of {steps} steps")
+    lines.append(f"change faster in {won} of {len(ratios)} {blocks}")
     return "\n".join(lines)
 
 
@@ -342,6 +391,15 @@ def run_parity(base: Path, change: Path) -> str:
     return f"runs byte-identical: {len(names)} files, {runs} run directories"
 
 
+def eval_parity(base: Path, change: Path) -> str:
+    """Whether the two sides' ``eval.json`` files have the same bytes."""
+    a, b = base.read_bytes(), change.read_bytes()
+    if a == b:
+        return f"eval.json byte-identical: {len(a)} bytes"
+    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return f"eval.json differs: {len(a)} and {len(b)} bytes, first at byte {at}"
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="the base side's src/")
@@ -349,28 +407,37 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--blocks", type=int, default=20, help="timed blocks per side")
     ap.add_argument("--steps", type=int,
                     help="training steps per run (default 3000, with --grid 100)")
-    ap.add_argument("--grid", action="store_true",
-                    help="time the benchmark's scoring ablation instead of one train call")
+    ops = ap.add_mutually_exclusive_group()
+    ops.add_argument("--grid", action="store_const", dest="op", const="grid", default="train",
+                     help="time the benchmark's scoring ablation instead of one train call")
+    ops.add_argument("--eval", action="store_const", dest="op", const="eval",
+                     help="time the benchmark's eval of a 20k-row target instead")
     ap.add_argument("--lanes", type=int, default=1,
                     help="train the runs of seeds 0..R-1 as the lanes of one stack")
     args = ap.parse_args(argv)
-    steps = args.steps if args.steps is not None else 100 if args.grid else 3000
+    steps = args.steps if args.steps is not None else 100 if args.op == "grid" else 3000
     if args.blocks < 1 or steps < 1 or args.lanes < 1:
         ap.error("--blocks, --steps and --lanes must be >= 1")
-    if args.grid and args.lanes != 1:
-        ap.error("--lanes does not apply to --grid")
+    if args.op != "train" and args.lanes != 1:
+        ap.error(f"--lanes does not apply to --{args.op}")
     srcs = {"base": args.base.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory() as tmp:
-        sides = load_sides(srcs, Path(tmp), steps, args.grid, args.lanes)
+        sides = load_sides(srcs, Path(tmp), steps, args.op, args.lanes)
         times = run(sides, args.blocks)
-        if args.grid:
+        if args.op != "train":
             # the warm-up block's faults are left out, like its time
-            print(report(times, srcs, steps,
-                         {name: side.faults[1:] for name, side in sides.items()}))
-            print(run_parity(sides["base"].out, sides["change"].out))
+            faults = {name: side.faults[1:] for name, side in sides.items()}
+            if args.op == "grid":
+                print(report(times, srcs, f"grid calls of {steps} steps", faults))
+                print(run_parity(sides["base"].out, sides["change"].out))
+            else:
+                rows = 10 * EVAL_PER_CLASS
+                print(report(times, srcs, f"eval calls of {rows} rows", faults))
+                print(eval_parity(*(sides[name].out / "eval.json" for name in SIDES)))
             return 0
         phases = interleaved(lambda name: sides[name].phases(), PHASE_CALLS)
-    print(report(times, srcs, steps, lanes=args.lanes))
+    blocks = "blocks" if args.lanes == 1 else f"blocks of {args.lanes} lanes"
+    print(report(times, srcs, f"{blocks} of {steps} steps", lanes=args.lanes))
     print(phase_report(phases, "us/step" if args.lanes == 1 else "us/lane-step"))
     print(parity(sides))
     return 0
